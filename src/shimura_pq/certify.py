@@ -93,6 +93,11 @@ def decompose_eisenstein(graph, ell, n_max):
     """
     if ell in (graph.p, graph.q) or not is_prime(ell):
         raise ValueError("auxiliary prime must be a prime distinct from p and q")
+    if kronecker(-4, graph.q) == 1:
+        # q splits in Q(i), so no order of conductor prime to q embeds in the
+        # algebra ramified at q: every Gross vector of discriminant
+        # -4 ell^(2n) is zero and A_E is not in their span.
+        return None
     vset = graph.vset
     towers = gross_tower_modular(graph, ell, n_max)
     ae = eisenstein_modular(vset)

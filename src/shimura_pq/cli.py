@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .certify import (
     CACHE_ENV,
@@ -107,7 +108,8 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - resource/internal failures
+    except Exception as exc:  # resource/internal failures
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -132,14 +132,6 @@ def optimal_embeddings(order, D, unit_list=None):
 
 # -- exact vectors ---------------------------------------------------------------
 
-def vec(coeffs):
-    return tuple(Fraction(c) for c in coeffs)
-
-
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(x - y for x, y in zip(u, v))
 
@@ -238,13 +230,6 @@ def apply_wq_edges(graph, v):
     out = [Fraction(0)] * len(v)
     for i, x in enumerate(v):
         out[graph.wq_edge_perm[i]] = x
-    return tuple(out)
-
-
-def apply_wq_vertices(vset, v):
-    out = [Fraction(0)] * len(v)
-    for k, x in enumerate(v):
-        out[vset.wq_perm[k]] = x
     return tuple(out)
 
 

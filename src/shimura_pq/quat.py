@@ -4,13 +4,20 @@ An algebra (q, a, b) has Q-basis 1, i, j, k with i^2 = -a, j^2 = -b, k = ij,
 ramified exactly at {q, infinity}.  Elements carry integer numerator
 4-vectors over a positive denominator; lattices carry a 4x4 integer basis
 matrix in row Hermite normal form over a denominator, which makes lattice
-equality a tuple comparison.  No floating point is used anywhere.
+equality a tuple comparison.
+
+Short vectors (norm_vectors, find_norm_vector, min_vectors and the class
+fingerprints) come from one Fincke-Pohst enumerator per lattice: integral
+LLL on the Gram matrix of the HNF basis, then an exact integer LDL of the
+reduced form read off the LLL data, so the enumeration runs in integers
+over a reduced basis and maps each solution back to HNF coordinates.  No
+floating point is used anywhere.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .linalg import det_bareiss, frac_sqrt, hnf_rows, kernel_mod_p, mat_inv_frac, mat_mul_frac
 from .ntheory import is_prime, mod_sqrt, ramified_primes
@@ -161,42 +168,130 @@ class Quat:
         return f"Quat({self.num}/{self.den})"
 
 
-def _fr_floor(f):
-    return f.numerator // f.denominator
+class _ReducedForm:
+    """A positive definite integer quadratic form, LLL-reduced and set up for
+    Fincke-Pohst enumeration in integer arithmetic.
 
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7, delta = 3/4) runs on the Gram
+    matrix G and keeps, for the reduced basis b_1..b_n, the unimodular
+    transform (row i of ``t`` is b_i in the input coordinates), the leading
+    minors d_j of its Gram matrix (d_0 = 1) and lam[i][j] = d_j mu_ij.  With
+    S = lcm_j d_j d_{j-1} and W_j = S / (d_j d_{j-1}) that is an exact integer
+    LDL of the form in the reduced coordinates y:
 
-def _fsqrt_floor(f):
-    if f < 0:
-        return -1
-    return isqrt(f.numerator * f.denominator) // f.denominator
+        S * Q(y) = sum_j W_j (d_j y_j + sum_{i>j} lam[i][j] y_i)^2.
 
+    Lists are indexed from 1, as in Cohen.  Raises ArithmeticError if G is not
+    positive definite.
+    """
 
-def _int_range(off, bound):
-    """Integers c with (c + off)^2 <= bound; off, bound are Fractions."""
-    if bound < 0:
-        return 1, 0
-    s = _fsqrt_floor(bound)
-    base = _fr_floor(-off)
+    __slots__ = ("n", "t", "d", "lam", "w", "s", "min_bound")
 
-    def le_upper(c):
-        d = c + off
-        return d <= 0 or d * d <= bound
+    def __init__(self, g):
+        n = len(g)
+        h = [None] + [[int(r == c) for c in range(n)] for r in range(n)]
+        lam = [[0] * (n + 1) for _ in range(n + 1)]
+        d = [1] + [0] * n
 
-    def ge_lower(c):
-        d = c + off
-        return d >= 0 or d * d <= bound
+        def times_g(i):
+            return [sum(x * row[c] for x, row in zip(h[i], g)) for c in range(n)]
 
-    hi = base + s
-    while le_upper(hi + 1):
-        hi += 1
-    while hi > base - s - 2 and not le_upper(hi):
-        hi -= 1
-    lo = base - s - 1
-    while not ge_lower(lo):
-        lo += 1
-    while ge_lower(lo - 1):
-        lo -= 1
-    return lo, hi
+        def dot(v, j):
+            return sum(x * y for x, y in zip(v, h[j]))
+
+        def redi(k, l):
+            if 2 * abs(lam[k][l]) > d[l]:
+                q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+                h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+                lam[k][l] -= q * d[l]
+                for i in range(1, l):
+                    lam[k][i] -= q * lam[l][i]
+
+        def swapi(k, kmax):
+            h[k], h[k - 1] = h[k - 1], h[k]
+            for j in range(1, k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            lk = lam[k][k - 1]
+            b = (d[k - 2] * d[k] + lk * lk) // d[k - 1]
+            for i in range(k + 1, kmax + 1):
+                u = lam[i][k]
+                lam[i][k] = (d[k] * lam[i][k - 1] - lk * u) // d[k - 1]
+                lam[i][k - 1] = (b * u + lk * lam[i][k]) // d[k]
+            d[k - 1] = b
+
+        k, kmax = 1, 0
+        while k <= n:
+            if k > kmax:
+                # incremental integral Gram-Schmidt of the new vector b_k
+                kmax = k
+                hk = times_g(k)
+                for j in range(1, k + 1):
+                    u = dot(hk, j)
+                    for i in range(1, j):
+                        u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                    if j < k:
+                        lam[k][j] = u
+                    elif u <= 0:
+                        raise ArithmeticError("form is not positive definite")
+                    else:
+                        d[k] = u
+                if k == 1:
+                    k = 2
+                    continue
+            redi(k, k - 1)
+            if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+                swapi(k, kmax)
+                k = max(2, k - 1)
+            else:
+                for l in range(k - 2, 0, -1):
+                    redi(k, l)
+                k += 1
+
+        s = lcm(*(d[j] * d[j - 1] for j in range(1, n + 1)))
+        self.n, self.t, self.d, self.lam, self.s = n, h, d, lam, s
+        self.w = [None] + [s // (d[j] * d[j - 1]) for j in range(1, n + 1)]
+        # the norm of a reduced basis vector bounds the minimum from above
+        self.min_bound = min(dot(times_g(i), i) for i in range(1, n + 1))
+
+    def vectors(self, target, upto=False):
+        """Every (c, c^T G c) with c != 0 and c^T G c == target (<= target if
+        upto), c in the input coordinates, in no particular order."""
+        if target < 0:
+            return []
+        n, t, d, lam, w, scale = self.n, self.t, self.d, self.lam, self.w, self.s
+        y = [0] * (n + 1)
+        out = []
+
+        def emit(rem):
+            if any(y):
+                c = tuple(sum(y[i] * t[i][m] for i in range(1, n + 1)) for m in range(n))
+                out.append((c, target - rem // scale))
+
+        def rec(j, rem):
+            a = sum(lam[i][j] * y[i] for i in range(j + 1, n + 1))
+            dj, wj = d[j], w[j]
+            s = isqrt(rem // wj)
+            if j == 1 and not upto:
+                # last level of an exact search: solve W_1 (d_1 y_1 + a)^2 = rem
+                if rem != wj * s * s:
+                    return
+                for u in (s, -s) if s else (0,):
+                    if (u - a) % dj == 0:
+                        y[1] = (u - a) // dj
+                        emit(0)
+                y[1] = 0
+                return
+            for yj in range(-((s + a) // dj), (s - a) // dj + 1):
+                y[j] = yj
+                u = dj * yj + a
+                if j > 1:
+                    rec(j - 1, rem - wj * u * u)
+                else:
+                    emit(rem - wj * u * u)
+            y[j] = 0
+
+        rec(n, scale * target)
+        return out
 
 
 class Lattice:
@@ -357,45 +452,20 @@ class Lattice:
             self._cache["gram"] = g
         return self._cache["gram"]
 
-    def _ldl(self):
-        if "ldl" not in self._cache:
-            g = self.gram()
-            n = 4
-            L = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-            D = [Fraction(0)] * n
-            for j2 in range(n):
-                D[j2] = Fraction(g[j2][j2]) - sum(L[j2][k] ** 2 * D[k] for k in range(j2))
-                if D[j2] <= 0:
-                    raise ArithmeticError("form is not positive definite")
-                for i2 in range(j2 + 1, n):
-                    L[i2][j2] = (Fraction(g[i2][j2])
-                                 - sum(L[i2][k] * L[j2][k] * D[k] for k in range(j2))) / D[j2]
-            self._cache["ldl"] = (D, L)
-        return self._cache["ldl"]
+    def _form(self):
+        if "form" not in self._cache:
+            self._cache["form"] = _ReducedForm(self.gram())
+        return self._cache["form"]
 
     def _enum_form(self, target, upto=False):
-        """Integer vectors c != 0 with c^T G c == target (or <= target if upto)."""
-        D, L = self._ldl()
-        out = []
-        c = [0, 0, 0, 0]
-        tgt = Fraction(target)
+        """Integer vectors c != 0 with c^T G c == target (or <= target if
+        upto), each with its value c^T G c."""
+        return self._form().vectors(target, upto)
 
-        def rec(j2, rem):
-            if j2 < 0:
-                if (upto or rem == 0) and any(c):
-                    out.append((tuple(c), tgt - rem))
-                return
-            off = sum(L[i2][j2] * c[i2] for i2 in range(j2 + 1, 4))
-            lo, hi = _int_range(off, rem / D[j2])
-            for cj in range(lo, hi + 1):
-                c[j2] = cj
-                val = D[j2] * (cj + off) ** 2
-                if val <= rem:
-                    rec(j2 - 1, rem - val)
-            c[j2] = 0
-
-        rec(3, tgt)
-        return out
+    def _vector(self, c):
+        return Quat(self.alg,
+                    tuple(sum(c[r] * self.rows[r][m] for r in range(4)) for m in range(4)),
+                    self.den)
 
     def norm_vectors(self, n, trace=None):
         """All x in the lattice with nrd(x) = n (and trd(x) = trace if given)."""
@@ -410,76 +480,44 @@ class Lattice:
             return []
         found = []
         for c, _ in self._enum_form(int(target)):
-            x = Quat(self.alg,
-                     tuple(sum(c[r] * self.rows[r][m] for r in range(4)) for m in range(4)),
-                     self.den)
+            x = self._vector(c)
             if trace is None or x.trd() == trace:
                 found.append(x)
         found.sort(key=lambda v: v.key())
         return found
 
     def find_norm_vector(self, n):
-        """One x with nrd(x) = n, or None (early-exit enumeration)."""
+        """One x with nrd(x) = n, or None.
+
+        The pick is the solution with the least (c3, c2, c1, c0) in the HNF
+        coordinates.  It becomes an equivalence witness, and witnesses are
+        stored in the graph cache, so the rule must not change."""
         n = Fraction(n)
         if n <= 0:
             return None
         target = n * self.den ** 2
         if target.denominator != 1:
             return None
-        D, L = self._ldl()
-        c = [0, 0, 0, 0]
-        hit = []
-
-        def rec(j2, rem):
-            if j2 < 0:
-                if rem == 0:
-                    hit.append(tuple(c))
-                    return True
-                return False
-            off = sum(L[i2][j2] * c[i2] for i2 in range(j2 + 1, 4))
-            lo, hi = _int_range(off, rem / D[j2])
-            for cj in range(lo, hi + 1):
-                c[j2] = cj
-                val = D[j2] * (cj + off) ** 2
-                if val <= rem and rec(j2 - 1, rem - val):
-                    return True
-            c[j2] = 0
-            return False
-
-        rec(3, Fraction(int(target)))
-        if not hit:
+        sols = self._enum_form(int(target))
+        if not sols:
             return None
-        cvec = hit[0]
-        return Quat(self.alg,
-                    tuple(sum(cvec[r] * self.rows[r][m] for r in range(4)) for m in range(4)),
-                    self.den)
+        return self._vector(min((c for c, _ in sols), key=lambda c: c[::-1]))
 
     def min_vectors(self):
         """(minimal nonzero nrd, all attaining vectors), deterministic order."""
         if "min" in self._cache:
             return self._cache["min"]
-        g = self.gram()
-        detg = det_bareiss(g)
-        bound = isqrt(2 * isqrt(detg)) + 2
         best = None
         vecs = []
-        while best is None:
-            for c, val in self._enum_form(bound, upto=True):
-                if val == 0:
-                    continue
-                if best is None or val < best:
-                    best, vecs = val, [c]
-                elif val == best:
-                    vecs.append(c)
-            bound *= 2  # safety; the Hermite bound should always hit
-        out = [Quat(self.alg,
-                    tuple(sum(c[r] * self.rows[r][m] for r in range(4)) for m in range(4)),
-                    self.den) for c in set(vecs)]
-        out.sort(key=lambda v: v.key())
-        res = (Fraction(int(best), self.den ** 2), out)
+        for c, val in self._enum_form(self._form().min_bound, upto=True):
+            if best is None or val < best:
+                best, vecs = val, [c]
+            elif val == best:
+                vecs.append(c)
+        out = sorted((self._vector(c) for c in vecs), key=lambda v: v.key())
+        res = (Fraction(best, self.den ** 2), out)
         self._cache["min"] = res
         return res
-
 
 # -- duality helpers ---------------------------------------------------------
 
@@ -543,30 +581,12 @@ def lattice_intersection(l1, l2):
 def reduced_discriminant(order):
     basis = order.basis()
     t = [[(x * y).trd() for y in basis] for x in basis]
-    det = _frac_det4(t)
+    den = lcm(*(v.denominator for r in t for v in r))
+    det = Fraction(det_bareiss([[int(v * den) for v in r] for r in t]), den ** 4)
     d = frac_sqrt(abs(det))
     if d is None or d.denominator != 1:
         raise ArithmeticError("trace form determinant is not a perfect square")
     return int(d)
-
-
-def _frac_det4(m):
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, 4):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 def is_order(lat):

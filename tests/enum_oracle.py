@@ -1,0 +1,141 @@
+"""Reference short-vector enumerator for differential tests.
+
+This is the Fincke-Pohst enumeration that ``Lattice`` used before it moved
+to an integer enumerator over an LLL-reduced basis: an LDL decomposition in
+``Fraction`` arithmetic of the Gram matrix as given, with integer ranges
+found by stepping.  It is kept here unchanged, as a function of the Gram
+matrix, so the tests can compare the fast enumerator against it:
+
+* ``enum_form(g, target, upto)`` -- every (c, c^T G c) with c != 0 and
+  c^T G c == target (or <= target);
+* ``find_norm_vector(g, target)`` -- the early-exit search: the first c
+  with c^T G c == target, trying c3, then c2, c1, c0 in ascending order;
+* ``min_vectors(g)`` -- (minimum, attaining c) by enumeration up to a
+  Hermite-type bound, doubled until something is found.
+"""
+
+from fractions import Fraction
+from math import isqrt
+
+from shimura_pq.linalg import det_bareiss
+
+
+def _fr_floor(f):
+    return f.numerator // f.denominator
+
+
+def _fsqrt_floor(f):
+    if f < 0:
+        return -1
+    return isqrt(f.numerator * f.denominator) // f.denominator
+
+
+def _int_range(off, bound):
+    """Integers c with (c + off)^2 <= bound; off, bound are Fractions."""
+    if bound < 0:
+        return 1, 0
+    s = _fsqrt_floor(bound)
+    base = _fr_floor(-off)
+
+    def le_upper(c):
+        d = c + off
+        return d <= 0 or d * d <= bound
+
+    def ge_lower(c):
+        d = c + off
+        return d >= 0 or d * d <= bound
+
+    hi = base + s
+    while le_upper(hi + 1):
+        hi += 1
+    while hi > base - s - 2 and not le_upper(hi):
+        hi -= 1
+    lo = base - s - 1
+    while not ge_lower(lo):
+        lo += 1
+    while ge_lower(lo - 1):
+        lo -= 1
+    return lo, hi
+
+
+def ldl(g):
+    n = 4
+    L = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    D = [Fraction(0)] * n
+    for j2 in range(n):
+        D[j2] = Fraction(g[j2][j2]) - sum(L[j2][k] ** 2 * D[k] for k in range(j2))
+        if D[j2] <= 0:
+            raise ArithmeticError("form is not positive definite")
+        for i2 in range(j2 + 1, n):
+            L[i2][j2] = (Fraction(g[i2][j2])
+                         - sum(L[i2][k] * L[j2][k] * D[k] for k in range(j2))) / D[j2]
+    return D, L
+
+
+def enum_form(g, target, upto=False):
+    """Integer vectors c != 0 with c^T G c == target (or <= target if upto)."""
+    D, L = ldl(g)
+    out = []
+    c = [0, 0, 0, 0]
+    tgt = Fraction(target)
+
+    def rec(j2, rem):
+        if j2 < 0:
+            if (upto or rem == 0) and any(c):
+                out.append((tuple(c), tgt - rem))
+            return
+        off = sum(L[i2][j2] * c[i2] for i2 in range(j2 + 1, 4))
+        lo, hi = _int_range(off, rem / D[j2])
+        for cj in range(lo, hi + 1):
+            c[j2] = cj
+            val = D[j2] * (cj + off) ** 2
+            if val <= rem:
+                rec(j2 - 1, rem - val)
+        c[j2] = 0
+
+    rec(3, tgt)
+    return out
+
+
+def find_norm_vector(g, target):
+    """The first c with c^T G c == target found by the early-exit search, or None."""
+    D, L = ldl(g)
+    c = [0, 0, 0, 0]
+    hit = []
+
+    def rec(j2, rem):
+        if j2 < 0:
+            if rem == 0:
+                hit.append(tuple(c))
+                return True
+            return False
+        off = sum(L[i2][j2] * c[i2] for i2 in range(j2 + 1, 4))
+        lo, hi = _int_range(off, rem / D[j2])
+        for cj in range(lo, hi + 1):
+            c[j2] = cj
+            val = D[j2] * (cj + off) ** 2
+            if val <= rem and rec(j2 - 1, rem - val):
+                return True
+        c[j2] = 0
+        return False
+
+    rec(3, Fraction(target))
+    return hit[0] if hit else None
+
+
+def min_vectors(g):
+    """(minimal nonzero c^T G c, the set of attaining c)."""
+    detg = det_bareiss(g)
+    bound = isqrt(2 * isqrt(detg)) + 2
+    best = None
+    vecs = []
+    while best is None:
+        for c, val in enum_form(g, bound, upto=True):
+            if val == 0:
+                continue
+            if best is None or val < best:
+                best, vecs = val, [c]
+            elif val == best:
+                vecs.append(c)
+        bound *= 2  # safety; the Hermite bound should always hit
+    return int(best), set(vecs)

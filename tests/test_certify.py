@@ -20,7 +20,8 @@ from shimura_pq.certify import (
     load_or_build_graph,
     run_criterion,
 )
-from shimura_pq.gross import tower_class_number, unit_count
+from shimura_pq.gross import gross_tower_modular, tower_class_number, unit_count
+from shimura_pq.ssgraph import build_graph
 
 
 class TestOgg:
@@ -68,6 +69,13 @@ class TestDecomposition:
             for n, lam in enumerate(dec["lambdas"])
         )
         assert lhs == rhs
+
+    def test_q_split_in_gaussian_field(self):
+        # 13 = 1 mod 4 splits in Q(i): Z[i] and its suborders prime to 13 do
+        # not embed, so the tower is zero and no decomposition is attempted
+        graph = build_graph(7, 13)
+        assert all(not any(v) for v in gross_tower_modular(graph, 3, 2))
+        assert decompose_eisenstein(graph, 3, 2) is None
 
     def test_deterministic(self, graph_13_47):
         d1 = decompose_eisenstein(graph_13_47, 3, 6)

@@ -62,6 +62,28 @@ def test_equal_primes_rejected(capsys):
     assert main(["check", "--p", "13", "--q", "13"]) == 3
 
 
+def test_q_1_mod_4_fails_at_decomposition(tmp_path, capsys):
+    code = main(["check", "--p", "7", "--q", "13", "--override-hypotheses",
+                 "--cache", str(tmp_path)])
+    assert code == 1
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["verdict"], cert["failed_check"]) == ("check_failed", "decomposition")
+    assert len(cert["decomposition_attempts"]) == 12
+    assert not any(a["decomposed"] for a in cert["decomposition_attempts"])
+
+
+def test_internal_error_prints_traceback(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ArithmeticError("enumeration failed")
+
+    monkeypatch.setattr("shimura_pq.cli.run_criterion", fail)
+    assert main(["check", "--p", "13", "--q", "47"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err
+    assert "ArithmeticError: enumeration failed" in err
+
+
 def test_child_process_imports_package_under_test(cli_env, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", "import shimura_pq; print(shimura_pq.__file__)"],

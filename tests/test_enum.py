@@ -1,0 +1,128 @@
+"""The integer LLL + Fincke-Pohst enumerator against the Fraction oracle.
+
+``enum_oracle`` is the enumerator the lattices used before, kept unchanged
+as a function of the Gram matrix.  The fast one must give the same
+(c, value) sets for exact and ``upto`` targets, the same ``find_norm_vector``
+pick (it decides the equivalence witnesses stored in the graph cache) and
+the same ``min_vectors``.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import enum_oracle as oracle
+from shimura_pq.linalg import det_bareiss
+from shimura_pq.quat import Lattice, QuaternionAlgebra, _ReducedForm
+
+
+def _as_set(pairs):
+    return {(c, int(v)) for c, v in pairs}
+
+
+def _pick(form, target):
+    """The find_norm_vector rule on a bare Gram matrix: least (c3, c2, c1, c0)."""
+    sols = [c for c, _ in form.vectors(target)]
+    return min(sols, key=lambda c: c[::-1]) if sols else None
+
+
+def _check_gram(g, targets):
+    form = _ReducedForm(g)
+    for t in targets:
+        assert _as_set(form.vectors(t)) == _as_set(oracle.enum_form(g, t))
+        assert _as_set(form.vectors(t, upto=True)) == _as_set(oracle.enum_form(g, t, upto=True))
+        assert _pick(form, t) == oracle.find_norm_vector(g, t)
+
+
+def _check_lattice(lat, norms, upto_norm):
+    """Compare every Lattice entry point with the oracle on lat.gram()."""
+    g = lat.gram()
+    den2 = lat.den ** 2
+    for n in norms:
+        t = Fraction(n) * den2
+        if t.denominator != 1:
+            assert lat.norm_vectors(n) == [] and lat.find_norm_vector(n) is None
+            continue
+        t = int(t)
+        assert _as_set(lat._enum_form(t)) == _as_set(oracle.enum_form(g, t))
+        expected = sorted((lat._vector(c) for c, _ in oracle.enum_form(g, t)), key=lambda v: v.key())
+        assert lat.norm_vectors(Fraction(n)) == expected
+        c = oracle.find_norm_vector(g, t)
+        assert lat.find_norm_vector(Fraction(n)) == (None if c is None else lat._vector(c))
+    t = int(upto_norm * den2)
+    assert _as_set(lat._enum_form(t, upto=True)) == _as_set(oracle.enum_form(g, t, upto=True))
+    best, vecs = oracle.min_vectors(g)
+    assert lat.min_vectors() == (
+        Fraction(best, den2), sorted((lat._vector(c) for c in vecs), key=lambda v: v.key()))
+
+
+@st.composite
+def pd_grams(draw):
+    """G = M M^T for a random integer 4 x k matrix M of rank 4."""
+    k = draw(st.integers(4, 6))
+    m = [[draw(st.integers(-6, 6)) for _ in range(k)] for _ in range(4)]
+    g = [[sum(m[i][t] * m[j][t] for t in range(k)) for j in range(4)] for i in range(4)]
+    assume(det_bareiss(g) > 0)
+    return g
+
+
+@st.composite
+def skewed_lattices(draw):
+    """HNF lattices in the norm form x0^2 + a x1^2 + b x2^2 + ab x3^2.
+
+    Pivots up to 400 with off-diagonal entries anywhere below the pivot of
+    their column: a basis far from reduced, like the HNF of an ideal."""
+    a = draw(st.integers(1, 40))
+    b = draw(st.integers(1, 200))
+    piv = [draw(st.integers(1, 400)) for _ in range(4)]
+    rows = [[0] * c + [piv[c]] + [draw(st.integers(0, piv[j] - 1)) for j in range(c + 1, 4)]
+            for c in range(4)]
+    return Lattice.from_int_rows(QuaternionAlgebra(q=0, a=a, b=b), rows, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pd_grams(), st.integers(0, 3))
+def test_random_gram_matches_oracle(g, extra):
+    best, vecs = oracle.min_vectors(g)
+    form = _ReducedForm(g)
+    _check_gram(g, sorted({best, best + 1 + extra, 2 * best + extra}))
+    got = {(c, v) for c, v in form.vectors(form.min_bound, upto=True)}
+    low = min(v for _, v in got)
+    assert (low, {c for c, v in got if v == low}) == (best, vecs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(skewed_lattices())
+def test_skewed_lattice_matches_oracle(lat):
+    best = lat.min_vectors()[0]
+    _check_lattice(lat, sorted({best, best + Fraction(1, lat.den ** 2), 2 * best}), 2 * best)
+
+
+def test_graph_13_47_matches_oracle(graph_13_47):
+    vset = graph_13_47.vset
+    for rec in vset.classes:
+        _check_lattice(rec.right_order, (1, 2, 3), 3)
+        n = rec.norm
+        _check_lattice(rec.ideal, (n, 2 * n, 3 * n), 3 * n)
+    for edge in graph_13_47.edges:
+        _check_lattice(edge.eichler, (1, 2, 3), 3)
+
+
+@pytest.mark.parametrize("g", [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+    [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 3]],
+    [[5, 4, 0, 0], [4, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+])
+def test_not_positive_definite_raises(g):
+    with pytest.raises(ArithmeticError):
+        _ReducedForm(g)
+
+
+def test_indefinite_lattice_raises():
+    lat = Lattice(QuaternionAlgebra(q=0, a=-1, b=3), [(1, 0, 0, 0), (0, 1, 0, 0),
+                                                      (0, 0, 1, 0), (0, 0, 0, 1)], 1)
+    with pytest.raises(ArithmeticError):
+        lat.norm_vectors(1)

@@ -1,0 +1,45 @@
+"""Byte-identity gate: pinned SHA-256 of certificates, caches and graph output.
+
+The hashes were recorded with the Fraction enumerator over HNF bases, before
+the LLL-reduced integer enumerator replaced it.  A change to how vectors are
+enumerated or picked (the equivalence witnesses are stored in the cache)
+must leave every byte as it was.  A deliberate change of output updates
+these hashes and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from shimura_pq.certify import CACHE_ENV, cache_path
+from shimura_pq.cli import main
+
+CHECK_HASHES = {
+    (5, 23): ("54c0b6bf758c7bc160014648034ac7a26c3570e8d7c28336be912d6494122c30",
+              "cd981c467725a30b55d4f6851a002d8f94e8dd5b9e2591a6ada0cc81cc492450"),
+    (13, 47): ("049af14497356e1fa474ce138cc976e59b0c2767994da16b87c8a71d3a769f60",
+               "8b4e45ad6f4d7186144b9be447323c4fc38cba6f09caf5fbed4a5c88b2522e26"),
+}
+GRAPH_13_11_HASH = "daaeae2e98a19dc56c9d5a55dc6beb9de360145423e056d5f95b8cf0dfa4cb00"
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("p,q", sorted(CHECK_HASHES))
+def test_check_certificate_and_cache_bytes(p, q, tmp_path, capsysbinary, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    code = main(["check", "--p", str(p), "--q", str(q), "--override-hypotheses",
+                 "--cache", str(tmp_path)])
+    assert code == 1
+    cert_hash, cache_hash = CHECK_HASHES[(p, q)]
+    assert _sha(capsysbinary.readouterr().out) == cert_hash
+    with open(cache_path(str(tmp_path), p, q), "rb") as fh:
+        assert _sha(fh.read()) == cache_hash
+
+
+def test_graph_output_bytes(capsysbinary, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main(["graph", "--p", "13", "--q", "11"]) == 0
+    assert _sha(capsysbinary.readouterr().out) == GRAPH_13_11_HASH
