@@ -37,7 +37,7 @@ from .gross import (
     vec_scale,
     vec_sub,
 )
-from .linalg import solve_frac
+from .linalg import hnf_rows, solve_frac
 from .ntheory import is_prime, kronecker, primes_from
 from .quat import Lattice, Quat, make_algebra
 from .ssgraph import Edge, ShimuraGraph, VertexClass, VertexSet, build_graph, ss_oracle
@@ -231,6 +231,9 @@ def _lat_payload(lat):
 
 def _lat_from(alg, payload):
     rows = [tuple(payload["m"][4 * r : 4 * r + 4]) for r in range(4)]
+    # duality reads the basis as a triangular HNF, so a damaged one must not load
+    if hnf_rows(rows, 4) != rows or payload["d"] < 1:
+        raise ValueError("lattice basis is not in Hermite normal form")
     return Lattice(alg, rows, payload["d"])
 
 
@@ -330,8 +333,15 @@ def cache_store(cache_dir, graph):
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, graph.p, graph.q)
     blob = json.dumps(graph_payload(graph), sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(blob)
+    # a reader sees the old file or the new one, never a partial write
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return path
 
 
@@ -345,7 +355,7 @@ def cache_load(cache_dir, p, q):
         if payload.get("version") != CACHE_VERSION or payload.get("q") != q or payload.get("p") != p:
             return None
         return graph_from_payload(payload)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, OSError) as exc:
         print(f"warning: ignoring corrupt cache file {path}: {exc}", file=sys.stderr)
         return None
 

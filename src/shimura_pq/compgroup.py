@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import det_bareiss, smith_normal_form, solve_frac
+from .linalg import det_bareiss, smith_normal_form, solve_bareiss, solve_frac
 
 
 @dataclass(frozen=True)
@@ -253,17 +253,23 @@ def element_order(mg, va, vb):
 
 def lemma_general_check(mg_blown, p):
     """Instance check that (p+1)(exceptional - J) is nonzero in the component
-    group for every other component J, via K-law non-integrality."""
+    group for every other component J, via K-law non-integrality.
+
+    One elimination serves every J: with the last potential fixed at 0 the
+    node law is the reduced Laplacian system L v = (p+1)(e_exc - e_J), and
+    v is integral iff d v = d L^-1 (p+1)(e_exc - e_J) is divisible by d."""
     exc = [i for i, v in enumerate(mg_blown.vertices) if v.kind == "exc2"]
     if len(exc) != 1:
         return {"applicable": False, "reason": f"{len(exc)} length-2 exceptional vertices"}
+    if not mg_blown.is_connected():
+        raise ValueError("graph is not connected")
     jcal = exc[0]
-    per_vertex = {}
-    for i, v in enumerate(mg_blown.vertices):
-        if i == jcal:
-            continue
-        pa = k_law_solve(mg_blown, source=i, sink=jcal, current=p + 1)
-        per_vertex[v.label] = not pa.integral
+    m = len(mg_blown) - 1
+    others = [i for i in range(m + 1) if i != jcal]
+    rhs = [[(p + 1) * ((r == jcal) - (r == i)) for i in others] for r in range(m)]
+    d, dv = solve_bareiss([row[:m] for row in mg_blown.laplacian()[:m]], rhs)
+    per_vertex = {mg_blown.vertices[i].label: any(dv[r][c] % d for r in range(m))
+                  for c, i in enumerate(others)}
     return {
         "applicable": True,
         "holds_for_all": all(per_vertex.values()),

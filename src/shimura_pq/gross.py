@@ -7,7 +7,7 @@ which is just the coefficient sum.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .quat import units
 
@@ -239,6 +239,36 @@ def support(v):
 
 # -- conductor towers over Z[i] ---------------------------------------------------
 
+def hecke_tower(g0, g1, rows, weights, c1, ell, N):
+    """[g_1, ..., g_N] from the three-term Hecke recursion
+
+        w_j g_{n+1}[j] = sum_i w_i g_n[i] B[i][j] - c_n w_j g_{n-1}[j],
+
+    with c_1 = c1 and c_n = ell after.  ``rows[i]`` lists the nonzero
+    (j, B[i][j]) of the Brandt matrix, so one step touches about (ell+1) n
+    entries.  The weights conjugate the operator: the recursion lives on the
+    CM-reduction counts w_i g[i], run here in integers over one common
+    denominator.  Needs N >= 1."""
+    counts = [[x * w for x, w in zip(g, weights)] for g in (g0, g1)]
+    den = lcm(*(x.denominator for g in counts for x in g))
+    prev, cur = ([int(x * den) for x in g] for g in counts)
+    out = [g1]
+    for n in range(1, N):
+        push = [0] * len(cur)
+        for x, row in zip(cur, rows):
+            if x:
+                for j, m in row:
+                    push[j] += m * x
+        c = c1 if n == 1 else ell
+        prev, cur = cur, [p - c * pr for p, pr in zip(push, prev)]
+        out.append(tuple(Fraction(x, den * w) for x, w in zip(cur, weights)))
+    return out
+
+
+def _sparse_rows(mat):
+    return [[(j, m) for j, m in enumerate(row) if m] for row in mat]
+
+
 def gross_tower_modular(graph, ell, N):
     """Vertex Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N).
 
@@ -250,23 +280,9 @@ def gross_tower_modular(graph, ell, N):
     if N < 1:
         return []
     vset = graph.vset
-    nvert = len(vset)
-    g0 = gross_modular(vset, -4)
-    g1 = gross_modular(vset, -4 * ell * ell)
-    bm = graph.brandt_vertices(ell)
-    h1 = class_number(-4 * ell * ell)
-    out = [g1]
-    prev, cur = g0, g1
-    for n in range(1, N):
-        push = tuple(
-            sum((cur[k] * bm[k][t] for k in range(nvert)), Fraction(0))
-            for t in range(nvert)
-        )
-        c = 2 * h1 if n == 1 else ell
-        nxt = tuple(p - c * pr for p, pr in zip(push, prev))
-        out.append(nxt)
-        prev, cur = cur, nxt
-    return out
+    return hecke_tower(gross_modular(vset, -4), gross_modular(vset, -4 * ell * ell),
+                       _sparse_rows(graph.brandt_vertices(ell)), [1] * len(vset),
+                       2 * class_number(-4 * ell * ell), ell, N)
 
 
 def gross_tower_shimura(graph, ell, N):
@@ -277,22 +293,6 @@ def gross_tower_shimura(graph, ell, N):
     1/length)."""
     if N < 1:
         return []
-    nedge = len(graph.edges)
-    g0 = gross_shimura(graph, -4)
-    g1 = gross_shimura(graph, -4 * ell * ell)
-    bme = graph.brandt_edges(ell)
-    h1 = class_number(-4 * ell * ell)
-    w = graph.lengths
-    out = [g1]
-    prev, cur = g0, g1
-    for n in range(1, N):
-        wcur = [cur[i] * w[i] for i in range(nedge)]
-        push = tuple(
-            sum((wcur[i] * bme[i][j] for i in range(nedge)), Fraction(0)) / w[j]
-            for j in range(nedge)
-        )
-        c = h1 if n == 1 else ell
-        nxt = tuple(p - c * pr for p, pr in zip(push, prev))
-        out.append(nxt)
-        prev, cur = cur, nxt
-    return out
+    return hecke_tower(gross_shimura(graph, -4), gross_shimura(graph, -4 * ell * ell),
+                       _sparse_rows(graph.brandt_edges(ell)), graph.lengths,
+                       class_number(-4 * ell * ell), ell, N)

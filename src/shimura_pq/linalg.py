@@ -182,27 +182,49 @@ def cokernel_order(mat, vec):
     return order
 
 
+def _bareiss(a, n):
+    """Fraction-free (Bareiss) elimination of the rows of ``a``, in place, on
+    the first n columns; every entry stays a minor, so each division is
+    exact.  Returns the determinant of the leading n x n block."""
+    sign, prev = 1, 1
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        row_k, akk = a[k], a[k][k]
+        for row in a[k + 1:]:
+            aik = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (akk * row[j] - aik * row_k[j]) // prev
+            row[k] = 0
+        prev = akk
+    return sign * prev
+
+
 def det_bareiss(mat):
     """Exact determinant of a square integer matrix (Bareiss)."""
-    a = [list(r) for r in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss([list(r) for r in mat], len(mat))
+
+
+def solve_bareiss(mat, rhs):
+    """(det(mat), adj(mat) * rhs) for a nonsingular integer mat and an n x k
+    integer rhs: Bareiss on [mat | rhs], then back-substitution, exact since
+    adj(mat) * rhs = det(mat) * mat^-1 * rhs is integral."""
+    n = len(mat)
+    a = [list(r) + list(b) for r, b in zip(mat, rhs)]
+    d = _bareiss(a, n)
+    if d == 0:
+        raise ZeroDivisionError("singular matrix")
+    k = len(rhs[0]) if rhs else 0
+    y = [[0] * k for _ in range(n)]
+    for c in range(k):
+        for i in range(n - 1, -1, -1):
+            s = d * a[i][n + c] - sum(a[i][j] * y[j][c] for j in range(i + 1, n))
+            y[i][c] = s // a[i][i]
+    return d, y
 
 
 def mat_inv_frac(mat):

@@ -10,8 +10,13 @@ Short vectors (norm_vectors, find_norm_vector, min_vectors and the class
 fingerprints) come from one Fincke-Pohst enumerator per lattice: integral
 LLL on the Gram matrix of the HNF basis, then an exact integer LDL of the
 reduced form read off the LLL data, so the enumeration runs in integers
-over a reduced basis and maps each solution back to HNF coordinates.  No
-floating point is used anywhere.
+over a reduced basis and maps each solution back to HNF coordinates.
+
+Duality is integer too: the HNF basis R is upper triangular, so
+R^-1 = adj(R)/det(R) with adj(R) integral by exact back-substitution, and
+the dual of R/d has basis d adj(R)^T/det(R).  Intersections and left and
+right orders are duals of integer constraint lattices.  No floating point
+is used anywhere.
 """
 
 from dataclasses import dataclass
@@ -332,15 +337,6 @@ class Lattice:
         rows = [tuple(x * (den // e.den) for x in e.num) for e in elems]
         return cls.from_int_rows(alg, rows, den)
 
-    @classmethod
-    def from_frac_rows(cls, alg, rows):
-        den = 1
-        fr = [[Fraction(x) for x in r] for r in rows]
-        for r in fr:
-            for x in r:
-                den = den * x.denominator // gcd(den, x.denominator)
-        return cls.from_int_rows(alg, [[int(x * den) for x in r] for r in fr], den)
-
     # -- basic data --------------------------------------------------------
     def basis(self):
         return [Quat(self.alg, r, self.den) for r in self.rows]
@@ -521,42 +517,53 @@ class Lattice:
 
 # -- duality helpers ---------------------------------------------------------
 
-def _dual_of_constraints(alg, functionals):
-    """Lattice {x : x . w in Z for all w in the span of the functionals}."""
-    den = 1
-    fr = [[Fraction(x) for x in w] for w in functionals]
-    for w in fr:
-        for x in w:
-            den = den * x.denominator // gcd(den, x.denominator)
-    rows = hnf_rows([[int(x * den) for x in w] for w in fr], 4)
-    if len(rows) != 4:
-        raise ValueError("constraint span is degenerate")
-    pinv = mat_inv_frac(rows)
-    # basis rows of the dual: den * (P^T)^{-1} = den * transpose(P^{-1})
-    dual_rows = [[den * pinv[c][r] for c in range(4)] for r in range(4)]
-    return Lattice.from_frac_rows(alg, dual_rows)
+def _adjugate(rows):
+    """(adj(R), det R) of an upper-triangular integer R with nonzero diagonal.
+
+    R * adj(R) = det(R) * I, and adj(R) is integral and upper triangular, so
+    back-substitution column by column divides exactly."""
+    det = rows[0][0] * rows[1][1] * rows[2][2] * rows[3][3]
+    adj = [[0] * 4 for _ in range(4)]
+    for j in range(4):
+        adj[j][j] = det // rows[j][j]
+        for i in range(j - 1, -1, -1):
+            adj[i][j] = -sum(rows[i][k] * adj[k][j] for k in range(i + 1, j + 1)) // rows[i][i]
+    return adj, det
 
 
-def _mult_matrix(b, side):
-    """4x4 Fraction matrix M with coords(e_r * b) (side='right') or
-    coords(b * e_r) (side='left') as row r."""
-    alg = b.alg
-    rows = []
-    for r in range(4):
-        e = tuple(int(m == r) for m in range(4))
-        prod = alg.mul4(e, b.num) if side == "right" else alg.mul4(b.num, e)
-        rows.append([Fraction(x, b.den) for x in prod])
-    return rows
+def _dual_basis(lat):
+    """Integer rows and denominator of a basis of {x : x . y in Z for all y
+    in lat}, for the dot product of coordinates.
+
+    The basis is R/d with R the triangular HNF, so the dual basis is
+    d (R^-1)^T = d adj(R)^T / det(R), with no rational arithmetic."""
+    adj, det = _adjugate(lat.rows)
+    return [[lat.den * adj[c][r] for c in range(4)] for r in range(4)], det
+
+
+def _dual(lat):
+    return Lattice.from_int_rows(lat.alg, *_dual_basis(lat))
+
+
+_UNIT_VECTORS = tuple(tuple(int(m == r) for m in range(4)) for r in range(4))
 
 
 def _order_of(lat, side):
-    minv = mat_inv_frac(lat.frac_rows())
+    """Left (side='right') or right (side='left') order of lat.
+
+    x lies in it iff the coordinates of x * b (or b * x) in the basis R/d are
+    integral for each basis element b = R_i/d.  With A_i the integer matrix
+    whose row r is e_r * R_i (or R_i * e_r), those coordinates are
+    x A_i adj(R) / det(R): the columns of A_i adj(R) are the constraint
+    functionals, over the common denominator det(R)."""
+    adj, det = _adjugate(lat.rows)
+    mul4 = lat.alg.mul4
     functionals = []
-    for b in lat.basis():
-        k = mat_mul_frac(_mult_matrix(b, side), minv)
+    for b in lat.rows:
+        a = [mul4(e, b) if side == "right" else mul4(b, e) for e in _UNIT_VECTORS]
         for col in range(4):
-            functionals.append([k[r][col] for r in range(4)])
-    return _dual_of_constraints(lat.alg, functionals)
+            functionals.append([sum(a[r][m] * adj[m][col] for m in range(4)) for r in range(4)])
+    return _dual(Lattice.from_int_rows(lat.alg, functionals, det))
 
 
 def left_order(lat):
@@ -570,10 +577,11 @@ def right_order(lat):
 
 
 def lattice_intersection(l1, l2):
-    m1 = mat_inv_frac(l1.frac_rows())
-    m2 = mat_inv_frac(l2.frac_rows())
-    functionals = [[m[r][col] for r in range(4)] for m in (m1, m2) for col in range(4)]
-    return _dual_of_constraints(l1.alg, functionals)
+    """L1 meet L2 = (L1^# + L2^#)^#."""
+    (r1, d1), (r2, d2) = _dual_basis(l1), _dual_basis(l2)
+    den = lcm(d1, d2)
+    rows = [[x * (den // d1) for x in r] for r in r1] + [[x * (den // d2) for x in r] for r in r2]
+    return _dual(Lattice.from_int_rows(l1.alg, rows, den))
 
 
 # -- orders ------------------------------------------------------------------
@@ -865,76 +873,6 @@ def norm_ideals(order, ell):
         if ideal.index_in(order) != ell * ell:
             raise ArithmeticError("norm-ell ideal has wrong index")
         ideals.append(ideal)
-    ideals.sort(key=lambda l2: l2.key())
-    return ideals
-
-
-def norm_ideals_exhaustive(order, ell):
-    """Brute-force oracle: all index-ell^2 left submodules with O*P <= P,
-    P >= ell*O, of reduced norm ell.  Cost O(ell^4); test use only."""
-    alg = order.alg
-    minv = mat_inv_frac(order.frac_rows())
-    basis = order.basis()
-    gamma = [[_int_vec(mat_mul_frac([[Fraction(x, b1.den * b2.den) for x in
-                                      alg.mul4(b1.num, b2.num)]], minv)[0])
-              for b2 in basis] for b1 in basis]
-
-    def mul_mod(c1, c2):
-        out = [0, 0, 0, 0]
-        for r in range(4):
-            for s in range(4):
-                f = c1[r] * c2[s]
-                if f:
-                    grs = gamma[r][s]
-                    for m in range(4):
-                        out[m] += f * grs[m]
-        return tuple(x % ell for x in out)
-
-    def rref2(vecs):
-        m = [list(v) for v in vecs]
-        r = 0
-        for col in range(4):
-            piv = next((i for i in range(r, len(m)) if m[i][col] % ell), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = pow(m[r][col], -1, ell)
-            m[r] = [x * inv % ell for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][col] % ell:
-                    f = m[i][col]
-                    m[i] = [(x - f * y) % ell for x, y in zip(m[i], m[r])]
-            r += 1
-        return tuple(tuple(row) for row in m[:r])
-
-    found = set()
-    # all 2-dimensional subspaces via (canonical line, second vector) pairs
-    vecs = [tuple((n // ell ** i) % ell for i in range(4)) for n in range(ell ** 4)]
-    for v1 in _line_reps(ell):
-        for v2 in vecs:
-            key = rref2([v1, v2])
-            if len(key) != 2 or key in found:
-                continue
-            span = {tuple((a * u + b * w) % ell for u, w in zip(key[0], key[1]))
-                    for a in range(ell) for b in range(ell)}
-            ok = True
-            for gvec in (tuple(int(m == r) for m in range(4)) for r in range(4)):
-                for v in key:
-                    if mul_mod(gvec, v) not in span:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found.add(key)
-    ideals = []
-    for key in found:
-        rows = [tuple(sum(v[r] * order.rows[r][m] for r in range(4)) for m in range(4))
-                for v in key]
-        rows += [tuple(ell * x for x in r) for r in order.rows]
-        ideal = Lattice.from_int_rows(alg, rows, order.den)
-        if ideal.index_in(order) == ell * ell and ideal_norm(ideal, order) == ell:
-            ideals.append(ideal)
     ideals.sort(key=lambda l2: l2.key())
     return ideals
 

@@ -1,0 +1,214 @@
+"""Reference lattice duality and Hecke towers for differential tests.
+
+These are the ``Fraction`` versions the package used before duality moved to
+integer adjugates of the triangular HNF basis and the two tower loops became
+one sparse recursion.  They are kept here unchanged (apart from taking what
+they used from the package as imports), so the tests can compare the fast
+code against them:
+
+* ``dual_of_constraints(alg, functionals)`` -- the lattice
+  {x : x . w in Z for every w in the span of the functionals}, through a
+  ``Fraction`` inverse of the HNF of the functionals;
+* ``left_order``, ``right_order`` and ``lattice_intersection`` built on it;
+* ``gross_tower_modular`` and ``gross_tower_shimura`` -- the dense
+  ``Fraction`` matrix-vector push through the Brandt matrix.
+
+It also holds ``norm_ideals_exhaustive``, the brute-force oracle for
+``quat.norm_ideals`` (every index-ell^2 left submodule of reduced norm ell).
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from shimura_pq.gross import class_number, gross_modular, gross_shimura
+from shimura_pq.linalg import hnf_rows, mat_inv_frac, mat_mul_frac
+from shimura_pq.quat import Lattice, _int_vec, _line_reps, ideal_norm
+
+
+def from_frac_rows(alg, rows):
+    den = 1
+    fr = [[Fraction(x) for x in r] for r in rows]
+    for r in fr:
+        for x in r:
+            den = den * x.denominator // gcd(den, x.denominator)
+    return Lattice.from_int_rows(alg, [[int(x * den) for x in r] for r in fr], den)
+
+
+# -- duality helpers ---------------------------------------------------------
+
+def dual_of_constraints(alg, functionals):
+    """Lattice {x : x . w in Z for all w in the span of the functionals}."""
+    den = 1
+    fr = [[Fraction(x) for x in w] for w in functionals]
+    for w in fr:
+        for x in w:
+            den = den * x.denominator // gcd(den, x.denominator)
+    rows = hnf_rows([[int(x * den) for x in w] for w in fr], 4)
+    if len(rows) != 4:
+        raise ValueError("constraint span is degenerate")
+    pinv = mat_inv_frac(rows)
+    # basis rows of the dual: den * (P^T)^{-1} = den * transpose(P^{-1})
+    dual_rows = [[den * pinv[c][r] for c in range(4)] for r in range(4)]
+    return from_frac_rows(alg, dual_rows)
+
+
+def _mult_matrix(b, side):
+    """4x4 Fraction matrix M with coords(e_r * b) (side='right') or
+    coords(b * e_r) (side='left') as row r."""
+    alg = b.alg
+    rows = []
+    for r in range(4):
+        e = tuple(int(m == r) for m in range(4))
+        prod = alg.mul4(e, b.num) if side == "right" else alg.mul4(b.num, e)
+        rows.append([Fraction(x, b.den) for x in prod])
+    return rows
+
+
+def _order_of(lat, side):
+    minv = mat_inv_frac(lat.frac_rows())
+    functionals = []
+    for b in lat.basis():
+        k = mat_mul_frac(_mult_matrix(b, side), minv)
+        for col in range(4):
+            functionals.append([k[r][col] for r in range(4)])
+    return dual_of_constraints(lat.alg, functionals)
+
+
+def left_order(lat):
+    """{x : x * L <= L}."""
+    return _order_of(lat, "right")
+
+
+def right_order(lat):
+    """{x : L * x <= L}."""
+    return _order_of(lat, "left")
+
+
+def lattice_intersection(l1, l2):
+    m1 = mat_inv_frac(l1.frac_rows())
+    m2 = mat_inv_frac(l2.frac_rows())
+    functionals = [[m[r][col] for r in range(4)] for m in (m1, m2) for col in range(4)]
+    return dual_of_constraints(l1.alg, functionals)
+
+
+# -- conductor towers over Z[i] ---------------------------------------------------
+
+def gross_tower_modular(graph, ell, N):
+    """Vertex Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N)."""
+    if N < 1:
+        return []
+    vset = graph.vset
+    nvert = len(vset)
+    g0 = gross_modular(vset, -4)
+    g1 = gross_modular(vset, -4 * ell * ell)
+    bm = graph.brandt_vertices(ell)
+    h1 = class_number(-4 * ell * ell)
+    out = [g1]
+    prev, cur = g0, g1
+    for n in range(1, N):
+        push = tuple(
+            sum((cur[k] * bm[k][t] for k in range(nvert)), Fraction(0))
+            for t in range(nvert)
+        )
+        c = 2 * h1 if n == 1 else ell
+        nxt = tuple(p - c * pr for p, pr in zip(push, prev))
+        out.append(nxt)
+        prev, cur = cur, nxt
+    return out
+
+
+def gross_tower_shimura(graph, ell, N):
+    """Edge Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N)."""
+    if N < 1:
+        return []
+    nedge = len(graph.edges)
+    g0 = gross_shimura(graph, -4)
+    g1 = gross_shimura(graph, -4 * ell * ell)
+    bme = graph.brandt_edges(ell)
+    h1 = class_number(-4 * ell * ell)
+    w = graph.lengths
+    out = [g1]
+    prev, cur = g0, g1
+    for n in range(1, N):
+        wcur = [cur[i] * w[i] for i in range(nedge)]
+        push = tuple(
+            sum((wcur[i] * bme[i][j] for i in range(nedge)), Fraction(0)) / w[j]
+            for j in range(nedge)
+        )
+        c = h1 if n == 1 else ell
+        nxt = tuple(p - c * pr for p, pr in zip(push, prev))
+        out.append(nxt)
+        prev, cur = cur, nxt
+    return out
+
+
+# -- norm-ell ideals by exhaustion -------------------------------------------
+
+def norm_ideals_exhaustive(order, ell):
+    """Brute-force oracle: all index-ell^2 left submodules with O*P <= P,
+    P >= ell*O, of reduced norm ell.  Cost O(ell^4); test use only."""
+    alg = order.alg
+    minv = mat_inv_frac(order.frac_rows())
+    basis = order.basis()
+    gamma = [[_int_vec(mat_mul_frac([[Fraction(x, b1.den * b2.den) for x in
+                                      alg.mul4(b1.num, b2.num)]], minv)[0])
+              for b2 in basis] for b1 in basis]
+
+    def mul_mod(c1, c2):
+        out = [0, 0, 0, 0]
+        for r in range(4):
+            for s in range(4):
+                f = c1[r] * c2[s]
+                if f:
+                    grs = gamma[r][s]
+                    for m in range(4):
+                        out[m] += f * grs[m]
+        return tuple(x % ell for x in out)
+
+    def rref2(vecs):
+        m = [list(v) for v in vecs]
+        r = 0
+        for col in range(4):
+            piv = next((i for i in range(r, len(m)) if m[i][col] % ell), None)
+            if piv is None:
+                continue
+            m[r], m[piv] = m[piv], m[r]
+            inv = pow(m[r][col], -1, ell)
+            m[r] = [x * inv % ell for x in m[r]]
+            for i in range(len(m)):
+                if i != r and m[i][col] % ell:
+                    f = m[i][col]
+                    m[i] = [(x - f * y) % ell for x, y in zip(m[i], m[r])]
+            r += 1
+        return tuple(tuple(row) for row in m[:r])
+
+    found = set()
+    # all 2-dimensional subspaces via (canonical line, second vector) pairs
+    vecs = [tuple((n // ell ** i) % ell for i in range(4)) for n in range(ell ** 4)]
+    for v1 in _line_reps(ell):
+        for v2 in vecs:
+            key = rref2([v1, v2])
+            if len(key) != 2 or key in found:
+                continue
+            span = {tuple((a * u + b * w) % ell for u, w in zip(key[0], key[1]))
+                    for a in range(ell) for b in range(ell)}
+            ok = True
+            for gvec in (tuple(int(m == r) for m in range(4)) for r in range(4)):
+                for v in key:
+                    if mul_mod(gvec, v) not in span:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                found.add(key)
+    ideals = []
+    for key in found:
+        rows = [tuple(sum(v[r] * order.rows[r][m] for r in range(4)) for m in range(4))
+                for v in key]
+        rows += [tuple(ell * x for x in r) for r in order.rows]
+        ideal = Lattice.from_int_rows(alg, rows, order.den)
+        if ideal.index_in(order) == ell * ell and ideal_norm(ideal, order) == ell:
+            ideals.append(ideal)
+    ideals.sort(key=lambda l2: l2.key())
+    return ideals

@@ -1,9 +1,11 @@
+import builtins
 import json
 import os
 from fractions import Fraction
 
 import pytest
 
+from shimura_pq import certify
 from shimura_pq.certify import (
     CACHE_VERSION,
     build_cycle,
@@ -196,6 +198,66 @@ class TestCache:
             fh.write("{not json")
         assert cache_load(str(tmp_path), 13, 11) is None
         assert "corrupt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["off_diagonal", "below_diagonal", "short_rows", "zero_den"])
+    def test_non_hnf_lattice_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
+        path = cache_store(str(tmp_path), graph_13_11)
+        with open(path, "rb") as fh:
+            good = fh.read()
+        payload = json.loads(good)
+        lat = payload["vertices"][0]["right_order"]
+        m = lat["m"]
+        if damage == "off_diagonal":
+            # add the second pivot to the entry above it: the same lattice,
+            # but the basis is no longer the reduced HNF the dual reads
+            m[1] += m[5]
+        elif damage == "below_diagonal":
+            m[4] += 1
+        elif damage == "short_rows":
+            del m[-1]
+        else:
+            lat["d"] = 0
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        assert cache_load(str(tmp_path), 13, 11) is None
+        assert "corrupt" in capsys.readouterr().err
+        graph, from_cache = load_or_build_graph(13, 11, str(tmp_path))
+        assert not from_cache
+        assert graph_payload(graph) == graph_payload(graph_13_11)
+        with open(path, "rb") as fh:
+            assert fh.read() == good
+
+    def test_failed_write_keeps_previous_cache(self, graph_13_11, tmp_path, monkeypatch):
+        path = cache_store(str(tmp_path), graph_13_11)
+        with open(path, "rb") as fh:
+            before = fh.read()
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError("no space left on device")
+
+        def failing_open(file, mode="r", **kwargs):
+            fh = builtins.open(file, mode, **kwargs)
+            return HalfWriter(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(certify, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            cache_store(str(tmp_path), graph_13_11)
+        monkeypatch.undo()
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(str(tmp_path)) == [os.path.basename(path)]
 
     def test_miss_on_absent(self, tmp_path):
         assert cache_load(str(tmp_path), 13, 11) is None

@@ -187,6 +187,19 @@ class TestQuotient:
             order = element_order(blown, i, jcal)
             assert res["per_vertex"][v.label] == (14 % order != 0)
 
+    def test_lemma_general_matches_k_law(self, graph_13_47, graph_5_23):
+        # one elimination for every vertex, against one node-law solve each
+        for graph in (graph_13_47, graph_5_23):
+            blown = blow_up(quotient_by_wq(graph))
+            res = lemma_general_check(blown, graph.p)
+            jcal = blown.index("exc2")
+            expected = {
+                v.label: not k_law_solve(blown, source=i, sink=jcal, current=graph.p + 1).integral
+                for i, v in enumerate(blown.vertices) if i != jcal
+            }
+            assert res["per_vertex"] == expected
+            assert res["holds_for_all"] == all(expected.values())
+
     def test_dot_export(self, graph_13_47):
         blown = blow_up(quotient_by_wq(graph_13_47))
         dot = to_dot(blown)

@@ -20,6 +20,9 @@ CHECK_HASHES = {
     (13, 47): ("049af14497356e1fa474ce138cc976e59b0c2767994da16b87c8a71d3a769f60",
                "8b4e45ad6f4d7186144b9be447323c4fc38cba6f09caf5fbed4a5c88b2522e26"),
 }
+WARM_13_47_L5_HASH = "17179ba22c20d47f5e00d81dbe849140d6b59e26c0e0a214262b32bc215e309d"
+EXIT2_29_47_HASHES = ("36d8371b1d6271a2cce3808ab3aff4bddf5837986c3ab776ed3c190b3bf6ee91",
+                      "1bd46d4e8b8c818dfd766c12f8e0ed0298d0a6f362e95312d252bf2e6dd5e9a5")
 GRAPH_13_11_HASH = "daaeae2e98a19dc56c9d5a55dc6beb9de360145423e056d5f95b8cf0dfa4cb00"
 
 
@@ -43,3 +46,28 @@ def test_graph_output_bytes(capsysbinary, monkeypatch):
     monkeypatch.delenv(CACHE_ENV, raising=False)
     assert main(["graph", "--p", "13", "--q", "11"]) == 0
     assert _sha(capsysbinary.readouterr().out) == GRAPH_13_11_HASH
+
+
+def test_warm_edge_tower_certificate_bytes(tmp_path, capsysbinary, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    args = ["check", "--p", "13", "--q", "47", "--l", "5", "--override-hypotheses",
+            "--cache", str(tmp_path)]
+    assert main(args) == 1
+    cold = capsysbinary.readouterr().out
+    with open(cache_path(str(tmp_path), 13, 47), "rb") as fh:
+        cache = fh.read()
+    assert main(args) == 1
+    assert _sha(capsysbinary.readouterr().out) == WARM_13_47_L5_HASH
+    assert _sha(cold) == WARM_13_47_L5_HASH
+    with open(cache_path(str(tmp_path), 13, 47), "rb") as fh:
+        assert fh.read() == cache
+
+
+def test_exit2_certificate_and_cache_bytes(tmp_path, capsysbinary, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main(["check", "--p", "29", "--q", "47", "--override-hypotheses",
+                 "--cache", str(tmp_path)]) == 2
+    cert_hash, cache_hash = EXIT2_29_47_HASHES
+    assert _sha(capsysbinary.readouterr().out) == cert_hash
+    with open(cache_path(str(tmp_path), 29, 47), "rb") as fh:
+        assert _sha(fh.read()) == cache_hash

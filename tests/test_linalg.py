@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from shimura_pq.linalg import (
     mat_inv_frac,
     mat_mul_frac,
     smith_normal_form,
+    solve_bareiss,
     solve_frac,
     xgcd,
 )
@@ -117,6 +119,24 @@ def test_solve_frac():
     # canonical particular solution with a free variable: free vars are 0
     sol = solve_frac([[1, 1]], [3])
     assert sol == [Fraction(3), Fraction(0)]
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3), min_size=n, max_size=n))))
+@settings(max_examples=200, deadline=None)
+def test_solve_bareiss_matches_fractions(case):
+    mat, rhs = case
+    det = det_bareiss(mat)
+    if det == 0:
+        with pytest.raises(ZeroDivisionError):
+            solve_bareiss(mat, rhs)
+        return
+    d, y = solve_bareiss(mat, rhs)
+    assert d == det
+    for c in range(3):
+        x = solve_frac(mat, [row[c] for row in rhs])
+        assert [Fraction(y[i][c], d) for i in range(len(mat))] == x
 
 
 def test_kernel_mod_p():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_oracle import norm_ideals_exhaustive
 from shimura_pq.ntheory import ramified_primes
 from shimura_pq.quat import (
     Lattice,
@@ -18,7 +19,6 @@ from shimura_pq.quat import (
     make_algebra,
     maximal_order,
     norm_ideals,
-    norm_ideals_exhaustive,
     reduce_ideal,
     reduced_discriminant,
     right_order,

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from lattice_oracle import norm_ideals_exhaustive
 from shimura_pq.certify import genus
-from shimura_pq.quat import ideal_norm, make_algebra, maximal_order, norm_ideals, norm_ideals_exhaustive
+from shimura_pq.quat import ideal_norm, make_algebra, maximal_order, norm_ideals
 from shimura_pq.ssgraph import brandt_matrix, build_graph, ss_oracle, vertex_classes
 
 
