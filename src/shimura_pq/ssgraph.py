@@ -248,17 +248,58 @@ class ShimuraGraph:
         return self._brandt_v[ell]
 
     def brandt_edges(self, ell):
+        """Integer matrix of T_ell on edges: row i counts the ell-steps from
+        edge i landing on each edge.
+
+        The step from e = (k, P) through a neighbour (L, m, z) of k, with
+        I_k L = I_m z, lands on the edge at m with ideal
+        z (L^-1 (L meet P)) z^-1.  Since nrd L = ell is prime to p, L is
+        R_k at p, so L^-1 (L meet P) is P at p and O_R(L) at every other
+        prime.  Take alpha in P outside p R_k: it generates P at p, and
+        ell alpha lies in ell R_k, which is inside O_R(L).  With
+        z O_R(L) z^-1 = R_m the pushed ideal is therefore
+        R_m beta + p R_m, beta = z (ell alpha) z^-1: one conjugation and
+        one 8-row HNF per step, and the same canonical key as the product
+        of lattices.
+        """
         if ell not in self._brandt_e:
+            p, alg, classes = self.p, self.vset.alg, self.vset.classes
             n = len(self.edges)
             mat = [[0] * n for _ in range(n)]
-            inv_ell = Fraction(1, ell)
             for i, e in enumerate(self.edges):
-                for lam, m, z in self.vertex_neighbors(e.source, ell):
-                    pushed = lam.conj_lattice().scale(inv_ell).mul(
-                        lattice_intersection(lam, e.ideal)).conj_by(z)
-                    mat[i][self.locate_edge(m, pushed)] += 1
+                alpha = _local_generator(e.ideal, classes[e.source].right_order, p)
+                if alpha is None:
+                    raise ArithmeticError(
+                        f"edge {i}: ideal lies in {p} R_{e.source}, so the ell={ell} "
+                        f"step has no generator at p (damaged graph cache?)")
+                ell_alpha = tuple(ell * x for x in alpha.num)
+                for _, m, z in self.vertex_neighbors(e.source, ell):
+                    # z^-1 = conj(z) / nrd(z), so the denominator of z cancels in beta
+                    zn = z.num
+                    beta = alg.mul4(alg.mul4(zn, ell_alpha), (zn[0], -zn[1], -zn[2], -zn[3]))
+                    bden = alpha.den * alg.nrd4(zn)
+                    rm = classes[m].right_order
+                    rows = [alg.mul4(r, beta) for r in rm.rows]
+                    rows += [tuple(p * bden * x for x in r) for r in rm.rows]
+                    pushed = Lattice.from_int_rows(alg, rows, rm.den * bden)
+                    j = self._edge_lookup.get((m, pushed.key()))
+                    if j is None:
+                        raise ArithmeticError(
+                            f"edge {i}: its ell={ell} step lands on no edge ideal at "
+                            f"vertex {m} (damaged graph cache?)")
+                    mat[i][j] += 1
             self._brandt_e[ell] = mat
         return self._brandt_e[ell]
+
+
+def _local_generator(ideal, order, p):
+    """The first HNF basis element of ideal that is not in p * order, or
+    None; for a norm-p left ideal of a maximal order it generates the ideal
+    at p."""
+    for x in ideal.basis():
+        if order.coords_of(x / p) is None:
+            return x
+    return None
 
 
 def _orbit_partition(ideals, unit_list):

@@ -66,3 +66,8 @@ def graph_5_23(vset23):
 @pytest.fixture(scope="session")
 def graph_13_11(vset11):
     return build_graph(13, 11, vset=vset11)
+
+
+@pytest.fixture(scope="session")
+def graph_29_47(vset47):
+    return build_graph(29, 47, vset=vset47)

@@ -11,7 +11,10 @@ code against them:
   ``Fraction`` inverse of the HNF of the functionals;
 * ``left_order``, ``right_order`` and ``lattice_intersection`` built on it;
 * ``gross_tower_modular`` and ``gross_tower_shimura`` -- the dense
-  ``Fraction`` matrix-vector push through the Brandt matrix.
+  ``Fraction`` matrix-vector push through the Brandt matrix;
+* ``brandt_edges(graph, ell)`` -- the edge Brandt matrix with each edge
+  pushed as the lattice z (conj(L)/ell (L meet P)) z^-1, before the push
+  went through a local generator at p.
 
 It also holds ``norm_ideals_exhaustive``, the brute-force oracle for
 ``quat.norm_ideals`` (every index-ell^2 left submodule of reduced norm ell).
@@ -20,6 +23,7 @@ It also holds ``norm_ideals_exhaustive``, the brute-force oracle for
 from fractions import Fraction
 from math import gcd
 
+from shimura_pq import quat
 from shimura_pq.gross import class_number, gross_modular, gross_shimura
 from shimura_pq.linalg import hnf_rows, mat_inv_frac, mat_mul_frac
 from shimura_pq.quat import Lattice, _int_vec, _line_reps, ideal_norm
@@ -140,6 +144,20 @@ def gross_tower_shimura(graph, ell, N):
         out.append(nxt)
         prev, cur = cur, nxt
     return out
+
+
+# -- edge Brandt matrix by products of lattices ----------------------------------
+
+def brandt_edges(graph, ell):
+    n = len(graph.edges)
+    mat = [[0] * n for _ in range(n)]
+    inv_ell = Fraction(1, ell)
+    for i, e in enumerate(graph.edges):
+        for lam, m, z in graph.vertex_neighbors(e.source, ell):
+            pushed = lam.conj_lattice().scale(inv_ell).mul(
+                quat.lattice_intersection(lam, e.ideal)).conj_by(z)
+            mat[i][graph.locate_edge(m, pushed)] += 1
+    return mat
 
 
 # -- norm-ell ideals by exhaustion -------------------------------------------

@@ -1,0 +1,42 @@
+"""The edge Brandt matrix pushes each edge through its local generator at p.
+
+``lattice_oracle.brandt_edges`` is the push as a product of lattices,
+z (conj(L)/ell (L meet P)) z^-1; the fast matrix must equal it entry for
+entry.  A graph whose edge data is damaged must fail with a message naming
+the edge, ell and the vertex.
+"""
+
+import pytest
+
+from lattice_oracle import brandt_edges
+from shimura_pq.ssgraph import brandt_matrix, build_graph
+
+CASES = [("graph_13_47", ell) for ell in (2, 3, 5, 7)]
+CASES += [("graph_5_23", ell) for ell in (2, 3, 7)]
+CASES += [("graph_13_11", ell) for ell in (2, 3, 5)]
+CASES += [("graph_29_47", 3)]
+
+
+@pytest.mark.parametrize("fixture,ell", CASES)
+def test_edge_matrix_matches_lattice_products(fixture, ell, request):
+    graph = request.getfixturevalue(fixture)
+    assert brandt_matrix(graph, ell, "edges") == brandt_edges(graph, ell)
+
+
+def test_missing_edge_ideal_is_named(vset11):
+    graph = build_graph(13, 11, vset=vset11)
+    e = next(e for e in graph.edges if len(e.orbit) == 1)
+    del graph._edge_lookup[(e.source, e.ideal.key())]
+    with pytest.raises(ArithmeticError,
+                       match=rf"^edge \d+: its ell=2 step lands on no edge ideal at "
+                             rf"vertex {e.source} "):
+        graph.brandt_edges(2)
+
+
+def test_edge_ideal_inside_p_order_is_named(vset11):
+    graph = build_graph(13, 11, vset=vset11)
+    e = graph.edges[3]
+    e.ideal = e.ideal.scale(13)
+    with pytest.raises(ArithmeticError,
+                       match=rf"^edge 3: ideal lies in 13 R_{e.source}, so the ell=3 step"):
+        graph.brandt_edges(3)

@@ -23,6 +23,8 @@ CHECK_HASHES = {
 WARM_13_47_L5_HASH = "17179ba22c20d47f5e00d81dbe849140d6b59e26c0e0a214262b32bc215e309d"
 EXIT2_29_47_HASHES = ("36d8371b1d6271a2cce3808ab3aff4bddf5837986c3ab776ed3c190b3bf6ee91",
                       "1bd46d4e8b8c818dfd766c12f8e0ed0298d0a6f362e95312d252bf2e6dd5e9a5")
+WARM_13_83_L5_HASHES = ("ad4ef7d80e97927091aceae288c9d0fa4c73a34753d2f377ec8aad023b8ad6cc",
+                        "ffc1af118142782693fdb2ca52099af374b6612a7236a59d44898cfac6960707")
 GRAPH_13_11_HASH = "daaeae2e98a19dc56c9d5a55dc6beb9de360145423e056d5f95b8cf0dfa4cb00"
 
 
@@ -70,4 +72,20 @@ def test_exit2_certificate_and_cache_bytes(tmp_path, capsysbinary, monkeypatch):
     cert_hash, cache_hash = EXIT2_29_47_HASHES
     assert _sha(capsysbinary.readouterr().out) == cert_hash
     with open(cache_path(str(tmp_path), 29, 47), "rb") as fh:
+        assert _sha(fh.read()) == cache_hash
+
+
+def test_warm_recheck_pair_bytes(tmp_path, capsysbinary, monkeypatch):
+    """(13,83) with ell = 5, cold then warm: the pair the benchmark re-checks."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    args = ["check", "--p", "13", "--q", "83", "--l", "5", "--override-hypotheses",
+            "--cache", str(tmp_path)]
+    cert_hash, cache_hash = WARM_13_83_L5_HASHES
+    assert main(args) == 1
+    assert _sha(capsysbinary.readouterr().out) == cert_hash
+    with open(cache_path(str(tmp_path), 13, 83), "rb") as fh:
+        assert _sha(fh.read()) == cache_hash
+    assert main(args) == 1
+    assert _sha(capsysbinary.readouterr().out) == cert_hash
+    with open(cache_path(str(tmp_path), 13, 83), "rb") as fh:
         assert _sha(fh.read()) == cache_hash

@@ -149,34 +149,48 @@ class TestBrandt:
 
     def test_edge_level(self, graph_13_47):
         g = graph_13_47
-        mat = brandt_matrix(g, 2, "edges")
-        assert all(sum(row) == 3 for row in mat)
         lengths = g.lengths
-        n = len(mat)
-        for i in range(n):
-            for j in range(n):
-                assert mat[i][j] * lengths[j] == mat[j][i] * lengths[i]
+        for ell in (2, 3, 5, 7):
+            mat = brandt_matrix(g, ell, "edges")
+            assert all(sum(row) == ell + 1 for row in mat)
+            n = len(mat)
+            for i in range(n):
+                for j in range(n):
+                    assert mat[i][j] * lengths[j] == mat[j][i] * lengths[i]
+
+    @pytest.mark.parametrize("l1,l2", [(2, 3), (3, 5)])
+    def test_edge_commutation(self, graph_13_47, l1, l2):
+        a = brandt_matrix(graph_13_47, l1, "edges")
+        b = brandt_matrix(graph_13_47, l2, "edges")
+        n = len(a)
+
+        def mul(x, y):
+            return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)]
+
+        assert mul(a, b) == mul(b, a)
 
     def test_hecke_compatible_with_boundary(self, graph_13_47):
         from shimura_pq.gross import s_star, t_star
 
         g = graph_13_47
-        be = brandt_matrix(g, 2, "edges")
-        bv = brandt_matrix(g, 2, "vertices")
         nv, ne = len(g.vset), len(g.edges)
-        for idx in (0, 7, 20):
-            v = tuple(Fraction(1 if i == idx else 0) for i in range(ne))
-            pushed = tuple(
-                sum((v[i] * be[i][j] for i in range(ne)), Fraction(0)) for j in range(ne)
-            )
-            for star in (s_star, t_star):
-                left = star(g, pushed)
-                base = star(g, v)
-                right = tuple(
-                    sum((base[k] * bv[k][t] for k in range(nv)), Fraction(0))
-                    for t in range(nv)
+        for ell in (2, 3):
+            be = brandt_matrix(g, ell, "edges")
+            bv = brandt_matrix(g, ell, "vertices")
+            for idx in (0, 7, 20):
+                v = tuple(Fraction(1 if i == idx else 0) for i in range(ne))
+                pushed = tuple(
+                    sum((v[i] * be[i][j] for i in range(ne)), Fraction(0)) for j in range(ne)
                 )
-                assert left == right
+                for star in (s_star, t_star):
+                    left = star(g, pushed)
+                    base = star(g, v)
+                    right = tuple(
+                        sum((base[k] * bv[k][t] for k in range(nv)), Fraction(0))
+                        for t in range(nv)
+                    )
+                    assert left == right
 
 
 class TestSsOracle:
