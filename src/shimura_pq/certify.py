@@ -40,7 +40,8 @@ from .gross import (
 from .linalg import hnf_rows, solve_frac
 from .ntheory import is_prime, kronecker, primes_from
 from .quat import Lattice, Quat, make_algebra
-from .ssgraph import Edge, ShimuraGraph, VertexClass, VertexSet, build_graph, ss_oracle
+from .ssgraph import (Edge, ShimuraGraph, VertexClass, VertexSet, build_graph, ss_oracle,
+                      validate_graph)
 
 CACHE_VERSION = 1
 CACHE_ENV = "CRITERION_CACHE_DIR"
@@ -178,7 +179,7 @@ def build_cycle(graph, ell, lam0, lams):
 
 # -- graph statistics -----------------------------------------------------------
 
-def graph_statistics(graph, include_ss_oracle=True):
+def graph_statistics(graph):
     vset = graph.vset
     lengths = graph.lengths
     census = {str(ln): lengths.count(ln) for ln in sorted(set(lengths))}
@@ -210,7 +211,7 @@ def graph_statistics(graph, include_ss_oracle=True):
             "exceptional_nonzero": lemma_general_check(blown, graph.p),
         },
     }
-    if include_ss_oracle and graph.q <= SS_ORACLE_MAX_Q:
+    if graph.q <= SS_ORACLE_MAX_Q:
         count, rational = ss_oracle(graph.q)
         stats["ss_oracle"] = {
             "count": count,
@@ -322,6 +323,7 @@ def graph_from_payload(payload):
     graph = ShimuraGraph(payload["p"], payload["q"], vset, edges)
     graph.wp_perm = list(payload["wp_perm"])
     graph.wq_edge_perm = list(payload["wq_edge_perm"])
+    validate_graph(graph)
     return graph
 
 
@@ -355,7 +357,7 @@ def cache_load(cache_dir, p, q):
         if payload.get("version") != CACHE_VERSION or payload.get("q") != q or payload.get("p") != p:
             return None
         return graph_from_payload(payload)
-    except (ValueError, KeyError, IndexError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, ArithmeticError, OSError) as exc:
         print(f"warning: ignoring corrupt cache file {path}: {exc}", file=sys.stderr)
         return None
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import det_bareiss, smith_normal_form, solve_bareiss, solve_frac
+from .linalg import det_bareiss, smith_normal_form, solve_bareiss
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,9 @@ class MultiGraph:
     def __init__(self, vertices, edges):
         self.vertices = list(vertices)
         self.edges = sorted((min(i, j), max(i, j), ln) for i, j, ln in edges)
-        self._index = {v.label: i for i, v in enumerate(self.vertices)}
 
     def __len__(self):
         return len(self.vertices)
-
-    def index(self, label):
-        return self._index[label]
 
     def labels(self):
         return [v.label for v in self.vertices]
@@ -46,10 +42,6 @@ class MultiGraph:
             mat[i][j] += 1
             mat[j][i] += 1
         return mat
-
-    def degrees(self):
-        adj = self.adjacency()
-        return [sum(row) for row in adj]
 
     def laplacian(self):
         adj = self.adjacency()
@@ -70,12 +62,6 @@ class MultiGraph:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == len(self.vertices)
-
-
-def make_multigraph(nvertices, edges):
-    """Plain multigraph on generic vertices (used by tests and oracles)."""
-    verts = [MGVertex(label=f"v{i}", side="s1", kind="generic") for i in range(nvertices)]
-    return MultiGraph(verts, edges)
 
 
 def quotient_by_wq(graph):
@@ -176,79 +162,12 @@ def component_group(mg):
         return []
     diag = smith_normal_form(reduced, modulus=order)
     factors = [gcd(d, order) for d in diag]
-    factors = [order if f == 0 else f for f in factors]
     prod = 1
     for f in factors:
         prod *= f
     if prod != order:
         raise ArithmeticError("invariant factors do not multiply to the group order")
     return [f for f in factors if f > 1]
-
-
-def spanning_trees(mg):
-    """Matrix-tree count, the order of the component group."""
-    lap = mg.laplacian()
-    n = len(mg)
-    reduced = [row[: n - 1] for row in lap[: n - 1]]
-    return abs(det_bareiss(reduced))
-
-
-@dataclass
-class PotentialAssignment:
-    values: tuple
-    integral: bool
-
-
-def k_law_solve(mg, source, sink, current):
-    """Solve the node law: sum_D N(C,D)(v(C) - v(D)) = +current at the sink,
-    -current at the source, 0 elsewhere.
-
-    Returns the rational potential (normalized to minimum 0, unique up to the
-    constant that was fixed) and whether an integral solution exists, which
-    happens iff current*(source - sink) dies in the component group.
-    """
-    if source == sink:
-        raise ValueError("source and sink must differ")
-    if not mg.is_connected():
-        raise ValueError("graph is not connected")
-    n = len(mg)
-    lap = mg.laplacian()
-    b = [Fraction(0)] * n
-    b[sink] = Fraction(current)
-    b[source] = -Fraction(current)
-    cols = [[lap[i][j] for j in range(n - 1)] for i in range(n)]
-    sol = solve_frac(cols, b)
-    if sol is None:
-        raise ArithmeticError("node-law system is inconsistent")
-    values = sol + [Fraction(0)]
-    lo = min(values)
-    values = tuple(v - lo for v in values)
-    integral = all(v.denominator == 1 for v in values)
-    return PotentialAssignment(values=values, integral=integral)
-
-
-def element_order(mg, va, vb):
-    """Order of the class of (va - vb) in the component group.
-
-    k(va - vb) lies in the image of the reduced Laplacian L iff k L^{-1} c is
-    integral, so the order is the lcm of the denominators of the rational
-    solution of L x = c (no Smith form needed)."""
-    n = len(mg)
-    lap = mg.laplacian()
-    reduced = [[lap[i][j] for j in range(n - 1)] for i in range(n - 1)]
-    c = [0] * (n - 1)
-    if va < n - 1:
-        c[va] += 1
-    if vb < n - 1:
-        c[vb] -= 1
-    sol = solve_frac(reduced, c)
-    if sol is None:
-        raise ArithmeticError("reduced Laplacian is singular (graph disconnected?)")
-    order = 1
-    for x in sol:
-        d = x.denominator
-        order = order * d // gcd(order, d)
-    return order
 
 
 def lemma_general_check(mg_blown, p):

@@ -145,10 +145,6 @@ def is_zero(u):
     return all(x == 0 for x in u)
 
 
-def degree(v):
-    return sum(v, Fraction(0))
-
-
 def monodromy_pairing(u, v, weights):
     if len(u) != len(v) or len(u) != len(weights):
         raise ValueError("basis mismatch in the monodromy pairing")
@@ -206,31 +202,12 @@ def t_star(graph, v):
     return tuple(out)
 
 
-def in_cycle_space(graph, v):
-    return is_zero(s_star(graph, v)) and is_zero(t_star(graph, v))
-
-
 def project_degree_zero(graph, v):
     """Orthogonal projection onto degree zero for the monodromy pairing."""
     a = eisenstein_shimura(graph)
     w = graph.lengths
     coeff = monodromy_pairing(v, a, w) / monodromy_pairing(a, a, w)
     return vec_sub(v, vec_scale(a, coeff))
-
-
-def apply_wp(graph, v):
-    """Path-vector action of the dual-isogeny involution (global sign -1)."""
-    out = [Fraction(0)] * len(v)
-    for i, x in enumerate(v):
-        out[graph.wp_perm[i]] = -x
-    return tuple(out)
-
-
-def apply_wq_edges(graph, v):
-    out = [Fraction(0)] * len(v)
-    for i, x in enumerate(v):
-        out[graph.wq_edge_perm[i]] = x
-    return tuple(out)
 
 
 def support(v):
@@ -265,10 +242,6 @@ def hecke_tower(g0, g1, rows, weights, c1, ell, N):
     return out
 
 
-def _sparse_rows(mat):
-    return [[(j, m) for j, m in enumerate(row) if m] for row in mat]
-
-
 def gross_tower_modular(graph, ell, N):
     """Vertex Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N).
 
@@ -281,7 +254,7 @@ def gross_tower_modular(graph, ell, N):
         return []
     vset = graph.vset
     return hecke_tower(gross_modular(vset, -4), gross_modular(vset, -4 * ell * ell),
-                       _sparse_rows(graph.brandt_vertices(ell)), [1] * len(vset),
+                       graph.brandt_vertices(ell), [1] * len(vset),
                        2 * class_number(-4 * ell * ell), ell, N)
 
 
@@ -294,5 +267,5 @@ def gross_tower_shimura(graph, ell, N):
     if N < 1:
         return []
     return hecke_tower(gross_shimura(graph, -4), gross_shimura(graph, -4 * ell * ell),
-                       _sparse_rows(graph.brandt_edges(ell)), graph.lengths,
+                       graph.brandt_edges(ell), graph.lengths,
                        class_number(-4 * ell * ell), ell, N)

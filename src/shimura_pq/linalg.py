@@ -7,7 +7,7 @@ without any fancy pivoting.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 
 def xgcd(a: int, b: int):
@@ -71,12 +71,11 @@ def hnf_rows(rows, ncols=None):
     return [tuple(r) for r in result]
 
 
-def smith_normal_form(mat, want_left=False, modulus=None):
+def smith_normal_form(mat, modulus=None):
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returns the list of diagonal entries d_1 | d_2 | ... (nonnegative, with
-    zeros trailing).  With ``want_left=True`` also returns the left transform
-    U with U*A*V = D; U is what is needed to read off cokernel coordinates.
+    zeros trailing).
 
     With ``modulus=m`` the computation happens in Z/m (every entry reduced
     into [0, m)), which is the standard remedy against intermediate entry
@@ -85,7 +84,6 @@ def smith_normal_form(mat, want_left=False, modulus=None):
     a = [list(r) for r in mat]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def red(x):
         return x % modulus if modulus else x
@@ -93,7 +91,6 @@ def smith_normal_form(mat, want_left=False, modulus=None):
     def row_op(i, j, q):
         # row_i -= q * row_j
         a[i] = [red(x - q * y) for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):
         for r in range(m):
@@ -101,7 +98,6 @@ def smith_normal_form(mat, want_left=False, modulus=None):
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in range(m):
@@ -154,32 +150,9 @@ def smith_normal_form(mat, want_left=False, modulus=None):
             continue
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
         k += 1
 
-    diag = [a[i][i] if i < n else 0 for i in range(min(m, n))]
-    if want_left:
-        return diag, u
-    return diag
-
-
-def cokernel_order(mat, vec):
-    """Order of ``vec + im(mat)`` in Z^n / mat*Z^m (0 means infinite).
-
-    ``mat`` is n x m integer; ``vec`` length n.
-    """
-    diag, u = smith_normal_form(mat, want_left=True)
-    c = [sum(u[i][j] * vec[j] for j in range(len(vec))) for i in range(len(u))]
-    order = 1
-    for i, ci in enumerate(c):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if ci != 0:
-                return 0
-            continue
-        step = d // gcd(d, ci)
-        order = order * step // gcd(order, step)
-    return order
+    return [a[i][i] if i < n else 0 for i in range(min(m, n))]
 
 
 def _bareiss(a, n):
@@ -225,32 +198,6 @@ def solve_bareiss(mat, rhs):
             s = d * a[i][n + c] - sum(a[i][j] * y[j][c] for j in range(i + 1, n))
             y[i][c] = s // a[i][i]
     return d, y
-
-
-def mat_inv_frac(mat):
-    """Inverse of a square matrix over Fraction (raises on singular input)."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def mat_mul_frac(a, b):
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-        for row in a
-    ]
 
 
 def solve_frac(a, b):

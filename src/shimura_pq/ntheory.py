@@ -1,8 +1,6 @@
 """Small exact number-theory helpers: primality, Legendre/Kronecker symbols,
 square roots mod p, Hilbert symbols over Q."""
 
-from math import gcd
-
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -135,10 +133,6 @@ def hilbert_symbol(a: int, b: int, p: int) -> int:
     if alpha % 2:
         s *= legendre(w, p)
     return s
-
-
-def hilbert_infinity(a: int, b: int) -> int:
-    return -1 if (a < 0 and b < 0) else 1
 
 
 def ramified_primes(a: int, b: int):

@@ -14,17 +14,16 @@ over a reduced basis and maps each solution back to HNF coordinates.
 
 Duality is integer too: the HNF basis R is upper triangular, so
 R^-1 = adj(R)/det(R) with adj(R) integral by exact back-substitution, and
-the dual of R/d has basis d adj(R)^T/det(R).  Intersections and left and
-right orders are duals of integer constraint lattices.  No floating point
+the dual of R/d has basis d adj(R)^T/det(R).  Intersections and right
+orders are duals of integer constraint lattices.  No floating point
 is used anywhere.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, isqrt, lcm
 
-from .linalg import det_bareiss, frac_sqrt, hnf_rows, kernel_mod_p, mat_inv_frac, mat_mul_frac
+from .linalg import det_bareiss, frac_sqrt, hnf_rows, kernel_mod_p
 from .ntheory import is_prime, mod_sqrt, ramified_primes
 
 
@@ -51,15 +50,6 @@ class QuaternionAlgebra:
         a, b = self.a, self.b
         x0, x1, x2, x3 = x
         return x0 * x0 + a * x1 * x1 + b * x2 * x2 + a * b * x3 * x3
-
-    def pair4(self, x, y):
-        """trd(x * conj(y)) for integer coordinate vectors (the norm form is
-        diagonal in the 1,i,j,k basis)."""
-        a, b = self.a, self.b
-        return 2 * (x[0] * y[0] + a * x[1] * y[1] + b * x[2] * y[2] + a * b * x[3] * y[3])
-
-    def ramification(self):
-        return ramified_primes(-self.a, -self.b)
 
 
 def _norm4(num, den):
@@ -90,18 +80,8 @@ class Quat:
         raise AttributeError("Quat is immutable")
 
     @classmethod
-    def from_coords(cls, alg, coords):
-        fr = [Fraction(c) for c in coords]
-        den = reduce(lambda x, y: x * y // gcd(x, y), (f.denominator for f in fr), 1)
-        return cls(alg, tuple(int(f * den) for f in fr), den)
-
-    @classmethod
     def one(cls, alg):
         return cls(alg, (1, 0, 0, 0))
-
-    @property
-    def coords(self):
-        return tuple(Fraction(x, self.den) for x in self.num)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -151,9 +131,6 @@ class Quat:
         if n == 0:
             raise ZeroDivisionError("inverting zero quaternion")
         return self.conj() / n
-
-    def is_zero(self):
-        return self.num == (0, 0, 0, 0)
 
     def key(self):
         return (self.den, self.num)
@@ -341,9 +318,6 @@ class Lattice:
     def basis(self):
         return [Quat(self.alg, r, self.den) for r in self.rows]
 
-    def frac_rows(self):
-        return [[Fraction(x, self.den) for x in r] for r in self.rows]
-
     def det(self):
         d = 1
         for idx in range(4):
@@ -400,20 +374,9 @@ class Lattice:
         rows = [self.alg.mul4(r, x.num) for r in self.rows]
         return Lattice.from_int_rows(self.alg, rows, self.den * x.den)
 
-    def elem_mul(self, x):
-        rows = [self.alg.mul4(x.num, r) for r in self.rows]
-        return Lattice.from_int_rows(self.alg, rows, self.den * x.den)
-
     def conj_lattice(self):
         rows = [(r[0], -r[1], -r[2], -r[3]) for r in self.rows]
         return Lattice.from_int_rows(self.alg, rows, self.den)
-
-    def scale(self, f):
-        f = Fraction(f)
-        if f <= 0:
-            raise ValueError("scale factor must be positive")
-        return Lattice(self.alg, [tuple(f.numerator * x for x in r) for r in self.rows],
-                       self.den * f.denominator)
 
     def add(self, other):
         den = self.den * other.den // gcd(self.den, other.den)
@@ -548,32 +511,22 @@ def _dual(lat):
 _UNIT_VECTORS = tuple(tuple(int(m == r) for m in range(4)) for r in range(4))
 
 
-def _order_of(lat, side):
-    """Left (side='right') or right (side='left') order of lat.
+def right_order(lat):
+    """{x : L * x <= L}.
 
-    x lies in it iff the coordinates of x * b (or b * x) in the basis R/d are
-    integral for each basis element b = R_i/d.  With A_i the integer matrix
-    whose row r is e_r * R_i (or R_i * e_r), those coordinates are
-    x A_i adj(R) / det(R): the columns of A_i adj(R) are the constraint
-    functionals, over the common denominator det(R)."""
+    x lies in it iff the coordinates of b * x in the basis R/d are integral
+    for each basis element b = R_i/d.  With A_i the integer matrix whose row
+    r is R_i * e_r, those coordinates are x A_i adj(R) / det(R): the columns
+    of A_i adj(R) are the constraint functionals, over the common
+    denominator det(R).  The left order of L is conj(O_R(conj L))."""
     adj, det = _adjugate(lat.rows)
     mul4 = lat.alg.mul4
     functionals = []
     for b in lat.rows:
-        a = [mul4(e, b) if side == "right" else mul4(b, e) for e in _UNIT_VECTORS]
+        a = [mul4(b, e) for e in _UNIT_VECTORS]
         for col in range(4):
             functionals.append([sum(a[r][m] * adj[m][col] for m in range(4)) for r in range(4)])
     return _dual(Lattice.from_int_rows(lat.alg, functionals, det))
-
-
-def left_order(lat):
-    """{x : x * L <= L}."""
-    return _order_of(lat, "right")
-
-
-def right_order(lat):
-    """{x : L * x <= L}."""
-    return _order_of(lat, "left")
 
 
 def lattice_intersection(l1, l2):
@@ -747,11 +700,6 @@ def equiv_witness(i1, i2, order, n1=None, n2=None):
     return x / n1
 
 
-def is_equivalent(i1, i2, order):
-    """Same left ideal class of the given order."""
-    return equiv_witness(i1, i2, order) is not None
-
-
 def two_sided_prime(order, q):
     """The unique two-sided ideal of reduced norm q of a maximal order.
 
@@ -791,11 +739,11 @@ def norm_ideals(order, ell):
     if not is_prime(ell):
         raise ValueError("ell must be prime")
     basis = order.basis()
-    minv = mat_inv_frac(order.frac_rows())
-    one = _int_vec(mat_mul_frac([[Fraction(1), 0, 0, 0]], minv)[0])
-    gamma = [[_int_vec(mat_mul_frac([[Fraction(x, b1.den * b2.den) for x in
-                                      alg.mul4(b1.num, b2.num)]], minv)[0])
-              for b2 in basis] for b1 in basis]
+    # structure constants: coordinates of 1 and of each b_r * b_s in the basis
+    one = order.coords_of(Quat.one(alg))
+    gamma = [[order.coords_of(b1 * b2) for b2 in basis] for b1 in basis]
+    if one is None or any(c is None for row in gamma for c in row):
+        raise ArithmeticError("expected integral coordinates")
     trd_b = [_as_int(b.trd()) for b in basis]
     gram = order.gram()
     den2 = order.den ** 2
@@ -880,18 +828,3 @@ def norm_ideals(order, ell):
 def _coeff_sweep(ell):
     for n in range(1, ell ** 4):
         yield tuple((n // ell ** i) % ell for i in range(4))
-
-
-def _int_vec(frac_row):
-    out = []
-    for x in frac_row:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ArithmeticError("expected integral coordinates")
-        out.append(int(f))
-    return tuple(out)
-
-
-def short_vectors(lat, t, n):
-    """All x in the lattice with trd(x) = t and nrd(x) = n."""
-    return lat.norm_vectors(n, trace=Fraction(t))

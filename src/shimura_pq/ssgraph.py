@@ -8,6 +8,7 @@ act by dual-isogeny reversal (w_p, with a sign) and by Frobenius transport
 through the two-sided norm-q ideal (w_q).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -150,7 +151,6 @@ def vertex_classes(q, alg=None):
 
 
 def _attach_wq(vset):
-    order = vset.order
     q = vset.q
     nclasses = len(vset.classes)
     perm = [None] * nclasses
@@ -162,9 +162,6 @@ def _attach_wq(vset):
         t, y = vset.locate(rec.ideal.mul(ts))
         perm[k] = t
         witnesses[k] = y
-    for k, t in enumerate(perm):
-        if perm[t] != k:
-            raise ArithmeticError("w_q is not an involution on vertices")
     vset.wq_perm = perm
     vset.wq_witnesses = witnesses
     vset.two_sided = two_sided
@@ -211,12 +208,6 @@ class ShimuraGraph:
     def edge_mass(self):
         return sum(Fraction(1, e.length) for e in self.edges)
 
-    def s_map(self, i):
-        return self.edges[i].source
-
-    def t_map(self, i):
-        return self.edges[i].target
-
     def locate_edge(self, vertex, ideal):
         key = (vertex, ideal.key())
         if key not in self._edge_lookup:
@@ -238,18 +229,18 @@ class ShimuraGraph:
         return self._neighbors[(k, ell)]
 
     def brandt_vertices(self, ell):
+        """Sparse rows of T_ell on vertices: row k lists the sorted pairs
+        (m, count), count > 0 being the number of ell-steps from k landing
+        at m.  Row sums are ell+1."""
         if ell not in self._brandt_v:
-            n = len(self.vset)
-            mat = [[0] * n for _ in range(n)]
-            for k in range(n):
-                for _, m, _ in self.vertex_neighbors(k, ell):
-                    mat[k][m] += 1
-            self._brandt_v[ell] = mat
+            self._brandt_v[ell] = [
+                sorted(Counter(m for _, m, _ in self.vertex_neighbors(k, ell)).items())
+                for k in range(len(self.vset))]
         return self._brandt_v[ell]
 
     def brandt_edges(self, ell):
-        """Integer matrix of T_ell on edges: row i counts the ell-steps from
-        edge i landing on each edge.
+        """Sparse rows of T_ell on edges, as ``brandt_vertices``: row i
+        counts the ell-steps from edge i landing on each edge.
 
         The step from e = (k, P) through a neighbour (L, m, z) of k, with
         I_k L = I_m z, lands on the edge at m with ideal
@@ -264,8 +255,7 @@ class ShimuraGraph:
         """
         if ell not in self._brandt_e:
             p, alg, classes = self.p, self.vset.alg, self.vset.classes
-            n = len(self.edges)
-            mat = [[0] * n for _ in range(n)]
+            out = []
             for i, e in enumerate(self.edges):
                 alpha = _local_generator(e.ideal, classes[e.source].right_order, p)
                 if alpha is None:
@@ -273,6 +263,7 @@ class ShimuraGraph:
                         f"edge {i}: ideal lies in {p} R_{e.source}, so the ell={ell} "
                         f"step has no generator at p (damaged graph cache?)")
                 ell_alpha = tuple(ell * x for x in alpha.num)
+                row = Counter()
                 for _, m, z in self.vertex_neighbors(e.source, ell):
                     # z^-1 = conj(z) / nrd(z), so the denominator of z cancels in beta
                     zn = z.num
@@ -287,8 +278,9 @@ class ShimuraGraph:
                         raise ArithmeticError(
                             f"edge {i}: its ell={ell} step lands on no edge ideal at "
                             f"vertex {m} (damaged graph cache?)")
-                    mat[i][j] += 1
-            self._brandt_e[ell] = mat
+                    row[j] += 1
+                out.append(sorted(row.items()))
+            self._brandt_e[ell] = out
         return self._brandt_e[ell]
 
 
@@ -327,7 +319,6 @@ def build_graph(p, q, alg=None, vset=None):
             raise ValueError(f"{v} is not a prime >= 5")
     if vset is None:
         vset = vertex_classes(q, alg)
-    order = vset.order
     edges = []
     for k, rec in enumerate(vset.classes):
         unit_list = vset.units_of(k)
@@ -350,24 +341,50 @@ def build_graph(p, q, alg=None, vset=None):
     graph = ShimuraGraph(p, q, vset, edges)
     _attach_wp(graph)
     _attach_wq_edges(graph)
+    validate_graph(graph)
     return graph
+
+
+def validate_graph(graph):
+    """Raise ArithmeticError naming the first invariant the graph breaks.
+
+    Every built graph and every graph loaded from the cache is checked: the
+    vertex mass (q-1)/12, w_q an involution on vertices, the edge mass
+    (p+1)(q-1)/12, and w_p and w_q involutions on edges that keep lengths,
+    w_p swapping source and target and w_q moving both by w_q.
+    """
+    p, q, edges = graph.p, graph.q, graph.edges
+    mass = graph.vset.mass()
+    if mass != Fraction(q - 1, 12):
+        raise ArithmeticError(f"mass formula violated: {mass} != ({q}-1)/12")
+    sigma = graph.vset.wq_perm
+    if any(sigma[t] != k for k, t in enumerate(sigma)):
+        raise ArithmeticError("w_q is not an involution on vertices")
+    mass = graph.edge_mass()
+    if mass != Fraction((p + 1) * (q - 1), 12):
+        raise ArithmeticError(f"edge mass formula violated: {mass} != ({p}+1)({q}-1)/12")
+    wp, wq = graph.wp_perm, graph.wq_edge_perm
+    for i, e in enumerate(edges):
+        dual, moved = edges[wp[i]], edges[wq[i]]
+        if wp[wp[i]] != i:
+            raise ArithmeticError("w_p is not an involution on edges")
+        if dual.source != e.target:
+            raise ArithmeticError("w_p does not swap source and target")
+        if dual.length != e.length:
+            raise ArithmeticError("w_p does not preserve lengths")
+        if wq[wq[i]] != i:
+            raise ArithmeticError("w_q is not an involution on edges")
+        if moved.length != e.length:
+            raise ArithmeticError("w_q does not preserve lengths")
+        if moved.source != sigma[e.source] or moved.target != sigma[e.target]:
+            raise ArithmeticError("w_q does not commute with the source and target maps")
 
 
 def _attach_wp(graph):
     """Dual-isogeny involution: e = (k, P) goes to the edge at t(e) with
     ideal y conj(P) y^{-1}; as a path operator it carries a global -1 sign."""
-    perm = []
-    for e in graph.edges:
-        dual = e.ideal.conj_lattice().conj_by(e.witness)
-        perm.append(graph.locate_edge(e.target, dual))
-    for i, j in enumerate(perm):
-        if perm[j] != i:
-            raise ArithmeticError("w_p is not an involution on edges")
-        if graph.edges[j].source != graph.edges[i].target:
-            raise ArithmeticError("w_p does not swap source and target")
-        if graph.edges[j].length != graph.edges[i].length:
-            raise ArithmeticError("w_p does not preserve lengths")
-    graph.wp_perm = perm
+    graph.wp_perm = [graph.locate_edge(e.target, e.ideal.conj_lattice().conj_by(e.witness))
+                     for e in graph.edges]
 
 
 def _attach_wq_edges(graph):
@@ -376,36 +393,9 @@ def _attach_wq_edges(graph):
     two-sided norm-q ideal, this conjugation is the Frobenius transport; at
     a fixed vertex it swaps the eigen-ideals of the extra automorphisms."""
     vset = graph.vset
-    perm = []
-    for e in graph.edges:
-        k = e.source
-        moved = e.ideal.conj_by(vset.wq_witnesses[k])
-        perm.append(graph.locate_edge(vset.wq_perm[k], moved))
-    for i, j in enumerate(perm):
-        if perm[j] != i:
-            raise ArithmeticError("w_q is not an involution on edges")
-        if graph.edges[j].length != graph.edges[i].length:
-            raise ArithmeticError("w_q does not preserve lengths")
-        if graph.edges[j].target != vset.wq_perm[graph.edges[i].target]:
-            raise ArithmeticError("w_q does not commute with the target map")
-    graph.wq_edge_perm = perm
-
-
-def brandt_matrix(graph, ell, level="vertices"):
-    """Integer matrix of the ell-th Hecke operator; row sums are ell+1.
-
-    Row index is the source: entry [k][t] counts norm-ell steps from k
-    landing at t.
-    """
-    if not is_prime(ell):
-        raise ValueError("ell must be prime")
-    if graph.p % ell == 0 or graph.q % ell == 0:
-        raise ValueError("ell must be coprime to pq")
-    if level == "vertices":
-        return [row[:] for row in graph.brandt_vertices(ell)]
-    if level == "edges":
-        return [row[:] for row in graph.brandt_edges(ell)]
-    raise ValueError("level must be 'vertices' or 'edges'")
+    graph.wq_edge_perm = [
+        graph.locate_edge(vset.wq_perm[e.source], e.ideal.conj_by(vset.wq_witnesses[e.source]))
+        for e in graph.edges]
 
 
 # -- independent supersingular count -------------------------------------------

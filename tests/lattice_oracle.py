@@ -17,16 +17,71 @@ code against them:
   went through a local generator at p.
 
 It also holds ``norm_ideals_exhaustive``, the brute-force oracle for
-``quat.norm_ideals`` (every index-ell^2 left submodule of reduced norm ell).
+``quat.norm_ideals`` (every index-ell^2 left submodule of reduced norm ell),
+and the ``Fraction`` helpers all of these stand on, which the package no
+longer uses: ``mat_inv_frac``, ``mat_mul_frac`` and ``_int_vec`` (moved
+unchanged from ``linalg`` and ``quat``), ``frac_rows`` (the basis as
+``Fraction`` rows) and ``scale`` (a lattice times a positive rational).
 """
 
 from fractions import Fraction
 from math import gcd
 
+from graph_oracle import dense
 from shimura_pq import quat
 from shimura_pq.gross import class_number, gross_modular, gross_shimura
-from shimura_pq.linalg import hnf_rows, mat_inv_frac, mat_mul_frac
-from shimura_pq.quat import Lattice, _int_vec, _line_reps, ideal_norm
+from shimura_pq.linalg import hnf_rows
+from shimura_pq.quat import Lattice, _line_reps, ideal_norm
+
+
+# -- Fraction helpers ---------------------------------------------------------
+
+def mat_inv_frac(mat):
+    """Inverse of a square matrix over Fraction (raises on singular input)."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def mat_mul_frac(a, b):
+    return [
+        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def _int_vec(frac_row):
+    out = []
+    for x in frac_row:
+        f = Fraction(x)
+        if f.denominator != 1:
+            raise ArithmeticError("expected integral coordinates")
+        out.append(int(f))
+    return tuple(out)
+
+
+def frac_rows(lat):
+    return [[Fraction(x, lat.den) for x in r] for r in lat.rows]
+
+
+def scale(lat, f):
+    f = Fraction(f)
+    if f <= 0:
+        raise ValueError("scale factor must be positive")
+    return Lattice(lat.alg, [tuple(f.numerator * x for x in r) for r in lat.rows],
+                   lat.den * f.denominator)
 
 
 def from_frac_rows(alg, rows):
@@ -69,7 +124,7 @@ def _mult_matrix(b, side):
 
 
 def _order_of(lat, side):
-    minv = mat_inv_frac(lat.frac_rows())
+    minv = mat_inv_frac(frac_rows(lat))
     functionals = []
     for b in lat.basis():
         k = mat_mul_frac(_mult_matrix(b, side), minv)
@@ -89,8 +144,8 @@ def right_order(lat):
 
 
 def lattice_intersection(l1, l2):
-    m1 = mat_inv_frac(l1.frac_rows())
-    m2 = mat_inv_frac(l2.frac_rows())
+    m1 = mat_inv_frac(frac_rows(l1))
+    m2 = mat_inv_frac(frac_rows(l2))
     functionals = [[m[r][col] for r in range(4)] for m in (m1, m2) for col in range(4)]
     return dual_of_constraints(l1.alg, functionals)
 
@@ -105,7 +160,7 @@ def gross_tower_modular(graph, ell, N):
     nvert = len(vset)
     g0 = gross_modular(vset, -4)
     g1 = gross_modular(vset, -4 * ell * ell)
-    bm = graph.brandt_vertices(ell)
+    bm = dense(graph.brandt_vertices(ell))
     h1 = class_number(-4 * ell * ell)
     out = [g1]
     prev, cur = g0, g1
@@ -128,7 +183,7 @@ def gross_tower_shimura(graph, ell, N):
     nedge = len(graph.edges)
     g0 = gross_shimura(graph, -4)
     g1 = gross_shimura(graph, -4 * ell * ell)
-    bme = graph.brandt_edges(ell)
+    bme = dense(graph.brandt_edges(ell))
     h1 = class_number(-4 * ell * ell)
     w = graph.lengths
     out = [g1]
@@ -154,7 +209,7 @@ def brandt_edges(graph, ell):
     inv_ell = Fraction(1, ell)
     for i, e in enumerate(graph.edges):
         for lam, m, z in graph.vertex_neighbors(e.source, ell):
-            pushed = lam.conj_lattice().scale(inv_ell).mul(
+            pushed = scale(lam.conj_lattice(), inv_ell).mul(
                 quat.lattice_intersection(lam, e.ideal)).conj_by(z)
             mat[i][graph.locate_edge(m, pushed)] += 1
     return mat
@@ -166,7 +221,7 @@ def norm_ideals_exhaustive(order, ell):
     """Brute-force oracle: all index-ell^2 left submodules with O*P <= P,
     P >= ell*O, of reduced norm ell.  Cost O(ell^4); test use only."""
     alg = order.alg
-    minv = mat_inv_frac(order.frac_rows())
+    minv = mat_inv_frac(frac_rows(order))
     basis = order.basis()
     gamma = [[_int_vec(mat_mul_frac([[Fraction(x, b1.den * b2.den) for x in
                                       alg.mul4(b1.num, b2.num)]], minv)[0])

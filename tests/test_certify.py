@@ -227,6 +227,39 @@ class TestCache:
         with open(path, "rb") as fh:
             assert fh.read() == good
 
+    @pytest.mark.parametrize("damage", ["length", "target", "wp_perm", "wq_perm"])
+    def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
+        # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
+        # edge 11, and edge 5 is the other edge from 0 to 1
+        check = {"length": "edge mass formula violated",
+                 "target": "w_p does not swap source and target",
+                 "wp_perm": "w_p is not an involution on edges",
+                 "wq_perm": "w_q is not an involution on vertices"}[damage]
+        path = cache_store(str(tmp_path), graph_13_11)
+        with open(path, "rb") as fh:
+            good = fh.read()
+        payload = json.loads(good)
+        assert [payload["edges"][4][k] for k in ("source", "target", "length")] == [0, 1, 1]
+        assert payload["wp_perm"][4] == 11 and payload["wq_perm"] == [0, 1]
+        if damage == "length":
+            payload["edges"][4]["length"] = 2
+        elif damage == "target":
+            payload["edges"][4]["target"] = 0
+        elif damage == "wp_perm":
+            payload["wp_perm"][4] = 5
+        else:
+            payload["wq_perm"][0] = 1
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        assert cache_load(str(tmp_path), 13, 11) is None
+        err = capsys.readouterr().err
+        assert "corrupt" in err and check in err
+        graph, from_cache = load_or_build_graph(13, 11, str(tmp_path))
+        assert not from_cache
+        assert graph_payload(graph) == graph_payload(graph_13_11)
+        with open(path, "rb") as fh:
+            assert fh.read() == good
+
     def test_failed_write_keeps_previous_cache(self, graph_13_11, tmp_path, monkeypatch):
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:

@@ -1,24 +1,22 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import element_order, k_law_solve, make_multigraph, spanning_trees
 from shimura_pq.compgroup import (
     MGVertex,
-    MultiGraph,
     blow_up,
     component_group,
     degree_report,
-    element_order,
-    k_law_solve,
     lemma_general_check,
-    make_multigraph,
     quotient_by_wq,
-    spanning_trees,
     to_dot,
 )
+from shimura_pq.linalg import det_bareiss, smith_normal_form
 
 
 def banana(k):
@@ -123,6 +121,24 @@ def test_klaw_vs_snf_property(seed, current):
     assert pa.integral == (current % order == 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_smith_form_mod_group_order(seed):
+    """The Smith form component_group computes: entries reduced mod
+    D = |det L| for the reduced Laplacian L.  After gcd with D its factors
+    above 1 are those of the plain Smith form, their product is D, and the
+    largest is the exponent of the group, the lcm of the element orders."""
+    mg = _random_connected(random.Random(seed))
+    n = len(mg)
+    lap = [row[: n - 1] for row in mg.laplacian()[: n - 1]]
+    order = abs(det_bareiss(lap))
+    modular = [gcd(d, order) for d in smith_normal_form(lap, modulus=order)]
+    assert [f for f in modular if f > 1] == [d for d in smith_normal_form(lap) if d > 1]
+    assert prod(modular) == order
+    exponent = lcm(*(element_order(mg, a, b) for a in range(n) for b in range(a + 1, n)))
+    assert max(modular) == exponent
+
+
 class TestBlowUp:
     def test_unit_graph_unchanged(self):
         mg = cycle(4)
@@ -180,7 +196,7 @@ class TestQuotient:
         blown = blow_up(quotient_by_wq(graph_13_47))
         res = lemma_general_check(blown, 13)
         assert res["applicable"]
-        jcal = blown.index("exc2")
+        jcal = blown.labels().index("exc2")
         for i, v in enumerate(blown.vertices):
             if i == jcal:
                 continue
@@ -192,7 +208,7 @@ class TestQuotient:
         for graph in (graph_13_47, graph_5_23):
             blown = blow_up(quotient_by_wq(graph))
             res = lemma_general_check(blown, graph.p)
-            jcal = blown.index("exc2")
+            jcal = blown.labels().index("exc2")
             expected = {
                 v.label: not k_law_solve(blown, source=i, sink=jcal, current=graph.p + 1).integral
                 for i, v in enumerate(blown.vertices) if i != jcal

@@ -19,6 +19,11 @@ CHECK_HASHES = {
               "cd981c467725a30b55d4f6851a002d8f94e8dd5b9e2591a6ada0cc81cc492450"),
     (13, 47): ("049af14497356e1fa474ce138cc976e59b0c2767994da16b87c8a71d3a769f60",
                "8b4e45ad6f4d7186144b9be447323c4fc38cba6f09caf5fbed4a5c88b2522e26"),
+    # q = 37 = 1 mod 4: the maximal order is found by saturation, not the
+    # classical (1, q) model; recorded before norm_ideals read its structure
+    # constants through Lattice.coords_of
+    (5, 37): ("ea6e86ef35a3c0f85224efcd6fd5d916f25b82abbcb63891ab272af1008fd67c",
+              "40040f8de6d50fafd0916df063dc017ece8c555bc1f1fa342bff88adb0516eb8"),
 }
 WARM_13_47_L5_HASH = "17179ba22c20d47f5e00d81dbe849140d6b59e26c0e0a214262b32bc215e309d"
 EXIT2_29_47_HASHES = ("36d8371b1d6271a2cce3808ab3aff4bddf5837986c3ab776ed3c190b3bf6ee91",

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_oracle import mat_inv_frac, mat_mul_frac
 from shimura_pq.linalg import (
-    cokernel_order,
     det_bareiss,
     frac_sqrt,
     hnf_rows,
     kernel_mod_p,
-    mat_inv_frac,
-    mat_mul_frac,
     smith_normal_form,
     solve_bareiss,
     solve_frac,
@@ -67,22 +65,6 @@ def test_smith_fixtures():
     assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
     diag = smith_normal_form([[6, 0], [0, 10]])
     assert diag == [2, 30]
-
-
-def test_smith_left_transform():
-    mat = [[4, 2], [2, 8]]
-    diag, u = smith_normal_form(mat, want_left=True)
-    assert diag[0] > 0 and diag[1] % diag[0] == 0
-    assert abs(det_bareiss(u)) == 1
-
-
-def test_cokernel_order():
-    # Z^2 / <(3,0),(0,5)> = Z/3 x Z/5
-    mat = [[3, 0], [0, 5]]
-    assert cokernel_order(mat, [1, 0]) == 3
-    assert cokernel_order(mat, [0, 1]) == 5
-    assert cokernel_order(mat, [1, 1]) == 15
-    assert cokernel_order(mat, [3, 5]) == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,0 +1,75 @@
+"""Guard against dead code in the package.
+
+Every public top-level function and class of ``src/shimura_pq/*.py``, and
+every public method of those classes, must be referenced from the program:
+``src/``, ``scripts/`` or the benchmark's own modules (``perfbench/*.py``,
+not its tests).  A reference is a ``Name``, an ``Attribute`` or an imported
+name, outside the definition itself, so recursion does not keep a function
+alive.  Code that only the tests call belongs under ``tests/``.
+
+Names are matched by spelling alone, so a clash (a dead method that shares
+its name with a live function or variable) hides dead code: the guard is
+lenient, not strict.  Only a name reached through strings alone (``getattr``
+or a class ``__dict__``, as the benchmark's tracer does) would be flagged
+although used; each such name is also called directly.  Dunder methods,
+private names and ``cli.main``, the entry point, are exempt.
+"""
+
+import ast
+import glob
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "shimura_pq")
+PROGRAM = (sorted(glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True))
+           + sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
+           + sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))))
+EXEMPT = {("cli", "main")}
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _definitions(module, tree):
+    """(qualified name, bare name, node) for each public definition."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _references(tree):
+    """(name, line) for every Name, Attribute and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def unreferenced():
+    refs = {path: list(_references(_parse(path))) for path in PROGRAM}
+    dead = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        for qualname, name, node in _definitions(module, _parse(path)):
+            if (module, name) in EXEMPT:
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(ref == name and not (where == path and line in own)
+                       for where, found in refs.items() for ref, line in found):
+                dead.append(qualname)
+    return dead
+
+
+def test_every_public_name_is_used_by_the_program():
+    assert unreferenced() == []

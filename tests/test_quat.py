@@ -5,24 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_oracle import norm_ideals_exhaustive
+from lattice_oracle import norm_ideals_exhaustive, scale
 from shimura_pq.ntheory import ramified_primes
+from shimura_pq.ssgraph import vertex_classes
 from shimura_pq.quat import (
     Lattice,
     Quat,
     equiv_witness,
     ideal_norm,
-    is_equivalent,
     is_order,
     lattice_intersection,
-    left_order,
     make_algebra,
     maximal_order,
     norm_ideals,
     reduce_ideal,
     reduced_discriminant,
     right_order,
-    short_vectors,
     two_sided_prime,
     unit_order,
     units,
@@ -48,7 +46,7 @@ class TestAlgebra:
         assert (B11.a, B11.b) == (1, 11)
 
     def test_ramification(self):
-        assert B47.ramification() == [47]
+        assert ramified_primes(-B47.a, -B47.b) == [47]
         assert ramified_primes(-B11.a, -B11.b) == [11]
 
     def test_invalid_inputs(self):
@@ -73,7 +71,7 @@ class TestAlgebra:
     @given(small_quats(B47))
     def test_definiteness(self, x):
         assert x.nrd() >= 0
-        assert (x.nrd() == 0) == x.is_zero()
+        assert (x.nrd() == 0) == (x.num == (0, 0, 0, 0))
 
 
 class TestMaximalOrder:
@@ -103,7 +101,8 @@ class TestMaximalOrder:
             assert is_order(order)
 
     def test_orders_of_itself(self):
-        assert left_order(O47) == O47
+        # the left order of L is conj(O_R(conj L))
+        assert right_order(O47.conj_lattice()).conj_lattice() == O47
         assert right_order(O47) == O47
 
 
@@ -135,11 +134,13 @@ class TestLatticeOps:
         rng = random.Random(5)
         for _ in range(5):
             x = Quat(B47, tuple(rng.randint(-4, 4) for _ in range(4)))
-            if x.is_zero():
+            if x.num == (0, 0, 0, 0):
                 continue
-            principal = O47.elem_mul(x)  # x * O
+            # x * O
+            principal = Lattice.from_int_rows(B47, [B47.mul4(x.num, r) for r in O47.rows],
+                                              O47.den * x.den)
             conj = O47.conj_by(x)  # x * O * x^-1
-            assert left_order(principal) == conj
+            assert right_order(principal.conj_lattice()).conj_lattice() == conj
 
     def test_hnf_canonical_under_rebasing(self):
         rng = random.Random(3)
@@ -165,11 +166,11 @@ class TestLatticeOps:
 
 class TestShortVectors:
     def test_zero(self):
-        assert [v.num for v in short_vectors(O47, 0, 0)] == [(0, 0, 0, 0)]
-        assert short_vectors(O47, 1, 0) == []
+        assert [v.num for v in O47.norm_vectors(0, trace=Fraction(0))] == [(0, 0, 0, 0)]
+        assert O47.norm_vectors(0, trace=Fraction(1)) == []
 
     def test_fourth_root_of_unity(self):
-        found = short_vectors(O47, 0, 1)
+        found = O47.norm_vectors(1, trace=Fraction(0))
         nums = {v.num for v in found}
         assert (0, 1, 0, 0) in nums and (0, -1, 0, 0) in nums
 
@@ -181,23 +182,23 @@ class TestShortVectors:
 
     def test_weight_one_order_has_no_extra_units(self, vset47):
         weight_one = next(c for c in vset47.classes if c.weight == 1)
-        assert short_vectors(weight_one.right_order, 0, 1) == []
+        assert weight_one.right_order.norm_vectors(1, trace=Fraction(0)) == []
         assert unit_order(weight_one.right_order) == 1
 
 
 class TestEquivalence:
     def test_reflexive(self):
         for ideal in norm_ideals(O47, 2):
-            assert is_equivalent(ideal, ideal, O47)
+            assert equiv_witness(ideal, ideal, O47) is not None
 
     def test_principal_rescaling(self):
         rng = random.Random(1)
         ideal = norm_ideals(O47, 3)[0]
         for _ in range(5):
             x = Quat(B47, tuple(rng.randint(-3, 3) for _ in range(4)))
-            if x.is_zero():
+            if x.num == (0, 0, 0, 0):
                 continue
-            assert is_equivalent(ideal, ideal.mul_elem(x), O47)
+            assert equiv_witness(ideal, ideal.mul_elem(x), O47) is not None
 
     def test_witness_is_exact(self):
         i1 = norm_ideals(O11, 2)[0]
@@ -210,7 +211,7 @@ class TestEquivalence:
         seen = [O11]
         for ell in (2, 3):
             for ideal in norm_ideals(O11, ell):
-                if not any(is_equivalent(ideal, s, O11) for s in seen):
+                if all(equiv_witness(ideal, s, O11) is None for s in seen):
                     seen.append(ideal)
         assert len(seen) == 2
 
@@ -219,14 +220,18 @@ class TestEquivalence:
         red, z = reduce_ideal(ideal, O47)
         assert ideal.mul_elem(z) == red
         assert ideal_norm(red, O47) <= ideal_norm(ideal, O47)
-        assert is_equivalent(ideal, red, O47)
+        assert equiv_witness(ideal, red, O47) is not None
 
 
 class TestNormIdeals:
-    def test_counts_and_oracle(self):
-        for ell in (2, 3, 5):
-            fast = norm_ideals(O11, ell)
-            slow = norm_ideals_exhaustive(O11, ell)
+    def test_counts_and_oracle(self, vset23):
+        cases = [(O11, ell) for ell in (2, 3, 5)]
+        # q = 37 = 1 mod 4: the maximal order comes from saturation (a != 1)
+        for vset in (vset23, vertex_classes(37)):
+            cases += [(c.right_order, ell) for c in vset.classes for ell in (2, 3)]
+        for order, ell in cases:
+            fast = norm_ideals(order, ell)
+            slow = norm_ideals_exhaustive(order, ell)
             assert len(fast) == ell + 1
             assert sorted(x.key() for x in fast) == sorted(x.key() for x in slow)
 
@@ -257,13 +262,11 @@ class TestTwoSided:
 
     def test_square_is_q_times_order(self):
         ts = two_sided_prime(O11, 11)
-        assert ts.mul(ts) == O11.scale(11)
+        assert ts.mul(ts) == scale(O11, 11)
 
 
 class TestModelIndependence:
     def test_two_models_for_q_11(self):
-        from shimura_pq.ssgraph import vertex_classes
-
         v1 = vertex_classes(11)
         v2 = vertex_classes(11, alg=make_algebra(11, a=3))
         assert len(v1) == len(v2)

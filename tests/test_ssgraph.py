@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from graph_oracle import brandt_matrix, dense
 from lattice_oracle import norm_ideals_exhaustive
 from shimura_pq.certify import genus
-from shimura_pq.quat import ideal_norm, make_algebra, maximal_order, norm_ideals
-from shimura_pq.ssgraph import brandt_matrix, build_graph, ss_oracle, vertex_classes
+from shimura_pq.quat import equiv_witness, ideal_norm, make_algebra, maximal_order, norm_ideals
+from shimura_pq.ssgraph import build_graph, ss_oracle, vertex_classes
 
 
 class TestVertexClasses:
@@ -25,11 +26,9 @@ class TestVertexClasses:
             assert len(vset) == genus(q) + 1
 
     def test_pairwise_inequivalent(self, vset47):
-        from shimura_pq.quat import is_equivalent
-
         for i, a in enumerate(vset47.classes):
             for b in vset47.classes[i + 1:]:
-                assert not is_equivalent(a.ideal, b.ideal, vset47.order)
+                assert equiv_witness(a.ideal, b.ideal, vset47.order) is None
 
     def test_wq_involution(self, vset47, vset11):
         for vset in (vset47, vset11):
@@ -107,7 +106,7 @@ class TestEdges:
 
 class TestBrandt:
     def test_q11_fixture(self, graph_13_11):
-        mat = brandt_matrix(graph_13_11, 2, "vertices")
+        mat = brandt_matrix(graph_13_11, 2)
         # canonical order puts the weight-3 class first; the classical
         # fixture lists the weight-2 class first
         w = graph_13_11.vset.weights
@@ -122,17 +121,28 @@ class TestBrandt:
         g = graph_13_47
         w = g.vset.weights
         for ell in (2, 3, 5):
-            mat = brandt_matrix(g, ell, "vertices")
+            mat = brandt_matrix(g, ell)
             assert all(sum(row) == ell + 1 for row in mat)
             n = len(mat)
             for i in range(n):
                 for j in range(n):
                     assert mat[i][j] * w[j] == mat[j][i] * w[i]
 
+    def test_sparse_rows(self, graph_13_47):
+        # the rows the Hecke towers read: sorted targets, no zero counts
+        g = graph_13_47
+        for ell in (2, 3):
+            for rows in (g.brandt_vertices(ell), g.brandt_edges(ell)):
+                for row in rows:
+                    targets = [j for j, _ in row]
+                    assert targets == sorted(set(targets))
+                    assert all(m > 0 for _, m in row)
+                    assert sum(m for _, m in row) == ell + 1
+
     def test_commutation(self, graph_13_47):
         g = graph_13_47
-        b2 = brandt_matrix(g, 2, "vertices")
-        b3 = brandt_matrix(g, 3, "vertices")
+        b2 = brandt_matrix(g, 2)
+        b3 = brandt_matrix(g, 3)
         n = len(b2)
 
         def mul(a, b):
@@ -143,15 +153,15 @@ class TestBrandt:
 
     def test_rejects_divisors_of_pq(self, graph_13_47):
         with pytest.raises(ValueError):
-            brandt_matrix(graph_13_47, 13, "vertices")
+            brandt_matrix(graph_13_47, 13)
         with pytest.raises(ValueError):
-            brandt_matrix(graph_13_47, 47, "vertices")
+            brandt_matrix(graph_13_47, 47)
 
     def test_edge_level(self, graph_13_47):
         g = graph_13_47
         lengths = g.lengths
         for ell in (2, 3, 5, 7):
-            mat = brandt_matrix(g, ell, "edges")
+            mat = dense(g.brandt_edges(ell))
             assert all(sum(row) == ell + 1 for row in mat)
             n = len(mat)
             for i in range(n):
@@ -160,8 +170,8 @@ class TestBrandt:
 
     @pytest.mark.parametrize("l1,l2", [(2, 3), (3, 5)])
     def test_edge_commutation(self, graph_13_47, l1, l2):
-        a = brandt_matrix(graph_13_47, l1, "edges")
-        b = brandt_matrix(graph_13_47, l2, "edges")
+        a = dense(graph_13_47.brandt_edges(l1))
+        b = dense(graph_13_47.brandt_edges(l2))
         n = len(a)
 
         def mul(x, y):
@@ -176,8 +186,8 @@ class TestBrandt:
         g = graph_13_47
         nv, ne = len(g.vset), len(g.edges)
         for ell in (2, 3):
-            be = brandt_matrix(g, ell, "edges")
-            bv = brandt_matrix(g, ell, "vertices")
+            be = dense(g.brandt_edges(ell))
+            bv = brandt_matrix(g, ell)
             for idx in (0, 7, 20):
                 v = tuple(Fraction(1 if i == idx else 0) for i in range(ne))
                 pushed = tuple(
@@ -214,7 +224,7 @@ class TestModelIndependence:
         assert sorted(v_alt.weights) == sorted(v_std.weights)
         assert g_alt.edge_mass() == g_std.edge_mass()
         assert sorted(g_alt.lengths) == sorted(g_std.lengths)
-        b_alt = brandt_matrix(g_alt, 2, "vertices")
-        b_std = brandt_matrix(g_std, 2, "vertices")
+        b_alt = brandt_matrix(g_alt, 2)
+        b_std = brandt_matrix(g_std, 2)
         trace = lambda m: sum(m[i][i] for i in range(len(m)))
         assert trace(b_alt) == trace(b_std)
