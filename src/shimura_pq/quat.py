@@ -450,7 +450,10 @@ class Lattice:
 
         The pick is the solution with the least (c3, c2, c1, c0) in the HNF
         coordinates.  It becomes an equivalence witness, and witnesses are
-        stored in the graph cache, so the rule must not change."""
+        stored in the graph cache, so the rule must not change.
+        ``ssgraph.VertexSet.step_witness`` applies the same rule to the
+        edge witnesses without calling this method, so the two must change
+        together."""
         n = Fraction(n)
         if n <= 0:
             return None

@@ -70,6 +70,7 @@ class VertexSet:
         self.wq_witnesses = wq_witnesses
         self.two_sided = two_sided  # per class: two-sided norm-q ideal of R_k
         self._units = {}
+        self._connectors = {}
 
     def __len__(self):
         return len(self.classes)
@@ -102,6 +103,60 @@ class VertexSet:
             if w is not None:
                 return k, w * z.inv()
         raise ArithmeticError("ideal does not match any class (class set incomplete?)")
+
+    def connector(self, m, k):
+        """conj(I_m) * I_k, cached for both directions from one product:
+        conj(I_k) * I_m is its conjugate."""
+        if (m, k) not in self._connectors:
+            lat = self.classes[m].ideal.conj_lattice().mul(self.classes[k].ideal)
+            self._connectors[(m, k)] = lat
+            self._connectors[(k, m)] = lat if m == k else lat.conj_lattice()
+        return self._connectors[(m, k)]
+
+    def neighbors(self, k, ell):
+        """List of (norm-ell ideal L of R_k, target class m, witness z) with
+        I_k * L = I_m * z, sorted by the key of L.
+
+        Read off the theta series (Pizer 1980): z lies in I_m^-1 I_k, so the
+        x = n_m z are the vectors of norm ell n_k n_m of conj(I_m) I_k, and
+        the 2 w_m units u of R_m give the same L from u z.  Then
+        L = conj(I_k) I_m z / n_k, as conj(I_k) I_k = n_k R_k."""
+        rec = self.classes[k]
+        ideals = norm_ideals(rec.right_order, ell)
+        out = []
+        for m, target in enumerate(self.classes):
+            seen = set()
+            for x in self.connector(m, k).norm_vectors(ell * rec.norm * target.norm):
+                if x in seen:
+                    continue
+                seen.update(u * x for u in self.units_of(m))
+                z = x / target.norm
+                out.append((self.connector(k, m).mul_elem(z / rec.norm), m, z))
+        out.sort(key=lambda step: step[0].key())
+        if [lam.key() for lam, _, _ in out] != [lam.key() for lam in ideals]:
+            raise ArithmeticError(
+                f"vertex {k}: the ell={ell} steps found by enumeration are not its "
+                f"{ell + 1} norm-{ell} ideals")
+        return out
+
+    def step_witness(self, t, z):
+        """The witness y that ``locate`` gives for I_t * z, byte for byte,
+        without its lattice products.
+
+        x -> x z maps I_t onto I_t z and multiplies nrd by nrd(z), so the
+        least vector of I_t z by key is the least v z over the minimal
+        vectors v of I_t, and ``reduce_ideal`` moves I_t z to I_t z z0 with
+        z0 = conj(v z) / (n_t nrd z).  The equivalence test then searches
+        conj(I_t) I_t z z0 = R_t (n_t z z0): its vectors of the norm asked
+        for are the n_t u z z0 with u a unit of R_t, and it picks the one
+        with the least reversed coordinates, as ``Lattice.find_norm_vector``
+        does.  The witness is u z."""
+        rec = self.classes[t]
+        x = min((v * z for v in rec.ideal.min_vectors()[1]), key=Quat.key)
+        y = z * (x.conj() / z.nrd())  # n_t z z0
+        lat = rec.right_order.mul_elem(y)
+        u = min(self.units_of(t), key=lambda u: lat.coords_of(u * y)[::-1])
+        return u * z
 
 
 def _class_record(ideal, order):
@@ -216,16 +271,9 @@ class ShimuraGraph:
 
     # -- vertex-level Hecke neighbors, cached ------------------------------
     def vertex_neighbors(self, k, ell):
-        """List of (norm-ell ideal L of R_k, target class m, witness z) with
-        I_k * L = I_m * z."""
+        """``VertexSet.neighbors`` of k, cached."""
         if (k, ell) not in self._neighbors:
-            rec = self.vset.classes[k]
-            out = []
-            for lam in norm_ideals(rec.right_order, ell):
-                j = rec.ideal.mul(lam)
-                m, z = self.vset.locate(j)
-                out.append((lam, m, z))
-            self._neighbors[(k, ell)] = out
+            self._neighbors[(k, ell)] = self.vset.neighbors(k, ell)
         return self._neighbors[(k, ell)]
 
     def brandt_vertices(self, ell):
@@ -321,8 +369,9 @@ def build_graph(p, q, alg=None, vset=None):
         vset = vertex_classes(q, alg)
     edges = []
     for k, rec in enumerate(vset.classes):
-        unit_list = vset.units_of(k)
-        orbits = _orbit_partition(norm_ideals(rec.right_order, p), unit_list)
+        steps = vset.neighbors(k, p)
+        targets = {lam.key(): (m, z) for lam, m, z in steps}
+        orbits = _orbit_partition([lam for lam, _, _ in steps], vset.units_of(k))
         total = sum(len(o) for o in orbits)
         if total != p + 1:
             raise ArithmeticError("orbits do not cover the p+1 ideals")
@@ -334,9 +383,9 @@ def build_graph(p, q, alg=None, vset=None):
                 raise ArithmeticError("orbit-stabilizer mismatch at a vertex")
             if reduced_discriminant(eich) != p * q:
                 raise ArithmeticError("edge order does not have discriminant pq")
-            t, y = vset.locate(rec.ideal.mul(rep))
-            edges.append(Edge(source=k, ideal=rep, orbit=tuple(orbit),
-                              eichler=eich, length=length, target=t, witness=y))
+            t, z = targets[rep.key()]
+            edges.append(Edge(source=k, ideal=rep, orbit=tuple(orbit), eichler=eich,
+                              length=length, target=t, witness=vset.step_witness(t, z)))
     edges.sort(key=lambda e: (e.source, e.ideal.key()))
     graph = ShimuraGraph(p, q, vset, edges)
     _attach_wp(graph)
@@ -348,16 +397,28 @@ def build_graph(p, q, alg=None, vset=None):
 def validate_graph(graph):
     """Raise ArithmeticError naming the first invariant the graph breaks.
 
-    Every built graph and every graph loaded from the cache is checked: the
-    vertex mass (q-1)/12, w_q an involution on vertices, the edge mass
+    Every built graph and every graph loaded from the cache is checked: each
+    class record against its ideal (the norm, right order, weight and
+    fingerprint that the neighbour search and ``locate`` trust), the vertex
+    mass (q-1)/12, w_q an involution on vertices, the edge mass
     (p+1)(q-1)/12, and w_p and w_q involutions on edges that keep lengths,
     w_p swapping source and target and w_q moving both by w_q.
     """
-    p, q, edges = graph.p, graph.q, graph.edges
-    mass = graph.vset.mass()
+    p, q, edges, vset = graph.p, graph.q, graph.edges, graph.vset
+    for k, rec in enumerate(vset.classes):
+        if ideal_norm(rec.ideal, vset.order) != rec.norm:
+            raise ArithmeticError(f"vertex {k}: norm {rec.norm} is not the reduced norm of its ideal")
+        if right_order(rec.ideal) != rec.right_order:
+            raise ArithmeticError(f"vertex {k}: right_order is not the right order of its ideal")
+        if len(vset.units_of(k)) // 2 != rec.weight:
+            raise ArithmeticError(
+                f"vertex {k}: weight {rec.weight} is not half the unit count of its right order")
+        if _fingerprint(rec.ideal, rec.norm) != rec.fingerprint:
+            raise ArithmeticError(f"vertex {k}: fingerprint does not match its ideal")
+    mass = vset.mass()
     if mass != Fraction(q - 1, 12):
         raise ArithmeticError(f"mass formula violated: {mass} != ({q}-1)/12")
-    sigma = graph.vset.wq_perm
+    sigma = vset.wq_perm
     if any(sigma[t] != k for k, t in enumerate(sigma)):
         raise ArithmeticError("w_q is not an involution on vertices")
     mass = graph.edge_mass()

@@ -49,8 +49,18 @@ def vset23():
 
 
 @pytest.fixture(scope="session")
+def vset37():
+    return vertex_classes(37)
+
+
+@pytest.fixture(scope="session")
 def vset47():
     return vertex_classes(47)
+
+
+@pytest.fixture(scope="session")
+def vset163():
+    return vertex_classes(163)
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +81,13 @@ def graph_13_11(vset11):
 @pytest.fixture(scope="session")
 def graph_29_47(vset47):
     return build_graph(29, 47, vset=vset47)
+
+
+@pytest.fixture(scope="session")
+def graph_5_37(vset37):
+    return build_graph(5, 37, vset=vset37)
+
+
+@pytest.fixture(scope="session")
+def graph_5_163(vset163):
+    return build_graph(5, 163, vset=vset163)

@@ -13,7 +13,9 @@ here, unchanged apart from their imports:
   actions on path vectors;
 * ``brandt_matrix`` -- the dense vertex Brandt matrix, with the checks on
   ell that the package's dense view made, and ``dense`` for any sparse
-  Brandt rows (``ShimuraGraph.brandt_vertices`` and ``brandt_edges``).
+  Brandt rows (``ShimuraGraph.brandt_vertices`` and ``brandt_edges``);
+* ``neighbors_by_locate`` -- the ell-steps from a vertex by one ``locate``
+  per norm-ell ideal, the oracle for ``VertexSet.neighbors``.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from math import gcd
 from shimura_pq.compgroup import MGVertex, MultiGraph
 from shimura_pq.linalg import det_bareiss, solve_frac
 from shimura_pq.ntheory import is_prime
+from shimura_pq.quat import norm_ideals
 
 
 def make_multigraph(nvertices, edges):
@@ -134,3 +137,15 @@ def brandt_matrix(graph, ell):
     if graph.p % ell == 0 or graph.q % ell == 0:
         raise ValueError("ell must be coprime to pq")
     return dense(graph.brandt_vertices(ell))
+
+
+def neighbors_by_locate(vset, k, ell):
+    """List of (norm-ell ideal L of R_k, target class m, witness z) with
+    I_k * L = I_m * z, one ``locate`` of I_k * L per ideal."""
+    rec = vset.classes[k]
+    out = []
+    for lam in norm_ideals(rec.right_order, ell):
+        j = rec.ideal.mul(lam)
+        m, z = vset.locate(j)
+        out.append((lam, m, z))
+    return out

@@ -227,21 +227,38 @@ class TestCache:
         with open(path, "rb") as fh:
             assert fh.read() == good
 
-    @pytest.mark.parametrize("damage", ["length", "target", "wp_perm", "wq_perm"])
+    @pytest.mark.parametrize("damage", ["length", "target", "wp_perm", "wq_perm",
+                                        "norm", "right_order", "fingerprint", "weight"])
     def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
         # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
-        # edge 11, and edge 5 is the other edge from 0 to 1
+        # edge 11, and edge 5 is the other edge from 0 to 1.  Vertex 0 has
+        # weight 3 and norm 2, vertex 1 weight 2 and norm 1: swapping the
+        # weights keeps the mass.
         check = {"length": "edge mass formula violated",
                  "target": "w_p does not swap source and target",
                  "wp_perm": "w_p is not an involution on edges",
-                 "wq_perm": "w_q is not an involution on vertices"}[damage]
+                 "wq_perm": "w_q is not an involution on vertices",
+                 "norm": "vertex 1: norm 4 is not the reduced norm of its ideal",
+                 "right_order": "vertex 0: right_order is not the right order of its ideal",
+                 "fingerprint": "vertex 1: fingerprint does not match its ideal",
+                 "weight": "vertex 0: weight 2 is not half the unit count"}[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
             good = fh.read()
         payload = json.loads(good)
         assert [payload["edges"][4][k] for k in ("source", "target", "length")] == [0, 1, 1]
         assert payload["wp_perm"][4] == 11 and payload["wq_perm"] == [0, 1]
-        if damage == "length":
+        vertices = payload["vertices"]
+        assert [(v["weight"], v["norm"]) for v in vertices] == [(3, "2"), (2, "1")]
+        if damage == "norm":
+            vertices[1]["norm"] = "4"
+        elif damage == "right_order":
+            vertices[0]["right_order"] = vertices[1]["right_order"]
+        elif damage == "fingerprint":
+            vertices[1]["fingerprint"][2] += 1
+        elif damage == "weight":
+            vertices[0]["weight"], vertices[1]["weight"] = 2, 3
+        elif damage == "length":
             payload["edges"][4]["length"] = 2
         elif damage == "target":
             payload["edges"][4]["target"] = 0

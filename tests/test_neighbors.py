@@ -1,0 +1,44 @@
+"""Hecke neighbours by enumeration against neighbours by ``locate``.
+
+``VertexSet.neighbors`` reads the ell-steps from k to m off the vectors of
+norm ell n_k n_m in conj(I_m) I_k, and ``VertexSet.step_witness`` gives the
+witness of an edge from its z alone.  ``graph_oracle.neighbors_by_locate``
+is the path they replace: one ``locate`` of I_k L per norm-ell ideal L.
+Both must give the same ideals and targets, every z must be a witness, and
+every edge witness must be the one ``locate`` gives, since witnesses are
+stored in the graph cache.
+"""
+
+import pytest
+
+from graph_oracle import neighbors_by_locate
+
+GRAPHS = ["graph_5_23", "graph_13_11", "graph_13_47", "graph_5_37", "graph_5_163"]
+
+
+def _ells(graph):
+    return sorted({ell for ell in (2, 3, 5, 7) if ell != graph.q} | {graph.p})
+
+
+@pytest.mark.parametrize("fixture", GRAPHS)
+def test_neighbors_match_locate(fixture, request):
+    graph = request.getfixturevalue(fixture)
+    vset = graph.vset
+    for k, rec in enumerate(vset.classes):
+        for ell in _ells(graph):
+            fast = graph.vertex_neighbors(k, ell)
+            slow = neighbors_by_locate(vset, k, ell)
+            assert [(lam.key(), m) for lam, m, _ in fast] == [(lam.key(), m) for lam, m, _ in slow]
+            for lam, m, z in fast:
+                assert rec.ideal.mul(lam) == vset.classes[m].ideal.mul_elem(z)
+
+
+@pytest.mark.parametrize("fixture", GRAPHS)
+def test_step_witness_matches_locate(fixture, request):
+    graph = request.getfixturevalue(fixture)
+    vset = graph.vset
+    for e in graph.edges:
+        z = next(z for lam, _, z in graph.vertex_neighbors(e.source, graph.p) if lam == e.ideal)
+        t, y = vset.locate(vset.classes[e.source].ideal.mul(e.ideal))
+        assert (e.target, e.witness) == (t, y)
+        assert vset.step_witness(t, z) == y

@@ -224,16 +224,18 @@ class TestEquivalence:
 
 
 class TestNormIdeals:
-    def test_counts_and_oracle(self, vset23):
+    def test_counts_and_oracle(self, vset23, vset37):
         cases = [(O11, ell) for ell in (2, 3, 5)]
         # q = 37 = 1 mod 4: the maximal order comes from saturation (a != 1)
-        for vset in (vset23, vertex_classes(37)):
+        for vset in (vset23, vset37):
             cases += [(c.right_order, ell) for c in vset.classes for ell in (2, 3)]
         for order, ell in cases:
             fast = norm_ideals(order, ell)
             slow = norm_ideals_exhaustive(order, ell)
             assert len(fast) == ell + 1
             assert sorted(x.key() for x in fast) == sorted(x.key() for x in slow)
+            for ideal in fast:
+                assert ideal_norm(ideal, order) == ell
 
     def test_defining_properties(self):
         for ideal in norm_ideals(O47, 3):

@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from graph_oracle import brandt_matrix, dense
-from lattice_oracle import norm_ideals_exhaustive
 from shimura_pq.certify import genus
-from shimura_pq.quat import equiv_witness, ideal_norm, make_algebra, maximal_order, norm_ideals
+from shimura_pq.quat import equiv_witness, make_algebra, maximal_order
 from shimura_pq.ssgraph import build_graph, ss_oracle, vertex_classes
 
 
@@ -34,18 +33,6 @@ class TestVertexClasses:
         for vset in (vset47, vset11):
             perm = vset.wq_perm
             assert all(perm[perm[k]] == k for k in range(len(vset)))
-
-
-class TestNormIdealCounts:
-    def test_counts_match_exhaustive(self, vset11):
-        order = vset11.order
-        for ell in (2, 3, 5):
-            fast = norm_ideals(order, ell)
-            slow = norm_ideals_exhaustive(order, ell)
-            assert len(fast) == ell + 1
-            assert sorted(i.key() for i in fast) == sorted(i.key() for i in slow)
-            for ideal in fast:
-                assert ideal_norm(ideal, order) == ell
 
 
 class TestEdges:
@@ -127,6 +114,33 @@ class TestBrandt:
             for i in range(n):
                 for j in range(n):
                     assert mat[i][j] * w[j] == mat[j][i] * w[i]
+
+    @pytest.mark.parametrize("fixture", ["graph_5_37", "graph_5_163"])
+    def test_weighted_symmetry_beyond_47(self, fixture, request):
+        # each row is built from its own source vertex, so w_m B[k][m] =
+        # w_k B[m][k] is not there by construction; q = 37 is the a != 1 model
+        g = request.getfixturevalue(fixture)
+        w = g.vset.weights
+        n = len(w)
+        for ell in (2, 3, 5):
+            mat = dense(g.brandt_vertices(ell))
+            for k in range(n):
+                for m in range(n):
+                    assert w[m] * mat[k][m] == w[k] * mat[m][k]
+
+    @pytest.mark.parametrize("fixture", ["graph_13_47", "graph_5_37", "graph_5_163"])
+    def test_weighted_symmetry_at_p(self, fixture, request):
+        # B_p[k][m] counts the norm-p ideals at k whose edge lands at m
+        g = request.getfixturevalue(fixture)
+        w = g.vset.weights
+        n = len(w)
+        mat = [[0] * n for _ in range(n)]
+        for e in g.edges:
+            mat[e.source][e.target] += len(e.orbit)
+        assert mat == dense(g.brandt_vertices(g.p))
+        for k in range(n):
+            for m in range(n):
+                assert w[m] * mat[k][m] == w[k] * mat[m][k]
 
     def test_sparse_rows(self, graph_13_47):
         # the rows the Hecke towers read: sorted targets, no zero counts
