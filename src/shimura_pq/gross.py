@@ -177,13 +177,10 @@ def gross_shimura(graph, D):
 
 
 def graph_eichler_units(graph, i):
-    cache = getattr(graph, "_eichler_units", None)
-    if cache is None:
-        cache = {}
-        graph._eichler_units = cache
-    if i not in cache:
-        cache[i] = units(graph.edges[i].eichler)
-    return cache[i]
+    """``units`` of the Eichler order of edge i, in the same order: the
+    units of its source's right order that lie in it."""
+    e = graph.edges[i]
+    return [u for u in graph.vset.units_of(e.source) if u in e.eichler]
 
 
 def s_star(graph, v):

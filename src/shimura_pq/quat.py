@@ -14,9 +14,9 @@ over a reduced basis and maps each solution back to HNF coordinates.
 
 Duality is integer too: the HNF basis R is upper triangular, so
 R^-1 = adj(R)/det(R) with adj(R) integral by exact back-substitution, and
-the dual of R/d has basis d adj(R)^T/det(R).  Intersections and right
-orders are duals of integer constraint lattices.  No floating point
-is used anywhere.
+the dual of R/d has basis d adj(R)^T/det(R).  Right orders are duals of
+integer constraint lattices; membership, conjugation and the reduced
+discriminant stay in integers as well.  No floating point is used anywhere.
 """
 
 from dataclasses import dataclass
@@ -306,14 +306,6 @@ class Lattice:
             raise ValueError("lattice does not have full rank 4")
         return cls(alg, h, den)
 
-    @classmethod
-    def from_elements(cls, alg, elems):
-        den = 1
-        for e in elems:
-            den = den * e.den // gcd(den, e.den)
-        rows = [tuple(x * (den // e.den) for x in e.num) for e in elems]
-        return cls.from_int_rows(alg, rows, den)
-
     # -- basic data --------------------------------------------------------
     def basis(self):
         return [Quat(self.alg, r, self.den) for r in self.rows]
@@ -343,20 +335,18 @@ class Lattice:
 
     # -- membership ---------------------------------------------------------
     def coords_of(self, x):
-        """Integer coordinates of x in this basis, or None if x is outside."""
+        """Integer coordinates of x in this basis, or None if x is outside:
+        one exact back-substitution, as the HNF basis is upper triangular."""
         if x.alg != self.alg:
             raise ValueError("algebra mismatch")
-        v = [Fraction(n * self.den, x.den) for n in x.num]
-        c = [0, 0, 0, 0]
+        rows, den, xden = self.rows, self.den, x.den
+        c = []
         for idx in range(4):
-            piv = Fraction(self.rows[idx][idx])
-            t = (v[idx] - sum(c[r] * self.rows[r][idx] for r in range(idx))) / piv
-            if t.denominator != 1:
+            t = x.num[idx] * den - xden * sum(c[r] * rows[r][idx] for r in range(idx))
+            q, rem = divmod(t, xden * rows[idx][idx])
+            if rem:
                 return None
-            c[idx] = int(t)
-        for col in range(4):
-            if sum(c[r] * self.rows[r][col] for r in range(4)) * x.den != x.num[col] * self.den:
-                return None
+            c.append(q)
         return tuple(c)
 
     def __contains__(self, x):
@@ -392,9 +382,12 @@ class Lattice:
         return Lattice.from_int_rows(self.alg, rows, den)
 
     def conj_by(self, y):
-        yi = y.inv()
-        rows = [Quat(self.alg, r, self.den) for r in self.rows]
-        return Lattice.from_elements(self.alg, [y * r * yi for r in rows])
+        """y L y^-1.  With y^-1 = conj(y) / nrd(y) the denominator of y
+        cancels: the rows are y r conj(y) over den * nrd4(y)."""
+        mul4, yn = self.alg.mul4, y.num
+        yc = (yn[0], -yn[1], -yn[2], -yn[3])
+        rows = [mul4(mul4(yn, r), yc) for r in self.rows]
+        return Lattice.from_int_rows(self.alg, rows, self.den * self.alg.nrd4(yn))
 
     def index_in(self, other):
         """Generalized index [other : self] as a Fraction."""
@@ -497,18 +490,14 @@ def _adjugate(rows):
     return adj, det
 
 
-def _dual_basis(lat):
-    """Integer rows and denominator of a basis of {x : x . y in Z for all y
-    in lat}, for the dot product of coordinates.
+def _dual(lat):
+    """{x : x . y in Z for all y in lat}, for the dot product of coordinates.
 
     The basis is R/d with R the triangular HNF, so the dual basis is
     d (R^-1)^T = d adj(R)^T / det(R), with no rational arithmetic."""
     adj, det = _adjugate(lat.rows)
-    return [[lat.den * adj[c][r] for c in range(4)] for r in range(4)], det
-
-
-def _dual(lat):
-    return Lattice.from_int_rows(lat.alg, *_dual_basis(lat))
+    rows = [[lat.den * adj[c][r] for c in range(4)] for r in range(4)]
+    return Lattice.from_int_rows(lat.alg, rows, det)
 
 
 _UNIT_VECTORS = tuple(tuple(int(m == r) for m in range(4)) for r in range(4))
@@ -532,25 +521,18 @@ def right_order(lat):
     return _dual(Lattice.from_int_rows(lat.alg, functionals, det))
 
 
-def lattice_intersection(l1, l2):
-    """L1 meet L2 = (L1^# + L2^#)^#."""
-    (r1, d1), (r2, d2) = _dual_basis(l1), _dual_basis(l2)
-    den = lcm(d1, d2)
-    rows = [[x * (den // d1) for x in r] for r in r1] + [[x * (den // d2) for x in r] for r in r2]
-    return _dual(Lattice.from_int_rows(l1.alg, rows, den))
-
-
 # -- orders ------------------------------------------------------------------
 
 def reduced_discriminant(order):
-    basis = order.basis()
-    t = [[(x * y).trd() for y in basis] for x in basis]
-    den = lcm(*(v.denominator for r in t for v in r))
-    det = Fraction(det_bareiss([[int(v * den) for v in r] for r in t]), den ** 4)
-    d = frac_sqrt(abs(det))
-    if d is None or d.denominator != 1:
+    """sqrt |det trd(b_r b_s)|.  With b_r = R_r / d the trace form is the
+    integer matrix 2 (R_r R_s)_0 over d^2, so the root is an integer over d^4."""
+    mul4, rows = order.alg.mul4, order.rows
+    det = abs(det_bareiss([[2 * mul4(r, s)[0] for s in rows] for r in rows]))
+    root = isqrt(det)
+    scale = order.den ** 4
+    if root * root != det or root % scale:
         raise ArithmeticError("trace form determinant is not a perfect square")
-    return int(d)
+    return root // scale
 
 
 def is_order(lat):

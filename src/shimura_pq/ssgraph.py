@@ -19,7 +19,6 @@ from .quat import (
     Quat,
     equiv_witness,
     ideal_norm,
-    lattice_intersection,
     make_algebra,
     maximal_order,
     norm_ideals,
@@ -342,20 +341,15 @@ def _local_generator(ideal, order, p):
     return None
 
 
-def _orbit_partition(ideals, unit_list):
-    remaining = {ideal.key(): ideal for ideal in ideals}
-    orbits = []
-    while remaining:
-        key0 = min(remaining)
-        seed = remaining.pop(key0)
-        members = {key0: seed}
-        for u in unit_list:
-            conj = seed.conj_by(u)
-            members.setdefault(conj.key(), conj)
-        for k in members:
-            remaining.pop(k, None)
-        orbits.append([members[k] for k in sorted(members)])
-    return orbits
+def _orbit(ideal, unit_list):
+    """The u P u^-1 = P u^-1 over the units u of R_k, sorted by key; u and
+    -u give the same ideal, so one unit of each pair is used."""
+    members = {ideal.key(): ideal}  # u = +-1
+    for u in unit_list:
+        if u.num[1:] != (0, 0, 0) and u.num > tuple(-x for x in u.num):
+            lat = ideal.mul_elem(u)
+            members.setdefault(lat.key(), lat)
+    return tuple(members[key] for key in sorted(members))
 
 
 def build_graph(p, q, alg=None, vset=None):
@@ -367,26 +361,32 @@ def build_graph(p, q, alg=None, vset=None):
             raise ValueError(f"{v} is not a prime >= 5")
     if vset is None:
         vset = vertex_classes(q, alg)
+    one = Quat.one(vset.alg)
     edges = []
     for k, rec in enumerate(vset.classes):
-        steps = vset.neighbors(k, p)
-        targets = {lam.key(): (m, z) for lam, m, z in steps}
-        orbits = _orbit_partition([lam for lam, _, _ in steps], vset.units_of(k))
-        total = sum(len(o) for o in orbits)
-        if total != p + 1:
-            raise ArithmeticError("orbits do not cover the p+1 ideals")
-        for orbit in orbits:
-            rep = orbit[0]
-            eich = lattice_intersection(rec.right_order, right_order(rep))
-            length = unit_order(eich)
+        unit_list = vset.units_of(k)
+        steps = {lam.key(): (lam, m, z) for lam, m, z in vset.neighbors(k, p)}
+        covered = set()
+        for key in sorted(steps):
+            if key in covered:
+                continue
+            rep, t, z = steps[key]
+            orbit = _orbit(rep, unit_list)
+            covered.update(member.key() for member in orbit)
+            # The Eichler order R_k meet O_R(P) is Z + P: Z + P lies in both,
+            # as P P <= R_k P = P, and the discriminant check below shows it
+            # has index p in R_k, as R_k meet O_R(P) has.  Its units are the
+            # units of R_k in it, so length |orbit| = w_k checks the orbits.
+            eich = rep.add_elem(one)
+            length = sum(u in eich for u in unit_list) // 2
             if length * len(orbit) != rec.weight:
                 raise ArithmeticError("orbit-stabilizer mismatch at a vertex")
             if reduced_discriminant(eich) != p * q:
                 raise ArithmeticError("edge order does not have discriminant pq")
-            t, z = targets[rep.key()]
-            edges.append(Edge(source=k, ideal=rep, orbit=tuple(orbit), eichler=eich,
+            edges.append(Edge(source=k, ideal=rep, orbit=orbit, eichler=eich,
                               length=length, target=t, witness=vset.step_witness(t, z)))
-    edges.sort(key=lambda e: (e.source, e.ideal.key()))
+        if covered != steps.keys():
+            raise ArithmeticError("orbits do not cover the p+1 ideals")
     graph = ShimuraGraph(p, q, vset, edges)
     _attach_wp(graph)
     _attach_wq_edges(graph)
@@ -401,8 +401,10 @@ def validate_graph(graph):
     class record against its ideal (the norm, right order, weight and
     fingerprint that the neighbour search and ``locate`` trust), the vertex
     mass (q-1)/12, w_q an involution on vertices, the edge mass
-    (p+1)(q-1)/12, and w_p and w_q involutions on edges that keep lengths,
-    w_p swapping source and target and w_q moving both by w_q.
+    (p+1)(q-1)/12, w_p and w_q involutions on edges that keep lengths,
+    w_p swapping source and target and w_q moving both by w_q, and each edge
+    record against its ideal P: the Eichler order Z + P, the length (half
+    its unit count) and the orbit (the P u over the units u of the source).
     """
     p, q, edges, vset = graph.p, graph.q, graph.edges, graph.vset
     for k, rec in enumerate(vset.classes):
@@ -439,6 +441,16 @@ def validate_graph(graph):
             raise ArithmeticError("w_q does not preserve lengths")
         if moved.source != sigma[e.source] or moved.target != sigma[e.target]:
             raise ArithmeticError("w_q does not commute with the source and target maps")
+    one = Quat.one(vset.alg)
+    for i, e in enumerate(edges):
+        if e.eichler != e.ideal.add_elem(one):
+            raise ArithmeticError(f"edge {i}: eichler is not Z + its ideal")
+        unit_list = vset.units_of(e.source)
+        if 2 * e.length != sum(u in e.eichler for u in unit_list):
+            raise ArithmeticError(
+                f"edge {i}: length {e.length} is not half the unit count of its Eichler order")
+        if e.orbit != _orbit(e.ideal, unit_list):
+            raise ArithmeticError(f"edge {i}: orbit is not the set of its ideal times the units")
 
 
 def _attach_wp(graph):

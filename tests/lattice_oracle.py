@@ -14,7 +14,13 @@ code against them:
   ``Fraction`` matrix-vector push through the Brandt matrix;
 * ``brandt_edges(graph, ell)`` -- the edge Brandt matrix with each edge
   pushed as the lattice z (conj(L)/ell (L meet P)) z^-1, before the push
-  went through a local generator at p.
+  went through a local generator at p;
+* ``from_elements``, ``conj_by``, ``coords_of`` and
+  ``reduced_discriminant`` -- the ``Fraction`` lattice primitives of
+  ``quat`` from before they moved to integers (``conj_by`` through a
+  ``Fraction`` inverse of y, ``coords_of`` with a second verification pass,
+  the discriminant from the ``Fraction`` trace form of the ``Quat`` basis),
+  as functions of the lattice.
 
 It also holds ``norm_ideals_exhaustive``, the brute-force oracle for
 ``quat.norm_ideals`` (every index-ell^2 left submodule of reduced norm ell),
@@ -25,13 +31,12 @@ unchanged from ``linalg`` and ``quat``), ``frac_rows`` (the basis as
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from graph_oracle import dense
-from shimura_pq import quat
 from shimura_pq.gross import class_number, gross_modular, gross_shimura
-from shimura_pq.linalg import hnf_rows
-from shimura_pq.quat import Lattice, _line_reps, ideal_norm
+from shimura_pq.linalg import det_bareiss, frac_sqrt, hnf_rows
+from shimura_pq.quat import Lattice, Quat, _line_reps, ideal_norm
 
 
 # -- Fraction helpers ---------------------------------------------------------
@@ -150,6 +155,51 @@ def lattice_intersection(l1, l2):
     return dual_of_constraints(l1.alg, functionals)
 
 
+# -- Fraction lattice primitives ----------------------------------------------
+
+def from_elements(alg, elems):
+    den = 1
+    for e in elems:
+        den = den * e.den // gcd(den, e.den)
+    rows = [tuple(x * (den // e.den) for x in e.num) for e in elems]
+    return Lattice.from_int_rows(alg, rows, den)
+
+
+def conj_by(lat, y):
+    yi = y.inv()
+    rows = [Quat(lat.alg, r, lat.den) for r in lat.rows]
+    return from_elements(lat.alg, [y * r * yi for r in rows])
+
+
+def coords_of(lat, x):
+    """Integer coordinates of x in this basis, or None if x is outside."""
+    if x.alg != lat.alg:
+        raise ValueError("algebra mismatch")
+    v = [Fraction(n * lat.den, x.den) for n in x.num]
+    c = [0, 0, 0, 0]
+    for idx in range(4):
+        piv = Fraction(lat.rows[idx][idx])
+        t = (v[idx] - sum(c[r] * lat.rows[r][idx] for r in range(idx))) / piv
+        if t.denominator != 1:
+            return None
+        c[idx] = int(t)
+    for col in range(4):
+        if sum(c[r] * lat.rows[r][col] for r in range(4)) * x.den != x.num[col] * lat.den:
+            return None
+    return tuple(c)
+
+
+def reduced_discriminant(order):
+    basis = order.basis()
+    t = [[(x * y).trd() for y in basis] for x in basis]
+    den = lcm(*(v.denominator for r in t for v in r))
+    det = Fraction(det_bareiss([[int(v * den) for v in r] for r in t]), den ** 4)
+    d = frac_sqrt(abs(det))
+    if d is None or d.denominator != 1:
+        raise ArithmeticError("trace form determinant is not a perfect square")
+    return int(d)
+
+
 # -- conductor towers over Z[i] ---------------------------------------------------
 
 def gross_tower_modular(graph, ell, N):
@@ -210,7 +260,7 @@ def brandt_edges(graph, ell):
     for i, e in enumerate(graph.edges):
         for lam, m, z in graph.vertex_neighbors(e.source, ell):
             pushed = scale(lam.conj_lattice(), inv_ell).mul(
-                quat.lattice_intersection(lam, e.ideal)).conj_by(z)
+                lattice_intersection(lam, e.ideal)).conj_by(z)
             mat[i][graph.locate_edge(m, pushed)] += 1
     return mat
 

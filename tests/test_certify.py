@@ -228,7 +228,8 @@ class TestCache:
             assert fh.read() == good
 
     @pytest.mark.parametrize("damage", ["length", "target", "wp_perm", "wq_perm",
-                                        "norm", "right_order", "fingerprint", "weight"])
+                                        "norm", "right_order", "fingerprint", "weight",
+                                        "eichler", "orbit"])
     def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
         # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
         # edge 11, and edge 5 is the other edge from 0 to 1.  Vertex 0 has
@@ -241,7 +242,9 @@ class TestCache:
                  "norm": "vertex 1: norm 4 is not the reduced norm of its ideal",
                  "right_order": "vertex 0: right_order is not the right order of its ideal",
                  "fingerprint": "vertex 1: fingerprint does not match its ideal",
-                 "weight": "vertex 0: weight 2 is not half the unit count"}[damage]
+                 "weight": "vertex 0: weight 2 is not half the unit count",
+                 "eichler": "edge 4: eichler is not Z + its ideal",
+                 "orbit": "edge 4: orbit is not the set of its ideal times the units"}[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
             good = fh.read()
@@ -260,6 +263,10 @@ class TestCache:
             vertices[0]["weight"], vertices[1]["weight"] = 2, 3
         elif damage == "length":
             payload["edges"][4]["length"] = 2
+        elif damage == "eichler":
+            payload["edges"][4]["eichler"] = payload["edges"][5]["eichler"]
+        elif damage == "orbit":
+            payload["edges"][4]["orbit"][-1] = payload["edges"][5]["ideal"]
         elif damage == "target":
             payload["edges"][4]["target"] = 0
         elif damage == "wp_perm":

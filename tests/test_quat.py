@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_oracle import norm_ideals_exhaustive, scale
+from lattice_oracle import from_elements, lattice_intersection, norm_ideals_exhaustive, scale
 from shimura_pq.ntheory import ramified_primes
 from shimura_pq.ssgraph import vertex_classes
 from shimura_pq.quat import (
@@ -14,7 +14,6 @@ from shimura_pq.quat import (
     equiv_witness,
     ideal_norm,
     is_order,
-    lattice_intersection,
     make_algebra,
     maximal_order,
     norm_ideals,
@@ -83,7 +82,7 @@ class TestMaximalOrder:
         i = Quat(B47, (0, 1, 0, 0))
         half_1j = Quat(B47, (1, 0, 1, 0), 2)
         half_ik = Quat(B47, (0, 1, 0, 1), 2)
-        expected = Lattice.from_elements(B47, [Quat.one(B47), i, half_1j, half_ik])
+        expected = from_elements(B47, [Quat.one(B47), i, half_1j, half_ik])
         assert O47 == expected
 
     def test_integrality_of_all_products(self):
