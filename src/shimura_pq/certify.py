@@ -41,7 +41,7 @@ from .linalg import hnf_rows, solve_frac
 from .ntheory import is_prime, kronecker, primes_from
 from .quat import Lattice, Quat, make_algebra
 from .ssgraph import (Edge, ShimuraGraph, VertexClass, VertexSet, build_graph, ss_oracle,
-                      validate_graph)
+                      validate_graph, validate_records)
 
 CACHE_VERSION = 1
 CACHE_ENV = "CRITERION_CACHE_DIR"
@@ -324,6 +324,7 @@ def graph_from_payload(payload):
     graph.wp_perm = list(payload["wp_perm"])
     graph.wq_edge_perm = list(payload["wq_edge_perm"])
     validate_graph(graph)
+    validate_records(graph)
     return graph
 
 

@@ -99,12 +99,21 @@ def optimal_embeddings(order, D, unit_list=None):
     nrd(x) = (t0^2 - D)/4 (t0 = D mod 2); it is optimal unless the induced
     generator of some conductor-divided order also lies in the lattice.
     """
+    return _count_optimal(order, D, _embedding_candidates(order, D), unit_list)
+
+
+def _embedding_candidates(order, D):
+    """The x in order with trd(x) = t0 and nrd(x) = (t0^2 - D)/4, by key."""
     validate_discriminant(D)
     t0 = D % 2
-    n0 = (t0 - D) // 4
-    cands = order.norm_vectors(n0, trace=Fraction(t0))
+    return order.norm_vectors((t0 - D) // 4, trace=Fraction(t0))
+
+
+def _count_optimal(order, D, cands, unit_list):
+    """Unit-conjugation orbits of the candidates that are optimal in order."""
     if not cands:
         return 0
+    t0 = D % 2
     _, f = conductor_split(D)
     for ell in prime_factors(f):
         t1 = (D // (ell * ell)) % 2
@@ -169,11 +178,24 @@ def gross_modular(vset, D):
 
 
 def gross_shimura(graph, D):
-    """Edge vector with coefficient (embeddings into End(e)) / length(e)."""
-    return tuple(
-        Fraction(optimal_embeddings(e.eichler, D, graph_eichler_units(graph, i)), e.length)
-        for i, e in enumerate(graph.edges)
-    )
+    """Edge vector with coefficient (embeddings into End(e)) / length(e).
+
+    The Eichler order of an edge (k, P) is Z + P, which lies in R_k, so its
+    embedding candidates (the x with the trace and norm of a generator of
+    the order of discriminant D) are the candidates of R_k that lie in
+    Z + P.  One search per vertex serves all its p+1 edges; optimality and
+    the orbits under the units are then counted in the Eichler order, as
+    ``optimal_embeddings`` counts them."""
+    by_vertex = {}
+    out = []
+    for i, e in enumerate(graph.edges):
+        k = e.source
+        if k not in by_vertex:
+            by_vertex[k] = _embedding_candidates(graph.vset.classes[k].right_order, D)
+        cands = [x for x in by_vertex[k] if x in e.eichler]
+        count = _count_optimal(e.eichler, D, cands, graph_eichler_units(graph, i)) if cands else 0
+        out.append(Fraction(count, e.length))
+    return tuple(out)
 
 
 def graph_eichler_units(graph, i):

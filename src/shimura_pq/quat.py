@@ -339,15 +339,37 @@ class Lattice:
         one exact back-substitution, as the HNF basis is upper triangular."""
         if x.alg != self.alg:
             raise ValueError("algebra mismatch")
-        rows, den, xden = self.rows, self.den, x.den
-        c = []
-        for idx in range(4):
-            t = x.num[idx] * den - xden * sum(c[r] * rows[r][idx] for r in range(idx))
-            q, rem = divmod(t, xden * rows[idx][idx])
-            if rem:
-                return None
-            c.append(q)
-        return tuple(c)
+        return self._coords(x.num, x.den)
+
+    def _coords(self, num, xden):
+        """coords_of for the element num / xden, written out on the four
+        columns of the triangular basis."""
+        (a0, a1, a2, a3), (_, b1, b2, b3), (_, _, c2, c3), (_, _, _, d3) = self.rows
+        den = self.den
+        n0, n1, n2, n3 = num
+        q0, rem = divmod(n0 * den, xden * a0)
+        if rem:
+            return None
+        q1, rem = divmod(n1 * den - xden * q0 * a1, xden * b1)
+        if rem:
+            return None
+        q2, rem = divmod(n2 * den - xden * (q0 * a2 + q1 * b2), xden * c2)
+        if rem:
+            return None
+        q3, rem = divmod(n3 * den - xden * (q0 * a3 + q1 * b3 + q2 * c3), xden * d3)
+        if rem:
+            return None
+        return (q0, q1, q2, q3)
+
+    def coords_in(self, other):
+        """The integer matrix C with (this basis) = C (other's basis), or None
+        if this lattice is not inside other.  Both bases are upper
+        triangular, so C is too, and the index [other : self] is the
+        product of its diagonal."""
+        if other.alg != self.alg:
+            raise ValueError("algebra mismatch")
+        coords = [other._coords(r, self.den) for r in self.rows]
+        return None if None in coords else coords
 
     def __contains__(self, x):
         return self.coords_of(x) is not None

@@ -11,7 +11,7 @@ through the two-sided norm-q ideal (w_q).
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .ntheory import is_prime
 from .quat import (
@@ -242,15 +242,22 @@ class ShimuraGraph:
         self.q = q
         self.vset = vset
         self.edges = edges
+        # (vertex k, image of P in R_k / p R_k) -> edge, for each orbit member
+        # P; a member that does not lie between p R_k and R_k (a damaged
+        # cache) gets no entry, and ``validate_records`` names it
         self._edge_lookup = {}
         for i, e in enumerate(edges):
+            order = vset.classes[e.source].right_order
             for member in e.orbit:
-                self._edge_lookup[(e.source, member.key())] = i
+                image = _residue_image(order, member, p)
+                if image is not None:
+                    self._edge_lookup[(e.source, image)] = i
         self.wp_perm = None
         self.wq_edge_perm = None
         self._neighbors = {}
         self._brandt_v = {}
         self._brandt_e = {}
+        self._right_mult = {}
 
     def __len__(self):
         return len(self.edges)
@@ -263,10 +270,10 @@ class ShimuraGraph:
         return sum(Fraction(1, e.length) for e in self.edges)
 
     def locate_edge(self, vertex, ideal):
-        key = (vertex, ideal.key())
-        if key not in self._edge_lookup:
+        image = _residue_image(self.vset.classes[vertex].right_order, ideal, self.p)
+        if (vertex, image) not in self._edge_lookup:
             raise ArithmeticError("edge lattice not found at vertex")
-        return self._edge_lookup[key]
+        return self._edge_lookup[(vertex, image)]
 
     # -- vertex-level Hecke neighbors, cached ------------------------------
     def vertex_neighbors(self, k, ell):
@@ -285,6 +292,17 @@ class ShimuraGraph:
                 for k in range(len(self.vset))]
         return self._brandt_v[ell]
 
+    def _right_mult_mod_p(self, m):
+        """table[s]: the coordinates mod p of b_0 b_s, ..., b_3 b_s over the
+        basis b of R_m, one flat tuple, so the rows of beta = sum_s c_s b_s
+        acting on R_m / p R_m by right multiplication are sum_s c_s table[s]."""
+        if m not in self._right_mult:
+            order = self.vset.classes[m].right_order
+            basis = order.basis()
+            self._right_mult[m] = [tuple(x % self.p for br in basis
+                                         for x in order.coords_of(br * bs)) for bs in basis]
+        return self._right_mult[m]
+
     def brandt_edges(self, ell):
         """Sparse rows of T_ell on edges, as ``brandt_vertices``: row i
         counts the ell-steps from edge i landing on each edge.
@@ -296,9 +314,12 @@ class ShimuraGraph:
         prime.  Take alpha in P outside p R_k: it generates P at p, and
         ell alpha lies in ell R_k, which is inside O_R(L).  With
         z O_R(L) z^-1 = R_m the pushed ideal is therefore
-        R_m beta + p R_m, beta = z (ell alpha) z^-1: one conjugation and
-        one 8-row HNF per step, and the same canonical key as the product
-        of lattices.
+        R_m beta + p R_m, beta = z (ell alpha) z^-1.  It contains p R_m, as
+        every norm-p left ideal of R_m does, so it is fixed by its image in
+        R_m / p R_m = F_p^4: the span mod p of the coordinates of the
+        r beta over the basis r of R_m, which is the key of ``_edge_lookup``.
+        One conjugation, one back-substitution (the coordinates of beta) and
+        the multiplication table of R_m mod p per step, no lattice.
         """
         if ell not in self._brandt_e:
             p, alg, classes = self.p, self.vset.alg, self.vset.classes
@@ -315,12 +336,15 @@ class ShimuraGraph:
                     # z^-1 = conj(z) / nrd(z), so the denominator of z cancels in beta
                     zn = z.num
                     beta = alg.mul4(alg.mul4(zn, ell_alpha), (zn[0], -zn[1], -zn[2], -zn[3]))
-                    bden = alpha.den * alg.nrd4(zn)
-                    rm = classes[m].right_order
-                    rows = [alg.mul4(r, beta) for r in rm.rows]
-                    rows += [tuple(p * bden * x for x in r) for r in rm.rows]
-                    pushed = Lattice.from_int_rows(alg, rows, rm.den * bden)
-                    j = self._edge_lookup.get((m, pushed.key()))
+                    c = classes[m].right_order.coords_of(
+                        Quat(alg, beta, alpha.den * alg.nrd4(zn)))
+                    image = None
+                    if c is not None:
+                        c0, c1, c2, c3 = c
+                        flat = [c0 * a + c1 * b + c2 * d + c3 * f
+                                for a, b, d, f in zip(*self._right_mult_mod_p(m))]
+                        image = _rref_mod([flat[0:4], flat[4:8], flat[8:12], flat[12:16]], p)
+                    j = self._edge_lookup.get((m, image))
                     if j is None:
                         raise ArithmeticError(
                             f"edge {i}: its ell={ell} step lands on no edge ideal at "
@@ -339,6 +363,40 @@ def _local_generator(ideal, order, p):
         if order.coords_of(x / p) is None:
             return x
     return None
+
+
+def _rref_mod(rows, p):
+    """The nonzero rows of the reduced row echelon form of rows over F_p,
+    as a tuple of tuples: equal exactly when the spans mod p are equal."""
+    rows = [[x % p for x in r] for r in rows]
+    out = []
+    for col in range(len(rows[0])):
+        for idx, r in enumerate(rows):
+            if r[col]:
+                break
+        else:
+            continue
+        piv = rows.pop(idx)
+        inv = pow(piv[col], -1, p)
+        piv = [x * inv % p for x in piv]
+        for r in rows + out:
+            f = r[col]
+            if f:
+                r[:] = [(x - f * y) % p for x, y in zip(r, piv)]
+        out.append(piv)
+    return tuple(tuple(r) for r in out)
+
+
+def _residue_image(order, lat, p):
+    """The image of lat in order / p order (``_rref_mod`` of its basis
+    coordinates) if p order <= lat <= order with index p^2, as for a
+    norm-p left ideal of a maximal order, else None.  Such a lattice is the
+    preimage of its image, so the image determines it."""
+    coords = lat.coords_in(order)
+    if coords is None or prod(coords[i][i] for i in range(4)) != p * p:
+        return None
+    image = _rref_mod(coords, p)
+    return image if len(image) == 2 else None
 
 
 def _orbit(ideal, unit_list):
@@ -395,28 +453,14 @@ def build_graph(p, q, alg=None, vset=None):
 
 
 def validate_graph(graph):
-    """Raise ArithmeticError naming the first invariant the graph breaks.
+    """Raise ArithmeticError naming the first graph invariant it breaks.
 
-    Every built graph and every graph loaded from the cache is checked: each
-    class record against its ideal (the norm, right order, weight and
-    fingerprint that the neighbour search and ``locate`` trust), the vertex
-    mass (q-1)/12, w_q an involution on vertices, the edge mass
+    Run on every built graph and every graph loaded from the cache: the
+    vertex mass (q-1)/12, w_q an involution on vertices, the edge mass
     (p+1)(q-1)/12, w_p and w_q involutions on edges that keep lengths,
-    w_p swapping source and target and w_q moving both by w_q, and each edge
-    record against its ideal P: the Eichler order Z + P, the length (half
-    its unit count) and the orbit (the P u over the units u of the source).
+    w_p swapping source and target and w_q moving both by w_q.
     """
     p, q, edges, vset = graph.p, graph.q, graph.edges, graph.vset
-    for k, rec in enumerate(vset.classes):
-        if ideal_norm(rec.ideal, vset.order) != rec.norm:
-            raise ArithmeticError(f"vertex {k}: norm {rec.norm} is not the reduced norm of its ideal")
-        if right_order(rec.ideal) != rec.right_order:
-            raise ArithmeticError(f"vertex {k}: right_order is not the right order of its ideal")
-        if len(vset.units_of(k)) // 2 != rec.weight:
-            raise ArithmeticError(
-                f"vertex {k}: weight {rec.weight} is not half the unit count of its right order")
-        if _fingerprint(rec.ideal, rec.norm) != rec.fingerprint:
-            raise ArithmeticError(f"vertex {k}: fingerprint does not match its ideal")
     mass = vset.mass()
     if mass != Fraction(q - 1, 12):
         raise ArithmeticError(f"mass formula violated: {mass} != ({q}-1)/12")
@@ -441,16 +485,57 @@ def validate_graph(graph):
             raise ArithmeticError("w_q does not preserve lengths")
         if moved.source != sigma[e.source] or moved.target != sigma[e.target]:
             raise ArithmeticError("w_q does not commute with the source and target maps")
+
+
+def validate_records(graph):
+    """Raise ArithmeticError naming the first record that does not match
+    what it is derived from.
+
+    A build derives these records and so needs no check; a graph loaded
+    from the cache is checked here, after ``validate_graph``.  Each class
+    record against its ideal: the norm, right order, weight and fingerprint
+    that the neighbour search and ``locate`` trust.  Each edge record
+    against its ideal P: P lies between p R_k and R_k with index p^2, as a
+    norm-p left ideal of the source R_k does (``brandt_edges`` and
+    ``gross_shimura`` rely on it); the Eichler order Z + P; the length (half
+    its unit count); the orbit, the P u over the units u of R_k, which then
+    lie between p R_k = p R_k u and R_k = R_k u as well.  Last, the p+1
+    norm-p ideals of each R_k: the orbits at k have p+1 members, with p+1
+    distinct images mod p (the keys of ``_edge_lookup``).
+    """
+    p, edges, vset = graph.p, graph.edges, graph.vset
+    for k, rec in enumerate(vset.classes):
+        if ideal_norm(rec.ideal, vset.order) != rec.norm:
+            raise ArithmeticError(f"vertex {k}: norm {rec.norm} is not the reduced norm of its ideal")
+        if right_order(rec.ideal) != rec.right_order:
+            raise ArithmeticError(f"vertex {k}: right_order is not the right order of its ideal")
+        if len(vset.units_of(k)) // 2 != rec.weight:
+            raise ArithmeticError(
+                f"vertex {k}: weight {rec.weight} is not half the unit count of its right order")
+        if _fingerprint(rec.ideal, rec.norm) != rec.fingerprint:
+            raise ArithmeticError(f"vertex {k}: fingerprint does not match its ideal")
     one = Quat.one(vset.alg)
+    members = Counter()
     for i, e in enumerate(edges):
+        k = e.source
+        if _residue_image(vset.classes[k].right_order, e.ideal, p) is None:
+            raise ArithmeticError(
+                f"edge {i}: ideal does not lie between {p} R_{k} and R_{k} with index {p}^2")
         if e.eichler != e.ideal.add_elem(one):
             raise ArithmeticError(f"edge {i}: eichler is not Z + its ideal")
-        unit_list = vset.units_of(e.source)
+        unit_list = vset.units_of(k)
         if 2 * e.length != sum(u in e.eichler for u in unit_list):
             raise ArithmeticError(
                 f"edge {i}: length {e.length} is not half the unit count of its Eichler order")
         if e.orbit != _orbit(e.ideal, unit_list):
             raise ArithmeticError(f"edge {i}: orbit is not the set of its ideal times the units")
+        members[k] += len(e.orbit)
+    images = Counter(k for k, _ in graph._edge_lookup)
+    for k in range(len(vset)):
+        if members[k] != p + 1 or images[k] != p + 1:
+            raise ArithmeticError(
+                f"vertex {k}: its edge orbits have {members[k]} members with {images[k]} "
+                f"distinct images mod {p}, not {p + 1}")
 
 
 def _attach_wp(graph):
@@ -473,8 +558,8 @@ def _attach_wq_edges(graph):
 
 # -- independent supersingular count -------------------------------------------
 
-def _fq2_ops(q):
-    d = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
+def _fq2_ops(q, d):
+    """Product and inverse in F_{q^2} = F_q(sqrt d), on pairs (u, v) = u + v sqrt d."""
 
     def mul(x, y):
         u1, v1 = x
@@ -496,32 +581,33 @@ def ss_oracle(q):
     Roots of the Hasse polynomial sum C(m,i)^2 x^i (m = (q-1)/2) over F_{q^2}
     are the supersingular Legendre parameters; they map to j-invariants by
     j = 256 (x^2-x+1)^3 / (x^2 (x-1)^2).  Entirely independent of the
-    quaternion machinery.
+    quaternion machinery.  The Horner step acc <- acc lam + c, the inner
+    loop over about q^2/2 parameters lam, is written out on the two
+    coordinates of acc.
     """
     if not is_prime(q) or q < 5:
         raise ValueError(f"q must be a prime >= 5, got {q}")
     m = (q - 1) // 2
     coeffs = [comb(m, i) ** 2 % q for i in range(m + 1)]
     coeffs.reverse()  # Horner from the top degree
-    mul, inv = _fq2_ops(q)
-
-    def hasse(lam):
-        acc = (0, 0)
-        for c in coeffs:
-            acc = mul(acc, lam)
-            acc = ((acc[0] + c) % q, acc[1])
-        return acc
-
+    d = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
     roots = []
     for u in range(q):
-        if hasse((u, 0)) == (0, 0):
+        a = 0
+        for c in coeffs:
+            a = (a * u + c) % q
+        if a == 0:
             roots.append((u, 0))
     for v in range(1, (q - 1) // 2 + 1):
+        dv = d * v
         for u in range(q):
-            lam = (u, v)
-            if hasse(lam) == (0, 0):
-                roots.append(lam)
+            a = b = 0
+            for c in coeffs:
+                a, b = (a * u + b * dv + c) % q, (a * v + b * u) % q
+            if a == 0 and b == 0:
+                roots.append((u, v))
                 roots.append((u, (q - v) % q))
+    mul, inv = _fq2_ops(q, d)
     jset = set()
     for lam in roots:
         lam2 = mul(lam, lam)

@@ -74,6 +74,11 @@ def graph_5_23(vset23):
 
 
 @pytest.fixture(scope="session")
+def graph_7_23(vset23):
+    return build_graph(7, 23, vset=vset23)
+
+
+@pytest.fixture(scope="session")
 def graph_13_11(vset11):
     return build_graph(13, 11, vset=vset11)
 

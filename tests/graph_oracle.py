@@ -15,14 +15,19 @@ here, unchanged apart from their imports:
   ell that the package's dense view made, and ``dense`` for any sparse
   Brandt rows (``ShimuraGraph.brandt_vertices`` and ``brandt_edges``);
 * ``neighbors_by_locate`` -- the ell-steps from a vertex by one ``locate``
-  per norm-ell ideal, the oracle for ``VertexSet.neighbors``.
+  per norm-ell ideal, the oracle for ``VertexSet.neighbors``;
+* ``gross_shimura_per_edge`` -- the edge Gross vector by one embedding
+  search in each Eichler order, the oracle for ``gross.gross_shimura``;
+* ``ss_oracle_reference`` -- the supersingular count with one function call
+  per F_{q^2} product, the oracle for ``ssgraph.ss_oracle``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from shimura_pq.compgroup import MGVertex, MultiGraph
+from shimura_pq.gross import graph_eichler_units, optimal_embeddings
 from shimura_pq.linalg import det_bareiss, solve_frac
 from shimura_pq.ntheory import is_prime
 from shimura_pq.quat import norm_ideals
@@ -149,3 +154,64 @@ def neighbors_by_locate(vset, k, ell):
         m, z = vset.locate(j)
         out.append((lam, m, z))
     return out
+
+
+def gross_shimura_per_edge(graph, D):
+    """Edge vector with coefficient (embeddings into End(e)) / length(e),
+    one ``optimal_embeddings`` search in each Eichler order."""
+    return tuple(
+        Fraction(optimal_embeddings(e.eichler, D, graph_eichler_units(graph, i)), e.length)
+        for i, e in enumerate(graph.edges)
+    )
+
+
+def ss_oracle_reference(q):
+    """``ssgraph.ss_oracle`` as it was before its Horner step was written
+    out: every F_{q^2} product is a call of ``mul``, which with ``inv`` is
+    the package's ``_fq2_ops``."""
+    if not is_prime(q) or q < 5:
+        raise ValueError(f"q must be a prime >= 5, got {q}")
+    m = (q - 1) // 2
+    coeffs = [comb(m, i) ** 2 % q for i in range(m + 1)]
+    coeffs.reverse()  # Horner from the top degree
+    d = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
+
+    def mul(x, y):
+        u1, v1 = x
+        u2, v2 = y
+        return ((u1 * u2 + d * v1 * v2) % q, (u1 * v2 + u2 * v1) % q)
+
+    def inv(x):
+        u, v = x
+        n = (u * u - d * v * v) % q
+        ninv = pow(n, -1, q)
+        return (u * ninv % q, (-v) * ninv % q)
+
+    def hasse(lam):
+        acc = (0, 0)
+        for c in coeffs:
+            acc = mul(acc, lam)
+            acc = ((acc[0] + c) % q, acc[1])
+        return acc
+
+    roots = []
+    for u in range(q):
+        if hasse((u, 0)) == (0, 0):
+            roots.append((u, 0))
+    for v in range(1, (q - 1) // 2 + 1):
+        for u in range(q):
+            lam = (u, v)
+            if hasse(lam) == (0, 0):
+                roots.append(lam)
+                roots.append((u, (q - v) % q))
+    jset = set()
+    for lam in roots:
+        lam2 = mul(lam, lam)
+        num = ((lam2[0] - lam[0] + 1) % q, (lam2[1] - lam[1]) % q)
+        num3 = mul(mul(num, num), num)
+        den = mul(lam2, ((lam[0] - 1) % q, lam[1]))
+        den = mul(den, ((lam[0] - 1) % q, lam[1]))
+        j = mul(((256 % q) * num3[0] % q, (256 % q) * num3[1] % q), inv(den))
+        jset.add(j)
+    rational = sum(1 for j in jset if j[1] == 0)
+    return len(jset), rational

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from lattice_oracle import scale
 from shimura_pq import certify
 from shimura_pq.certify import (
     CACHE_VERSION,
+    _lat_payload,
     build_cycle,
     cache_load,
     cache_path,
@@ -23,6 +25,7 @@ from shimura_pq.certify import (
     run_criterion,
 )
 from shimura_pq.gross import gross_tower_modular, tower_class_number, unit_count
+from shimura_pq.quat import Quat
 from shimura_pq.ssgraph import build_graph
 
 
@@ -229,12 +232,15 @@ class TestCache:
 
     @pytest.mark.parametrize("damage", ["length", "target", "wp_perm", "wq_perm",
                                         "norm", "right_order", "fingerprint", "weight",
-                                        "eichler", "orbit"])
+                                        "eichler", "orbit", "p_times_ideal",
+                                        "foreign_ideal"])
     def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
         # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
-        # edge 11, and edge 5 is the other edge from 0 to 1.  Vertex 0 has
-        # weight 3 and norm 2, vertex 1 weight 2 and norm 1: swapping the
-        # weights keeps the mass.
+        # edge 11, and edge 5 is the other edge from 0 to 1; edge 6 starts at
+        # vertex 1.  Vertex 0 has weight 3 and norm 2, vertex 1 weight 2 and
+        # norm 1: swapping the weights keeps the mass.  13 P, with its orbit
+        # and Eichler order Z + 13 P, is consistent in every other record,
+        # so only the check that P lies between 13 R_0 and R_0 rejects it.
         check = {"length": "edge mass formula violated",
                  "target": "w_p does not swap source and target",
                  "wp_perm": "w_p is not an involution on edges",
@@ -244,7 +250,9 @@ class TestCache:
                  "fingerprint": "vertex 1: fingerprint does not match its ideal",
                  "weight": "vertex 0: weight 2 is not half the unit count",
                  "eichler": "edge 4: eichler is not Z + its ideal",
-                 "orbit": "edge 4: orbit is not the set of its ideal times the units"}[damage]
+                 "orbit": "edge 4: orbit is not the set of its ideal times the units",
+                 "p_times_ideal": "edge 4: ideal does not lie between 13 R_0 and R_0",
+                 "foreign_ideal": "edge 4: ideal does not lie between 13 R_0 and R_0"}[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
             good = fh.read()
@@ -267,6 +275,14 @@ class TestCache:
             payload["edges"][4]["eichler"] = payload["edges"][5]["eichler"]
         elif damage == "orbit":
             payload["edges"][4]["orbit"][-1] = payload["edges"][5]["ideal"]
+        elif damage == "p_times_ideal":
+            edge = graph_13_11.edges[4]
+            one = Quat.one(graph_13_11.vset.alg)
+            payload["edges"][4]["ideal"] = _lat_payload(scale(edge.ideal, 13))
+            payload["edges"][4]["orbit"] = [_lat_payload(scale(m, 13)) for m in edge.orbit]
+            payload["edges"][4]["eichler"] = _lat_payload(scale(edge.ideal, 13).add_elem(one))
+        elif damage == "foreign_ideal":
+            payload["edges"][4]["ideal"] = payload["edges"][6]["ideal"]
         elif damage == "target":
             payload["edges"][4]["target"] = 0
         elif damage == "wp_perm":

@@ -24,6 +24,11 @@ CHECK_HASHES = {
     # constants through Lattice.coords_of
     (5, 37): ("ea6e86ef35a3c0f85224efcd6fd5d916f25b82abbcb63891ab272af1008fd67c",
               "40040f8de6d50fafd0916df063dc017ece8c555bc1f1fa342bff88adb0516eb8"),
+    # p = 7 = 3 mod 4, so (-4|7) = -1: Z[i] embeds in no Eichler order of
+    # level 7 and every edge gamma_{-4} is zero; recorded before the edge
+    # vectors were filtered from one embedding search per vertex
+    (7, 23): ("90f796cd55dce6b6963f72737df2f8bc92eb433d062543ea6a3c0968a231d287",
+              "3b86f166011915592d023204f931baddf1129343940ed63eeca5bb3eeab3d33e"),
 }
 WARM_13_47_L5_HASH = "17179ba22c20d47f5e00d81dbe849140d6b59e26c0e0a214262b32bc215e309d"
 EXIT2_29_47_HASHES = ("36d8371b1d6271a2cce3808ab3aff4bddf5837986c3ab776ed3c190b3bf6ee91",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import apply_wp, apply_wq_edges
+from graph_oracle import apply_wp, apply_wq_edges, gross_shimura_per_edge
 from shimura_pq.gross import (
     class_number,
     conductor_split,
@@ -100,6 +100,20 @@ class TestOptimalEmbeddings:
                 for i, e in enumerate(g.edges)
             )
             assert edge_total == (1 - kronecker(d, 47)) * (1 + kronecker(d, 13)) * h
+
+
+EDGE_GRAPHS = [(5, 23), (13, 11), (13, 47), (29, 47), (5, 37), (5, 163), (7, 23)]
+
+
+@pytest.mark.parametrize("p,q", EDGE_GRAPHS)
+def test_edge_vectors_match_per_edge_search(p, q, request):
+    """One embedding search per vertex, filtered to each Eichler order Z + P,
+    gives the vector of one search per Eichler order: every D with
+    |D| <= 120 (q | D, p | D and p | conductor among them), -4p^2 and -3p^2."""
+    graph = request.getfixturevalue(f"graph_{p}_{q}")
+    discs = [d for d in range(-3, -121, -1) if d % 4 in (0, 1)] + [-4 * p * p, -3 * p * p]
+    for d in discs:
+        assert gross_shimura(graph, d) == gross_shimura_per_edge(graph, d), d
 
 
 class TestGrossVectors:

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from graph_oracle import brandt_matrix, dense
+from graph_oracle import brandt_matrix, dense, ss_oracle_reference
 from shimura_pq.certify import genus
+from shimura_pq.ntheory import is_prime
 from shimura_pq.quat import equiv_witness, make_algebra, maximal_order
 from shimura_pq.ssgraph import build_graph, ss_oracle, vertex_classes
 
@@ -225,6 +226,11 @@ class TestSsOracle:
     def test_count_is_genus_plus_one(self):
         for q in (11, 13, 23, 31, 59):
             assert ss_oracle(q)[0] == genus(q) + 1
+
+    def test_matches_reference(self):
+        for q in range(5, 151):
+            if is_prime(q):
+                assert ss_oracle(q) == ss_oracle_reference(q), q
 
 
 class TestModelIndependence:
