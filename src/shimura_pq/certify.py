@@ -386,8 +386,15 @@ CHECK_ORDER = [
 
 
 def run_criterion(p, q, l=None, n_max=None, cache_dir=None, override=False):
-    """Execute the whole pipeline for (p, q) and return the certificate dict."""
+    """Execute the whole pipeline for (p, q) and return the certificate dict.
+
+    The pair, the auxiliary prime l and the depth n_max are checked before
+    the graph is built, so bad input fails at once, naming its flag."""
     _validate_pair(p, q)
+    if l is not None and (l in (p, q) or not is_prime(l)):
+        raise ValueError(f"--l must be a prime distinct from p and q, got {l}")
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"--max-n must be a positive tower depth, got {n_max}")
     ogg = check_ogg(p, q)
     hard_unmet = []
     if q <= 245:

@@ -15,8 +15,8 @@ over a reduced basis and maps each solution back to HNF coordinates.
 Duality is integer too: the HNF basis R is upper triangular, so
 R^-1 = adj(R)/det(R) with adj(R) integral by exact back-substitution, and
 the dual of R/d has basis d adj(R)^T/det(R).  Right orders are duals of
-integer constraint lattices; membership, conjugation and the reduced
-discriminant stay in integers as well.  No floating point is used anywhere.
+integer constraint lattices; membership and the reduced discriminant stay
+in integers as well.  No floating point is used anywhere.
 """
 
 from dataclasses import dataclass
@@ -402,14 +402,6 @@ class Lattice:
         rows = [tuple((den // self.den) * v for v in r) for r in self.rows]
         rows.append(tuple((den // x.den) * v for v in x.num))
         return Lattice.from_int_rows(self.alg, rows, den)
-
-    def conj_by(self, y):
-        """y L y^-1.  With y^-1 = conj(y) / nrd(y) the denominator of y
-        cancels: the rows are y r conj(y) over den * nrd4(y)."""
-        mul4, yn = self.alg.mul4, y.num
-        yc = (yn[0], -yn[1], -yn[2], -yn[3])
-        rows = [mul4(mul4(yn, r), yc) for r in self.rows]
-        return Lattice.from_int_rows(self.alg, rows, self.den * self.alg.nrd4(yn))
 
     def index_in(self, other):
         """Generalized index [other : self] as a Fraction."""

@@ -112,30 +112,44 @@ class VertexSet:
             self._connectors[(k, m)] = lat if m == k else lat.conj_lattice()
         return self._connectors[(m, k)]
 
-    def neighbors(self, k, ell):
-        """List of (norm-ell ideal L of R_k, target class m, witness z) with
-        I_k * L = I_m * z, sorted by the key of L.
+    def _steps(self, k, m, ell):
+        """The ell-steps from k landing at m: (L, m, z) with I_k * L = I_m * z,
+        one per norm-ell left ideal L of R_k in the class of m.
 
         Read off the theta series (Pizer 1980): z lies in I_m^-1 I_k, so the
         x = n_m z are the vectors of norm ell n_k n_m of conj(I_m) I_k, and
         the 2 w_m units u of R_m give the same L from u z.  Then
         L = conj(I_k) I_m z / n_k, as conj(I_k) I_k = n_k R_k."""
-        rec = self.classes[k]
-        ideals = norm_ideals(rec.right_order, ell)
+        rec, target = self.classes[k], self.classes[m]
         out = []
-        for m, target in enumerate(self.classes):
-            seen = set()
-            for x in self.connector(m, k).norm_vectors(ell * rec.norm * target.norm):
-                if x in seen:
-                    continue
-                seen.update(u * x for u in self.units_of(m))
-                z = x / target.norm
-                out.append((self.connector(k, m).mul_elem(z / rec.norm), m, z))
-        out.sort(key=lambda step: step[0].key())
-        if [lam.key() for lam, _, _ in out] != [lam.key() for lam in ideals]:
+        seen = set()
+        for x in self.connector(m, k).norm_vectors(ell * rec.norm * target.norm):
+            if x in seen:
+                continue
+            seen.update(u * x for u in self.units_of(m))
+            z = x / target.norm
+            out.append((self.connector(k, m).mul_elem(z / rec.norm), m, z))
+        return out
+
+    def neighbors(self, k, ell):
+        """List of (norm-ell ideal L of R_k, target class m, witness z) with
+        I_k * L = I_m * z, sorted by the key of L: the ``_steps`` from k to
+        every class.
+
+        Each L = conj(I_k) I_m z / n_k is a left R_k-module, as conj(I_k)
+        is.  So an L with ell R_k <= L <= R_k of index ell^2 is a left ideal
+        of R_k of reduced norm ell, and it is fixed by its image mod ell.
+        For a prime ell != q, R_k has exactly ell+1 left ideals of norm ell.
+        So ell+1 steps whose ideals have ell+1 distinct such images are
+        these ideals, each once, with no ``norm_ideals`` to compare with."""
+        order = self.classes[k].right_order
+        out = [step for m in range(len(self)) for step in self._steps(k, m, ell)]
+        images = {_residue_image(order, lam, ell) for lam, _, _ in out}
+        if len(out) != ell + 1 or len(images) != ell + 1 or None in images:
             raise ArithmeticError(
                 f"vertex {k}: the ell={ell} steps found by enumeration are not its "
                 f"{ell + 1} norm-{ell} ideals")
+        out.sort(key=lambda step: step[0].key())
         return out
 
     def step_witness(self, t, z):
@@ -167,7 +181,15 @@ def _class_record(ideal, order):
 
 
 def vertex_classes(q, alg=None):
-    """All left ideal classes of a maximal order, by 2-neighbor search.
+    """All left ideal classes of a maximal order, by 2-neighbour search.
+
+    Breadth first from the order itself, with no equivalence test: the
+    norm-2 ideals L of R_k with I_k L in a known class m are the ``_steps``
+    from k to m.  Each L left over, in ``norm_ideals`` order, gives a new
+    class, I_k L reduced, and its steps from k are read at once, so the next
+    L left over is in no known class either.  The steps from k must then be
+    its three norm-2 ideals.  The connectors and unit lists found on the
+    way are kept by the sorted set.
 
     Connectivity of the norm-2 step graph follows from strong approximation;
     completeness is independently certified by the Eichler mass formula
@@ -177,29 +199,32 @@ def vertex_classes(q, alg=None):
         raise ValueError(f"q must be a prime >= 5, got {q}")
     alg = alg or make_algebra(q)
     order = maximal_order(alg)
-    recs = [_class_record(order, order)]
-    queue = [0]
-    while queue:
-        k = queue.pop(0)
-        for p2 in norm_ideals(recs[k].right_order, 2):
-            j = recs[k].ideal.mul(p2)
-            jr, _ = reduce_ideal(j, order)
-            njr = ideal_norm(jr, order)
-            fp = _fingerprint(jr, njr)
-            hit = False
-            for rec in recs:
-                if rec.fingerprint == fp and equiv_witness(
-                        rec.ideal, jr, order, n1=rec.norm, n2=njr) is not None:
-                    hit = True
-                    break
-            if not hit:
-                recs.append(_class_record(jr, order))
-                queue.append(len(recs) - 1)
-    mass = sum(Fraction(1, r.weight) for r in recs)
+    found = VertexSet(q, alg, order, [_class_record(order, order)], None, None, None)
+    k = 0
+    while k < len(found):  # classes are appended in discovery order: the queue
+        rec = found.classes[k]
+        ideals = norm_ideals(rec.right_order, 2)
+        steps = [step for m in range(len(found)) for step in found._steps(k, m, 2)]
+        known = {lam.key() for lam, _, _ in steps}
+        for lam in ideals:
+            if lam.key() in known:
+                continue
+            found.classes.append(_class_record(reduce_ideal(rec.ideal.mul(lam), order)[0], order))
+            new = found._steps(k, len(found) - 1, 2)
+            steps += new
+            known.update(step[0].key() for step in new)
+        if sorted(lam.key() for lam, _, _ in steps) != [lam.key() for lam in ideals]:
+            raise ArithmeticError(f"class {k}: its norm-2 steps are not its 3 norm-2 ideals")
+        k += 1
+    mass = found.mass()
     if mass != Fraction(q - 1, 12):
         raise ArithmeticError(f"mass formula violated: {mass} != ({q}-1)/12")
-    recs.sort(key=lambda r: (-r.weight, r.ideal.key()))
-    vset = VertexSet(q, alg, order, recs, None, None, None)
+    perm = sorted(range(len(found)),
+                  key=lambda i: (-found.classes[i].weight, found.classes[i].ideal.key()))
+    pos = {old: new for new, old in enumerate(perm)}
+    vset = VertexSet(q, alg, order, [found.classes[i] for i in perm], None, None, None)
+    vset._units = {pos[i]: u for i, u in found._units.items()}
+    vset._connectors = {(pos[m], pos[k]): lat for (m, k), lat in found._connectors.items()}
     _attach_wq(vset)
     return vset
 
@@ -269,8 +294,22 @@ class ShimuraGraph:
     def edge_mass(self):
         return sum(Fraction(1, e.length) for e in self.edges)
 
-    def locate_edge(self, vertex, ideal):
-        image = _residue_image(self.vset.classes[vertex].right_order, ideal, self.p)
+    def _conjugate_edge(self, vertex, rows, den, y):
+        """The edge at vertex whose ideal is y L y^-1, for the lattice L
+        spanned by rows / den, found by its image mod p.
+
+        The rows y r conj(y) / (den nrd(y)) span y L y^-1; their coordinates
+        in R_vertex (``_coords``) reduced mod p (``_rref_mod``) give its
+        image, the key of ``_edge_lookup``, with no lattice built.  An edge
+        ideal Q contains p R_vertex, so an integral conjugate with the image
+        of Q lies in Q; conjugation keeps the covolume, and Q has the
+        covolume of L, so the conjugate is Q."""
+        mul4, yn = self.vset.alg.mul4, y.num
+        yc = (yn[0], -yn[1], -yn[2], -yn[3])
+        den *= self.vset.alg.nrd4(yn)
+        order = self.vset.classes[vertex].right_order
+        coords = [order._coords(mul4(mul4(yn, r), yc), den) for r in rows]
+        image = None if None in coords else _rref_mod(coords, self.p)
         if (vertex, image) not in self._edge_lookup:
             raise ArithmeticError("edge lattice not found at vertex")
         return self._edge_lookup[(vertex, image)]
@@ -540,9 +579,12 @@ def validate_records(graph):
 
 def _attach_wp(graph):
     """Dual-isogeny involution: e = (k, P) goes to the edge at t(e) with
-    ideal y conj(P) y^{-1}; as a path operator it carries a global -1 sign."""
-    graph.wp_perm = [graph.locate_edge(e.target, e.ideal.conj_lattice().conj_by(e.witness))
-                     for e in graph.edges]
+    ideal y conj(P) y^{-1}; as a path operator it carries a global -1 sign.
+    conj(P) is spanned by the conjugates of the rows of P."""
+    graph.wp_perm = [
+        graph._conjugate_edge(e.target, [(r[0], -r[1], -r[2], -r[3]) for r in e.ideal.rows],
+                             e.ideal.den, e.witness)
+        for e in graph.edges]
 
 
 def _attach_wq_edges(graph):
@@ -552,7 +594,8 @@ def _attach_wq_edges(graph):
     a fixed vertex it swaps the eigen-ideals of the extra automorphisms."""
     vset = graph.vset
     graph.wq_edge_perm = [
-        graph.locate_edge(vset.wq_perm[e.source], e.ideal.conj_by(vset.wq_witnesses[e.source]))
+        graph._conjugate_edge(vset.wq_perm[e.source], e.ideal.rows, e.ideal.den,
+                             vset.wq_witnesses[e.source])
         for e in graph.edges]
 
 

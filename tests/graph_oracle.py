@@ -16,6 +16,14 @@ here, unchanged apart from their imports:
   Brandt rows (``ShimuraGraph.brandt_vertices`` and ``brandt_edges``);
 * ``neighbors_by_locate`` -- the ell-steps from a vertex by one ``locate``
   per norm-ell ideal, the oracle for ``VertexSet.neighbors``;
+* ``vertex_classes_by_equivalence`` -- the class search with one reduced
+  product, fingerprint and equivalence test per 2-neighbour, the oracle for
+  ``ssgraph.vertex_classes``;
+* ``wp_perm_by_conjugation`` and ``wq_edge_perm_by_conjugation`` -- w_p
+  and w_q on edges by conjugating each edge ideal as a lattice
+  (``lattice_oracle.conj_by_integer``) and looking it up
+  (``lattice_oracle.locate_edge``), the oracle for the maps that
+  ``build_graph`` reads off the conjugated rows;
 * ``gross_shimura_per_edge`` -- the edge Gross vector by one embedding
   search in each Eichler order, the oracle for ``gross.gross_shimura``;
 * ``ss_oracle_reference`` -- the supersingular count with one function call
@@ -26,11 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
+import lattice_oracle
 from shimura_pq.compgroup import MGVertex, MultiGraph
 from shimura_pq.gross import graph_eichler_units, optimal_embeddings
 from shimura_pq.linalg import det_bareiss, solve_frac
 from shimura_pq.ntheory import is_prime
-from shimura_pq.quat import norm_ideals
+from shimura_pq.quat import (equiv_witness, ideal_norm, make_algebra, maximal_order,
+                             norm_ideals, reduce_ideal)
+from shimura_pq.ssgraph import VertexSet, _attach_wq, _class_record, _fingerprint
 
 
 def make_multigraph(nvertices, edges):
@@ -154,6 +165,59 @@ def neighbors_by_locate(vset, k, ell):
         m, z = vset.locate(j)
         out.append((lam, m, z))
     return out
+
+
+def vertex_classes_by_equivalence(q, alg=None):
+    """``ssgraph.vertex_classes`` as it was: for every 2-neighbour I_k L of
+    every class k, reduce it, take its fingerprint and run an equivalence
+    test against each known class with that fingerprint."""
+    if not is_prime(q) or q < 5:
+        raise ValueError(f"q must be a prime >= 5, got {q}")
+    alg = alg or make_algebra(q)
+    order = maximal_order(alg)
+    recs = [_class_record(order, order)]
+    queue = [0]
+    while queue:
+        k = queue.pop(0)
+        for p2 in norm_ideals(recs[k].right_order, 2):
+            j = recs[k].ideal.mul(p2)
+            jr, _ = reduce_ideal(j, order)
+            njr = ideal_norm(jr, order)
+            fp = _fingerprint(jr, njr)
+            hit = False
+            for rec in recs:
+                if rec.fingerprint == fp and equiv_witness(
+                        rec.ideal, jr, order, n1=rec.norm, n2=njr) is not None:
+                    hit = True
+                    break
+            if not hit:
+                recs.append(_class_record(jr, order))
+                queue.append(len(recs) - 1)
+    mass = sum(Fraction(1, r.weight) for r in recs)
+    if mass != Fraction(q - 1, 12):
+        raise ArithmeticError(f"mass formula violated: {mass} != ({q}-1)/12")
+    recs.sort(key=lambda r: (-r.weight, r.ideal.key()))
+    vset = VertexSet(q, alg, order, recs, None, None, None)
+    _attach_wq(vset)
+    return vset
+
+
+def wp_perm_by_conjugation(graph):
+    """w_p on edges: e = (k, P) goes to the edge at t(e) whose ideal is the
+    lattice y conj(P) y^-1, y the witness of e."""
+    return [lattice_oracle.locate_edge(
+        graph, e.target, lattice_oracle.conj_by_integer(e.ideal.conj_lattice(), e.witness))
+        for e in graph.edges]
+
+
+def wq_edge_perm_by_conjugation(graph):
+    """w_q on edges: e = (k, P) goes to the edge at w_q(k) whose ideal is the
+    lattice y P y^-1, y the w_q witness of k."""
+    vset = graph.vset
+    return [lattice_oracle.locate_edge(
+        graph, vset.wq_perm[e.source],
+        lattice_oracle.conj_by_integer(e.ideal, vset.wq_witnesses[e.source]))
+        for e in graph.edges]
 
 
 def gross_shimura_per_edge(graph, D):

@@ -15,6 +15,11 @@ code against them:
 * ``brandt_edges(graph, ell)`` -- the edge Brandt matrix with each edge
   pushed as the lattice z (conj(L)/ell (L meet P)) z^-1, before the push
   went through a local generator at p;
+* ``conj_by_integer`` and ``locate_edge`` -- the integer ``Lattice.conj_by``
+  (a 4-row HNF of the rows y r conj(y)) and ``ShimuraGraph.locate_edge``
+  (an edge by the image mod p of its ideal), which the package used for
+  w_p and w_q on edges before it read the image of each conjugate off its
+  rows; moved unchanged, as functions of the lattice and of the graph;
 * ``from_elements``, ``conj_by``, ``coords_of`` and
   ``reduced_discriminant`` -- the ``Fraction`` lattice primitives of
   ``quat`` from before they moved to integers (``conj_by`` through a
@@ -33,10 +38,11 @@ unchanged from ``linalg`` and ``quat``), ``frac_rows`` (the basis as
 from fractions import Fraction
 from math import gcd, lcm
 
-from graph_oracle import dense
+import graph_oracle
 from shimura_pq.gross import class_number, gross_modular, gross_shimura
 from shimura_pq.linalg import det_bareiss, frac_sqrt, hnf_rows
 from shimura_pq.quat import Lattice, Quat, _line_reps, ideal_norm
+from shimura_pq.ssgraph import _residue_image
 
 
 # -- Fraction helpers ---------------------------------------------------------
@@ -171,6 +177,15 @@ def conj_by(lat, y):
     return from_elements(lat.alg, [y * r * yi for r in rows])
 
 
+def conj_by_integer(lat, y):
+    """y L y^-1.  With y^-1 = conj(y) / nrd(y) the denominator of y
+    cancels: the rows are y r conj(y) over den * nrd4(y)."""
+    mul4, yn = lat.alg.mul4, y.num
+    yc = (yn[0], -yn[1], -yn[2], -yn[3])
+    rows = [mul4(mul4(yn, r), yc) for r in lat.rows]
+    return Lattice.from_int_rows(lat.alg, rows, lat.den * lat.alg.nrd4(yn))
+
+
 def coords_of(lat, x):
     """Integer coordinates of x in this basis, or None if x is outside."""
     if x.alg != lat.alg:
@@ -210,7 +225,7 @@ def gross_tower_modular(graph, ell, N):
     nvert = len(vset)
     g0 = gross_modular(vset, -4)
     g1 = gross_modular(vset, -4 * ell * ell)
-    bm = dense(graph.brandt_vertices(ell))
+    bm = graph_oracle.dense(graph.brandt_vertices(ell))
     h1 = class_number(-4 * ell * ell)
     out = [g1]
     prev, cur = g0, g1
@@ -233,7 +248,7 @@ def gross_tower_shimura(graph, ell, N):
     nedge = len(graph.edges)
     g0 = gross_shimura(graph, -4)
     g1 = gross_shimura(graph, -4 * ell * ell)
-    bme = dense(graph.brandt_edges(ell))
+    bme = graph_oracle.dense(graph.brandt_edges(ell))
     h1 = class_number(-4 * ell * ell)
     w = graph.lengths
     out = [g1]
@@ -259,10 +274,17 @@ def brandt_edges(graph, ell):
     inv_ell = Fraction(1, ell)
     for i, e in enumerate(graph.edges):
         for lam, m, z in graph.vertex_neighbors(e.source, ell):
-            pushed = scale(lam.conj_lattice(), inv_ell).mul(
-                lattice_intersection(lam, e.ideal)).conj_by(z)
-            mat[i][graph.locate_edge(m, pushed)] += 1
+            pushed = conj_by_integer(scale(lam.conj_lattice(), inv_ell).mul(
+                lattice_intersection(lam, e.ideal)), z)
+            mat[i][locate_edge(graph, m, pushed)] += 1
     return mat
+
+
+def locate_edge(graph, vertex, ideal):
+    image = _residue_image(graph.vset.classes[vertex].right_order, ideal, graph.p)
+    if (vertex, image) not in graph._edge_lookup:
+        raise ArithmeticError("edge lattice not found at vertex")
+    return graph._edge_lookup[(vertex, image)]
 
 
 # -- norm-ell ideals by exhaustion -------------------------------------------

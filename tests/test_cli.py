@@ -103,3 +103,22 @@ def test_module_entry_point_passes_exit_code(run_cli):
     proc = run_cli(["ogg", "--p", "4", "--q", "47"], timeout=120)
     assert proc.returncode == 3
     assert "error" in proc.stderr
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["--l", "4"], "--l"),
+    (["--l", "13"], "--l"),
+    (["--max-n", "-3"], "--max-n"),
+    (["--max-n", "0"], "--max-n"),
+])
+def test_bad_flag_fails_before_the_graph_is_built(args, flag, monkeypatch, capsys):
+    def build_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the flags were checked")
+
+    monkeypatch.delenv("CRITERION_CACHE_DIR", raising=False)
+    monkeypatch.setattr("shimura_pq.certify.build_graph", build_graph)
+    code = main(["check", "--p", "13", "--q", "47", "--override-hypotheses", *args])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be ")

@@ -1,0 +1,142 @@
+"""Classes and edge involutions from the class-pair connectors.
+
+``vertex_classes`` finds the class of each 2-neighbour of a class k from
+the vectors of the connectors conj(I_m) I_k, and ``build_graph`` finds w_p
+and w_q on edges from the image mod p of each conjugated edge ideal.  The
+oracles in ``graph_oracle`` are the paths they replace: one equivalence
+test per 2-neighbour, and one lattice conjugation and lookup per edge.
+Both must give the same records, permutations and witnesses, since all of
+them are stored in the graph cache.  The work counters keep the saving:
+equivalence tests run only inside ``locate`` and ``norm_ideals`` only for
+the 2-neighbours.
+"""
+
+import sys
+
+import pytest
+
+import shimura_pq.ssgraph as ssgraph
+from graph_oracle import (
+    vertex_classes_by_equivalence,
+    wp_perm_by_conjugation,
+    wq_edge_perm_by_conjugation,
+)
+from lattice_oracle import conj_by_integer
+from shimura_pq.quat import Quat
+from shimura_pq.ssgraph import VertexSet, _attach_wp, build_graph, vertex_classes
+
+VSETS = {11: "vset11", 23: "vset23", 37: "vset37", 47: "vset47", 83: None, 163: "vset163"}
+GRAPHS = ["graph_13_47", "graph_5_23", "graph_7_23", "graph_13_11", "graph_29_47",
+          "graph_5_37", "graph_5_163"]
+
+
+def _records(vset):
+    return [(c.ideal, c.right_order, c.weight, c.norm, c.fingerprint, c.rational)
+            for c in vset.classes]
+
+
+@pytest.mark.parametrize("q", sorted(VSETS))
+def test_classes_match_equivalence_search(q, request):
+    fast = request.getfixturevalue(VSETS[q]) if VSETS[q] else vertex_classes(q)
+    slow = vertex_classes_by_equivalence(q)
+    assert _records(fast) == _records(slow)
+    assert fast.wq_perm == slow.wq_perm
+    assert fast.wq_witnesses == slow.wq_witnesses
+    assert fast.two_sided == slow.two_sided
+
+
+@pytest.mark.parametrize("fixture", GRAPHS)
+def test_edge_involutions_match_conjugation(fixture, request):
+    graph = request.getfixturevalue(fixture)
+    assert graph.wp_perm == wp_perm_by_conjugation(graph)
+    assert graph.wq_edge_perm == wq_edge_perm_by_conjugation(graph)
+
+
+def test_kept_connectors_follow_the_sort(vset47):
+    # the connectors and unit lists of the search are re-keyed to the
+    # sorted classes: each must be the product of the sorted ideals
+    assert vset47._connectors
+    for (m, k), lat in vset47._connectors.items():
+        assert lat == vset47.classes[m].ideal.conj_lattice().mul(vset47.classes[k].ideal)
+    for k, unit_list in vset47._units.items():
+        assert all(u in vset47.classes[k].right_order and u.nrd() == 1 for u in unit_list)
+        assert len(unit_list) == 2 * vset47.classes[k].weight
+
+
+@pytest.mark.parametrize("drop", [True, False])
+def test_wrong_step_count_is_named(drop, vset23, monkeypatch):
+    steps = VertexSet._steps
+
+    def damaged(self, k, m, ell):
+        out = steps(self, k, m, ell)
+        if m == 0 and out:
+            return out[1:] if drop else out + out[:1]
+        return out
+
+    monkeypatch.setattr(VertexSet, "_steps", damaged)
+    k = next(k for k in range(len(vset23)) if steps(vset23, k, 0, 3))
+    with pytest.raises(ArithmeticError,
+                       match=rf"^vertex {k}: the ell=3 steps found by enumeration are not "
+                             rf"its 4 norm-3 ideals$"):
+        vset23.neighbors(k, 3)
+
+
+def test_missing_conjugate_is_named(vset11):
+    graph = build_graph(13, 11, vset=vset11)
+    # every orbit member of the dual of edge 0 loses its entry
+    dual = graph.wp_perm[0]
+    for key in [key for key, i in graph._edge_lookup.items() if i == dual]:
+        del graph._edge_lookup[key]
+    with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):
+        _attach_wp(graph)
+
+
+def test_non_integral_conjugate_is_named(vset11):
+    graph = build_graph(13, 11, vset=vset11)
+    e = graph.edges[0]
+    e.witness = e.witness + Quat(graph.vset.alg, (0, 0, 0, 1), 3)
+    order = graph.vset.classes[e.target].right_order
+    assert conj_by_integer(e.ideal.conj_lattice(), e.witness).coords_in(order) is None
+    with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):
+        _attach_wp(graph)
+
+
+def _count(monkeypatch):
+    """Record the caller of every ``equiv_witness``, the ell of every
+    ``norm_ideals`` and the number of ``locate`` calls, in every loaded
+    module of the package."""
+    calls = {"equiv_witness": [], "norm_ideals": [], "locate": 0}
+    equiv_witness, norm_ideals = ssgraph.equiv_witness, ssgraph.norm_ideals
+    locate = VertexSet.locate
+
+    def counted_equiv(*args, **kwargs):
+        calls["equiv_witness"].append(sys._getframe(1).f_code.co_name)
+        return equiv_witness(*args, **kwargs)
+
+    def counted_norm_ideals(order, ell):
+        calls["norm_ideals"].append(ell)
+        return norm_ideals(order, ell)
+
+    def counted_locate(self, ideal):
+        calls["locate"] += 1
+        return locate(self, ideal)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "shimura_pq":
+            continue
+        if getattr(module, "equiv_witness", None) is equiv_witness:
+            monkeypatch.setattr(module, "equiv_witness", counted_equiv)
+        if getattr(module, "norm_ideals", None) is norm_ideals:
+            monkeypatch.setattr(module, "norm_ideals", counted_norm_ideals)
+    monkeypatch.setattr(VertexSet, "locate", counted_locate)
+    return calls
+
+
+@pytest.mark.parametrize("build", ["vertex_classes_163", "build_graph_13_47"])
+def test_equivalence_tests_only_in_locate(build, monkeypatch):
+    calls = _count(monkeypatch)
+    vset = vertex_classes(163) if build == "vertex_classes_163" else build_graph(13, 47).vset
+    h = len(vset)
+    assert calls["locate"] == h  # one per class, for w_q
+    assert calls["equiv_witness"] and set(calls["equiv_witness"]) == {"locate"}
+    assert calls["norm_ideals"] == [2] * h  # one per class in the 2-neighbour search
