@@ -37,7 +37,7 @@ from .gross import (
     vec_scale,
     vec_sub,
 )
-from .linalg import hnf_rows, solve_frac
+from .linalg import solve_frac
 from .ntheory import is_prime, kronecker, primes_from
 from .quat import Lattice, Quat, make_algebra
 from .ssgraph import (Edge, ShimuraGraph, VertexClass, VertexSet, build_graph, ss_oracle,
@@ -232,8 +232,14 @@ def _lat_payload(lat):
 
 def _lat_from(alg, payload):
     rows = [tuple(payload["m"][4 * r : 4 * r + 4]) for r in range(4)]
-    # duality reads the basis as a triangular HNF, so a damaged one must not load
-    if hnf_rows(rows, 4) != rows or payload["d"] < 1:
+    # duality reads the basis as a triangular HNF, so a damaged one must not
+    # load: upper triangular, positive pivots, the entries above a pivot in
+    # [0, pivot), which for four rows of four is what hnf_rows returns
+    if payload["d"] < 1 or not all(
+            rows[c][c] > 0
+            and all(0 <= rows[r][c] < rows[c][c] for r in range(c))
+            and not any(rows[r][c] for r in range(c + 1, 4))
+            for c in range(4)):
         raise ValueError("lattice basis is not in Hermite normal form")
     return Lattice(alg, rows, payload["d"])
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 from .certify import (
     CACHE_ENV,
@@ -109,6 +108,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # resource/internal failures
+        import traceback  # only on this path: it costs every start otherwise
+
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

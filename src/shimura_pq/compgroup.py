@@ -6,20 +6,14 @@ integral solvability of the Kirchhoff-law system decides whether a given
 multiple of a vertex-class difference dies in it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 from .linalg import det_bareiss, smith_normal_form, solve_bareiss
 
-
-@dataclass(frozen=True)
-class MGVertex:
-    label: str
-    side: str  # "s1" | "s2" | "exc"
-    kind: str  # "J" | "G" | "generic" | "exc2" | "exc3"
-    orbit: tuple = ()
-    weight: int = 1
+# side is "s1", "s2" or "exc"; kind is "J", "G", "generic", "exc2" or "exc3"
+MGVertex = namedtuple("MGVertex", "label side kind orbit weight", defaults=((), 1))
 
 
 class MultiGraph:

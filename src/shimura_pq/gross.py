@@ -106,7 +106,7 @@ def _embedding_candidates(order, D):
     """The x in order with trd(x) = t0 and nrd(x) = (t0^2 - D)/4, by key."""
     validate_discriminant(D)
     t0 = D % 2
-    return order.norm_vectors((t0 - D) // 4, trace=Fraction(t0))
+    return order.norm_vectors((t0 - D) // 4, trace=t0)
 
 
 def _count_optimal(order, D, cands, unit_list):
@@ -118,12 +118,10 @@ def _count_optimal(order, D, cands, unit_list):
     for ell in prime_factors(f):
         t1 = (D // (ell * ell)) % 2
         shift = ell * t1 - t0
-        keep = []
-        for x in cands:
-            y = (x * 2 + shift) / (2 * ell)
-            if y not in order:
-                keep.append(x)
-        cands = keep
+        # x is not optimal if (2x + shift) / (2 ell) lies in the order
+        cands = [x for x in cands
+                 if order._coords((2 * x.num[0] + shift * x.den, 2 * x.num[1], 2 * x.num[2],
+                                   2 * x.num[3]), 2 * ell * x.den) is None]
     if not cands:
         return 0
     if unit_list is None:
@@ -134,7 +132,7 @@ def _count_optimal(order, D, cands, unit_list):
         seed = remaining.pop(min(remaining))
         orbits += 1
         for u in unit_list:
-            y = u * seed * u.inv()
+            y = u * seed * u.conj()  # nrd(u) = 1
             remaining.pop(y.key(), None)
     return orbits
 

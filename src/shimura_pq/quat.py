@@ -12,6 +12,14 @@ LLL on the Gram matrix of the HNF basis, then an exact integer LDL of the
 reduced form read off the LLL data, so the enumeration runs in integers
 over a reduced basis and maps each solution back to HNF coordinates.
 
+A search with a fixed trace t (the embedding candidates of the Gross
+vectors) runs in rank 3 on the same enumerator.  x -> 2x - trd(x) maps the
+lattice onto S0 = {2x - trd x}, a lattice of pure quaternions spanned by the
+pure parts of twice the basis, and nrd(2x - t) = 4 nrd(x) - t^2 when
+trd(x) = t.  So the x of trace t and norm n are the (y + t)/2 that lie in
+the lattice, for the y in S0 of norm 4n - t^2 (Gross's ternary lattice,
+Heights and the special values of L-series, 1987, section 12).
+
 Duality is integer too: the HNF basis R is upper triangular, so
 R^-1 = adj(R)/det(R) with adj(R) integral by exact back-substitution, and
 the dual of R/d has basis d adj(R)^T/det(R).  Right orders are duals of
@@ -19,7 +27,7 @@ integer constraint lattices; membership and the reduced discriminant stay
 in integers as well.  No floating point is used anywhere.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -27,13 +35,12 @@ from .linalg import det_bareiss, frac_sqrt, hnf_rows, kernel_mod_p
 from .ntheory import is_prime, mod_sqrt, ramified_primes
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
-    """Definite algebra with i^2 = -a, j^2 = -b, k = ij, ramified at {q, oo}."""
+class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "q a b")):
+    """Definite algebra with i^2 = -a, j^2 = -b, k = ij, ramified at {q, oo}.
 
-    q: int
-    a: int
-    b: int
+    Equal and hashed by value: Quat and Lattice equality go through it."""
+
+    __slots__ = ()
 
     def mul4(self, x, y):
         a, b = self.a, self.b
@@ -433,23 +440,60 @@ class Lattice:
                     tuple(sum(c[r] * self.rows[r][m] for r in range(4)) for m in range(4)),
                     self.den)
 
+    def _trace_zero_form(self):
+        """(basis, form) of S0 = {2x - trd x}: the HNF of the pure parts
+        (y1, y2, y3) of twice the basis rows, over den, and the reduced form
+        of nrd on it."""
+        if "s0" not in self._cache:
+            basis = hnf_rows([tuple(2 * x for x in r[1:]) for r in self.rows], 3)
+            a, b = self.alg.a, self.alg.b
+            w = (a, b, a * b)
+            g = [[sum(wm * r[m] * s[m] for m, wm in enumerate(w)) for s in basis]
+                 for r in basis]
+            self._cache["s0"] = (basis, _ReducedForm(g))
+        return self._cache["s0"]
+
+    def _trace_vectors(self, n, t):
+        """The x with nrd(x) = n and trd(x) = t, as (y + t)/2 over the y in
+        S0 with nrd(y) = 4n - t^2, kept if they lie in the lattice."""
+        den, tnum, tden = self.den, t.numerator, t.denominator
+        # the target (4n - t^2) den^2, written over n's and t's denominators
+        target, rem = divmod((4 * n.numerator * tden * tden - tnum * tnum * n.denominator)
+                             * den * den, n.denominator * tden * tden)
+        if target < 0 or rem:
+            return []
+        if target == 0:
+            ys = [(0, 0, 0)]
+        else:
+            basis, form = self._trace_zero_form()
+            ys = [tuple(sum(ci * r[m] for ci, r in zip(c, basis)) for m in range(3))
+                  for c, _ in form.vectors(target)]
+        # x = (y / den + t) / 2 over the common denominator 2 den tden
+        xden, x0 = 2 * den * tden, tnum * den
+        found = []
+        for y1, y2, y3 in ys:
+            num = (x0, y1 * tden, y2 * tden, y3 * tden)
+            if self._coords(num, xden) is not None:
+                found.append(Quat(self.alg, num, xden))
+        return found
+
     def norm_vectors(self, n, trace=None):
-        """All x in the lattice with nrd(x) = n (and trd(x) = trace if given)."""
+        """All x in the lattice with nrd(x) = n (and trd(x) = trace if
+        given), sorted by key.  With a trace the search runs in S0."""
         n = Fraction(n)
         if n < 0:
             return []
         if n == 0:
             z = Quat(self.alg, (0, 0, 0, 0))
             return [z] if trace in (None, 0, Fraction(0)) else []
-        target = n * self.den ** 2
-        if target.denominator != 1:
-            return []
-        found = []
-        for c, _ in self._enum_form(int(target)):
-            x = self._vector(c)
-            if trace is None or x.trd() == trace:
-                found.append(x)
-        found.sort(key=lambda v: v.key())
+        if trace is not None:
+            found = self._trace_vectors(n, Fraction(trace))
+        else:
+            target = n * self.den ** 2
+            if target.denominator != 1:
+                return []
+            found = [self._vector(c) for c, _ in self._enum_form(int(target))]
+        found.sort(key=Quat.key)
         return found
 
     def find_norm_vector(self, n):

@@ -8,14 +8,12 @@ act by dual-isogeny reversal (w_p, with a sign) and by Frobenius transport
 through the two-sided norm-q ideal (w_q).
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import comb, prod
 
 from .ntheory import is_prime
 from .quat import (
-    Lattice,
     Quat,
     equiv_witness,
     ideal_norm,
@@ -31,14 +29,10 @@ from .quat import (
 )
 
 
-@dataclass
-class VertexClass:
-    ideal: Lattice
-    right_order: Lattice
-    weight: int
-    norm: Fraction
-    fingerprint: tuple
-    rational: bool = False
+# One left ideal class I: its right order, weight (half the unit count),
+# reduced norm, ``_fingerprint`` and whether w_q fixes it (set by ``_attach_wq``).
+VertexClass = namedtuple("VertexClass", "ideal right_order weight norm fingerprint rational",
+                         defaults=(False,))
 
 
 def _fingerprint(ideal, norm):
@@ -244,19 +238,13 @@ def _attach_wq(vset):
     vset.wq_perm = perm
     vset.wq_witnesses = witnesses
     vset.two_sided = two_sided
-    for k, rec in enumerate(vset.classes):
-        rec.rational = perm[k] == k
+    vset.classes = [rec._replace(rational=perm[k] == k) for k, rec in enumerate(vset.classes)]
 
 
-@dataclass
-class Edge:
-    source: int
-    ideal: Lattice
-    orbit: tuple
-    eichler: Lattice
-    length: int
-    target: int
-    witness: Quat
+# An edge: a unit orbit of norm-p left ideals P of R_source, its Eichler
+# order Z + P, length (half its unit count), target class and the witness
+# y with I_source P = I_target y.
+Edge = namedtuple("Edge", "source ideal orbit eichler length target witness")
 
 
 class ShimuraGraph:
@@ -533,16 +521,19 @@ def validate_records(graph):
     A build derives these records and so needs no check; a graph loaded
     from the cache is checked here, after ``validate_graph``.  Each class
     record against its ideal: the norm, right order, weight and fingerprint
-    that the neighbour search and ``locate`` trust.  Each edge record
-    against its ideal P: P lies between p R_k and R_k with index p^2, as a
-    norm-p left ideal of the source R_k does (``brandt_edges`` and
-    ``gross_shimura`` rely on it); the Eichler order Z + P; the length (half
-    its unit count); the orbit, the P u over the units u of R_k, which then
-    lie between p R_k = p R_k u and R_k = R_k u as well.  Last, the p+1
-    norm-p ideals of each R_k: the orbits at k have p+1 members, with p+1
-    distinct images mod p (the keys of ``_edge_lookup``).
+    that the neighbour search and ``locate`` trust.  The w_q records of each
+    class k: T_k is the two-sided ideal of norm q of R_k, and the witness
+    y_k gives I_k T_k = I_t y_k with t = wq_perm[k] (``_attach_wq_edges``
+    conjugates by y_k).  Each edge record against its ideal P: P lies
+    between p R_k and R_k with index p^2, as a norm-p left ideal of the
+    source R_k does (``brandt_edges`` and ``gross_shimura`` rely on it); the
+    Eichler order Z + P; the length (half its unit count); the orbit, the
+    P u over the units u of R_k, which then lie between p R_k = p R_k u and
+    R_k = R_k u as well.  Last, the p+1 norm-p ideals of each R_k: the
+    orbits at k have p+1 members, with p+1 distinct images mod p (the keys
+    of ``_edge_lookup``).
     """
-    p, edges, vset = graph.p, graph.edges, graph.vset
+    p, q, edges, vset = graph.p, graph.q, graph.edges, graph.vset
     for k, rec in enumerate(vset.classes):
         if ideal_norm(rec.ideal, vset.order) != rec.norm:
             raise ArithmeticError(f"vertex {k}: norm {rec.norm} is not the reduced norm of its ideal")
@@ -553,6 +544,13 @@ def validate_records(graph):
                 f"vertex {k}: weight {rec.weight} is not half the unit count of its right order")
         if _fingerprint(rec.ideal, rec.norm) != rec.fingerprint:
             raise ArithmeticError(f"vertex {k}: fingerprint does not match its ideal")
+        ts = vset.two_sided[k]
+        if ts != two_sided_prime(rec.right_order, q):
+            raise ArithmeticError(
+                f"vertex {k}: two_sided is not the two-sided norm-{q} ideal of its right order")
+        t = vset.wq_perm[k]
+        if rec.ideal.mul(ts) != vset.classes[t].ideal.mul_elem(vset.wq_witnesses[k]):
+            raise ArithmeticError(f"vertex {k}: its w_q witness y does not give I_{k} T_{k} = I_{t} y")
     one = Quat.one(vset.alg)
     members = Counter()
     for i, e in enumerate(edges):

@@ -12,11 +12,21 @@ matrix, so the tests can compare the fast enumerator against it:
   with c^T G c == target, trying c3, then c2, c1, c0 in ascending order;
 * ``min_vectors(g)`` -- (minimum, attaining c) by enumeration up to a
   Hermite-type bound, doubled until something is found.
+
+It also keeps the embedding search as it was before the trace-zero lattice
+took it over, on a ``Lattice``:
+
+* ``norm_vectors_with_trace(lat, n, trace)`` -- every vector of norm n from
+  the rank-4 search, then a filter on the trace;
+* ``count_optimal(order, D, cands, unit_list)`` -- optimality tested on the
+  ``Fraction`` element (2x + shift) / (2 ell), orbits by conjugation with
+  ``u.inv()``.
 """
 
 from fractions import Fraction
 from math import isqrt
 
+from shimura_pq.gross import conductor_split, prime_factors
 from shimura_pq.linalg import det_bareiss
 
 
@@ -139,3 +149,25 @@ def min_vectors(g):
                 vecs.append(c)
         bound *= 2  # safety; the Hermite bound should always hit
     return int(best), set(vecs)
+
+
+def norm_vectors_with_trace(lat, n, trace):
+    """The x in lat with nrd(x) = n and trd(x) = trace, sorted by key."""
+    return [x for x in lat.norm_vectors(n) if x.trd() == trace]
+
+
+def count_optimal(order, D, cands, unit_list):
+    """Unit-conjugation orbits of the candidates that are optimal in order."""
+    t0 = D % 2
+    _, f = conductor_split(D)
+    for ell in prime_factors(f):
+        shift = ell * ((D // (ell * ell)) % 2) - t0
+        cands = [x for x in cands if (x * 2 + shift) / (2 * ell) not in order]
+    remaining = {x.key(): x for x in cands}
+    orbits = 0
+    while remaining:
+        seed = remaining.pop(min(remaining))
+        orbits += 1
+        for u in unit_list:
+            remaining.pop((u * seed * u.inv()).key(), None)
+    return orbits

@@ -41,7 +41,7 @@ def test_missing_edge_ideal_is_named(vset11):
 def test_edge_ideal_inside_p_order_is_named(vset11):
     graph = build_graph(13, 11, vset=vset11)
     e = graph.edges[3]
-    e.ideal = scale(e.ideal, 13)
+    graph.edges[3] = e._replace(ideal=scale(e.ideal, 13))
     with pytest.raises(ArithmeticError,
                        match=rf"^edge 3: ideal lies in 13 R_{e.source}, so the ell=3 step"):
         graph.brandt_edges(3)

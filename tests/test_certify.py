@@ -4,11 +4,14 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_oracle import scale
 from shimura_pq import certify
 from shimura_pq.certify import (
     CACHE_VERSION,
+    _lat_from,
     _lat_payload,
     build_cycle,
     cache_load,
@@ -25,7 +28,8 @@ from shimura_pq.certify import (
     run_criterion,
 )
 from shimura_pq.gross import gross_tower_modular, tower_class_number, unit_count
-from shimura_pq.quat import Quat
+from shimura_pq.linalg import hnf_rows
+from shimura_pq.quat import Quat, make_algebra
 from shimura_pq.ssgraph import build_graph
 
 
@@ -233,7 +237,7 @@ class TestCache:
     @pytest.mark.parametrize("damage", ["length", "target", "wp_perm", "wq_perm",
                                         "norm", "right_order", "fingerprint", "weight",
                                         "eichler", "orbit", "p_times_ideal",
-                                        "foreign_ideal"])
+                                        "foreign_ideal", "two_sided", "wq_witness"])
     def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
         # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
         # edge 11, and edge 5 is the other edge from 0 to 1; edge 6 starts at
@@ -252,7 +256,9 @@ class TestCache:
                  "eichler": "edge 4: eichler is not Z + its ideal",
                  "orbit": "edge 4: orbit is not the set of its ideal times the units",
                  "p_times_ideal": "edge 4: ideal does not lie between 13 R_0 and R_0",
-                 "foreign_ideal": "edge 4: ideal does not lie between 13 R_0 and R_0"}[damage]
+                 "foreign_ideal": "edge 4: ideal does not lie between 13 R_0 and R_0",
+                 "two_sided": "vertex 0: two_sided is not the two-sided norm-11 ideal",
+                 "wq_witness": "vertex 0: its w_q witness y does not give I_0 T_0 = I_0 y"}[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
             good = fh.read()
@@ -287,6 +293,11 @@ class TestCache:
             payload["edges"][4]["target"] = 0
         elif damage == "wp_perm":
             payload["wp_perm"][4] = 5
+        elif damage == "two_sided":
+            payload["two_sided"].reverse()
+        elif damage == "wq_witness":
+            witness = payload["wq_witnesses"][0]
+            witness["n"] = [2 * x for x in witness["n"]]
         else:
             payload["wq_perm"][0] = 1
         with open(path, "w", encoding="utf-8") as fh:
@@ -342,3 +353,45 @@ class TestCache:
         g2, from_cache2 = load_or_build_graph(13, 11, None)
         assert not from_cache2
         assert graph_payload(g) == graph_payload(g2)
+
+
+@st.composite
+def damaged_bases(draw):
+    """A 4 x 4 HNF basis, pivots up to 12, with up to three entries moved by
+    -13..13 anywhere: the damage a cache file can carry."""
+    piv = [draw(st.integers(1, 12)) for _ in range(4)]
+    rows = [[0] * c + [piv[c]] + [draw(st.integers(0, piv[j] - 1)) for j in range(c + 1, 4)]
+            for c in range(4)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, 3))][draw(st.integers(0, 3))] += draw(st.integers(-13, 13))
+    return [tuple(r) for r in rows]
+
+
+@pytest.mark.parametrize("entry,value", [
+    ((0, 0), -2),  # a negative pivot, with no entry above it to catch it
+    ((0, 2), 5),   # an entry above the pivot 5 not reduced into [0, 5)
+    ((0, 2), -1),
+    ((3, 1), 1),   # a nonzero entry below the diagonal
+])
+def test_lat_from_rejects_a_basis_not_in_hnf(entry, value):
+    rows = [[2, 1, 0, 1], [0, 3, 2, 0], [0, 0, 5, 4], [0, 0, 0, 7]]
+    alg = make_algebra(11)
+    assert _lat_from(alg, {"d": 2, "m": [x for r in rows for x in r]}).rows == tuple(
+        map(tuple, rows))
+    rows[entry[0]][entry[1]] = value
+    with pytest.raises(ValueError, match="not in Hermite normal form"):
+        _lat_from(alg, {"d": 2, "m": [x for r in rows for x in r]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_bases())
+def test_lat_from_accepts_exactly_the_hnf(rows):
+    """The shape test of _lat_from (triangular, positive pivots, entries
+    above a pivot reduced) accepts a basis iff hnf_rows leaves it as it is."""
+    payload = {"d": 1, "m": [x for r in rows for x in r]}
+    try:
+        _lat_from(make_algebra(11), payload)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (hnf_rows(rows, 4) == rows)

@@ -93,6 +93,18 @@ def test_child_process_imports_package_under_test(cli_env, tmp_path):
     assert os.path.samefile(proc.stdout.strip(), shimura_pq.__file__)
 
 
+def test_start_up_imports(cli_env, tmp_path):
+    """Importing the CLI loads neither dataclasses nor traceback: each costs
+    every start, and traceback is needed only on the internal-error path."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, shimura_pq.cli; "
+         "print(sorted({'dataclasses', 'traceback'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=cli_env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point(run_cli):
     proc = run_cli(["ogg", "--p", "13", "--q", "47"], timeout=120)
     assert proc.returncode == 0, proc.stderr

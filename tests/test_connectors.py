@@ -94,7 +94,7 @@ def test_missing_conjugate_is_named(vset11):
 def test_non_integral_conjugate_is_named(vset11):
     graph = build_graph(13, 11, vset=vset11)
     e = graph.edges[0]
-    e.witness = e.witness + Quat(graph.vset.alg, (0, 0, 0, 1), 3)
+    e = graph.edges[0] = e._replace(witness=e.witness + Quat(graph.vset.alg, (0, 0, 0, 1), 3))
     order = graph.vset.classes[e.target].right_order
     assert conj_by_integer(e.ideal.conj_lattice(), e.witness).coords_in(order) is None
     with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):

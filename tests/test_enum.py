@@ -4,7 +4,9 @@
 as a function of the Gram matrix.  The fast one must give the same
 (c, value) sets for exact and ``upto`` targets, the same ``find_norm_vector``
 pick (it decides the equivalence witnesses stored in the graph cache) and
-the same ``min_vectors``.
+the same ``min_vectors``.  ``Lattice.norm_vectors`` with a trace searches the
+rank-3 trace-zero lattice; it must give the list the rank-4 search filtered
+on the trace gives.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import enum_oracle as oracle
 from shimura_pq.linalg import det_bareiss
-from shimura_pq.quat import Lattice, QuaternionAlgebra, _ReducedForm
+from shimura_pq.quat import Lattice, Quat, QuaternionAlgebra, _ReducedForm
 
 
 def _as_set(pairs):
@@ -126,3 +128,61 @@ def test_indefinite_lattice_raises():
                                                       (0, 0, 1, 0), (0, 0, 0, 1)], 1)
     with pytest.raises(ArithmeticError):
         lat.norm_vectors(1)
+
+
+# -- the search with a fixed trace, in the trace-zero lattice -------------------
+
+def _check_trace(lat, n, t):
+    got = lat.norm_vectors(n, trace=t)
+    assert got == oracle.norm_vectors_with_trace(lat, n, t), (n, t)
+    return got
+
+
+@pytest.mark.parametrize("pair", ["graph_13_47", "graph_5_37"])
+def test_embedding_candidates_match_rank4_search(pair, request):
+    """Every order a Gross vector or the trace battery searches: the base
+    order, each vertex order and each Eichler order, for -200 <= D <= -3.
+    (5,37) is the a = 2 model."""
+    graph = request.getfixturevalue(pair)
+    vset = graph.vset
+    orders = [vset.order, *(c.right_order for c in vset.classes), *(e.eichler for e in graph.edges)]
+    found = 0
+    for d in range(-3, -201, -1):
+        if d % 4 in (0, 1):
+            t0 = d % 2
+            for order in orders:
+                found += len(_check_trace(order, (t0 - d) // 4, t0))
+    assert found > 0
+
+
+def test_trace_search_edge_cases(vset47):
+    order = vset47.order
+    alg = order.alg
+    assert order.den == 2
+    # n = 0: the zero vector alone, of trace 0
+    assert [v.num for v in _check_trace(order, 0, Fraction(0))] == [(0, 0, 0, 0)]
+    assert _check_trace(order, 0, Fraction(1)) == []
+    # 4n - t^2 < 0: nothing
+    assert _check_trace(order, 1, Fraction(3)) == []
+    # 4n - t^2 = 0: y = 0, so x = t/2 alone
+    assert _check_trace(order, 1, Fraction(2)) == [Quat.one(alg)]
+    assert _check_trace(order, 1, Fraction(-2)) == [-Quat.one(alg)]
+    # (4n - t^2) den^2 is not an integer
+    assert _check_trace(order, Fraction(1, 3), Fraction(0)) == []
+    assert _check_trace(order, 12, Fraction(1, 3)) == []
+    # trace 1 on a lattice with denominator 2: x = (1 + y)/2, as (1 + j)/2
+    assert Quat(alg, (1, 0, 1, 0), 2) in _check_trace(order, 12, Fraction(1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(skewed_lattices(), st.integers(-3, 3))
+def test_trace_search_matches_oracle_on_skewed_lattices(lat, shift):
+    """Norms and traces, fractional ones included, of short lattice vectors,
+    and the same norms with the trace moved by shift / den."""
+    den2 = lat.den ** 2
+    best = lat.min_vectors()[0]
+    short = sorted((lat._vector(c) for c, _ in lat._enum_form(int(2 * best * den2), upto=True)),
+                   key=Quat.key)
+    for x in short[:6]:
+        for t in {x.trd(), x.trd() + Fraction(shift, lat.den)}:
+            _check_trace(lat, x.nrd(), t)

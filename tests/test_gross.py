@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import enum_oracle
 from graph_oracle import apply_wp, apply_wq_edges, gross_shimura_per_edge
 from shimura_pq.gross import (
+    _count_optimal,
+    _embedding_candidates,
     class_number,
     conductor_split,
     eisenstein_modular,
@@ -114,6 +117,21 @@ def test_edge_vectors_match_per_edge_search(p, q, request):
     discs = [d for d in range(-3, -121, -1) if d % 4 in (0, 1)] + [-4 * p * p, -3 * p * p]
     for d in discs:
         assert gross_shimura(graph, d) == gross_shimura_per_edge(graph, d), d
+
+
+@pytest.mark.parametrize("d", [-36, -48, -63, -72, -99])
+def test_integer_optimality_matches_fraction_count(d, graph_13_47, graph_5_37):
+    """Conductor > 1, so some candidates are not optimal (on (13,47) for
+    each of these D but -99): the integer test on the numerator and the
+    conjugation by u.conj() count the orbits the Fraction version counts."""
+    for graph in (graph_13_47, graph_5_37):
+        vset = graph.vset
+        pairs = [(rec.right_order, vset.units_of(k)) for k, rec in enumerate(vset.classes)]
+        pairs += [(e.eichler, graph_eichler_units(graph, i)) for i, e in enumerate(graph.edges)]
+        for order, unit_list in pairs:
+            cands = _embedding_candidates(order, d)
+            assert (_count_optimal(order, d, cands, unit_list)
+                    == enum_oracle.count_optimal(order, d, cands, unit_list))
 
 
 class TestGrossVectors:

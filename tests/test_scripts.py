@@ -17,7 +17,7 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 @pytest.mark.parametrize("script,args,header", [
     ("pair_report.py", ["--p", "13", "--q", "11"],
      "pair (13, 11); genus(X0(11)) = 1; build "),
-    ("disc_battery.py", ["--p", "13", "--q", "11", "--bound", "20"],
+    ("disc_battery.py", ["--p", "13", "--q", "11", "--bound", "40"],
      " D      h  (D|q) (D|p)  sum H_k  sum h_i  exceptional support"),
 ])
 def test_script_runs(script, args, header, cli_env):
@@ -25,3 +25,5 @@ def test_script_runs(script, args, header, cli_env):
                          capture_output=True, text=True, env=cli_env, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[0].startswith(header)
+    # disc_battery flags each discriminant whose totals break the trace identities
+    assert "TRACE MISMATCH" not in res.stdout
