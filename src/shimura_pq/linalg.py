@@ -7,7 +7,7 @@ without any fancy pivoting.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 def xgcd(a: int, b: int):
@@ -25,50 +25,78 @@ def xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def hnf_rows(rows, ncols=None):
-    """Row Hermite normal form of the lattice spanned by integer ``rows``.
+def hnf_rows(rows):
+    """Row Hermite normal form of the lattice spanned by integer ``rows`` of
+    length 4 (a rank-3 lattice goes in with a zero column prepended).
 
     Returns the list of nonzero rows as tuples: row echelon with positive
     pivots and the entries above each pivot reduced into [0, pivot).  The
     output is canonical for the row span, which is what makes lattice
     equality a plain tuple comparison.
+
+    Rows are inserted one at a time into one slot per pivot column, written
+    out on the four columns.  At each column a row with a zero entry moves
+    on; at an empty slot it becomes that slot's pivot row; a multiple of the
+    pivot is cleared by subtracting the pivot row; anything else takes one
+    unimodular xgcd step with the pivot row, which leaves the gcd in the
+    slot and a zero in the row.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    work = [list(r) for r in rows if any(r)]
+    s0 = s1 = s2 = s3 = None
+    for r0, r1, r2, r3 in rows:
+        if r0:
+            if s0 is None:
+                s0 = (r0, r1, r2, r3)
+                continue
+            p0, p1, p2, p3 = s0
+            if r0 % p0:
+                g, x, y = xgcd(p0, r0)
+                u, v = p0 // g, r0 // g
+                s0 = (g, x * p1 + y * r1, x * p2 + y * r2, x * p3 + y * r3)
+                r1, r2, r3 = u * r1 - v * p1, u * r2 - v * p2, u * r3 - v * p3
+            else:
+                f = r0 // p0
+                r1, r2, r3 = r1 - f * p1, r2 - f * p2, r3 - f * p3
+        if r1:
+            if s1 is None:
+                s1 = (0, r1, r2, r3)
+                continue
+            _, p1, p2, p3 = s1
+            if r1 % p1:
+                g, x, y = xgcd(p1, r1)
+                u, v = p1 // g, r1 // g
+                s1 = (0, g, x * p2 + y * r2, x * p3 + y * r3)
+                r2, r3 = u * r2 - v * p2, u * r3 - v * p3
+            else:
+                f = r1 // p1
+                r2, r3 = r2 - f * p2, r3 - f * p3
+        if r2:
+            if s2 is None:
+                s2 = (0, 0, r2, r3)
+                continue
+            _, _, p2, p3 = s2
+            if r2 % p2:
+                g, x, y = xgcd(p2, r2)
+                u, v = p2 // g, r2 // g
+                s2 = (0, 0, g, x * p3 + y * r3)
+                r3 = u * r3 - v * p3
+            else:
+                r3 -= r2 // p2 * p3
+        if r3:
+            s3 = (0, 0, 0, r3 if s3 is None else gcd(s3[3], r3))
+    # positive pivots, then the entries above each pivot reduced, left to right
     result = []
-    for col in range(ncols):
-        pool = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not pool:
-            work = rest
+    for col, slot in enumerate((s0, s1, s2, s3)):
+        if slot is None:
             continue
-        piv = pool[0]
-        for row in pool[1:]:
-            a, b = piv[col], row[col]
-            g, s, t = xgcd(a, b)
-            u, v = a // g, b // g
-            piv, row = (
-                [s * x + t * y for x, y in zip(piv, row)],
-                [u * y - v * x for x, y in zip(piv, row)],
-            )
-            if any(row):
-                rest.append(row)
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        result.append(piv)
-        work = rest
-    # reduce entries above each pivot
-    for i in range(1, len(result)):
-        prow = result[i]
-        pcol = next(j for j in range(ncols) if prow[j])
-        pval = prow[pcol]
-        for above in result[:i]:
-            q = above[pcol] // pval
+        if slot[col] < 0:
+            slot = tuple(-x for x in slot)
+        pval = slot[col]
+        for i, above in enumerate(result):
+            q = above[col] // pval
             if q:
-                for j in range(ncols):
-                    above[j] -= q * prow[j]
-    return [tuple(r) for r in result]
+                result[i] = tuple(x - q * y for x, y in zip(above, slot))
+        result.append(slot)
+    return result
 
 
 def smith_normal_form(mat, modulus=None):

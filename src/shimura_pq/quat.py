@@ -308,7 +308,7 @@ class Lattice:
     # -- construction -----------------------------------------------------
     @classmethod
     def from_int_rows(cls, alg, rows, den):
-        h = hnf_rows(rows, 4)
+        h = hnf_rows(rows)
         if len(h) != 4:
             raise ValueError("lattice does not have full rank 4")
         return cls(alg, h, den)
@@ -442,10 +442,11 @@ class Lattice:
 
     def _trace_zero_form(self):
         """(basis, form) of S0 = {2x - trd x}: the HNF of the pure parts
-        (y1, y2, y3) of twice the basis rows, over den, and the reduced form
-        of nrd on it."""
+        (y1, y2, y3) of twice the basis rows (the HNF of (0, y1, y2, y3) with
+        its zero column dropped), over den, and the reduced form of nrd on it."""
         if "s0" not in self._cache:
-            basis = hnf_rows([tuple(2 * x for x in r[1:]) for r in self.rows], 3)
+            basis = [r[1:] for r in hnf_rows([(0, 2 * r[1], 2 * r[2], 2 * r[3])
+                                               for r in self.rows])]
             a, b = self.alg.a, self.alg.b
             w = (a, b, a * b)
             g = [[sum(wm * r[m] * s[m] for m, wm in enumerate(w)) for s in basis]

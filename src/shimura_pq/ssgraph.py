@@ -10,8 +10,9 @@ through the two-sided norm-q ideal (w_q).
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 
+from .linalg import det_bareiss
 from .ntheory import is_prime
 from .quat import (
     Quat,
@@ -64,6 +65,7 @@ class VertexSet:
         self.two_sided = two_sided  # per class: two-sided norm-q ideal of R_k
         self._units = {}
         self._connectors = {}
+        self._vectors = {}  # (m, k, n) -> ``_connector_vectors``, until its conjugate is taken
 
     def __len__(self):
         return len(self.classes)
@@ -83,14 +85,25 @@ class VertexSet:
     def rational_count(self):
         return sum(1 for c in self.classes if c.rational)
 
-    def locate(self, ideal):
+    def locate(self, ideal, first=None):
         """Class index and witness y with ideal = I_k * y (ideal must be a
-        left ideal of the base order)."""
+        left ideal of the base order).
+
+        The class ``first``, if given, is tested before the fingerprint
+        scan.  One class matches, and its witness comes from the same
+        equivalence test whichever order the classes are tried in, so the
+        answer does not depend on ``first``; a right guess saves the
+        fingerprint and the other tests."""
         reduced, z = reduce_ideal(ideal, self.order)
         nr = ideal_norm(reduced, self.order)
+        if first is not None:
+            rec = self.classes[first]
+            w = equiv_witness(rec.ideal, reduced, self.order, n1=rec.norm, n2=nr)
+            if w is not None:
+                return first, w * z.inv()
         fp = _fingerprint(reduced, nr)
         for k, rec in enumerate(self.classes):
-            if rec.fingerprint != fp:
+            if k == first or rec.fingerprint != fp:
                 continue
             w = equiv_witness(rec.ideal, reduced, self.order, n1=rec.norm, n2=nr)
             if w is not None:
@@ -106,29 +119,54 @@ class VertexSet:
             self._connectors[(k, m)] = lat if m == k else lat.conj_lattice()
         return self._connectors[(m, k)]
 
+    def _connector_vectors(self, m, k, n):
+        """The vectors of norm n in conj(I_m) I_k, sorted by key.
+
+        One search serves both directions of a pair: conj(I_k) I_m is the
+        conjugate lattice, so its vectors of norm n are the conjugates, sorted
+        again.  A list is kept until its conjugate is taken."""
+        rev = self._vectors.pop((k, m, n), None)
+        if rev is not None:
+            return sorted((x.conj() for x in rev), key=Quat.key)
+        vecs = self.connector(m, k).norm_vectors(n)
+        if m != k:
+            self._vectors[(m, k, n)] = vecs
+        return vecs
+
     def _steps(self, k, m, ell):
-        """The ell-steps from k landing at m: (L, m, z) with I_k * L = I_m * z,
-        one per norm-ell left ideal L of R_k in the class of m.
+        """The ell-steps from k landing at m: (image, m, z) with I_k L = I_m z,
+        one per norm-ell left ideal L of R_k in the class of m, and image the
+        image of L in R_k / ell R_k (``_image_mod``).
 
         Read off the theta series (Pizer 1980): z lies in I_m^-1 I_k, so the
         x = n_m z are the vectors of norm ell n_k n_m of conj(I_m) I_k, and
         the 2 w_m units u of R_m give the same L from u z.  Then
-        L = conj(I_k) I_m z / n_k, as conj(I_k) I_k = n_k R_k."""
+        L = conj(I_k) I_m z / n_k, as conj(I_k) I_k = n_k R_k; its image is
+        read off the coordinates in R_k of the rows of conj(I_k) I_m times
+        z / n_k, with no lattice built (``step_ideal`` builds it)."""
         rec, target = self.classes[k], self.classes[m]
+        order, mul4 = rec.right_order, self.alg.mul4
+        lat = self.connector(k, m)
         out = []
         seen = set()
-        for x in self.connector(m, k).norm_vectors(ell * rec.norm * target.norm):
+        for x in self._connector_vectors(m, k, ell * rec.norm * target.norm):
             if x in seen:
                 continue
             seen.update(u * x for u in self.units_of(m))
             z = x / target.norm
-            out.append((self.connector(k, m).mul_elem(z / rec.norm), m, z))
+            w = z / rec.norm
+            coords = [order._coords(mul4(r, w.num), lat.den * w.den) for r in lat.rows]
+            out.append((_image_mod(coords, ell), m, z))
         return out
 
+    def step_ideal(self, k, m, z):
+        """The ideal L = conj(I_k) I_m z / n_k of the step (image, m, z) from k."""
+        return self.connector(k, m).mul_elem(z / self.classes[k].norm)
+
     def neighbors(self, k, ell):
-        """List of (norm-ell ideal L of R_k, target class m, witness z) with
-        I_k * L = I_m * z, sorted by the key of L: the ``_steps`` from k to
-        every class.
+        """List of (image of L in R_k / ell R_k, target class m, witness z)
+        with I_k * L = I_m * z, one per norm-ell left ideal L of R_k, sorted
+        by the image: the ``_steps`` from k to every class.
 
         Each L = conj(I_k) I_m z / n_k is a left R_k-module, as conj(I_k)
         is.  So an L with ell R_k <= L <= R_k of index ell^2 is a left ideal
@@ -136,14 +174,13 @@ class VertexSet:
         For a prime ell != q, R_k has exactly ell+1 left ideals of norm ell.
         So ell+1 steps whose ideals have ell+1 distinct such images are
         these ideals, each once, with no ``norm_ideals`` to compare with."""
-        order = self.classes[k].right_order
         out = [step for m in range(len(self)) for step in self._steps(k, m, ell)]
-        images = {_residue_image(order, lam, ell) for lam, _, _ in out}
+        images = {image for image, _, _ in out}
         if len(out) != ell + 1 or len(images) != ell + 1 or None in images:
             raise ArithmeticError(
                 f"vertex {k}: the ell={ell} steps found by enumeration are not its "
                 f"{ell + 1} norm-{ell} ideals")
-        out.sort(key=lambda step: step[0].key())
+        out.sort(key=lambda step: step[0])
         return out
 
     def step_witness(self, t, z):
@@ -179,7 +216,7 @@ def vertex_classes(q, alg=None):
 
     Breadth first from the order itself, with no equivalence test: the
     norm-2 ideals L of R_k with I_k L in a known class m are the ``_steps``
-    from k to m.  Each L left over, in ``norm_ideals`` order, gives a new
+    from k to m, matched by their images in R_k / 2 R_k.  Each L left over, in ``norm_ideals`` order, gives a new
     class, I_k L reduced, and its steps from k are read at once, so the next
     L left over is in no known class either.  The steps from k must then be
     its three norm-2 ideals.  The connectors and unit lists found on the
@@ -199,15 +236,16 @@ def vertex_classes(q, alg=None):
         rec = found.classes[k]
         ideals = norm_ideals(rec.right_order, 2)
         steps = [step for m in range(len(found)) for step in found._steps(k, m, 2)]
-        known = {lam.key() for lam, _, _ in steps}
-        for lam in ideals:
-            if lam.key() in known:
+        known = {image for image, _, _ in steps}
+        images = [_residue_image(rec.right_order, lam, 2) for lam in ideals]
+        for lam, image in zip(ideals, images):
+            if image in known:
                 continue
             found.classes.append(_class_record(reduce_ideal(rec.ideal.mul(lam), order)[0], order))
             new = found._steps(k, len(found) - 1, 2)
             steps += new
-            known.update(step[0].key() for step in new)
-        if sorted(lam.key() for lam, _, _ in steps) != [lam.key() for lam in ideals]:
+            known.update(image for image, _, _ in new)
+        if Counter(image for image, _, _ in steps) != Counter(images):
             raise ArithmeticError(f"class {k}: its norm-2 steps are not its 3 norm-2 ideals")
         k += 1
     mass = found.mass()
@@ -219,6 +257,7 @@ def vertex_classes(q, alg=None):
     vset = VertexSet(q, alg, order, [found.classes[i] for i in perm], None, None, None)
     vset._units = {pos[i]: u for i, u in found._units.items()}
     vset._connectors = {(pos[m], pos[k]): lat for (m, k), lat in found._connectors.items()}
+    vset._vectors = {(pos[m], pos[k], n): v for (m, k, n), v in found._vectors.items()}
     _attach_wq(vset)
     return vset
 
@@ -232,7 +271,10 @@ def _attach_wq(vset):
     for k, rec in enumerate(vset.classes):
         ts = two_sided_prime(rec.right_order, q)
         two_sided.append(ts)
-        t, y = vset.locate(rec.ideal.mul(ts))
+        # w_q is an involution: the class it sends k to is the j with
+        # wq_perm[j] == k if one is known, else most likely k itself
+        first = perm.index(k) if k in perm else k
+        t, y = vset.locate(rec.ideal.mul(ts), first)
         perm[k] = t
         witnesses[k] = y
     vset.wq_perm = perm
@@ -394,33 +436,52 @@ def _local_generator(ideal, order, p):
 
 def _rref_mod(rows, p):
     """The nonzero rows of the reduced row echelon form of rows over F_p,
-    as a tuple of tuples: equal exactly when the spans mod p are equal."""
+    as a tuple of tuples: equal exactly when the spans mod p are equal.
+
+    Eliminates in place: the pivot rows move to the top in column order, and
+    as every row below them is zero left of the current column, each row
+    operation touches only the columns from the pivot column on."""
     rows = [[x % p for x in r] for r in rows]
-    out = []
-    for col in range(len(rows[0])):
-        for idx, r in enumerate(rows):
-            if r[col]:
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        for idx in range(rank, len(rows)):
+            if rows[idx][col]:
                 break
         else:
             continue
-        piv = rows.pop(idx)
+        piv = rows[idx]
+        rows[idx] = rows[rank]
+        rows[rank] = piv
         inv = pow(piv[col], -1, p)
-        piv = [x * inv % p for x in piv]
-        for r in rows + out:
+        if inv != 1:
+            for j in range(col, ncols):
+                piv[j] = piv[j] * inv % p
+        for i, r in enumerate(rows):
             f = r[col]
-            if f:
-                r[:] = [(x - f * y) % p for x, y in zip(r, piv)]
-        out.append(piv)
-    return tuple(tuple(r) for r in out)
+            if f and i != rank:
+                for j in range(col, ncols):
+                    r[j] = (r[j] - f * piv[j]) % p
+        rank += 1
+    return tuple(tuple(r) for r in rows[:rank])
 
 
 def _residue_image(order, lat, p):
-    """The image of lat in order / p order (``_rref_mod`` of its basis
+    """The image of lat in order / p order (``_image_mod`` of its basis
     coordinates) if p order <= lat <= order with index p^2, as for a
     norm-p left ideal of a maximal order, else None.  Such a lattice is the
     preimage of its image, so the image determines it."""
-    coords = lat.coords_in(order)
-    if coords is None or prod(coords[i][i] for i in range(4)) != p * p:
+    return _image_mod(lat.coords_in(order), p)
+
+
+def _image_mod(coords, p):
+    """The image mod p (``_rref_mod``) of the lattice whose basis has the
+    coordinates ``coords`` in an order, if it lies between p order and
+    order with index p^2, else None.  With integer coordinates the lattice
+    lies in the order with index |det|; when that is p^2 and the image has
+    rank 2, the sum of the lattice and p order has index p^2 too, so the
+    two are equal and the lattice contains p order."""
+    if coords is None or None in coords or abs(det_bareiss(coords)) != p * p:
         return None
     image = _rref_mod(coords, p)
     return image if len(image) == 2 else None
@@ -450,7 +511,10 @@ def build_graph(p, q, alg=None, vset=None):
     edges = []
     for k, rec in enumerate(vset.classes):
         unit_list = vset.units_of(k)
-        steps = {lam.key(): (lam, m, z) for lam, m, z in vset.neighbors(k, p)}
+        steps = {}
+        for _, m, z in vset.neighbors(k, p):
+            lam = vset.step_ideal(k, m, z)
+            steps[lam.key()] = (lam, m, z)
         covered = set()
         for key in sorted(steps):
             if key in covered:
@@ -527,7 +591,9 @@ def validate_records(graph):
     conjugates by y_k).  Each edge record against its ideal P: P lies
     between p R_k and R_k with index p^2, as a norm-p left ideal of the
     source R_k does (``brandt_edges`` and ``gross_shimura`` rely on it); the
-    Eichler order Z + P; the length (half its unit count); the orbit, the
+    Eichler order E = Z + P, with no HNF: E contains 1 and P, so Z + P; and
+    as p R_k <= P and 1 is not in P, [Z + P : P] = p, which is [E : P] when
+    det P = p det E; the length (half its unit count); the orbit, the
     P u over the units u of R_k, which then lie between p R_k = p R_k u and
     R_k = R_k u as well.  Last, the p+1 norm-p ideals of each R_k: the
     orbits at k have p+1 members, with p+1 distinct images mod p (the keys
@@ -558,7 +624,8 @@ def validate_records(graph):
         if _residue_image(vset.classes[k].right_order, e.ideal, p) is None:
             raise ArithmeticError(
                 f"edge {i}: ideal does not lie between {p} R_{k} and R_{k} with index {p}^2")
-        if e.eichler != e.ideal.add_elem(one):
+        if (one not in e.eichler or e.ideal.coords_in(e.eichler) is None or one in e.ideal
+                or e.ideal.det() != p * e.eichler.det()):
             raise ArithmeticError(f"edge {i}: eichler is not Z + its ideal")
         unit_list = vset.units_of(k)
         if 2 * e.length != sum(u in e.eichler for u in unit_list):
@@ -619,12 +686,23 @@ def _fq2_ops(q, d):
 def ss_oracle(q):
     """(number of supersingular j-invariants, number of F_q-rational ones).
 
-    Roots of the Hasse polynomial sum C(m,i)^2 x^i (m = (q-1)/2) over F_{q^2}
-    are the supersingular Legendre parameters; they map to j-invariants by
-    j = 256 (x^2-x+1)^3 / (x^2 (x-1)^2).  Entirely independent of the
-    quaternion machinery.  The Horner step acc <- acc lam + c, the inner
-    loop over about q^2/2 parameters lam, is written out on the two
+    Roots of the Hasse polynomial H = sum C(m,i)^2 x^i (m = (q-1)/2) over
+    F_{q^2} are the supersingular Legendre parameters; they map to
+    j-invariants by j = 256 (x^2-x+1)^3 / (x^2 (x-1)^2).  Entirely
+    independent of the quaternion machinery.  The Horner step
+    acc <- acc lam + c, the inner loop, is written out on the two
     coordinates of acc.
+
+    Only about half the parameters are evaluated.  x -> 1 - x maps
+    y^2 = x(x-1)(x-lam) onto y^2 = -x(x-1)(x-(1-lam)), a twist of the
+    Legendre curve of 1 - lam, with the same j (the formula above is
+    visibly invariant under lam -> 1 - lam); supersingularity depends on j
+    alone, so lam is a root of H exactly when 1 - lam is.  H has
+    coefficients in F_q, so the conjugate of a root is a root too.  Writing
+    lam = u + v sqrt(d), the roots with a given v in [0, (q-1)/2] are
+    therefore closed under u -> 1 - u, and every u mod q is u' or 1 - u'
+    for a u' in [0, (q+1)/2]: each root found there brings (1-u, v) and
+    the conjugates (u, -v), (1-u, -v) with it.
     """
     if not is_prime(q) or q < 5:
         raise ValueError(f"q must be a prime >= 5, got {q}")
@@ -632,22 +710,23 @@ def ss_oracle(q):
     coeffs = [comb(m, i) ** 2 % q for i in range(m + 1)]
     coeffs.reverse()  # Horner from the top degree
     d = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
-    roots = []
-    for u in range(q):
+    half = range((q + 1) // 2 + 1)
+    roots = set()
+    for u in half:
         a = 0
         for c in coeffs:
             a = (a * u + c) % q
         if a == 0:
-            roots.append((u, 0))
+            roots.update(((u, 0), ((1 - u) % q, 0)))
     for v in range(1, (q - 1) // 2 + 1):
         dv = d * v
-        for u in range(q):
+        for u in half:
             a = b = 0
             for c in coeffs:
                 a, b = (a * u + b * dv + c) % q, (a * v + b * u) % q
             if a == 0 and b == 0:
-                roots.append((u, v))
-                roots.append((u, (q - v) % q))
+                u1 = (1 - u) % q
+                roots.update(((u, v), (u, q - v), (u1, v), (u1, q - v)))
     mul, inv = _fq2_ops(q, d)
     jset = set()
     for lam in roots:

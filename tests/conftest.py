@@ -96,3 +96,8 @@ def graph_5_37(vset37):
 @pytest.fixture(scope="session")
 def graph_5_163(vset163):
     return build_graph(5, 163, vset=vset163)
+
+
+@pytest.fixture(scope="session")
+def graph_29_23(vset23):
+    return build_graph(29, 23, vset=vset23)

@@ -16,6 +16,12 @@ here, unchanged apart from their imports:
   Brandt rows (``ShimuraGraph.brandt_vertices`` and ``brandt_edges``);
 * ``neighbors_by_locate`` -- the ell-steps from a vertex by one ``locate``
   per norm-ell ideal, the oracle for ``VertexSet.neighbors``;
+* ``steps_per_direction`` -- ``VertexSet._steps`` as it was: one
+  short-vector search of conj(I_m) I_k for each direction of a class pair,
+  and each step's ideal built as a lattice (one HNF), the oracle for the
+  one search per unordered pair and the steps read by their image mod ell;
+* ``wq_by_full_scan`` -- w_q on vertices by one ``locate`` per class with
+  no class tried first, the oracle for ``ssgraph._attach_wq``;
 * ``vertex_classes_by_equivalence`` -- the class search with one reduced
   product, fingerprint and equivalence test per 2-neighbour, the oracle for
   ``ssgraph.vertex_classes``;
@@ -26,6 +32,8 @@ here, unchanged apart from their imports:
   ``build_graph`` reads off the conjugated rows;
 * ``gross_shimura_per_edge`` -- the edge Gross vector by one embedding
   search in each Eichler order, the oracle for ``gross.gross_shimura``;
+* ``rref_mod_fresh`` -- ``ssgraph._rref_mod`` as it was before it
+  eliminated in place: a fresh list per row operation, over all columns;
 * ``ss_oracle_reference`` -- the supersingular count with one function call
   per F_{q^2} product, the oracle for ``ssgraph.ss_oracle``.
 """
@@ -40,7 +48,7 @@ from shimura_pq.gross import graph_eichler_units, optimal_embeddings
 from shimura_pq.linalg import det_bareiss, solve_frac
 from shimura_pq.ntheory import is_prime
 from shimura_pq.quat import (equiv_witness, ideal_norm, make_algebra, maximal_order,
-                             norm_ideals, reduce_ideal)
+                             norm_ideals, reduce_ideal, two_sided_prime)
 from shimura_pq.ssgraph import VertexSet, _attach_wq, _class_record, _fingerprint
 
 
@@ -167,6 +175,33 @@ def neighbors_by_locate(vset, k, ell):
     return out
 
 
+def steps_per_direction(vset, k, m, ell):
+    """The ell-steps from k landing at m, as (L, m, z) with L a lattice:
+    the vectors of norm ell n_k n_m of conj(I_m) I_k by their own search,
+    one per orbit of the units of R_m, and L = conj(I_k) I_m z / n_k."""
+    rec, target = vset.classes[k], vset.classes[m]
+    out = []
+    seen = set()
+    for x in vset.connector(m, k).norm_vectors(ell * rec.norm * target.norm):
+        if x in seen:
+            continue
+        seen.update(u * x for u in vset.units_of(m))
+        z = x / target.norm
+        out.append((vset.connector(k, m).mul_elem(z / rec.norm), m, z))
+    return out
+
+
+def wq_by_full_scan(vset):
+    """(wq_perm, wq_witnesses): the class and witness of I_k T_k for each k,
+    by ``locate`` with the full fingerprint scan."""
+    perm, witnesses = [], []
+    for rec in vset.classes:
+        t, y = vset.locate(rec.ideal.mul(two_sided_prime(rec.right_order, vset.q)))
+        perm.append(t)
+        witnesses.append(y)
+    return perm, witnesses
+
+
 def vertex_classes_by_equivalence(q, alg=None):
     """``ssgraph.vertex_classes`` as it was: for every 2-neighbour I_k L of
     every class k, reduce it, take its fingerprint and run an equivalence
@@ -279,3 +314,25 @@ def ss_oracle_reference(q):
         jset.add(j)
     rational = sum(1 for j in jset if j[1] == 0)
     return len(jset), rational
+
+
+def rref_mod_fresh(rows, p):
+    """The nonzero rows of the reduced row echelon form of rows over F_p,
+    as a tuple of tuples: equal exactly when the spans mod p are equal."""
+    rows = [[x % p for x in r] for r in rows]
+    out = []
+    for col in range(len(rows[0])):
+        for idx, r in enumerate(rows):
+            if r[col]:
+                break
+        else:
+            continue
+        piv = rows.pop(idx)
+        inv = pow(piv[col], -1, p)
+        piv = [x * inv % p for x in piv]
+        for r in rows + out:
+            f = r[col]
+            if f:
+                r[:] = [(x - f * y) % p for x, y in zip(r, piv)]
+        out.append(piv)
+    return tuple(tuple(r) for r in out)

@@ -27,6 +27,11 @@ code against them:
   the discriminant from the ``Fraction`` trace form of the ``Quat`` basis),
   as functions of the lattice.
 
+``hnf_rows_pairwise`` is ``linalg.hnf_rows`` as it was before rows were
+inserted one at a time: for any number of columns, it folds the rows with a
+nonzero entry in each column pairwise by xgcd, then reduces above the
+pivots.  It is the oracle for the row-insertion version.
+
 It also holds ``norm_ideals_exhaustive``, the brute-force oracle for
 ``quat.norm_ideals`` (every index-ell^2 left submodule of reduced norm ell),
 and the ``Fraction`` helpers all of these stand on, which the package no
@@ -40,9 +45,57 @@ from math import gcd, lcm
 
 import graph_oracle
 from shimura_pq.gross import class_number, gross_modular, gross_shimura
-from shimura_pq.linalg import det_bareiss, frac_sqrt, hnf_rows
+from shimura_pq.linalg import det_bareiss, frac_sqrt, hnf_rows, xgcd
 from shimura_pq.quat import Lattice, Quat, _line_reps, ideal_norm
 from shimura_pq.ssgraph import _residue_image
+
+
+# -- the pairwise HNF ---------------------------------------------------------
+
+def hnf_rows_pairwise(rows, ncols=None):
+    """Row Hermite normal form of the lattice spanned by integer ``rows``.
+
+    Returns the list of nonzero rows as tuples: row echelon with positive
+    pivots and the entries above each pivot reduced into [0, pivot).  The
+    output is canonical for the row span, which is what makes lattice
+    equality a plain tuple comparison.
+    """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    work = [list(r) for r in rows if any(r)]
+    result = []
+    for col in range(ncols):
+        pool = [r for r in work if r[col] != 0]
+        rest = [r for r in work if r[col] == 0]
+        if not pool:
+            work = rest
+            continue
+        piv = pool[0]
+        for row in pool[1:]:
+            a, b = piv[col], row[col]
+            g, s, t = xgcd(a, b)
+            u, v = a // g, b // g
+            piv, row = (
+                [s * x + t * y for x, y in zip(piv, row)],
+                [u * y - v * x for x, y in zip(piv, row)],
+            )
+            if any(row):
+                rest.append(row)
+        if piv[col] < 0:
+            piv = [-x for x in piv]
+        result.append(piv)
+        work = rest
+    # reduce entries above each pivot
+    for i in range(1, len(result)):
+        prow = result[i]
+        pcol = next(j for j in range(ncols) if prow[j])
+        pval = prow[pcol]
+        for above in result[:i]:
+            q = above[pcol] // pval
+            if q:
+                for j in range(ncols):
+                    above[j] -= q * prow[j]
+    return [tuple(r) for r in result]
 
 
 # -- Fraction helpers ---------------------------------------------------------
@@ -113,7 +166,7 @@ def dual_of_constraints(alg, functionals):
     for w in fr:
         for x in w:
             den = den * x.denominator // gcd(den, x.denominator)
-    rows = hnf_rows([[int(x * den) for x in w] for w in fr], 4)
+    rows = hnf_rows([[int(x * den) for x in w] for w in fr])
     if len(rows) != 4:
         raise ValueError("constraint span is degenerate")
     pinv = mat_inv_frac(rows)
@@ -273,7 +326,8 @@ def brandt_edges(graph, ell):
     mat = [[0] * n for _ in range(n)]
     inv_ell = Fraction(1, ell)
     for i, e in enumerate(graph.edges):
-        for lam, m, z in graph.vertex_neighbors(e.source, ell):
+        for _, m, z in graph.vertex_neighbors(e.source, ell):
+            lam = graph.vset.step_ideal(e.source, m, z)
             pushed = conj_by_integer(scale(lam.conj_lattice(), inv_ell).mul(
                 lattice_intersection(lam, e.ideal)), z)
             mat[i][locate_edge(graph, m, pushed)] += 1

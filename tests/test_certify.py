@@ -236,7 +236,8 @@ class TestCache:
 
     @pytest.mark.parametrize("damage", ["length", "target", "wp_perm", "wq_perm",
                                         "norm", "right_order", "fingerprint", "weight",
-                                        "eichler", "orbit", "p_times_ideal",
+                                        "eichler", "eichler_is_order", "eichler_swapped",
+                                        "orbit", "p_times_ideal",
                                         "foreign_ideal", "two_sided", "wq_witness"])
     def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
         # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
@@ -254,6 +255,8 @@ class TestCache:
                  "fingerprint": "vertex 1: fingerprint does not match its ideal",
                  "weight": "vertex 0: weight 2 is not half the unit count",
                  "eichler": "edge 4: eichler is not Z + its ideal",
+                 "eichler_is_order": "edge 4: eichler is not Z + its ideal",
+                 "eichler_swapped": "edge 4: eichler is not Z + its ideal",
                  "orbit": "edge 4: orbit is not the set of its ideal times the units",
                  "p_times_ideal": "edge 4: ideal does not lie between 13 R_0 and R_0",
                  "foreign_ideal": "edge 4: ideal does not lie between 13 R_0 and R_0",
@@ -279,6 +282,12 @@ class TestCache:
             payload["edges"][4]["length"] = 2
         elif damage == "eichler":
             payload["edges"][4]["eichler"] = payload["edges"][5]["eichler"]
+        elif damage == "eichler_is_order":
+            payload["edges"][4]["eichler"] = vertices[0]["right_order"]
+        elif damage == "eichler_swapped":
+            edges = payload["edges"]
+            assert edges[5]["source"] == 0 and edges[4]["eichler"] != edges[5]["eichler"]
+            edges[4]["eichler"], edges[5]["eichler"] = edges[5]["eichler"], edges[4]["eichler"]
         elif damage == "orbit":
             payload["edges"][4]["orbit"][-1] = payload["edges"][5]["ideal"]
         elif damage == "p_times_ideal":
@@ -394,4 +403,4 @@ def test_lat_from_accepts_exactly_the_hnf(rows):
         accepted = True
     except ValueError:
         accepted = False
-    assert accepted == (hnf_rows(rows, 4) == rows)
+    assert accepted == (hnf_rows(rows) == rows)

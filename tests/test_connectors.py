@@ -6,24 +6,33 @@ and w_q on edges from the image mod p of each conjugated edge ideal.  The
 oracles in ``graph_oracle`` are the paths they replace: one equivalence
 test per 2-neighbour, and one lattice conjugation and lookup per edge.
 Both must give the same records, permutations and witnesses, since all of
-them are stored in the graph cache.  The work counters keep the saving:
-equivalence tests run only inside ``locate`` and ``norm_ideals`` only for
-the 2-neighbours.
+them are stored in the graph cache.  So must the other paths replaced here:
+one short-vector search per direction of a class pair, with each step's
+ideal built as a lattice (``steps_per_direction``), and w_q on vertices by
+the full fingerprint scan (``wq_by_full_scan``).  The work counters keep
+the saving: equivalence tests run only inside ``locate``, ``norm_ideals``
+only for the 2-neighbours, and one connector search serves both directions
+of a class pair.
 """
 
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import shimura_pq.ssgraph as ssgraph
 from graph_oracle import (
+    steps_per_direction,
     vertex_classes_by_equivalence,
     wp_perm_by_conjugation,
+    wq_by_full_scan,
     wq_edge_perm_by_conjugation,
 )
 from lattice_oracle import conj_by_integer
-from shimura_pq.quat import Quat
-from shimura_pq.ssgraph import VertexSet, _attach_wp, build_graph, vertex_classes
+from shimura_pq.quat import Lattice, Quat
+from shimura_pq.ssgraph import (VertexSet, _attach_wp, _residue_image, build_graph,
+                                vertex_classes)
 
 VSETS = {11: "vset11", 23: "vset23", 37: "vset37", 47: "vset47", 83: None, 163: "vset163"}
 GRAPHS = ["graph_13_47", "graph_5_23", "graph_7_23", "graph_13_11", "graph_29_47",
@@ -50,6 +59,28 @@ def test_edge_involutions_match_conjugation(fixture, request):
     graph = request.getfixturevalue(fixture)
     assert graph.wp_perm == wp_perm_by_conjugation(graph)
     assert graph.wq_edge_perm == wq_edge_perm_by_conjugation(graph)
+
+
+@pytest.mark.parametrize("fixture", GRAPHS)
+def test_steps_match_one_search_per_direction(fixture, request):
+    graph = request.getfixturevalue(fixture)
+    vset = graph.vset
+    for ell in sorted({2, 3, graph.p} - {graph.q}):
+        for k, rec in enumerate(vset.classes):
+            for m in range(len(vset)):
+                fast = vset._steps(k, m, ell)
+                slow = steps_per_direction(vset, k, m, ell)
+                assert [(m, z) for _, m, z in fast] == [(m, z) for _, m, z in slow]
+                assert [image for image, _, _ in fast] == \
+                    [_residue_image(rec.right_order, lam, ell) for lam, _, _ in slow]
+                assert [vset.step_ideal(k, m, z) for _, m, z in fast] == \
+                    [lam for lam, _, _ in slow]
+
+
+@pytest.mark.parametrize("q", [11, 23, 37, 47, 83, 163, 251])
+def test_wq_matches_full_scan(q, request):
+    vset = request.getfixturevalue(VSETS[q]) if VSETS.get(q) else vertex_classes(q)
+    assert (vset.wq_perm, vset.wq_witnesses) == wq_by_full_scan(vset)
 
 
 def test_kept_connectors_follow_the_sort(vset47):
@@ -117,9 +148,9 @@ def _count(monkeypatch):
         calls["norm_ideals"].append(ell)
         return norm_ideals(order, ell)
 
-    def counted_locate(self, ideal):
+    def counted_locate(self, ideal, *args):
         calls["locate"] += 1
-        return locate(self, ideal)
+        return locate(self, ideal, *args)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "shimura_pq":
@@ -140,3 +171,35 @@ def test_equivalence_tests_only_in_locate(build, monkeypatch):
     assert calls["locate"] == h  # one per class, for w_q
     assert calls["equiv_witness"] and set(calls["equiv_witness"]) == {"locate"}
     assert calls["norm_ideals"] == [2] * h  # one per class in the 2-neighbour search
+
+
+@pytest.mark.parametrize("build", ["vertex_classes_163", "build_graph_13_47"])
+def test_one_connector_search_per_pair(build, monkeypatch):
+    # every norm_vectors call with no trace, by (lattice key, norm); the
+    # connectors are told apart from the unit searches by their norms
+    searched = Counter()
+    norm_vectors = Lattice.norm_vectors
+
+    def counted(self, n, trace=None):
+        if trace is None:
+            searched[(self.key(), Fraction(n))] += 1
+        return norm_vectors(self, n, trace)
+
+    monkeypatch.setattr(Lattice, "norm_vectors", counted)
+    vset = vertex_classes(163) if build == "vertex_classes_163" else build_graph(13, 47).vset
+    monkeypatch.undo()
+    ells = (2,) if build == "vertex_classes_163" else (2, 13)
+    per_pair = Counter()
+    for k in range(len(vset)):
+        for m in range(k, len(vset)):
+            keys = {vset.connector(m, k).key(), vset.connector(k, m).key()}
+            for ell in ells:
+                n = ell * vset.classes[k].norm * vset.classes[m].norm
+                per_pair[(k, m, ell)] = sum(searched[(key, n)] for key in keys)
+    assert set(per_pair.values()) <= {0, 1}
+    # ell = 2: each class has a searched pair, as its 2-steps land somewhere;
+    # ell = 13: every pair, as neighbors(k, 13) asks every class
+    assert all(any(per_pair[(min(k, m), max(k, m), 2)] for m in range(len(vset)))
+               for k in range(len(vset)))
+    if 13 in ells:
+        assert all(per_pair[(k, m, 13)] == 1 for k, m, ell in per_pair if ell == 13)

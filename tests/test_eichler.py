@@ -60,7 +60,7 @@ def test_eichler_units_are_the_unit_group(graph):
 
 def test_orbits_match_conjugation(graph):
     for k in range(len(graph.vset)):
-        ideals = [lam for lam, _, _ in graph.vertex_neighbors(k, graph.p)]
+        ideals = [graph.vset.step_ideal(k, m, z) for _, m, z in graph.vertex_neighbors(k, graph.p)]
         expected = _orbits_by_conjugation(ideals, graph.vset.units_of(k))
         got = [e.orbit for e in graph.edges if e.source == k]
         assert [[m.key() for m in o] for o in got] == [[m.key() for m in o] for o in expected]

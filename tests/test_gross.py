@@ -269,3 +269,49 @@ class TestTowers:
         tower = gross_tower_shimura(graph_13_47, 3, 2)
         direct = [gross_shimura(graph_13_47, -36), gross_shimura(graph_13_47, -324)]
         assert tower == direct
+
+
+def _weighted_boundaries(graph, gam):
+    """s_* and t_* of L gam, L the diagonal of edge lengths."""
+    weighted = tuple(x * e.length for x, e in zip(gam, graph.edges))
+    return s_star(graph, weighted), t_star(graph, weighted)
+
+
+def _boundary_target(graph, D, gamma):
+    """2 u(D) (1 + (D/p)) Gamma_D; u(D) = 1 below D = -4."""
+    return vec_scale(gamma, 2 * unit_count(D) * (1 + kronecker(D, graph.p)))
+
+
+class TestBoundaryIdentity:
+    """s_*(L gamma_D) = t_*(L gamma_D) = 2 (1 + (D/p)) Gamma_D, with L the
+    diagonal of edge lengths: the optimal embeddings into the Eichler
+    orders at a vertex, counted with the lengths, are the embeddings into
+    its right order times the number of norm-p ideals they fix.  It ties
+    the edge vectors to the vertex vectors with no length condition on
+    their supports (unweighted it fails exactly when gamma_D is nonzero on
+    a longer edge), and at D = -3, -4 with the unit count u(D) that
+    Gamma_D divides by."""
+
+    DISCS = [D for D in range(-3, -121, -1) if D % 4 in (0, 1)] + [-8 * 3 ** 6]
+
+    def test_direct_vectors_29_23(self, graph_29_23):
+        g = graph_29_23
+        unweighted_fails = residues = 0
+        for D in self.DISCS:
+            gam, gamma = gross_shimura(g, D), gross_modular(g.vset, D)
+            target = _boundary_target(g, D, gamma)
+            assert _weighted_boundaries(g, gam) == (target, target), D
+            unweighted_fails += s_star(g, gam) != target
+            residues |= 1 << (kronecker(D, g.p) + 1) if any(gamma) else 0
+        # every value of (D/p) occurs with Gamma_D nonzero, and the lengths matter
+        assert residues == 0b111 and unweighted_fails
+
+    def test_tower_13_47(self, graph_13_47):
+        g, ell, depth = graph_13_47, 3, 6
+        vertex = gross_tower_modular(g, ell, depth)
+        edge = gross_tower_shimura(g, ell, depth)
+        for n in range(1, depth + 1):
+            D = -4 * ell ** (2 * n)
+            target = _boundary_target(g, D, vertex[n - 1])
+            assert any(target)
+            assert _weighted_boundaries(g, edge[n - 1]) == (target, target), n

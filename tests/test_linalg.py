@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_oracle import mat_inv_frac, mat_mul_frac
+from lattice_oracle import hnf_rows_pairwise, mat_inv_frac, mat_mul_frac
 from shimura_pq.linalg import (
     det_bareiss,
     frac_sqrt,
@@ -15,6 +15,7 @@ from shimura_pq.linalg import (
     solve_frac,
     xgcd,
 )
+from shimura_pq.quat import make_algebra
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -48,15 +49,15 @@ def _apply_unimodular(rows, ops):
     ),
 )
 def test_hnf_invariant_under_row_ops(rows, ops):
-    base = hnf_rows(rows, 4)
+    base = hnf_rows(rows)
     if len(base) != 4:
         return
     rebased = _apply_unimodular(base, ops)
-    assert hnf_rows(rebased, 4) == base
+    assert hnf_rows(rebased) == base
 
 
 def test_hnf_shape():
-    h = hnf_rows([[2, 0, 0, 0], [0, 2, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]], 4)
+    h = hnf_rows([[2, 0, 0, 0], [0, 2, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]])
     assert h == [(1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 2, 0), (0, 0, 0, 2)]
 
 
@@ -135,3 +136,47 @@ def test_frac_sqrt():
     assert frac_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert frac_sqrt(Fraction(2)) is None
     assert frac_sqrt(Fraction(0)) == 0
+
+
+@st.composite
+def _row_sets(draw):
+    """(ncols, rows): 3 or 4 columns, random rows plus zero, repeated,
+    negated and dependent (integer combination) rows, shuffled."""
+    ncols = draw(st.sampled_from([3, 4]))
+    entry = st.integers(-40, 40)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0 or not rows:
+            rows.append([0] * ncols)
+        elif kind == 1:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == 2:
+            rows.append([-x for x in draw(st.sampled_from(rows))])
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+            rows.append([c * x + d * y for x, y in zip(a, b)])
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_row_sets())
+def test_hnf_rows_matches_pairwise(case):
+    ncols, rows = case
+    if ncols == 4:
+        assert hnf_rows(rows) == hnf_rows_pairwise(rows, 4)
+    else:
+        # the rank-3 path of quat: a zero column prepended, then dropped
+        fast = [r[1:] for r in hnf_rows([[0] + list(r) for r in rows])]
+        assert fast == hnf_rows_pairwise(rows, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-12, 12), min_size=4, max_size=4), min_size=4, max_size=4),
+       st.lists(st.lists(st.integers(-12, 12), min_size=4, max_size=4), min_size=4, max_size=4))
+def test_hnf_rows_matches_pairwise_on_products(a, b):
+    # the 16 rows of a lattice product, as Lattice.mul builds them
+    alg = make_algebra(47)
+    rows = [alg.mul4(r, s) for r in a for s in b]
+    assert hnf_rows(rows) == hnf_rows_pairwise(rows, 4)

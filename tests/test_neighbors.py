@@ -1,8 +1,9 @@
 """Hecke neighbours by enumeration against neighbours by ``locate``.
 
 ``VertexSet.neighbors`` reads the ell-steps from k to m off the vectors of
-norm ell n_k n_m in conj(I_m) I_k, and ``VertexSet.step_witness`` gives the
-witness of an edge from its z alone.  ``graph_oracle.neighbors_by_locate``
+norm ell n_k n_m in conj(I_m) I_k, each with the image mod ell of its
+ideal (``VertexSet.step_ideal`` builds the ideal), and
+``VertexSet.step_witness`` gives the witness of an edge from its z alone.  ``graph_oracle.neighbors_by_locate``
 is the path they replace: one ``locate`` of I_k L per norm-ell ideal L.
 Both must give the same ideals and targets, every z must be a witness, and
 every edge witness must be the one ``locate`` gives, since witnesses are
@@ -12,6 +13,7 @@ stored in the graph cache.
 import pytest
 
 from graph_oracle import neighbors_by_locate
+from shimura_pq.ssgraph import _residue_image
 
 GRAPHS = ["graph_5_23", "graph_13_11", "graph_13_47", "graph_5_37", "graph_5_163"]
 
@@ -28,8 +30,13 @@ def test_neighbors_match_locate(fixture, request):
         for ell in _ells(graph):
             fast = graph.vertex_neighbors(k, ell)
             slow = neighbors_by_locate(vset, k, ell)
-            assert [(lam.key(), m) for lam, m, _ in fast] == [(lam.key(), m) for lam, m, _ in slow]
-            for lam, m, z in fast:
+            ideals = [vset.step_ideal(k, m, z) for _, m, z in fast]
+            # the steps come sorted by their image, the locate path by key
+            assert [image for image, _, _ in fast] == sorted(image for image, _, _ in fast)
+            assert sorted((lam.key(), m) for lam, (_, m, _) in zip(ideals, fast)) == \
+                [(lam.key(), m) for lam, m, _ in slow]
+            for lam, (image, m, z) in zip(ideals, fast):
+                assert image == _residue_image(rec.right_order, lam, ell)
                 assert rec.ideal.mul(lam) == vset.classes[m].ideal.mul_elem(z)
 
 
@@ -38,7 +45,8 @@ def test_step_witness_matches_locate(fixture, request):
     graph = request.getfixturevalue(fixture)
     vset = graph.vset
     for e in graph.edges:
-        z = next(z for lam, _, z in graph.vertex_neighbors(e.source, graph.p) if lam == e.ideal)
+        z = next(z for _, m, z in graph.vertex_neighbors(e.source, graph.p)
+                 if vset.step_ideal(e.source, m, z) == e.ideal)
         t, y = vset.locate(vset.classes[e.source].ideal.mul(e.ideal))
         assert (e.target, e.witness) == (t, y)
         assert vset.step_witness(t, z) == y

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graph_oracle import brandt_matrix, dense, ss_oracle_reference
+from graph_oracle import brandt_matrix, dense, rref_mod_fresh, ss_oracle_reference
 from shimura_pq.certify import genus
 from shimura_pq.ntheory import is_prime
 from shimura_pq.quat import equiv_witness, make_algebra, maximal_order
-from shimura_pq.ssgraph import build_graph, ss_oracle, vertex_classes
+from shimura_pq.ssgraph import _rref_mod, build_graph, ss_oracle, vertex_classes
 
 
 class TestVertexClasses:
@@ -248,3 +250,29 @@ class TestModelIndependence:
         b_std = brandt_matrix(g_std, 2)
         trace = lambda m: sum(m[i][i] for i in range(len(m)))
         assert trace(b_alt) == trace(b_std)
+
+
+@st.composite
+def _low_rank_mod(draw):
+    """(p, r, rows): a 4 x 4 integer matrix of rank at most r mod p, the
+    product of a 4 x r and an r x 4 random matrix, its entries shifted by
+    random multiples of p."""
+    p = draw(st.sampled_from([2, 3, 13, 257]))
+    r = draw(st.integers(0, 4))
+    entry = st.integers(0, p - 1)
+    left = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=4, max_size=4))
+    right = draw(st.lists(st.lists(entry, min_size=4, max_size=4), min_size=r, max_size=r))
+    shift = draw(st.lists(st.integers(-3, 3), min_size=16, max_size=16))
+    rows = [[sum(a * b for a, b in zip(row, col)) + p * shift[4 * i + j]
+             for j, col in enumerate(zip(*right) if r else [()] * 4)]
+            for i, row in enumerate(left)]
+    return p, r, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_low_rank_mod())
+def test_rref_mod_matches_fresh_lists(case):
+    p, r, rows = case
+    image = _rref_mod(rows, p)
+    assert image == rref_mod_fresh(rows, p)
+    assert len(image) <= r
