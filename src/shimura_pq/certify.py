@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 from .compgroup import (
     blow_up,
@@ -23,21 +23,8 @@ from .compgroup import (
     lemma_general_check,
     quotient_by_wq,
 )
-from .gross import (
-    eisenstein_modular,
-    eisenstein_shimura,
-    gross_tower_modular,
-    gross_tower_shimura,
-    is_zero,
-    project_degree_zero,
-    s_star,
-    support,
-    t_star,
-    tower_class_number,
-    vec_scale,
-    vec_sub,
-)
-from .linalg import solve_frac
+from .gross import (gross_tower_modular, gross_tower_shimura, s_star, support, t_star,
+                    tower_class_number)
 from .ntheory import is_prime, kronecker, primes_from
 from .quat import Lattice, Quat, make_algebra
 from .ssgraph import (Edge, ShimuraGraph, VertexClass, VertexSet, build_graph, ss_oracle,
@@ -85,12 +72,36 @@ def genus(q):
 
 # -- Eisenstein decomposition ---------------------------------------------------
 
+def _eliminate(row, pivot, col):
+    """row with its entry at col cleared by the pivot row, fraction-free,
+    then divided by its content."""
+    a, b = pivot[col], row[col]
+    if not b:
+        return row
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    row = [a * x - b * y for x, y in zip(row, pivot)]
+    c = reduce(gcd, row)
+    return [x // c for x in row] if c > 1 else row
+
+
 def decompose_eisenstein(graph, ell, n_max):
     """lambda0 A_E = sum over n <= N of lambda_n Gamma_{-4 ell^(2n)}, exactly.
 
     Finds the smallest depth N <= n_max admitting a solution, scales the
     canonical rational solution to primitive integers and then by 12 so all
     coefficients are multiples of 12.  Returns None if no depth works.
+
+    One incremental fraction-free elimination serves every depth.  With the
+    tower as numerators t_n over den, A_E times den lcm(w) is the integer
+    vector e.  Each row carries, after the vertex entries, its integer
+    combination of e and the t_n.  The tower vector t_n is reduced against
+    the earlier pivot rows: if it vanishes it is dependent, the span and so
+    the answer do not change at this depth; otherwise it is a new pivot and
+    the running residual of e is reduced against it.  A zero residual is a
+    relation c_e e + sum c_n t_n = 0 supported on the pivot columns, the
+    leftmost independent ones.  The solution on those columns is unique, so
+    it is the one a dense solve with the free variables set to 0 gives.
     """
     if ell in (graph.p, graph.q) or not is_prime(ell):
         raise ValueError("auxiliary prime must be a prime distinct from p and q")
@@ -99,36 +110,42 @@ def decompose_eisenstein(graph, ell, n_max):
         # algebra ramified at q: every Gross vector of discriminant
         # -4 ell^(2n) is zero and A_E is not in their span.
         return None
-    vset = graph.vset
-    towers = gross_tower_modular(graph, ell, n_max)
-    ae = eisenstein_modular(vset)
-    nv = len(vset)
-    for depth in range(1, n_max + 1):
-        mat = [[towers[n][k] for n in range(depth)] for k in range(nv)]
-        sol = solve_frac(mat, list(ae))
-        if sol is None:
+    weights = graph.vset.weights
+    nv = len(weights)
+    den, towers = gross_tower_modular(graph, ell, n_max)
+    scale = lcm(*weights)
+    target = [den * scale // w for w in weights]
+    residual = target + [1] + [0] * n_max
+    pivots = []
+    for n, t in enumerate(towers):
+        row = t + [0] * (n_max + 1)
+        row[nv + 1 + n] = 1
+        for col, pivot in pivots:
+            row = _eliminate(row, pivot, col)
+        col = next((j for j in range(nv) if row[j]), None)
+        if col is None:
             continue
-        lam0 = reduce(lambda x, y: x * y // gcd(x, y), (c.denominator for c in sol), 1)
-        lams = [int(c * lam0) for c in sol]
-        g = reduce(gcd, (abs(x) for x in lams), lam0)
-        lam0 = 12 * (lam0 // g)
-        lams = [12 * (x // g) for x in lams]
-        lhs = vec_scale(ae, lam0)
-        for n in range(depth):
-            lhs = vec_sub(lhs, vec_scale(towers[n], lams[n]))
-        if not is_zero(lhs):
+        pivots.append((col, row))
+        residual = _eliminate(residual, row, col)
+        if any(residual[:nv]):
+            continue
+        # sum c_n t_n = -c_e e, so the solution is x_n = -c_n / (c_e lcm(w))
+        c_e, rel = residual[nv], residual[nv + 1 : nv + 2 + n]
+        sign = -1 if c_e > 0 else 1
+        lam0, lams = abs(c_e) * scale, [sign * c for c in rel]
+        g = reduce(gcd, lams, lam0)
+        lam0, lams = 12 * lam0 // g, [12 * x // g for x in lams]
+        if any(lam0 * e != scale * sum(lam * v[k] for lam, v in zip(lams, towers))
+               for k, e in enumerate(target)):
             raise ArithmeticError("decomposition re-check failed")
-        deg_lhs = lam0 * Fraction(graph.q - 1, 12)
-        deg_rhs = sum(
-            Fraction(lams[n] * tower_class_number(ell, n + 1)) for n in range(depth)
-        )
         return {
             "l": ell,
-            "depth": depth,
+            "depth": n + 1,
             "lambda0": lam0,
             "lambdas": lams,
             "residual_zero": True,
-            "degree_identity": deg_lhs == deg_rhs,
+            "degree_identity": lam0 * (graph.q - 1) == 12 * sum(
+                lam * tower_class_number(ell, k + 1) for k, lam in enumerate(lams)),
         }
     return None
 
@@ -136,39 +153,55 @@ def decompose_eisenstein(graph, ell, n_max):
 def build_cycle(graph, ell, lam0, lams):
     """C = sum lambda_n gamma_n, C0 = (p+1) C - 4 lambda0 a_E, plus checks.
 
+    With the edge tower as numerators t_n over den (``hecke_tower``), the
+    integers m_i = (p+1) sum lambda_n t_n[i] - 4 lambda0 den give
+    C0[i] = m_i / (den length_i); only the printed ``c0`` strings leave
+    the integers.
+
     Checks (in reporting order): intersection (no Gross vector meets an
     exceptional edge; the per-instance surrogate for the non-effective
     disjointness bound); C0 is closed (both boundary maps vanish); C0 is the
     degree-zero projection of (p+1)C; every length-2 edge carries coefficient
     -2 lambda0; 2 lambda0 is coprime to p.  Failures are reported, never
     raised.
+
+    The projection check is deg C0 = 0.  The monodromy pairing is diagonal
+    with the lengths and a_E[i] = 1/length_i, so <v, a_E> = sum v_i and the
+    projection of v = (p+1)C is v - (sum v / sum a_E) a_E.  As
+    C0 = v - 4 lambda0 a_E and a_E has no zero entry, C0 equals that
+    projection exactly when sum v = 4 lambda0 sum a_E, that is when
+    sum C0_i = 0.  Both it and the boundaries are read on
+    m_i lcm(lengths) / length_i = den lcm(lengths) C0[i].
     """
     p = graph.p
-    depth = len(lams)
-    gammas = gross_tower_shimura(graph, ell, depth)
-    a_e = eisenstein_shimura(graph)
-    c_vec = tuple(Fraction(0) for _ in graph.edges)
-    for n in range(depth):
-        c_vec = tuple(x + lams[n] * y for x, y in zip(c_vec, gammas[n]))
-    c0 = vec_sub(vec_scale(c_vec, p + 1), vec_scale(a_e, 4 * lam0))
-    exceptional = [i for i, e in enumerate(graph.edges) if e.length > 1]
-    length2 = [i for i, e in enumerate(graph.edges) if e.length == 2]
+    lengths = graph.lengths
+    den, towers = gross_tower_shimura(graph, ell, len(lams))
+    acc = [0] * len(lengths)
+    for lam, t in zip(lams, towers):
+        if lam:
+            for i, x in enumerate(t):
+                if x:
+                    acc[i] += lam * x
+    m = [(p + 1) * x - 4 * lam0 * den for x in acc]
+    scale = lcm(*lengths)
+    flat = [x * (scale // ln) for x, ln in zip(m, lengths)]
+    exceptional = [i for i, ln in enumerate(lengths) if ln > 1]
+    length2 = [i for i, ln in enumerate(lengths) if ln == 2]
     overlap = {}
-    for n in range(depth):
-        hit = sorted(set(support(gammas[n])) & set(exceptional))
+    for n, t in enumerate(towers):
+        hit = sorted(set(support(t)) & set(exceptional))
         if hit:
             overlap[str(-4 * ell ** (2 * (n + 1)))] = hit
     checks = {
         "intersection": not overlap,
-        "closed": is_zero(s_star(graph, c0)) and is_zero(t_star(graph, c0)),
-        "in_gross_span": c0 == project_degree_zero(graph, vec_scale(c_vec, p + 1)),
+        "closed": not any(s_star(graph, flat)) and not any(t_star(graph, flat)),
+        "in_gross_span": sum(flat) == 0,
         "exceptional_multiplicity": bool(length2)
-        and all(c0[i] == -2 * lam0 for i in length2),
+        and all(m[i] == -4 * lam0 * den for i in length2),
         "multiplicity_coprime_to_p": gcd(2 * lam0, p) == 1,
     }
     return {
-        "c0": c0,
-        "cycle_vector": c_vec,
+        "c0": [str(Fraction(x, den * ln)) for x, ln in zip(m, lengths)],
         "exceptional_edges": exceptional,
         "length2_edges": length2,
         "support_overlap": overlap,
@@ -476,7 +509,7 @@ def run_criterion(p, q, l=None, n_max=None, cache_dir=None, override=False):
     checks["residual_zero"] = decomposition["residual_zero"]
     checks["degree_identity"] = decomposition["degree_identity"]
     cert["cycle"] = {
-        "c0": [str(x) for x in cycle["c0"]],
+        "c0": cycle["c0"],
         "exceptional_edges": cycle["exceptional_edges"],
         "length2_edges": cycle["length2_edges"],
         "support_overlap": cycle["support_overlap"],

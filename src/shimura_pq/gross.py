@@ -1,14 +1,18 @@
-"""Class numbers, optimal embeddings, Gross and Eisenstein vectors.
+"""Class numbers, optimal embeddings and Gross vectors.
 
-Vectors over the vertex set (divisors) and the edge set (paths) are plain
-tuples of Fractions.  The monodromy pairing is diagonal with the automorphism
-weights; the degree of a vector is its pairing with the Eisenstein vector,
-which is just the coefficient sum.
+A single Gross vector over the vertex set (divisors) or the edge set
+(paths) is a tuple of Fractions.  A conductor tower is integer: one common
+denominator and one list of integer numerators per level, the CM-reduction
+counts, which divided by the denominator and the weight of each entry give
+the vector.  The monodromy pairing is diagonal with the weights, so the
+degree of a vector, its pairing with the Eisenstein vector, is just the
+coefficient sum.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
+from .ntheory import kronecker
 from .quat import units
 
 
@@ -44,24 +48,6 @@ def unit_count(D):
     return 3 if D == -3 else 2 if D == -4 else 1
 
 
-def conductor_split(D):
-    """(fundamental discriminant, conductor f) with D = D0 * f^2."""
-    validate_discriminant(D)
-    n = -D
-    f = 1
-    d = 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-            f *= d
-        d += 1
-    d0 = D // (f * f)
-    if d0 % 4 not in (0, 1):
-        f //= 2
-        d0 = D // (f * f)
-    return d0, f
-
-
 def prime_factors(n):
     out = []
     d = 2
@@ -84,8 +70,6 @@ def tower_class_number(ell, n):
     """
     if n == 0:
         return 1
-    from .ntheory import kronecker
-
     return ell ** (n - 1) * (ell - kronecker(-4, ell)) // 2
 
 
@@ -114,10 +98,12 @@ def _count_optimal(order, D, cands, unit_list):
     if not cands:
         return 0
     t0 = D % 2
-    _, f = conductor_split(D)
-    for ell in prime_factors(f):
-        t1 = (D // (ell * ell)) % 2
-        shift = ell * t1 - t0
+    # the primes of the conductor: the ell with D / ell^2 a discriminant
+    for ell in prime_factors(-D):
+        d1, r = divmod(D, ell * ell)
+        if r or d1 % 4 > 1:
+            continue
+        shift = ell * (d1 % 2) - t0
         # x is not optimal if (2x + shift) / (2 ell) lies in the order
         cands = [x for x in cands
                  if order._coords((2 * x.num[0] + shift * x.den, 2 * x.num[1], 2 * x.num[2],
@@ -137,34 +123,7 @@ def _count_optimal(order, D, cands, unit_list):
     return orbits
 
 
-# -- exact vectors ---------------------------------------------------------------
-
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(u, c):
-    c = Fraction(c)
-    return tuple(c * x for x in u)
-
-
-def is_zero(u):
-    return all(x == 0 for x in u)
-
-
-def monodromy_pairing(u, v, weights):
-    if len(u) != len(v) or len(u) != len(weights):
-        raise ValueError("basis mismatch in the monodromy pairing")
-    return sum((x * y * w for x, y, w in zip(u, v, weights)), Fraction(0))
-
-
-def eisenstein_modular(vset):
-    return tuple(Fraction(1, c.weight) for c in vset.classes)
-
-
-def eisenstein_shimura(graph):
-    return tuple(Fraction(1, e.length) for e in graph.edges)
-
+# -- Gross vectors ----------------------------------------------------------------
 
 def gross_modular(vset, D):
     """Vertex vector with coefficient (embeddings into End(E_k)) / 2u(D)."""
@@ -204,7 +163,7 @@ def graph_eichler_units(graph, i):
 
 
 def s_star(graph, v):
-    out = [Fraction(0)] * len(graph.vset)
+    out = [0] * len(graph.vset)
     for i, x in enumerate(v):
         if x:
             out[graph.edges[i].source] += x
@@ -212,19 +171,11 @@ def s_star(graph, v):
 
 
 def t_star(graph, v):
-    out = [Fraction(0)] * len(graph.vset)
+    out = [0] * len(graph.vset)
     for i, x in enumerate(v):
         if x:
             out[graph.edges[i].target] += x
     return tuple(out)
-
-
-def project_degree_zero(graph, v):
-    """Orthogonal projection onto degree zero for the monodromy pairing."""
-    a = eisenstein_shimura(graph)
-    w = graph.lengths
-    coeff = monodromy_pairing(v, a, w) / monodromy_pairing(a, a, w)
-    return vec_sub(v, vec_scale(a, coeff))
 
 
 def support(v):
@@ -234,19 +185,21 @@ def support(v):
 # -- conductor towers over Z[i] ---------------------------------------------------
 
 def hecke_tower(g0, g1, rows, weights, c1, ell, N):
-    """[g_1, ..., g_N] from the three-term Hecke recursion
+    """(den, [n_1, ..., n_N]) from the three-term Hecke recursion
 
         w_j g_{n+1}[j] = sum_i w_i g_n[i] B[i][j] - c_n w_j g_{n-1}[j],
 
-    with c_1 = c1 and c_n = ell after.  ``rows[i]`` lists the nonzero
-    (j, B[i][j]) of the Brandt matrix, so one step touches about (ell+1) n
-    entries.  The weights conjugate the operator: the recursion lives on the
-    CM-reduction counts w_i g[i], run here in integers over one common
-    denominator.  Needs N >= 1."""
-    counts = [[x * w for x, w in zip(g, weights)] for g in (g0, g1)]
-    den = lcm(*(x.denominator for g in counts for x in g))
-    prev, cur = ([int(x * den) for x in g] for g in counts)
-    out = [g1]
+    with c_1 = c1 and c_n = ell after, and g_n[j] = n_n[j] / (den w_j).
+    ``rows[i]`` lists the nonzero (j, B[i][j]) of the Brandt matrix, so one
+    step touches about (ell+1) n entries.  The weights conjugate the
+    operator: the recursion lives on the CM-reduction counts w_i g[i], run
+    in integers over one common denominator.  Needs N >= 1."""
+    # den is the least common denominator of the counts w_j g[j]
+    den = lcm(*(x.denominator // gcd(x.denominator, w)
+                for g in (g0, g1) for x, w in zip(g, weights)))
+    prev, cur = ([x.numerator * w * den // x.denominator for x, w in zip(g, weights)]
+                 for g in (g0, g1))
+    out = [cur]
     for n in range(1, N):
         push = [0] * len(cur)
         for x, row in zip(cur, rows):
@@ -255,12 +208,13 @@ def hecke_tower(g0, g1, rows, weights, c1, ell, N):
                     push[j] += m * x
         c = c1 if n == 1 else ell
         prev, cur = cur, [p - c * pr for p, pr in zip(push, prev)]
-        out.append(tuple(Fraction(x, den * w) for x, w in zip(cur, weights)))
-    return out
+        out.append(cur)
+    return den, out
 
 
 def gross_tower_modular(graph, ell, N):
-    """Vertex Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N).
+    """Vertex Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N), as
+    ``hecke_tower`` returns them (the vertex weights are all 1 here).
 
     Embeddings of the conductor-ell^n order are computed directly for n = 1;
     higher conductors follow the Hecke three-term recursion on sums of CM
@@ -268,7 +222,7 @@ def gross_tower_modular(graph, ell, N):
     ell^(n-1) and ell of conductor ell^(n+1) under the ell-isogeny operator).
     """
     if N < 1:
-        return []
+        return 1, []
     vset = graph.vset
     return hecke_tower(gross_modular(vset, -4), gross_modular(vset, -4 * ell * ell),
                        graph.brandt_vertices(ell), [1] * len(vset),
@@ -276,13 +230,13 @@ def gross_tower_modular(graph, ell, N):
 
 
 def gross_tower_shimura(graph, ell, N):
-    """Edge Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N).
+    """Edge Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N), as
+    ``hecke_tower`` returns them: the numerators are the CM-reduction
+    counts, and the edge lengths are the weights.
 
-    Same recursion as the vertex tower, conjugated by the length weights
-    (the recursion lives on plain CM-reduction counts, the vectors carry
-    1/length)."""
+    Same recursion as the vertex tower, conjugated by the length weights."""
     if N < 1:
-        return []
+        return 1, []
     return hecke_tower(gross_shimura(graph, -4), gross_shimura(graph, -4 * ell * ell),
                        graph.brandt_edges(ell), graph.lengths,
                        class_number(-4 * ell * ell), ell, N)

@@ -1,7 +1,9 @@
-"""Exact integer and rational dense linear algebra.
+"""Exact dense linear algebra over the integers.
 
-Everything works over plain ``int`` and ``fractions.Fraction``; matrices are
-lists (or tuples) of rows.  Sizes here are tiny (4x4 for lattices, at most a
+Matrices are lists (or tuples) of integer rows: the Hermite and Smith
+normal forms, fraction-free (Bareiss) determinants and solves, kernels mod
+p, and the exact square root of a rational.  No routine eliminates over
+``fractions.Fraction``.  Sizes here are tiny (4x4 for lattices, at most a
 few hundred for graph Laplacians), so the classical algorithms are used
 without any fancy pivoting.
 """
@@ -226,41 +228,6 @@ def solve_bareiss(mat, rhs):
             s = d * a[i][n + c] - sum(a[i][j] * y[j][c] for j in range(i + 1, n))
             y[i][c] = s // a[i][i]
     return d, y
-
-
-def solve_frac(a, b):
-    """One solution x of a*x = b over Fraction, or None if inconsistent.
-
-    Free variables are set to 0; the pivot choice is deterministic, so the
-    returned particular solution is canonical for a given input.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n] - sum(aug[i][j] * x[j] for j in range(n) if j != col)
-    return x
 
 
 def kernel_mod_p(mat, p):

@@ -90,10 +90,11 @@ class VertexSet:
         left ideal of the base order).
 
         The class ``first``, if given, is tested before the fingerprint
-        scan.  One class matches, and its witness comes from the same
-        equivalence test whichever order the classes are tried in, so the
-        answer does not depend on ``first``; a right guess saves the
-        fingerprint and the other tests."""
+        scan, which then runs over the later classes only: the caller
+        knows that no earlier class matches.  One class matches, and its
+        witness comes from the same equivalence test whichever order the
+        classes are tried in, so the answer does not depend on ``first``;
+        a right guess saves the fingerprint and the other tests."""
         reduced, z = reduce_ideal(ideal, self.order)
         nr = ideal_norm(reduced, self.order)
         if first is not None:
@@ -102,8 +103,9 @@ class VertexSet:
             if w is not None:
                 return first, w * z.inv()
         fp = _fingerprint(reduced, nr)
-        for k, rec in enumerate(self.classes):
-            if k == first or rec.fingerprint != fp:
+        start = 0 if first is None else first + 1
+        for k, rec in enumerate(self.classes[start:], start):
+            if rec.fingerprint != fp:
                 continue
             w = equiv_witness(rec.ideal, reduced, self.order, n1=rec.norm, n2=nr)
             if w is not None:
@@ -272,7 +274,8 @@ def _attach_wq(vset):
         ts = two_sided_prime(rec.right_order, q)
         two_sided.append(ts)
         # w_q is an involution: the class it sends k to is the j with
-        # wq_perm[j] == k if one is known, else most likely k itself
+        # wq_perm[j] == k if one is known, else most likely k itself, and
+        # if not k then a later class, as every earlier one has its image
         first = perm.index(k) if k in perm else k
         t, y = vset.locate(rec.ideal.mul(ts), first)
         perm[k] = t

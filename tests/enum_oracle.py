@@ -26,8 +26,26 @@ took it over, on a ``Lattice``:
 from fractions import Fraction
 from math import isqrt
 
-from shimura_pq.gross import conductor_split, prime_factors
+from shimura_pq.gross import prime_factors, validate_discriminant
 from shimura_pq.linalg import det_bareiss
+
+
+def conductor_split(D):
+    """(fundamental discriminant, conductor f) with D = D0 * f^2."""
+    validate_discriminant(D)
+    n = -D
+    f = 1
+    d = 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            f *= d
+        d += 1
+    d0 = D // (f * f)
+    if d0 % 4 not in (0, 1):
+        f //= 2
+        d0 = D // (f * f)
+    return d0, f
 
 
 def _fr_floor(f):

@@ -35,18 +35,28 @@ here, unchanged apart from their imports:
 * ``rref_mod_fresh`` -- ``ssgraph._rref_mod`` as it was before it
   eliminated in place: a fresh list per row operation, over all columns;
 * ``ss_oracle_reference`` -- the supersingular count with one function call
-  per F_{q^2} product, the oracle for ``ssgraph.ss_oracle``.
+  per F_{q^2} product, the oracle for ``ssgraph.ss_oracle``;
+* ``solve_frac`` -- one dense ``Fraction`` solve with the free variables set
+  to 0, and ``decompose_by_solve_frac``, the Eisenstein decomposition by one
+  such solve per depth, the oracle for ``certify.decompose_eisenstein``;
+* the ``Fraction`` vector helpers the Gross layer had: ``vec_sub``,
+  ``vec_scale``, ``is_zero``, ``monodromy_pairing``,
+  ``project_degree_zero``, ``eisenstein_modular`` and
+  ``eisenstein_shimura``; and ``tower_vectors``, which turns an integer
+  tower of ``gross.hecke_tower`` back into ``Fraction`` tuples.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd
 
 import lattice_oracle
 from shimura_pq.compgroup import MGVertex, MultiGraph
-from shimura_pq.gross import graph_eichler_units, optimal_embeddings
-from shimura_pq.linalg import det_bareiss, solve_frac
-from shimura_pq.ntheory import is_prime
+from shimura_pq.gross import (graph_eichler_units, gross_tower_modular, optimal_embeddings,
+                              tower_class_number)
+from shimura_pq.linalg import det_bareiss
+from shimura_pq.ntheory import is_prime, kronecker
 from shimura_pq.quat import (equiv_witness, ideal_norm, make_algebra, maximal_order,
                              norm_ideals, reduce_ideal, two_sided_prime)
 from shimura_pq.ssgraph import VertexSet, _attach_wq, _class_record, _fingerprint
@@ -336,3 +346,122 @@ def rref_mod_fresh(rows, p):
                 r[:] = [(x - f * y) % p for x, y in zip(r, piv)]
         out.append(piv)
     return tuple(tuple(r) for r in out)
+
+
+def solve_frac(a, b):
+    """One solution x of a*x = b over Fraction, or None if inconsistent.
+
+    Free variables are set to 0; the pivot choice is deterministic, so the
+    returned particular solution is canonical for a given input.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = Fraction(1) / aug[r][col]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        x[col] = aug[i][n] - sum(aug[i][j] * x[j] for j in range(n) if j != col)
+    return x
+
+
+def vec_sub(u, v):
+    return tuple(x - y for x, y in zip(u, v))
+
+
+def vec_scale(u, c):
+    c = Fraction(c)
+    return tuple(c * x for x in u)
+
+
+def is_zero(u):
+    return all(x == 0 for x in u)
+
+
+def monodromy_pairing(u, v, weights):
+    if len(u) != len(v) or len(u) != len(weights):
+        raise ValueError("basis mismatch in the monodromy pairing")
+    return sum((x * y * w for x, y, w in zip(u, v, weights)), Fraction(0))
+
+
+def eisenstein_modular(vset):
+    return tuple(Fraction(1, c.weight) for c in vset.classes)
+
+
+def eisenstein_shimura(graph):
+    return tuple(Fraction(1, e.length) for e in graph.edges)
+
+
+def project_degree_zero(graph, v):
+    """Orthogonal projection onto degree zero for the monodromy pairing."""
+    a = eisenstein_shimura(graph)
+    w = graph.lengths
+    coeff = monodromy_pairing(v, a, w) / monodromy_pairing(a, a, w)
+    return vec_sub(v, vec_scale(a, coeff))
+
+
+def tower_vectors(tower, weights):
+    """The Gross vectors g_n[j] = n_n[j] / (den w_j) of an integer tower
+    (den, [n_1, ..., n_N]), as tuples of Fractions."""
+    den, nums = tower
+    return [tuple(Fraction(x, den * w) for x, w in zip(v, weights)) for v in nums]
+
+
+def decompose_by_solve_frac(graph, ell, n_max):
+    """``certify.decompose_eisenstein`` as it was: one dense ``Fraction``
+    solve of the vertex-by-depth system per depth, on the tower as
+    ``Fraction`` vectors."""
+    if ell in (graph.p, graph.q) or not is_prime(ell):
+        raise ValueError("auxiliary prime must be a prime distinct from p and q")
+    if kronecker(-4, graph.q) == 1:
+        return None
+    vset = graph.vset
+    towers = tower_vectors(gross_tower_modular(graph, ell, n_max), [1] * len(vset))
+    ae = eisenstein_modular(vset)
+    nv = len(vset)
+    for depth in range(1, n_max + 1):
+        mat = [[towers[n][k] for n in range(depth)] for k in range(nv)]
+        sol = solve_frac(mat, list(ae))
+        if sol is None:
+            continue
+        lam0 = reduce(lambda x, y: x * y // gcd(x, y), (c.denominator for c in sol), 1)
+        lams = [int(c * lam0) for c in sol]
+        g = reduce(gcd, (abs(x) for x in lams), lam0)
+        lam0 = 12 * (lam0 // g)
+        lams = [12 * (x // g) for x in lams]
+        lhs = vec_scale(ae, lam0)
+        for n in range(depth):
+            lhs = vec_sub(lhs, vec_scale(towers[n], lams[n]))
+        if not is_zero(lhs):
+            raise ArithmeticError("decomposition re-check failed")
+        deg_lhs = lam0 * Fraction(graph.q - 1, 12)
+        deg_rhs = sum(
+            Fraction(lams[n] * tower_class_number(ell, n + 1)) for n in range(depth)
+        )
+        return {
+            "l": ell,
+            "depth": depth,
+            "lambda0": lam0,
+            "lambdas": lams,
+            "residual_zero": True,
+            "degree_identity": deg_lhs == deg_rhs,
+        }
+    return None

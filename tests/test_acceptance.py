@@ -17,16 +17,17 @@ from graph_oracle import (
     apply_wp,
     apply_wq_edges,
     brandt_matrix,
+    eisenstein_modular,
+    eisenstein_shimura,
     element_order,
     k_law_solve,
     make_multigraph,
+    vec_scale,
 )
 from shimura_pq.certify import cache_load, genus
 from shimura_pq.compgroup import blow_up, component_group, degree_report, quotient_by_wq
 from shimura_pq.gross import (
     class_number,
-    eisenstein_modular,
-    eisenstein_shimura,
     graph_eichler_units,
     gross_modular,
     gross_shimura,
@@ -34,7 +35,6 @@ from shimura_pq.gross import (
     s_star,
     support,
     t_star,
-    vec_scale,
 )
 from shimura_pq.ntheory import kronecker
 from shimura_pq.ssgraph import ss_oracle, vertex_classes

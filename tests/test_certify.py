@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import decompose_by_solve_frac
 from lattice_oracle import scale
 from shimura_pq import certify
 from shimura_pq.certify import (
@@ -30,7 +31,7 @@ from shimura_pq.certify import (
 from shimura_pq.gross import gross_tower_modular, tower_class_number, unit_count
 from shimura_pq.linalg import hnf_rows
 from shimura_pq.quat import Quat, make_algebra
-from shimura_pq.ssgraph import build_graph
+from shimura_pq.ssgraph import ShimuraGraph, build_graph, vertex_classes
 
 
 class TestOgg:
@@ -83,7 +84,7 @@ class TestDecomposition:
         # 13 = 1 mod 4 splits in Q(i): Z[i] and its suborders prime to 13 do
         # not embed, so the tower is zero and no decomposition is attempted
         graph = build_graph(7, 13)
-        assert all(not any(v) for v in gross_tower_modular(graph, 3, 2))
+        assert all(not any(v) for v in gross_tower_modular(graph, 3, 2)[1])
         assert decompose_eisenstein(graph, 3, 2) is None
 
     def test_deterministic(self, graph_13_47):
@@ -96,6 +97,48 @@ class TestDecomposition:
             decompose_eisenstein(graph_13_47, 13, 5)
         with pytest.raises(ValueError):
             decompose_eisenstein(graph_13_47, 4, 5)
+
+
+GOLDEN_GRAPHS = ["graph_5_23", "graph_13_47", "graph_5_37", "graph_7_23", "graph_5_163"]
+
+
+@pytest.mark.parametrize("fixture", GOLDEN_GRAPHS)
+def test_decomposition_matches_solve_frac(fixture, request):
+    # the incremental elimination against one dense Fraction solve per
+    # depth (free variables 0), at every depth limit from 1 to genus + 2
+    graph = request.getfixturevalue(fixture)
+    for ell in (3, 5, 7):
+        if ell == graph.p:
+            with pytest.raises(ValueError):
+                decompose_eisenstein(graph, ell, 1)
+            continue
+        for n_max in range(1, genus(graph.q) + 3):
+            assert decompose_eisenstein(graph, ell, n_max) == \
+                decompose_by_solve_frac(graph, ell, n_max), (ell, n_max)
+
+
+def test_rank_2_system_13_11_depth_3(graph_13_11):
+    # two classes and three tower vectors, with t_2 = 3 t_1: A_E is first in
+    # the span at depth 3, where the system has rank 2 and one free
+    # variable.  The answer puts 0 on the dependent column t_2, as the dense
+    # solve with the free variables set to 0 does.
+    _, (t1, t2, t3) = gross_tower_modular(graph_13_11, 3, 3)
+    assert t2 == [3 * x for x in t1] and t1[0] * t3[1] != t1[1] * t3[0]
+    assert decompose_eisenstein(graph_13_11, 3, 2) is None
+    dec = decompose_eisenstein(graph_13_11, 3, 3)
+    assert dec == decompose_by_solve_frac(graph_13_11, 3, 3)
+    assert (dec["depth"], dec["lambda0"], dec["lambdas"]) == (3, 432, [72, 0, 12])
+
+
+@pytest.mark.parametrize("q", [251, 307])
+def test_vertex_only_decomposition_matches_solve_frac(q):
+    # the decomposition reads the vertices alone, so a graph with no edges
+    # serves; depth 18 at q = 251 and 14 at q = 307
+    graph = ShimuraGraph(29, q, vertex_classes(q), [])
+    n_max = genus(q) + 2
+    dec = decompose_eisenstein(graph, 3, n_max)
+    assert dec["depth"] == {251: 18, 307: 14}[q] and dec["degree_identity"]
+    assert dec == decompose_by_solve_frac(graph, 3, n_max)
 
 
 class TestBuildCycle:
@@ -182,7 +225,8 @@ class TestCache:
         assert blob1 == blob2
 
     def test_loaded_graph_works(self, graph_13_11, tmp_path):
-        from shimura_pq.gross import eisenstein_modular, eisenstein_shimura, s_star, vec_scale
+        from graph_oracle import eisenstein_modular, eisenstein_shimura, vec_scale
+        from shimura_pq.gross import s_star
 
         cache_store(str(tmp_path), graph_13_11)
         g = cache_load(str(tmp_path), 13, 11)

@@ -83,6 +83,34 @@ def test_wq_matches_full_scan(q, request):
     assert (vset.wq_perm, vset.wq_witnesses) == wq_by_full_scan(vset)
 
 
+def test_wq_scan_after_a_wrong_guess_skips_earlier_classes(monkeypatch):
+    # after a wrong first guess k (k not yet an image), the image of k is a
+    # later class: every earlier class has a known image, and it is not k.
+    # Count the equivalence tests of vertex_classes(251), all in locate,
+    # against the scan over every class that it replaces.
+    calls = []
+    equiv_witness = ssgraph.equiv_witness
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return equiv_witness(*args, **kwargs)
+
+    monkeypatch.setattr(ssgraph, "equiv_witness", counted)
+    vset = vertex_classes(251)
+    monkeypatch.undo()
+    perm, fps = vset.wq_perm, [c.fingerprint for c in vset.classes]
+    later = every = 0
+    for k, t in enumerate(perm):
+        later += 1
+        every += 1
+        if k not in perm[:k] and t != k:  # the guess k was wrong, t > k
+            assert t > k
+            later += sum(fps[j] == fps[t] for j in range(k + 1, t + 1))
+            every += sum(fps[j] == fps[t] for j in range(t + 1) if j != k)
+    assert len(calls) == later < every
+    assert (vset.wq_perm, vset.wq_witnesses) == wq_by_full_scan(vset)
+
+
 def test_kept_connectors_follow_the_sort(vset47):
     # the connectors and unit lists of the search are re-keyed to the
     # sorted classes: each must be the product of the sorted ideals

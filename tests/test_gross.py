@@ -5,31 +5,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enum_oracle
-from graph_oracle import apply_wp, apply_wq_edges, gross_shimura_per_edge
+from enum_oracle import conductor_split
+from graph_oracle import (
+    apply_wp,
+    apply_wq_edges,
+    eisenstein_modular,
+    eisenstein_shimura,
+    gross_shimura_per_edge,
+    is_zero,
+    monodromy_pairing,
+    project_degree_zero,
+    tower_vectors,
+    vec_scale,
+)
 from shimura_pq.gross import (
     _count_optimal,
     _embedding_candidates,
     class_number,
-    conductor_split,
-    eisenstein_modular,
-    eisenstein_shimura,
     gross_modular,
     gross_shimura,
     gross_tower_modular,
     gross_tower_shimura,
     graph_eichler_units,
-    is_zero,
-    monodromy_pairing,
     optimal_embeddings,
-    project_degree_zero,
     s_star,
     support,
     t_star,
     tower_class_number,
     unit_count,
-    vec_scale,
 )
 from shimura_pq.ntheory import kronecker
+from shimura_pq.ssgraph import build_graph
 
 
 class TestClassNumbers:
@@ -119,11 +125,13 @@ def test_edge_vectors_match_per_edge_search(p, q, request):
         assert gross_shimura(graph, d) == gross_shimura_per_edge(graph, d), d
 
 
-@pytest.mark.parametrize("d", [-36, -48, -63, -72, -99])
+@pytest.mark.parametrize("d", [-20, -36, -48, -63, -72, -99, -108, -144])
 def test_integer_optimality_matches_fraction_count(d, graph_13_47, graph_5_37):
     """Conductor > 1, so some candidates are not optimal (on (13,47) for
     each of these D but -99): the integer test on the numerator and the
-    conjugation by u.conj() count the orbits the Fraction version counts."""
+    conjugation by u.conj() count the orbits the Fraction version counts.
+    At -108 and -144 the conductor is 6, two primes; -20 is fundamental
+    although 4 | 20, as -5 is not a discriminant."""
     for graph in (graph_13_47, graph_5_37):
         vset = graph.vset
         pairs = [(rec.right_order, vset.units_of(k)) for k, rec in enumerate(vset.classes)]
@@ -255,18 +263,18 @@ class TestProjection:
 class TestTowers:
     def test_vertex_tower_matches_direct(self, graph_13_11, graph_13_47):
         for g, n in ((graph_13_11, 3), (graph_13_47, 2)):
-            tower = gross_tower_modular(g, 3, n)
+            tower = tower_vectors(gross_tower_modular(g, 3, n), [1] * len(g.vset))
             direct = [gross_modular(g.vset, -4 * 9 ** k) for k in range(1, n + 1)]
             assert tower == direct
 
     def test_vertex_tower_other_prime(self, graph_13_47):
-        tower = gross_tower_modular(graph_13_47, 5, 2)
+        tower = tower_vectors(gross_tower_modular(graph_13_47, 5, 2), [1] * len(graph_13_47.vset))
         direct = [gross_modular(graph_13_47.vset, -100),
                   gross_modular(graph_13_47.vset, -2500)]
         assert tower == direct
 
     def test_edge_tower_matches_direct(self, graph_13_47):
-        tower = gross_tower_shimura(graph_13_47, 3, 2)
+        tower = tower_vectors(gross_tower_shimura(graph_13_47, 3, 2), graph_13_47.lengths)
         direct = [gross_shimura(graph_13_47, -36), gross_shimura(graph_13_47, -324)]
         assert tower == direct
 
@@ -308,10 +316,24 @@ class TestBoundaryIdentity:
 
     def test_tower_13_47(self, graph_13_47):
         g, ell, depth = graph_13_47, 3, 6
-        vertex = gross_tower_modular(g, ell, depth)
-        edge = gross_tower_shimura(g, ell, depth)
+        vertex = tower_vectors(gross_tower_modular(g, ell, depth), [1] * len(g.vset))
+        edge = tower_vectors(gross_tower_shimura(g, ell, depth), g.lengths)
         for n in range(1, depth + 1):
             D = -4 * ell ** (2 * n)
             target = _boundary_target(g, D, vertex[n - 1])
             assert any(target)
             assert _weighted_boundaries(g, edge[n - 1]) == (target, target), n
+
+    def test_tower_29_251_in_integers(self):
+        # L gamma_n is n_n / den_e, the edge counts over the edge tower's
+        # denominator, and Gamma_n is m_n / den_v, so the identity reads
+        # den_v s_*(n_n) = 2 (1 + (D/p)) den_e m_n with no Fraction
+        g, ell, depth = build_graph(29, 251), 3, 18
+        den_v, vertex = gross_tower_modular(g, ell, depth)
+        den_e, edge = gross_tower_shimura(g, ell, depth)
+        for n in range(1, depth + 1):
+            c = 2 * (1 + kronecker(-4 * ell ** (2 * n), g.p)) * den_e
+            target = tuple(c * x for x in vertex[n - 1])
+            assert any(target)
+            for star in (s_star, t_star):
+                assert tuple(den_v * x for x in star(g, edge[n - 1])) == target, n

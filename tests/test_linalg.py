@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import solve_frac
 from lattice_oracle import hnf_rows_pairwise, mat_inv_frac, mat_mul_frac
 from shimura_pq.linalg import (
     det_bareiss,
@@ -12,7 +13,6 @@ from shimura_pq.linalg import (
     kernel_mod_p,
     smith_normal_form,
     solve_bareiss,
-    solve_frac,
     xgcd,
 )
 from shimura_pq.quat import make_algebra
