@@ -1,8 +1,8 @@
 """Exact dense linear algebra over the integers.
 
 Matrices are lists (or tuples) of integer rows: the Hermite and Smith
-normal forms, fraction-free (Bareiss) determinants and solves, kernels mod
-p, and the exact square root of a rational.  No routine eliminates over
+normal forms, fraction-free (Bareiss) determinants and solves, and the
+exact square root of a rational.  No routine eliminates over
 ``fractions.Fraction``.  Sizes here are tiny (4x4 for lattices, at most a
 few hundred for graph Laplacians), so the classical algorithms are used
 without any fancy pivoting.
@@ -228,43 +228,6 @@ def solve_bareiss(mat, rhs):
             s = d * a[i][n + c] - sum(a[i][j] * y[j][c] for j in range(i + 1, n))
             y[i][c] = s // a[i][i]
     return d, y
-
-
-def kernel_mod_p(mat, p):
-    """Basis of the kernel of an n x n integer matrix acting mod p (row vectors c with c*mat = 0)."""
-    n = len(mat)
-    a = [[mat[i][j] % p for j in range(n)] for i in range(n)]
-    # row-reduce the transpose: we want left kernel of mat = kernel of mat^T
-    t = [[a[j][i] for j in range(n)] for i in range(n)]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if t[i][col] % p), None)
-        if piv is None:
-            continue
-        t[r], t[piv] = t[piv], t[r]
-        inv = pow(t[r][col], -1, p)
-        t[r] = [x * inv % p for x in t[r]]
-        for i in range(n):
-            if i != r and t[i][col] % p:
-                f = t[i][col]
-                t[i] = [(x - f * y) % p for x, y in zip(t[i], t[r])]
-        r += 1
-    # kernel of t (as a map on row vectors v -> v with t*v = 0): free columns
-    pivcols = []
-    c = 0
-    for i in range(r):
-        while c < n and t[i][c] % p == 0:
-            c += 1
-        pivcols.append(c)
-    free = [j for j in range(n) if j not in pivcols]
-    out = []
-    for j in free:
-        v = [0] * n
-        v[j] = 1
-        for i, pc in enumerate(pivcols):
-            v[pc] = (-t[i][j]) % p
-        out.append(tuple(v))
-    return out
 
 
 def frac_sqrt(x: Fraction):

@@ -31,8 +31,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .linalg import det_bareiss, frac_sqrt, hnf_rows, kernel_mod_p
-from .ntheory import is_prime, mod_sqrt, ramified_primes
+from .linalg import det_bareiss, frac_sqrt, hnf_rows
+from .ntheory import is_prime, ramified_primes
 
 
 class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "q a b")):
@@ -613,11 +613,6 @@ def units(order):
     return order.norm_vectors(1)
 
 
-def unit_order(order):
-    """#(units / {+-1})."""
-    return len(units(order)) // 2
-
-
 def make_algebra(q, a=None):
     """Quaternion algebra ramified exactly at {q, infinity}.
 
@@ -744,131 +739,97 @@ def equiv_witness(i1, i2, order, n1=None, n2=None):
     return x / n1
 
 
-def two_sided_prime(order, q):
-    """The unique two-sided ideal of reduced norm q of a maximal order.
+def two_sided_ideal(ideal, norm):
+    """T = conj(I) j I / n, the two-sided ideal of reduced norm q of the
+    right order R of I, a left ideal of reduced norm n of the base order O.
 
-    Taken as the radical of the trace pairing mod q lifted back to the
-    lattice, plus q*O; its index in O is q^2.
+    It needs j in O, true of every ``maximal_order`` (the classical order
+    holds j = 2 (1+j)/2 - 1; saturation starts from Z<1, i, j, k>).  Then
+    P = O j = j O is the two-sided ideal of norm q of O: nrd j = q, so j is
+    a unit at every prime l != q, and at q there is one ideal of norm q.
+    Locally I = O a and R = a^-1 O a.  At l != q, T and P are the orders, so
+    I T = I = P I; at q, T is the maximal ideal P of R = O, stable under
+    conjugation, so I T = O a P = P a = P I.  Hence I T = P I = j I, and
+    T = I^-1 j I with I^-1 = conj(I) / n.  The index check reads
+    [R : T] = q^2 as det(T) n^2 = q^2 det(I), since [R : I] = n^2.
     """
-    basis = order.basis()
-    t = [[_as_int((x * y).trd()) for y in basis] for x in basis]
-    ker = kernel_mod_p(t, q)
-    if len(ker) != 2:
-        raise ArithmeticError("radical mod q does not have dimension 2")
-    rows = [tuple(sum(c[r] * order.rows[r][m] for r in range(4)) for m in range(4))
-            for c in ker]
-    rows += [tuple(q * x for x in r) for r in order.rows]
-    ideal = Lattice.from_int_rows(order.alg, rows, order.den)
-    if ideal.index_in(order) != q * q:
+    alg, n = ideal.alg, Fraction(norm)
+    # conj(r) j over the rows r of I, with n's denominator folded into j
+    left = [alg.mul4((r[0], -r[1], -r[2], -r[3]), (0, 0, n.denominator, 0)) for r in ideal.rows]
+    ts = Lattice.from_int_rows(alg, [alg.mul4(x, r) for x in left for r in ideal.rows],
+                               ideal.den ** 2 * n.numerator)
+    if ts.det() * n * n != alg.q ** 2 * ideal.det():
         raise ArithmeticError("two-sided ideal has wrong index")
-    return ideal
-
-
-def _as_int(f):
-    f = Fraction(f)
-    if f.denominator != 1:
-        raise ArithmeticError("expected an integer, got " + str(f))
-    return int(f)
+    return ts
 
 
 def norm_ideals(order, ell):
-    """The ell+1 left ideals of reduced norm ell of a (locally) maximal order.
+    """The ell+1 left ideals of reduced norm ell of a (locally) maximal
+    order, sorted by key.
 
-    Splits O/ell O = M_2(F_ell) by an explicit rank-one idempotent; the
-    ideals are O*x + O*ell for the ell+1 one-dimensional row spaces.
+    O / ell O = M_2(F_ell) for ell != q, split by a rank-one idempotent e:
+    with f = e b_r (1 - e) != 0 for some basis element b_r, the ideals are
+    O x + ell O for the ell+1 generators x = e + c f (c mod ell) and 1 - e.
+    The idempotent is e = x / trd(x) mod ell for the first x of the
+    coefficient sweep with nrd(x) = 0 and trd(x) != 0 mod ell, as
+    x^2 = trd(x) x - nrd(x) = trd(x) x there.  Trace and norm are integers:
+    the structure constants below are integral, so O is a ring, finitely
+    generated over Z.
     """
     alg = order.alg
     if alg.q % ell == 0:
         raise ValueError("ell must not divide q (ramified case not supported)")
     if not is_prime(ell):
         raise ValueError("ell must be prime")
-    basis = order.basis()
+    rows, den = order.rows, order.den
     # structure constants: coordinates of 1 and of each b_r * b_s in the basis
     one = order.coords_of(Quat.one(alg))
-    gamma = [[order.coords_of(b1 * b2) for b2 in basis] for b1 in basis]
+    gamma = [[order._coords(alg.mul4(r, s), den * den) for s in rows] for r in rows]
     if one is None or any(c is None for row in gamma for c in row):
         raise ArithmeticError("expected integral coordinates")
-    trd_b = [_as_int(b.trd()) for b in basis]
-    gram = order.gram()
-    den2 = order.den ** 2
 
     def mul_mod(c1, c2):
         out = [0, 0, 0, 0]
         for r in range(4):
-            if c1[r] % ell == 0:
-                continue
             for s in range(4):
-                if c2[s] % ell == 0:
-                    continue
-                grs = gamma[r][s]
-                f = c1[r] * c2[s]
-                for m in range(4):
-                    out[m] += f * grs[m]
+                f = c1[r] * c2[s] % ell
+                if f:
+                    for m, g in enumerate(gamma[r][s]):
+                        out[m] += f * g
         return tuple(x % ell for x in out)
 
-    def nrd_mod(c):
-        val = sum(gram[r][s] * c[r] * c[s] for r in range(4) for s in range(4))
-        assert val % den2 == 0
-        return (val // den2) % ell
+    def num(c):
+        """The numerator over den of sum_r c_r b_r."""
+        return tuple(sum(cr * r[m] for cr, r in zip(c, rows)) for m in range(4))
 
-    def trd_mod(c):
-        return sum(trd_b[r] * c[r] for r in range(4)) % ell
-
-    # find an element whose characteristic polynomial splits mod ell
-    e = None
-    for c in _coeff_sweep(ell):
-        t = trd_mod(c)
-        n = nrd_mod(c)
-        if ell == 2:
-            if t % 2 == 1 and n % 2 == 0:
-                lam1, lam2 = 1, 0
-            else:
-                continue
-        else:
-            disc = (t * t - 4 * n) % ell
-            if disc == 0:
-                continue
-            s = mod_sqrt(disc, ell)
-            if s is None:
-                continue
-            inv2 = pow(2, -1, ell)
-            lam1, lam2 = (t + s) * inv2 % ell, (t - s) * inv2 % ell
-        dinv = pow((lam1 - lam2) % ell, -1, ell)
-        e = tuple((x - lam2 * o) * dinv % ell for x, o in zip(c, one))
-        if mul_mod(e, e) != e:
-            raise ArithmeticError("idempotent construction failed")
-        break
-    if e is None:
-        raise ArithmeticError("no split element found mod ell")
-    one_minus_e = tuple((o - x) % ell for o, x in zip(one, e))
-    f = None
-    for r in range(4):
-        g = tuple(int(m == r) for m in range(4))
-        cand = mul_mod(mul_mod(e, g), one_minus_e)
-        if any(cand):
-            f = cand
+    for n in range(1, ell ** 4):
+        c = tuple(n // ell ** i % ell for i in range(4))
+        x = num(c)
+        t = 2 * x[0] // den % ell
+        if t and alg.nrd4(x) // (den * den) % ell == 0:
             break
-    if f is None:
+    else:
+        raise ArithmeticError("no element of norm 0 and trace not 0 mod ell")
+    tinv = pow(t, -1, ell)
+    e = tuple(ci * tinv % ell for ci in c)
+    one_minus_e = tuple((o - x) % ell for o, x in zip(one, e))
+    for g in _UNIT_VECTORS:
+        f = mul_mod(mul_mod(e, g), one_minus_e)
+        if any(f):
+            break
+    else:
         raise ArithmeticError("no off-diagonal unit found")
     gens = [tuple((e[m] + c * f[m]) % ell for m in range(4)) for c in range(ell)]
     gens.append(one_minus_e)
-    ideals = []
-    seen = set()
+    ideals = {}
     for gvec in gens:
-        xnum = tuple(sum(gvec[r] * order.rows[r][m] for r in range(4)) for m in range(4))
-        rows = [alg.mul4(r, xnum) for r in order.rows]
-        rows += [tuple(ell * order.den * x for x in r) for r in order.rows]
-        ideal = Lattice.from_int_rows(alg, rows, order.den ** 2)
-        if ideal.key() in seen:
-            raise ArithmeticError("norm-ell ideals collided")
-        seen.add(ideal.key())
+        xnum = num(gvec)
+        lat_rows = [alg.mul4(r, xnum) for r in rows]
+        lat_rows += [tuple(ell * den * x for x in r) for r in rows]
+        ideal = Lattice.from_int_rows(alg, lat_rows, den ** 2)
         if ideal.index_in(order) != ell * ell:
             raise ArithmeticError("norm-ell ideal has wrong index")
-        ideals.append(ideal)
-    ideals.sort(key=lambda l2: l2.key())
-    return ideals
-
-
-def _coeff_sweep(ell):
-    for n in range(1, ell ** 4):
-        yield tuple((n // ell ** i) % ell for i in range(4))
+        ideals[ideal.key()] = ideal
+    if len(ideals) != ell + 1:
+        raise ArithmeticError("norm-ell ideals collided")
+    return [ideals[key] for key in sorted(ideals)]

@@ -24,14 +24,14 @@ from .quat import (
     reduce_ideal,
     reduced_discriminant,
     right_order,
-    two_sided_prime,
-    unit_order,
+    two_sided_ideal,
     units,
 )
 
 
 # One left ideal class I: its right order, weight (half the unit count),
-# reduced norm, ``_fingerprint`` and whether w_q fixes it (set by ``_attach_wq``).
+# reduced norm, ``_fingerprint`` (all set by ``VertexSet._add_class``) and
+# whether w_q fixes it (set by ``_attach_wq``).
 VertexClass = namedtuple("VertexClass", "ideal right_order weight norm fingerprint rational",
                          defaults=(False,))
 
@@ -62,7 +62,7 @@ class VertexSet:
         self.classes = classes
         self.wq_perm = wq_perm
         self.wq_witnesses = wq_witnesses
-        self.two_sided = two_sided  # per class: two-sided norm-q ideal of R_k
+        self.two_sided = two_sided  # per class: T_k = I_k^-1 j I_k, of norm q, two-sided in R_k
         self._units = {}
         self._connectors = {}
         self._vectors = {}  # (m, k, n) -> ``_connector_vectors``, until its conjugate is taken
@@ -81,6 +81,16 @@ class VertexSet:
         if k not in self._units:
             self._units[k] = units(self.classes[k].right_order)
         return self._units[k]
+
+    def _add_class(self, ideal):
+        """Append the class of ideal, a left ideal of the base order, with
+        its weight read off the unit list that ``units_of`` then returns."""
+        ro = right_order(ideal)
+        unit_list = units(ro)
+        self._units[len(self.classes)] = unit_list
+        n = ideal_norm(ideal, self.order)
+        self.classes.append(VertexClass(ideal=ideal, right_order=ro, weight=len(unit_list) // 2,
+                                        norm=n, fingerprint=_fingerprint(ideal, n)))
 
     def rational_count(self):
         return sum(1 for c in self.classes if c.rational)
@@ -205,24 +215,17 @@ class VertexSet:
         return u * z
 
 
-def _class_record(ideal, order):
-    ro = right_order(ideal)
-    w = unit_order(ro)
-    n = ideal_norm(ideal, order)
-    return VertexClass(ideal=ideal, right_order=ro, weight=w, norm=n,
-                       fingerprint=_fingerprint(ideal, n))
-
-
 def vertex_classes(q, alg=None):
     """All left ideal classes of a maximal order, by 2-neighbour search.
 
     Breadth first from the order itself, with no equivalence test: the
     norm-2 ideals L of R_k with I_k L in a known class m are the ``_steps``
-    from k to m, matched by their images in R_k / 2 R_k.  Each L left over, in ``norm_ideals`` order, gives a new
-    class, I_k L reduced, and its steps from k are read at once, so the next
-    L left over is in no known class either.  The steps from k must then be
-    its three norm-2 ideals.  The connectors and unit lists found on the
-    way are kept by the sorted set.
+    from k to m, matched by their images in R_k / 2 R_k.  Each L left over,
+    in ``norm_ideals`` order, gives a new class, I_k L reduced, and its
+    steps from k are read at once, so the next L left over is in no known
+    class either.  The steps from k must then be its three norm-2 ideals.
+    The connectors and unit lists found on the way are kept by the sorted
+    set.
 
     Connectivity of the norm-2 step graph follows from strong approximation;
     completeness is independently certified by the Eichler mass formula
@@ -232,7 +235,8 @@ def vertex_classes(q, alg=None):
         raise ValueError(f"q must be a prime >= 5, got {q}")
     alg = alg or make_algebra(q)
     order = maximal_order(alg)
-    found = VertexSet(q, alg, order, [_class_record(order, order)], None, None, None)
+    found = VertexSet(q, alg, order, [], None, None, None)
+    found._add_class(order)
     k = 0
     while k < len(found):  # classes are appended in discovery order: the queue
         rec = found.classes[k]
@@ -243,7 +247,7 @@ def vertex_classes(q, alg=None):
         for lam, image in zip(ideals, images):
             if image in known:
                 continue
-            found.classes.append(_class_record(reduce_ideal(rec.ideal.mul(lam), order)[0], order))
+            found._add_class(reduce_ideal(rec.ideal.mul(lam), order)[0])
             new = found._steps(k, len(found) - 1, 2)
             steps += new
             known.update(image for image, _, _ in new)
@@ -265,24 +269,19 @@ def vertex_classes(q, alg=None):
 
 
 def _attach_wq(vset):
-    q = vset.q
-    nclasses = len(vset.classes)
-    perm = [None] * nclasses
-    witnesses = [None] * nclasses
-    two_sided = []
+    """w_q on vertices: the class t of I_k T_k and the witness y with
+    I_k T_k = I_t y, for T_k = ``two_sided_ideal`` of I_k."""
+    vset.two_sided = [two_sided_ideal(rec.ideal, rec.norm) for rec in vset.classes]
+    perm = [None] * len(vset.classes)
+    witnesses = [None] * len(vset.classes)
     for k, rec in enumerate(vset.classes):
-        ts = two_sided_prime(rec.right_order, q)
-        two_sided.append(ts)
         # w_q is an involution: the class it sends k to is the j with
         # wq_perm[j] == k if one is known, else most likely k itself, and
         # if not k then a later class, as every earlier one has its image
         first = perm.index(k) if k in perm else k
-        t, y = vset.locate(rec.ideal.mul(ts), first)
-        perm[k] = t
-        witnesses[k] = y
+        perm[k], witnesses[k] = vset.locate(rec.ideal.mul(vset.two_sided[k]), first)
     vset.wq_perm = perm
     vset.wq_witnesses = witnesses
-    vset.two_sided = two_sided
     vset.classes = [rec._replace(rational=perm[k] == k) for k, rec in enumerate(vset.classes)]
 
 
@@ -304,12 +303,16 @@ class ShimuraGraph:
         # P; a member that does not lie between p R_k and R_k (a damaged
         # cache) gets no entry, and ``validate_records`` names it
         self._edge_lookup = {}
+        self._ideal_images = []  # the image of each edge ideal, for ``validate_records``
         for i, e in enumerate(edges):
             order = vset.classes[e.source].right_order
-            for member in e.orbit:
-                image = _residue_image(order, member, p)
+            images = {member.key(): _residue_image(order, member, p) for member in e.orbit}
+            for image in images.values():
                 if image is not None:
                     self._edge_lookup[(e.source, image)] = i
+            key = e.ideal.key()  # outside its orbit only in a damaged cache
+            self._ideal_images.append(
+                images[key] if key in images else _residue_image(order, e.ideal, p))
         self.wp_perm = None
         self.wq_edge_perm = None
         self._neighbors = {}
@@ -589,7 +592,8 @@ def validate_records(graph):
     from the cache is checked here, after ``validate_graph``.  Each class
     record against its ideal: the norm, right order, weight and fingerprint
     that the neighbour search and ``locate`` trust.  The w_q records of each
-    class k: T_k is the two-sided ideal of norm q of R_k, and the witness
+    class k: T_k is the two-sided ideal of norm q of R_k, which is
+    I_k^-1 j I_k (``two_sided_ideal``), and the witness
     y_k gives I_k T_k = I_t y_k with t = wq_perm[k] (``_attach_wq_edges``
     conjugates by y_k).  Each edge record against its ideal P: P lies
     between p R_k and R_k with index p^2, as a norm-p left ideal of the
@@ -614,7 +618,7 @@ def validate_records(graph):
         if _fingerprint(rec.ideal, rec.norm) != rec.fingerprint:
             raise ArithmeticError(f"vertex {k}: fingerprint does not match its ideal")
         ts = vset.two_sided[k]
-        if ts != two_sided_prime(rec.right_order, q):
+        if ts != two_sided_ideal(rec.ideal, rec.norm):
             raise ArithmeticError(
                 f"vertex {k}: two_sided is not the two-sided norm-{q} ideal of its right order")
         t = vset.wq_perm[k]
@@ -624,7 +628,7 @@ def validate_records(graph):
     members = Counter()
     for i, e in enumerate(edges):
         k = e.source
-        if _residue_image(vset.classes[k].right_order, e.ideal, p) is None:
+        if graph._ideal_images[i] is None:
             raise ArithmeticError(
                 f"edge {i}: ideal does not lie between {p} R_{k} and R_{k} with index {p}^2")
         if (one not in e.eichler or e.ideal.coords_in(e.eichler) is None or one in e.ideal

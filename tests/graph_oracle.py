@@ -58,8 +58,8 @@ from shimura_pq.gross import (graph_eichler_units, gross_tower_modular, optimal_
 from shimura_pq.linalg import det_bareiss
 from shimura_pq.ntheory import is_prime, kronecker
 from shimura_pq.quat import (equiv_witness, ideal_norm, make_algebra, maximal_order,
-                             norm_ideals, reduce_ideal, two_sided_prime)
-from shimura_pq.ssgraph import VertexSet, _attach_wq, _class_record, _fingerprint
+                             norm_ideals, reduce_ideal)
+from shimura_pq.ssgraph import VertexSet, _attach_wq, _fingerprint
 
 
 def make_multigraph(nvertices, edges):
@@ -206,7 +206,8 @@ def wq_by_full_scan(vset):
     by ``locate`` with the full fingerprint scan."""
     perm, witnesses = [], []
     for rec in vset.classes:
-        t, y = vset.locate(rec.ideal.mul(two_sided_prime(rec.right_order, vset.q)))
+        ts = lattice_oracle.two_sided_prime(rec.right_order, vset.q)
+        t, y = vset.locate(rec.ideal.mul(ts))
         perm.append(t)
         witnesses.append(y)
     return perm, witnesses
@@ -220,7 +221,9 @@ def vertex_classes_by_equivalence(q, alg=None):
         raise ValueError(f"q must be a prime >= 5, got {q}")
     alg = alg or make_algebra(q)
     order = maximal_order(alg)
-    recs = [_class_record(order, order)]
+    found = VertexSet(q, alg, order, [], None, None, None)
+    found._add_class(order)
+    recs = found.classes
     queue = [0]
     while queue:
         k = queue.pop(0)
@@ -236,7 +239,7 @@ def vertex_classes_by_equivalence(q, alg=None):
                     hit = True
                     break
             if not hit:
-                recs.append(_class_record(jr, order))
+                found._add_class(jr)
                 queue.append(len(recs) - 1)
     mass = sum(Fraction(1, r.weight) for r in recs)
     if mass != Fraction(q - 1, 12):

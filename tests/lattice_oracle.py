@@ -33,7 +33,11 @@ nonzero entry in each column pairwise by xgcd, then reduces above the
 pivots.  It is the oracle for the row-insertion version.
 
 It also holds ``norm_ideals_exhaustive``, the brute-force oracle for
-``quat.norm_ideals`` (every index-ell^2 left submodule of reduced norm ell),
+``quat.norm_ideals`` (every index-ell^2 left submodule of reduced norm ell,
+one per 2-dimensional subspace of O / ell O that is a left ideal);
+``two_sided_prime(order, q)``, the two-sided norm-q ideal as the radical of
+the trace form mod q, with ``kernel_mod_p`` and ``_as_int`` (moved unchanged
+from ``quat`` and ``linalg``), the oracle for ``quat.two_sided_ideal``;
 and the ``Fraction`` helpers all of these stand on, which the package no
 longer uses: ``mat_inv_frac``, ``mat_mul_frac`` and ``_int_vec`` (moved
 unchanged from ``linalg`` and ``quat``), ``frac_rows`` (the basis as
@@ -41,12 +45,13 @@ unchanged from ``linalg`` and ``quat``), ``frac_rows`` (the basis as
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd, lcm
 
 import graph_oracle
 from shimura_pq.gross import class_number, gross_modular, gross_shimura
 from shimura_pq.linalg import det_bareiss, frac_sqrt, hnf_rows, xgcd
-from shimura_pq.quat import Lattice, Quat, _line_reps, ideal_norm
+from shimura_pq.quat import Lattice, Quat, ideal_norm
 from shimura_pq.ssgraph import _residue_image
 
 
@@ -364,43 +369,14 @@ def norm_ideals_exhaustive(order, ell):
                         out[m] += f * grs[m]
         return tuple(x % ell for x in out)
 
-    def rref2(vecs):
-        m = [list(v) for v in vecs]
-        r = 0
-        for col in range(4):
-            piv = next((i for i in range(r, len(m)) if m[i][col] % ell), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = pow(m[r][col], -1, ell)
-            m[r] = [x * inv % ell for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][col] % ell:
-                    f = m[i][col]
-                    m[i] = [(x - f * y) % ell for x, y in zip(m[i], m[r])]
-            r += 1
-        return tuple(tuple(row) for row in m[:r])
-
-    found = set()
-    # all 2-dimensional subspaces via (canonical line, second vector) pairs
-    vecs = [tuple((n // ell ** i) % ell for i in range(4)) for n in range(ell ** 4)]
-    for v1 in _line_reps(ell):
-        for v2 in vecs:
-            key = rref2([v1, v2])
-            if len(key) != 2 or key in found:
-                continue
-            span = {tuple((a * u + b * w) % ell for u, w in zip(key[0], key[1]))
-                    for a in range(ell) for b in range(ell)}
-            ok = True
-            for gvec in (tuple(int(m == r) for m in range(4)) for r in range(4)):
-                for v in key:
-                    if mul_mod(gvec, v) not in span:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found.add(key)
+    found = []
+    for key in _planes(ell):
+        span = {tuple((a * u + b * w) % ell for u, w in zip(key[0], key[1]))
+                for a in range(ell) for b in range(ell)}
+        if all(mul_mod(gvec, v) in span
+               for gvec in (tuple(int(m == r) for m in range(4)) for r in range(4))
+               for v in key):
+            found.append(key)
     ideals = []
     for key in found:
         rows = [tuple(sum(v[r] * order.rows[r][m] for r in range(4)) for m in range(4))
@@ -411,3 +387,87 @@ def norm_ideals_exhaustive(order, ell):
             ideals.append(ideal)
     ideals.sort(key=lambda l2: l2.key())
     return ideals
+
+
+def _planes(ell):
+    """The 2-dimensional subspaces of F_ell^4, each once, as the two rows
+    (v1, v2) of its reduced row echelon form: pivots 1 in columns i < j,
+    v1[j] = 0, and zeros left of each pivot."""
+    for i, j in combinations(range(4), 2):
+        free1 = [c for c in range(i + 1, 4) if c != j]
+        free2 = list(range(j + 1, 4))
+        for a in product(range(ell), repeat=len(free1)):
+            for b in product(range(ell), repeat=len(free2)):
+                v1, v2 = [0] * 4, [0] * 4
+                v1[i] = v2[j] = 1
+                for c, x in zip(free1, a):
+                    v1[c] = x
+                for c, x in zip(free2, b):
+                    v2[c] = x
+                yield tuple(v1), tuple(v2)
+
+
+# -- the two-sided norm-q ideal by the trace radical ---------------------------
+
+def two_sided_prime(order, q):
+    """The unique two-sided ideal of reduced norm q of a maximal order.
+
+    Taken as the radical of the trace pairing mod q lifted back to the
+    lattice, plus q*O; its index in O is q^2.
+    """
+    basis = order.basis()
+    t = [[_as_int((x * y).trd()) for y in basis] for x in basis]
+    ker = kernel_mod_p(t, q)
+    if len(ker) != 2:
+        raise ArithmeticError("radical mod q does not have dimension 2")
+    rows = [tuple(sum(c[r] * order.rows[r][m] for r in range(4)) for m in range(4))
+            for c in ker]
+    rows += [tuple(q * x for x in r) for r in order.rows]
+    ideal = Lattice.from_int_rows(order.alg, rows, order.den)
+    if ideal.index_in(order) != q * q:
+        raise ArithmeticError("two-sided ideal has wrong index")
+    return ideal
+
+
+def _as_int(f):
+    f = Fraction(f)
+    if f.denominator != 1:
+        raise ArithmeticError("expected an integer, got " + str(f))
+    return int(f)
+
+
+def kernel_mod_p(mat, p):
+    """Basis of the kernel of an n x n integer matrix acting mod p (row vectors c with c*mat = 0)."""
+    n = len(mat)
+    a = [[mat[i][j] % p for j in range(n)] for i in range(n)]
+    # row-reduce the transpose: we want left kernel of mat = kernel of mat^T
+    t = [[a[j][i] for j in range(n)] for i in range(n)]
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, n) if t[i][col] % p), None)
+        if piv is None:
+            continue
+        t[r], t[piv] = t[piv], t[r]
+        inv = pow(t[r][col], -1, p)
+        t[r] = [x * inv % p for x in t[r]]
+        for i in range(n):
+            if i != r and t[i][col] % p:
+                f = t[i][col]
+                t[i] = [(x - f * y) % p for x, y in zip(t[i], t[r])]
+        r += 1
+    # kernel of t (as a map on row vectors v -> v with t*v = 0): free columns
+    pivcols = []
+    c = 0
+    for i in range(r):
+        while c < n and t[i][c] % p == 0:
+            c += 1
+        pivcols.append(c)
+    free = [j for j in range(n) if j not in pivcols]
+    out = []
+    for j in free:
+        v = [0] * n
+        v[j] = 1
+        for i, pc in enumerate(pivcols):
+            v[pc] = (-t[i][j]) % p
+        out.append(tuple(v))
+    return out

@@ -1,7 +1,8 @@
 """Guard against dead code in the package.
 
-Every public top-level function and class of ``src/shimura_pq/*.py``, and
-every public method of those classes, must be referenced from the program:
+Every top-level function and class of ``src/shimura_pq/*.py``, and every
+method of those classes, public or private, must be referenced from the
+program:
 ``src/``, ``scripts/`` or the benchmark's own modules (``perfbench/*.py``,
 not its tests).  A reference is a ``Name``, an ``Attribute`` or an imported
 name, outside the definition itself, so recursion does not keep a function
@@ -11,8 +12,8 @@ Names are matched by spelling alone, so a clash (a dead method that shares
 its name with a live function or variable) hides dead code: the guard is
 lenient, not strict.  Only a name reached through strings alone (``getattr``
 or a class ``__dict__``, as the benchmark's tracer does) would be flagged
-although used; each such name is also called directly.  Dunder methods,
-private names and ``cli.main``, the entry point, are exempt.
+although used; each such name is also called directly.  Dunder methods
+and ``cli.main``, the entry point, are exempt.
 """
 
 import ast
@@ -32,15 +33,19 @@ def _parse(path):
         return ast.parse(fh.read(), filename=path)
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(module, tree):
-    """(qualified name, bare name, node) for each public definition."""
+    """(qualified name, bare name, node) for each definition but the dunders."""
     for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         yield f"{module}.{node.name}", node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
                     yield f"{module}.{node.name}.{item.name}", item.name, item
 
 

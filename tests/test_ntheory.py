@@ -6,7 +6,6 @@ from shimura_pq.ntheory import (
     is_prime,
     kronecker,
     legendre,
-    mod_sqrt,
     primes_from,
     ramified_primes,
 )
@@ -38,16 +37,6 @@ def test_kronecker_fixtures():
     assert kronecker(-4, 3) == -1  # -4 = -1 mod 3, non-residue
     assert kronecker(13, 47) == -1
     assert kronecker(29, 251) == -1
-
-
-def test_mod_sqrt():
-    for p in (5, 13, 47, 101):
-        for a in range(p):
-            r = mod_sqrt(a, p)
-            if legendre(a, p) >= 0:
-                assert r is not None and r * r % p == a % p
-            else:
-                assert r is None
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_oracle import (conj_by_integer, from_elements, lattice_intersection,
-                            norm_ideals_exhaustive, scale)
+                            norm_ideals_exhaustive, scale, two_sided_prime)
 from shimura_pq.ntheory import ramified_primes
 from shimura_pq.ssgraph import vertex_classes
 from shimura_pq.quat import (
@@ -21,8 +21,7 @@ from shimura_pq.quat import (
     reduce_ideal,
     reduced_discriminant,
     right_order,
-    two_sided_prime,
-    unit_order,
+    two_sided_ideal,
     units,
 )
 
@@ -175,15 +174,15 @@ class TestShortVectors:
         assert (0, 1, 0, 0) in nums and (0, -1, 0, 0) in nums
 
     def test_unit_orders(self):
-        # q = 11: the two classes have unit orders 2 and 3
-        ideals = norm_ideals(O11, 2)
-        orders = {unit_order(right_order(i)) for i in ideals} | {unit_order(O11)}
+        # q = 11: the two classes have unit orders 2 and 3 (units / {+-1})
+        orders = {len(units(order)) // 2
+                  for order in [right_order(i) for i in norm_ideals(O11, 2)] + [O11]}
         assert 2 in orders and 3 in orders
 
     def test_weight_one_order_has_no_extra_units(self, vset47):
         weight_one = next(c for c in vset47.classes if c.weight == 1)
         assert weight_one.right_order.norm_vectors(1, trace=Fraction(0)) == []
-        assert unit_order(weight_one.right_order) == 1
+        assert len(units(weight_one.right_order)) // 2 == 1
 
 
 class TestEquivalence:
@@ -229,6 +228,11 @@ class TestNormIdeals:
         # q = 37 = 1 mod 4: the maximal order comes from saturation (a != 1)
         for vset in (vset23, vset37):
             cases += [(c.right_order, ell) for c in vset.classes for ell in (2, 3)]
+        # odd ell, for the idempotent x / trd(x), in the models a = 2 (q = 37)
+        # and a = 3 (q = 41)
+        for vset in (vset37, vertex_classes(41)):
+            assert vset.alg.a != 1
+            cases += [(c.right_order, ell) for c in vset.classes for ell in (5, 7)]
         for order, ell in cases:
             fast = norm_ideals(order, ell)
             slow = norm_ideals_exhaustive(order, ell)
@@ -255,16 +259,31 @@ class TestNormIdeals:
 
 
 class TestTwoSided:
+    # the base order is the ideal of norm 1 of itself: T = O j O = O j
     def test_norm_q(self):
-        ts = two_sided_prime(O47, 47)
+        ts = two_sided_ideal(O47, 1)
         assert ideal_norm(ts, O47) == 47
         # two-sided: x * Q * x^-1 = Q for units and basis elements of O
         for u in units(O47):
             assert conj_by_integer(ts, u) == ts
 
     def test_square_is_q_times_order(self):
-        ts = two_sided_prime(O11, 11)
+        ts = two_sided_ideal(O11, 1)
         assert ts.mul(ts) == scale(O11, 11)
+
+    @pytest.mark.parametrize("q", [11, 13, 37, 41, 73, 97, 251])
+    def test_conjugate_of_j_is_the_trace_radical(self, q):
+        # T_k = I_k^-1 j I_k against the radical of the trace form mod q,
+        # and I_k T_k = j I_k, on every class; q = 13, 37, 41, 73, 97 use
+        # models with a != 1, so a saturated maximal order
+        vset = vertex_classes(q)
+        j = Quat(vset.alg, (0, 0, 1, 0))
+        assert j in vset.order
+        for rec in vset.classes:
+            ts = two_sided_ideal(rec.ideal, rec.norm)
+            assert ts == two_sided_prime(rec.right_order, q)
+            assert rec.ideal.mul(ts) == Lattice.from_int_rows(
+                vset.alg, [vset.alg.mul4(j.num, r) for r in rec.ideal.rows], rec.ideal.den)
 
 
 class TestModelIndependence:
