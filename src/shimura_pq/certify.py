@@ -26,7 +26,7 @@ from .compgroup import (
 from .gross import (gross_tower_modular, gross_tower_shimura, s_star, support, t_star,
                     tower_class_number)
 from .ntheory import is_prime, kronecker, primes_from
-from .quat import Lattice, Quat, make_algebra
+from .quat import Lattice, Quat, make_algebra, maximal_order
 from .ssgraph import (Edge, ShimuraGraph, VertexClass, VertexSet, build_graph, ss_oracle,
                       validate_graph, validate_records)
 
@@ -327,6 +327,10 @@ def graph_payload(graph):
 def graph_from_payload(payload):
     alg = make_algebra(payload["q"], a=payload["algebra"]["a"])
     order = _lat_from(alg, payload["order"])
+    # another maximal order has the same covolume, so no record check below
+    # would see one in place of the order the build starts from
+    if order != maximal_order(alg):
+        raise ValueError("order is not the maximal order of the algebra")
     classes = [
         VertexClass(
             ideal=_lat_from(alg, v["ideal"]),

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .ntheory import kronecker
-from .quat import units
+from .quat import Quat, units
 
 
 # -- imaginary quadratic orders -------------------------------------------------
@@ -112,13 +112,19 @@ def _count_optimal(order, D, cands, unit_list):
         return 0
     if unit_list is None:
         unit_list = units(order)
+    # x -> u x conj(u) (nrd u = 1): u and -u act alike and +-1 trivially, so
+    # one u of each pair with a nonzero pure part, as integer 4-vectors
+    conjugators = [(u.num, (u.num[0], -u.num[1], -u.num[2], -u.num[3]), u.den * u.den)
+                   for u in unit_list if u.num[1:] > (0, 0, 0)]
+    alg = order.alg
+    mul4 = alg.mul4
     remaining = {x.key(): x for x in cands}
     orbits = 0
     while remaining:
         seed = remaining.pop(min(remaining))
         orbits += 1
-        for u in unit_list:
-            y = u * seed * u.conj()  # nrd(u) = 1
+        for u, ubar, uden in conjugators:
+            y = Quat(alg, mul4(mul4(u, seed.num), ubar), uden * seed.den)
             remaining.pop(y.key(), None)
     return orbits
 

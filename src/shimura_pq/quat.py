@@ -10,7 +10,9 @@ Short vectors (norm_vectors, find_norm_vector, min_vectors and the class
 fingerprints) come from one Fincke-Pohst enumerator per lattice: integral
 LLL on the Gram matrix of the HNF basis, then an exact integer LDL of the
 reduced form read off the LLL data, so the enumeration runs in integers
-over a reduced basis and maps each solution back to HNF coordinates.
+over a reduced basis and maps each solution back to HNF coordinates.  The
+search is one loop nest with its four levels written out, no recursion;
+a rank-3 form runs in it with the top level held at 0.
 
 A search with a fixed trace t (the embedding candidates of the Gross
 vectors) runs in rank 3 on the same enumerator.  x -> 2x - trd(x) maps the
@@ -18,7 +20,8 @@ lattice onto S0 = {2x - trd x}, a lattice of pure quaternions spanned by the
 pure parts of twice the basis, and nrd(2x - t) = 4 nrd(x) - t^2 when
 trd(x) = t.  So the x of trace t and norm n are the (y + t)/2 that lie in
 the lattice, for the y in S0 of norm 4n - t^2 (Gross's ternary lattice,
-Heights and the special values of L-series, 1987, section 12).
+Heights and the special values of L-series, 1987, section 12).  An int
+norm and trace keep the whole search in int arithmetic, with no Fraction.
 
 Duality is integer too: the HNF basis R is upper triangular, so
 R^-1 = adj(R)/det(R) with adj(R) integral by exact back-substitution, and
@@ -170,7 +173,10 @@ class _ReducedForm:
 
         S * Q(y) = sum_j W_j (d_j y_j + sum_{i>j} lam[i][j] y_i)^2.
 
-    Lists are indexed from 1, as in Cohen.  Raises ArithmeticError if G is not
+    Lists are indexed from 1, as in Cohen.  The rank is 3 or 4: ``vectors``
+    is one search with its four levels written out, and a rank-3 form is
+    padded to that layout, with y_4 held at 0 and a zero fourth column in
+    ``t`` that the output drops.  Raises ArithmeticError if G is not
     positive definite.
     """
 
@@ -178,6 +184,8 @@ class _ReducedForm:
 
     def __init__(self, g):
         n = len(g)
+        if n not in (3, 4):
+            raise ValueError(f"forms of rank 3 and 4 only, not {n}")
         h = [None] + [[int(r == c) for c in range(n)] for r in range(n)]
         lam = [[0] * (n + 1) for _ in range(n + 1)]
         d = [1] + [0] * n
@@ -237,49 +245,77 @@ class _ReducedForm:
                 k += 1
 
         s = lcm(*(d[j] * d[j - 1] for j in range(1, n + 1)))
-        self.n, self.t, self.d, self.lam, self.s = n, h, d, lam, s
-        self.w = [None] + [s // (d[j] * d[j - 1]) for j in range(1, n + 1)]
+        w = [None] + [s // (d[j] * d[j - 1]) for j in range(1, n + 1)]
         # the norm of a reduced basis vector bounds the minimum from above
         self.min_bound = min(dot(times_g(i), i) for i in range(1, n + 1))
+        if n == 3:
+            # pad to the rank-4 layout that ``vectors`` reads: y_4 = 0 there,
+            # so level 4 adds nothing, and c gets a fourth coordinate 0
+            h = [None] + [row + [0] for row in h[1:]] + [[0, 0, 0, 0]]
+            lam = [row + [0] for row in lam] + [[0] * 5]
+            d.append(1)
+            w.append(1)
+        self.n, self.t, self.d, self.lam, self.w, self.s = n, h, d, lam, w, s
 
     def vectors(self, target, upto=False):
         """Every (c, c^T G c) with c != 0 and c^T G c == target (<= target if
-        upto), c in the input coordinates, in no particular order."""
+        upto), c in the input coordinates, in no particular order.
+
+        One loop per level, y_4 outermost.  At level j, with
+        a_j = sum_{i>j} lam[i][j] y_i and rem_j what is left of S target
+        after the levels above, y_j runs over the integers with
+        W_j (d_j y_j + a_j)^2 <= rem_j.  A rank-3 form runs with y_4 = 0.
+        The last level of an exact search is solved directly; with upto it
+        emits its whole range."""
         if target < 0:
             return []
-        n, t, d, lam, w, scale = self.n, self.t, self.d, self.lam, self.w, self.s
-        y = [0] * (n + 1)
+        n, scale, lam = self.n, self.s, self.lam
+        (_, d1, d2, d3, d4), (_, w1, w2, w3, w4) = self.d, self.w
+        l21, l31, l32 = lam[2][1], lam[3][1], lam[3][2]
+        _, l41, l42, l43, _ = lam[4]
+        ((t11, t12, t13, t14), (t21, t22, t23, t24),
+         (t31, t32, t33, t34), (t41, t42, t43, t44)) = self.t[1:]
         out = []
-
-        def emit(rem):
-            if any(y):
-                c = tuple(sum(y[i] * t[i][m] for i in range(1, n + 1)) for m in range(n))
-                out.append((c, target - rem // scale))
-
-        def rec(j, rem):
-            a = sum(lam[i][j] * y[i] for i in range(j + 1, n + 1))
-            dj, wj = d[j], w[j]
-            s = isqrt(rem // wj)
-            if j == 1 and not upto:
-                # last level of an exact search: solve W_1 (d_1 y_1 + a)^2 = rem
-                if rem != wj * s * s:
-                    return
-                for u in (s, -s) if s else (0,):
-                    if (u - a) % dj == 0:
-                        y[1] = (u - a) // dj
-                        emit(0)
-                y[1] = 0
-                return
-            for yj in range(-((s + a) // dj), (s - a) // dj + 1):
-                y[j] = yj
-                u = dj * yj + a
-                if j > 1:
-                    rec(j - 1, rem - wj * u * u)
-                else:
-                    emit(rem - wj * u * u)
-            y[j] = 0
-
-        rec(n, scale * target)
+        emit = out.append
+        rem4 = scale * target
+        if n == 4:
+            s4 = isqrt(rem4 // w4)
+            top = range(-(s4 // d4), s4 // d4 + 1)
+        else:
+            top = (0,)
+        for y4 in top:
+            u = d4 * y4
+            rem3 = rem4 - w4 * u * u
+            a3 = l43 * y4
+            s3 = isqrt(rem3 // w3)
+            for y3 in range(-((s3 + a3) // d3), (s3 - a3) // d3 + 1):
+                u = d3 * y3 + a3
+                rem2 = rem3 - w3 * u * u
+                a2 = l32 * y3 + l42 * y4
+                s2 = isqrt(rem2 // w2)
+                for y2 in range(-((s2 + a2) // d2), (s2 - a2) // d2 + 1):
+                    u = d2 * y2 + a2
+                    rem1 = rem2 - w2 * u * u
+                    a1 = l21 * y2 + l31 * y3 + l41 * y4
+                    if upto:
+                        s1 = isqrt(rem1 // w1)
+                        level1 = range(-((s1 + a1) // d1), (s1 - a1) // d1 + 1)
+                    else:
+                        # W_1 (d_1 y_1 + a_1)^2 = rem_1: d_1 y_1 + a_1 = +-s1
+                        sq, r = divmod(rem1, w1)
+                        s1 = isqrt(sq)
+                        if r or s1 * s1 != sq:
+                            continue
+                        level1 = [(v - a1) // d1 for v in ((s1, -s1) if s1 else (0,))
+                                  if (v - a1) % d1 == 0]
+                    for y1 in level1:
+                        if y1 or y2 or y3 or y4:
+                            u = d1 * y1 + a1
+                            c = (y1 * t11 + y2 * t21 + y3 * t31 + y4 * t41,
+                                 y1 * t12 + y2 * t22 + y3 * t32 + y4 * t42,
+                                 y1 * t13 + y2 * t23 + y3 * t33 + y4 * t43,
+                                 y1 * t14 + y2 * t24 + y3 * t34 + y4 * t44)
+                            emit((c[:n], target - (rem1 - w1 * u * u) // scale))
         return out
 
 
@@ -394,8 +430,12 @@ class Lattice:
         return Lattice.from_int_rows(self.alg, rows, self.den * x.den)
 
     def conj_lattice(self):
-        rows = [(r[0], -r[1], -r[2], -r[3]) for r in self.rows]
-        return Lattice.from_int_rows(self.alg, rows, self.den)
+        """The conjugate lattice, cached: class ideals are conjugated for
+        every connector and equivalence test they enter."""
+        if "conj" not in self._cache:
+            rows = [(r[0], -r[1], -r[2], -r[3]) for r in self.rows]
+            self._cache["conj"] = Lattice.from_int_rows(self.alg, rows, self.den)
+        return self._cache["conj"]
 
     def add(self, other):
         den = self.den * other.den // gcd(self.den, other.den)
@@ -456,7 +496,9 @@ class Lattice:
 
     def _trace_vectors(self, n, t):
         """The x with nrd(x) = n and trd(x) = t, as (y + t)/2 over the y in
-        S0 with nrd(y) = 4n - t^2, kept if they lie in the lattice."""
+        S0 with nrd(y) = 4n - t^2, kept if they lie in the lattice.  n and t
+        are ints or Fractions, read as numerator over denominator, so an int
+        norm and trace stay in int arithmetic."""
         den, tnum, tden = self.den, t.numerator, t.denominator
         # the target (4n - t^2) den^2, written over n's and t's denominators
         target, rem = divmod((4 * n.numerator * tden * tden - tnum * tnum * n.denominator)
@@ -467,8 +509,10 @@ class Lattice:
             ys = [(0, 0, 0)]
         else:
             basis, form = self._trace_zero_form()
-            ys = [tuple(sum(ci * r[m] for ci, r in zip(c, basis)) for m in range(3))
-                  for c, _ in form.vectors(target)]
+            (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = basis
+            ys = [(c1 * b11 + c2 * b21 + c3 * b31, c1 * b12 + c2 * b22 + c3 * b32,
+                   c1 * b13 + c2 * b23 + c3 * b33)
+                  for (c1, c2, c3), _ in form.vectors(target)]
         # x = (y / den + t) / 2 over the common denominator 2 den tden
         xden, x0 = 2 * den * tden, tnum * den
         found = []
@@ -478,22 +522,31 @@ class Lattice:
                 found.append(Quat(self.alg, num, xden))
         return found
 
+    def _norm_target(self, n):
+        """n den^2, the value of c^T G c for the vectors of norm n, or None if
+        it is not an integer."""
+        target, rem = divmod(n.numerator * self.den ** 2, n.denominator)
+        return None if rem else target
+
     def norm_vectors(self, n, trace=None):
         """All x in the lattice with nrd(x) = n (and trd(x) = trace if
-        given), sorted by key.  With a trace the search runs in S0."""
-        n = Fraction(n)
+        given), sorted by key.  With a trace the search runs in S0.  An int
+        norm and trace are used as they are, with no Fraction."""
+        if not isinstance(n, int):
+            n = Fraction(n)
+        if trace is not None and not isinstance(trace, int):
+            trace = Fraction(trace)
         if n < 0:
             return []
         if n == 0:
-            z = Quat(self.alg, (0, 0, 0, 0))
-            return [z] if trace in (None, 0, Fraction(0)) else []
+            return [] if trace else [Quat(self.alg, (0, 0, 0, 0))]
         if trace is not None:
-            found = self._trace_vectors(n, Fraction(trace))
+            found = self._trace_vectors(n, trace)
         else:
-            target = n * self.den ** 2
-            if target.denominator != 1:
+            target = self._norm_target(n)
+            if target is None:
                 return []
-            found = [self._vector(c) for c, _ in self._enum_form(int(target))]
+            found = [self._vector(c) for c, _ in self._enum_form(target)]
         found.sort(key=Quat.key)
         return found
 
@@ -509,10 +562,10 @@ class Lattice:
         n = Fraction(n)
         if n <= 0:
             return None
-        target = n * self.den ** 2
-        if target.denominator != 1:
+        target = self._norm_target(n)
+        if target is None:
             return None
-        sols = self._enum_form(int(target))
+        sols = self._enum_form(target)
         if not sols:
             return None
         return self._vector(min((c for c, _ in sols), key=lambda c: c[::-1]))

@@ -65,7 +65,8 @@ class VertexSet:
         self.two_sided = two_sided  # per class: T_k = I_k^-1 j I_k, of norm q, two-sided in R_k
         self._units = {}
         self._connectors = {}
-        self._vectors = {}  # (m, k, n) -> ``_connector_vectors``, until its conjugate is taken
+        self._conjugates = set()  # the (m, k) whose connector is the conjugate of a product
+        self._vectors = {}  # (m, k, n) of a product -> its vectors of norm n, until both are taken
 
     def __len__(self):
         return len(self.classes)
@@ -124,26 +125,32 @@ class VertexSet:
 
     def connector(self, m, k):
         """conj(I_m) * I_k, cached for both directions from one product:
-        conj(I_k) * I_m is its conjugate."""
+        conj(I_k) * I_m is its conjugate, and (k, m) goes into
+        ``_conjugates``."""
         if (m, k) not in self._connectors:
             lat = self.classes[m].ideal.conj_lattice().mul(self.classes[k].ideal)
             self._connectors[(m, k)] = lat
-            self._connectors[(k, m)] = lat if m == k else lat.conj_lattice()
+            if m != k:
+                self._connectors[(k, m)] = lat.conj_lattice()
+                self._conjugates.add((k, m))
         return self._connectors[(m, k)]
 
     def _connector_vectors(self, m, k, n):
         """The vectors of norm n in conj(I_m) I_k, sorted by key.
 
-        One search serves both directions of a pair: conj(I_k) I_m is the
-        conjugate lattice, so its vectors of norm n are the conjugates, sorted
-        again.  A list is kept until its conjugate is taken."""
-        rev = self._vectors.pop((k, m, n), None)
-        if rev is not None:
-            return sorted((x.conj() for x in rev), key=Quat.key)
-        vecs = self.connector(m, k).norm_vectors(n)
-        if m != k:
-            self._vectors[(m, k, n)] = vecs
-        return vecs
+        Both directions of a pair are searched on the product lattice, so
+        one reduced form serves both: the other direction is its conjugate,
+        whose vectors of norm n are the conjugates, sorted again.  A list
+        is kept until the other direction takes it."""
+        self.connector(m, k)  # the pair's product, which sets _conjugates
+        flip = (m, k) in self._conjugates
+        key = (k, m, n) if flip else (m, k, n)
+        vecs = self._vectors.pop(key, None)
+        if vecs is None:
+            vecs = self._connectors[key[:2]].norm_vectors(n)
+            if m != k:
+                self._vectors[key] = vecs
+        return sorted((x.conj() for x in vecs), key=Quat.key) if flip else vecs
 
     def _steps(self, k, m, ell):
         """The ell-steps from k landing at m: (image, m, z) with I_k L = I_m z,
@@ -263,6 +270,7 @@ def vertex_classes(q, alg=None):
     vset = VertexSet(q, alg, order, [found.classes[i] for i in perm], None, None, None)
     vset._units = {pos[i]: u for i, u in found._units.items()}
     vset._connectors = {(pos[m], pos[k]): lat for (m, k), lat in found._connectors.items()}
+    vset._conjugates = {(pos[m], pos[k]) for m, k in found._conjugates}
     vset._vectors = {(pos[m], pos[k], n): v for (m, k, n), v in found._vectors.items()}
     _attach_wq(vset)
     return vset

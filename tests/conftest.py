@@ -1,10 +1,13 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import shimura_pq
+from shimura_pq.gross import gross_modular, gross_shimura
+from shimura_pq.quat import _ReducedForm
 from shimura_pq.ssgraph import build_graph, vertex_classes
 
 
@@ -101,3 +104,32 @@ def graph_5_163(vset163):
 @pytest.fixture(scope="session")
 def graph_29_23(vset23):
     return build_graph(29, 23, vset=vset23)
+
+
+@pytest.fixture(scope="session")
+def cold_5_163():
+    """A cold ``build_graph(5, 163)``, then the Gross vectors of D = -36 on
+    it, with every reduced form built and every search run on the way.
+
+    ``graph_forms`` are the forms of the build alone; ``forms`` adds the
+    rank-3 forms of the Gross vectors; ``searches`` lists each
+    (form, target, upto) searched."""
+    forms, searches = [], []
+    init, vectors = _ReducedForm.__init__, _ReducedForm.vectors
+
+    def recorded_init(self, g):
+        init(self, g)
+        forms.append(self)
+
+    def recorded_vectors(self, target, upto=False):
+        searches.append((self, target, upto))
+        return vectors(self, target, upto)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ReducedForm, "__init__", recorded_init)
+        mp.setattr(_ReducedForm, "vectors", recorded_vectors)
+        graph = build_graph(5, 163)
+        graph_forms = list(forms)
+        gross_modular(graph.vset, -36)
+        gross_shimura(graph, -36)
+    return SimpleNamespace(graph=graph, graph_forms=graph_forms, forms=forms, searches=searches)

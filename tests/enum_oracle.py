@@ -3,15 +3,25 @@
 This is the Fincke-Pohst enumeration that ``Lattice`` used before it moved
 to an integer enumerator over an LLL-reduced basis: an LDL decomposition in
 ``Fraction`` arithmetic of the Gram matrix as given, with integer ranges
-found by stepping.  It is kept here unchanged, as a function of the Gram
-matrix, so the tests can compare the fast enumerator against it:
+found by stepping.  It is kept here as a function of the Gram matrix, of
+rank 3 or 4 (the rank is read off the matrix), so the tests can compare the
+fast enumerator against it on the rank-4 lattices and on the rank-3
+trace-zero lattices alike:
 
 * ``enum_form(g, target, upto)`` -- every (c, c^T G c) with c != 0 and
   c^T G c == target (or <= target);
 * ``find_norm_vector(g, target)`` -- the early-exit search: the first c
-  with c^T G c == target, trying c3, then c2, c1, c0 in ascending order;
+  with c^T G c == target, trying the last coordinate first, each in
+  ascending order;
 * ``min_vectors(g)`` -- (minimum, attaining c) by enumeration up to a
   Hermite-type bound, doubled until something is found.
+
+Beside it is the integer search as it was before its levels were written
+out:
+
+* ``reduced_vectors(form, target, upto)`` -- the recursive Fincke-Pohst
+  search over the integer LDL data of a ``_ReducedForm``, a second oracle
+  for ``_ReducedForm.vectors`` on the same reduced basis.
 
 It also keeps the embedding search as it was before the trace-zero lattice
 took it over, on a ``Lattice``:
@@ -87,7 +97,7 @@ def _int_range(off, bound):
 
 
 def ldl(g):
-    n = 4
+    n = len(g)
     L = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
     D = [Fraction(0)] * n
     for j2 in range(n):
@@ -103,8 +113,9 @@ def ldl(g):
 def enum_form(g, target, upto=False):
     """Integer vectors c != 0 with c^T G c == target (or <= target if upto)."""
     D, L = ldl(g)
+    n = len(g)
     out = []
-    c = [0, 0, 0, 0]
+    c = [0] * n
     tgt = Fraction(target)
 
     def rec(j2, rem):
@@ -112,7 +123,7 @@ def enum_form(g, target, upto=False):
             if (upto or rem == 0) and any(c):
                 out.append((tuple(c), tgt - rem))
             return
-        off = sum(L[i2][j2] * c[i2] for i2 in range(j2 + 1, 4))
+        off = sum(L[i2][j2] * c[i2] for i2 in range(j2 + 1, n))
         lo, hi = _int_range(off, rem / D[j2])
         for cj in range(lo, hi + 1):
             c[j2] = cj
@@ -121,14 +132,15 @@ def enum_form(g, target, upto=False):
                 rec(j2 - 1, rem - val)
         c[j2] = 0
 
-    rec(3, tgt)
+    rec(n - 1, tgt)
     return out
 
 
 def find_norm_vector(g, target):
     """The first c with c^T G c == target found by the early-exit search, or None."""
     D, L = ldl(g)
-    c = [0, 0, 0, 0]
+    n = len(g)
+    c = [0] * n
     hit = []
 
     def rec(j2, rem):
@@ -137,7 +149,7 @@ def find_norm_vector(g, target):
                 hit.append(tuple(c))
                 return True
             return False
-        off = sum(L[i2][j2] * c[i2] for i2 in range(j2 + 1, 4))
+        off = sum(L[i2][j2] * c[i2] for i2 in range(j2 + 1, n))
         lo, hi = _int_range(off, rem / D[j2])
         for cj in range(lo, hi + 1):
             c[j2] = cj
@@ -147,7 +159,7 @@ def find_norm_vector(g, target):
         c[j2] = 0
         return False
 
-    rec(3, Fraction(target))
+    rec(n - 1, Fraction(target))
     return hit[0] if hit else None
 
 
@@ -189,3 +201,44 @@ def count_optimal(order, D, cands, unit_list):
         for u in unit_list:
             remaining.pop((u * seed * u.inv()).key(), None)
     return orbits
+
+
+def reduced_vectors(form, target, upto=False):
+    """``_ReducedForm.vectors`` as it was before its levels were written
+    out: the recursive search over the same integer LDL data."""
+    if target < 0:
+        return []
+    n, t, d, lam, w, scale = form.n, form.t, form.d, form.lam, form.w, form.s
+    y = [0] * (n + 1)
+    out = []
+
+    def emit(rem):
+        if any(y):
+            c = tuple(sum(y[i] * t[i][m] for i in range(1, n + 1)) for m in range(n))
+            out.append((c, target - rem // scale))
+
+    def rec(j, rem):
+        a = sum(lam[i][j] * y[i] for i in range(j + 1, n + 1))
+        dj, wj = d[j], w[j]
+        s = isqrt(rem // wj)
+        if j == 1 and not upto:
+            # last level of an exact search: solve W_1 (d_1 y_1 + a)^2 = rem
+            if rem != wj * s * s:
+                return
+            for u in (s, -s) if s else (0,):
+                if (u - a) % dj == 0:
+                    y[1] = (u - a) // dj
+                    emit(0)
+            y[1] = 0
+            return
+        for yj in range(-((s + a) // dj), (s - a) // dj + 1):
+            y[j] = yj
+            u = dj * yj + a
+            if j > 1:
+                rec(j - 1, rem - wj * u * u)
+            else:
+                emit(rem - wj * u * u)
+        y[j] = 0
+
+    rec(n, scale * target)
+    return out

@@ -282,7 +282,7 @@ class TestCache:
                                         "norm", "right_order", "fingerprint", "weight",
                                         "eichler", "eichler_is_order", "eichler_swapped",
                                         "orbit", "p_times_ideal",
-                                        "foreign_ideal", "two_sided", "wq_witness"])
+                                        "foreign_ideal", "two_sided", "wq_witness", "order"])
     def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
         # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
         # edge 11, and edge 5 is the other edge from 0 to 1; edge 6 starts at
@@ -305,7 +305,8 @@ class TestCache:
                  "p_times_ideal": "edge 4: ideal does not lie between 13 R_0 and R_0",
                  "foreign_ideal": "edge 4: ideal does not lie between 13 R_0 and R_0",
                  "two_sided": "vertex 0: two_sided is not the two-sided norm-11 ideal",
-                 "wq_witness": "vertex 0: its w_q witness y does not give I_0 T_0 = I_0 y"}[damage]
+                 "wq_witness": "vertex 0: its w_q witness y does not give I_0 T_0 = I_0 y",
+                 "order": "order is not the maximal order of the algebra"}[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
             good = fh.read()
@@ -351,6 +352,11 @@ class TestCache:
         elif damage == "wq_witness":
             witness = payload["wq_witnesses"][0]
             witness["n"] = [2 * x for x in witness["n"]]
+        elif damage == "order":
+            # the right order of another class: a maximal order of the same
+            # covolume, which no record check depends on
+            assert vertices[0]["right_order"] != payload["order"]
+            payload["order"] = vertices[0]["right_order"]
         else:
             payload["wq_perm"][0] = 1
         with open(path, "w", encoding="utf-8") as fh:

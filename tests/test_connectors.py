@@ -231,3 +231,15 @@ def test_one_connector_search_per_pair(build, monkeypatch):
                for k in range(len(vset)))
     if 13 in ells:
         assert all(per_pair[(k, m, 13)] == 1 for k, m, ell in per_pair if ell == 13)
+
+
+def test_one_reduced_form_per_connector_pair(cold_5_163):
+    """Both directions of a class pair are searched on its product lattice,
+    so at most one of its two connectors gets a reduced form.  A cold build
+    of (5,163) then builds 188 reduced forms; reducing both connectors of
+    each pair would build 250."""
+    connectors = cold_5_163.graph.vset._connectors
+    for (m, k), lat in connectors.items():
+        if m < k:
+            assert not ("form" in lat._cache and "form" in connectors[(k, m)]._cache), (m, k)
+    assert len(cold_5_163.graph_forms) == 188

@@ -61,11 +61,11 @@ def _check_lattice(lat, norms, upto_norm):
 
 
 @st.composite
-def pd_grams(draw):
-    """G = M M^T for a random integer 4 x k matrix M of rank 4."""
-    k = draw(st.integers(4, 6))
-    m = [[draw(st.integers(-6, 6)) for _ in range(k)] for _ in range(4)]
-    g = [[sum(m[i][t] * m[j][t] for t in range(k)) for j in range(4)] for i in range(4)]
+def pd_grams(draw, n=4):
+    """G = M M^T for a random integer n x k matrix M of rank n."""
+    k = draw(st.integers(n, n + 2))
+    m = [[draw(st.integers(-6, 6)) for _ in range(k)] for _ in range(n)]
+    g = [[sum(m[i][t] * m[j][t] for t in range(k)) for j in range(n)] for i in range(n)]
     assume(det_bareiss(g) > 0)
     return g
 
@@ -93,6 +93,57 @@ def test_random_gram_matches_oracle(g, extra):
     got = {(c, v) for c, v in form.vectors(form.min_bound, upto=True)}
     low = min(v for _, v in got)
     assert (low, {c for c, v in got if v == low}) == (best, vecs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pd_grams(3), st.integers(0, 3))
+def test_random_rank3_gram_matches_oracle(g, extra):
+    """The rank-3 search (the trace-zero lattices) runs with y_4 = 0."""
+    best, vecs = oracle.min_vectors(g)
+    form = _ReducedForm(g)
+    _check_gram(g, sorted({best, best + 1 + extra, 2 * best + extra}))
+    got = {(c, v) for c, v in form.vectors(form.min_bound, upto=True)}
+    assert all(len(c) == 3 for c, _ in got)
+    low = min(v for _, v in got)
+    assert (low, {c for c, v in got if v == low}) == (best, vecs)
+
+
+def test_kernel_matches_recursive_search_on_cold_5_163(cold_5_163):
+    """Every search of a cold (5,163) build and of its D = -36 Gross
+    vectors, and every form it built on its minimum, against the recursive
+    search on the same reduced form."""
+    def same(form, target, upto):
+        assert sorted(form.vectors(target, upto)) == \
+            sorted(oracle.reduced_vectors(form, target, upto)), (form.n, target, upto)
+
+    assert {form.n for form in cold_5_163.forms} == {3, 4}
+    for form, target, upto in cold_5_163.searches:
+        same(form, target, upto)
+    for form in cold_5_163.forms:
+        same(form, form.min_bound, False)
+        same(form, form.min_bound, True)
+
+
+def test_rank_outside_3_and_4_raises():
+    for g in ([[1, 0], [0, 1]], [[int(r == c) for c in range(5)] for r in range(5)]):
+        with pytest.raises(ValueError):
+            _ReducedForm(g)
+
+
+def test_integer_norm_and_trace_build_no_fraction(vset47, monkeypatch):
+    """An int norm and trace, as the embedding searches pass them, stay in
+    int arithmetic; the same search with Fractions gives the same list."""
+    order = vset47.classes[1].right_order
+    expected = [order.norm_vectors(Fraction(n), trace=Fraction(t)) for n, t in ((5, 1), (9, 0))]
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args):
+            raise AssertionError("Fraction built on the int path")
+
+    monkeypatch.setattr("shimura_pq.quat.Fraction", NoFraction)
+    fresh = Lattice(order.alg, order.rows, order.den)  # no cached S0 form
+    assert [fresh.norm_vectors(5, trace=1), fresh.norm_vectors(9, trace=0)] == expected
+    assert any(expected)
 
 
 @settings(max_examples=40, deadline=None)
