@@ -27,7 +27,7 @@ from .gross import (gross_tower_modular, gross_tower_shimura, s_star, support, t
                     tower_class_number)
 from .ntheory import is_prime, kronecker, primes_from
 from .quat import Lattice, Quat, make_algebra, maximal_order
-from .ssgraph import (Edge, ShimuraGraph, VertexClass, VertexSet, build_graph, ss_oracle,
+from .ssgraph import (ShimuraGraph, VertexSet, _attach_wq, _edge, build_graph, ss_oracle,
                       validate_graph, validate_records)
 
 CACHE_VERSION = 1
@@ -324,49 +324,73 @@ def graph_payload(graph):
     }
 
 
+# What a stored derived field that differs from its derived value says.
+_VERTEX_FIELDS = {
+    "norm": "norm {} is not the reduced norm of its ideal",
+    "right_order": "right_order is not the right order of its ideal",
+    "weight": "weight {} is not half the unit count of its right order",
+    "fingerprint": "fingerprint does not match its ideal",
+    "rational": "rational {} is not whether w_q fixes it",
+}
+_EDGE_FIELDS = {
+    "eichler": "eichler is not Z + its ideal",
+    "length": "length {} is not half the unit count of its Eichler order",
+    "orbit": "orbit is not the set of its ideal times the units",
+}
+
+
+def _mismatch(stored, derived):
+    """The message for the first field of the cache payload stored that is
+    not the one of derived, the payload of the graph rebuilt from it."""
+    q = derived["q"]
+    for k, (got, want) in enumerate(zip(stored["vertices"], derived["vertices"])):
+        for field, msg in _VERTEX_FIELDS.items():
+            if got[field] != want[field]:
+                return f"vertex {k}: " + msg.format(got[field])
+    for k, (got, want) in enumerate(zip(stored["two_sided"], derived["two_sided"])):
+        if got != want:
+            return f"vertex {k}: two_sided is not the two-sided norm-{q} ideal of its right order"
+    for i, (got, want) in enumerate(zip(stored["edges"], derived["edges"])):
+        for field, msg in _EDGE_FIELDS.items():
+            if got[field] != want[field]:
+                return f"edge {i}: " + msg.format(got[field])
+    return "cache is not the payload of the graph rebuilt from its primary records"
+
+
 def graph_from_payload(payload):
+    """The graph a cache payload describes, rebuilt from its primary
+    records: the base order, the class ideals, w_q on vertices and its
+    witnesses, each edge's source, ideal, target and witness, and w_p and
+    w_q on edges.  Each of these lattices is parsed by ``_lat_from``.
+
+    Every other record is derived with the build's code (``_add_class``,
+    ``_attach_wq`` and ``_edge``), so it is what a build gives.  The
+    checks, in order: each edge ideal lies between p R_k and R_k
+    (``ShimuraGraph``), ``validate_graph``, the payload of the rebuilt
+    graph is the stored payload byte for byte (a stored derived record
+    that differs is named), and ``validate_records``.  Any failure raises.
+    """
     alg = make_algebra(payload["q"], a=payload["algebra"]["a"])
     order = _lat_from(alg, payload["order"])
     # another maximal order has the same covolume, so no record check below
     # would see one in place of the order the build starts from
     if order != maximal_order(alg):
         raise ValueError("order is not the maximal order of the algebra")
-    classes = [
-        VertexClass(
-            ideal=_lat_from(alg, v["ideal"]),
-            right_order=_lat_from(alg, v["right_order"]),
-            weight=v["weight"],
-            norm=Fraction(v["norm"]),
-            fingerprint=tuple(v["fingerprint"]),
-            rational=v["rational"],
-        )
-        for v in payload["vertices"]
-    ]
-    vset = VertexSet(
-        payload["q"],
-        alg,
-        order,
-        classes,
-        list(payload["wq_perm"]),
-        [_quat_from(alg, x) for x in payload["wq_witnesses"]],
-        [_lat_from(alg, t) for t in payload["two_sided"]],
-    )
-    edges = [
-        Edge(
-            source=e["source"],
-            ideal=_lat_from(alg, e["ideal"]),
-            orbit=tuple(_lat_from(alg, m) for m in e["orbit"]),
-            eichler=_lat_from(alg, e["eichler"]),
-            length=e["length"],
-            target=e["target"],
-            witness=_quat_from(alg, e["witness"]),
-        )
-        for e in payload["edges"]
-    ]
+    vset = VertexSet(alg, order)
+    for v in payload["vertices"]:
+        vset._add_class(_lat_from(alg, v["ideal"]))
+    _attach_wq(vset, list(payload["wq_perm"]),
+               [_quat_from(alg, x) for x in payload["wq_witnesses"]])
+    edges = [_edge(vset, e["source"], _lat_from(alg, e["ideal"]), e["target"],
+                   _quat_from(alg, e["witness"]))
+             for e in payload["edges"]]
     graph = ShimuraGraph(payload["p"], payload["q"], vset, edges)
     graph.wp_perm = list(payload["wp_perm"])
     graph.wq_edge_perm = list(payload["wq_edge_perm"])
     validate_graph(graph)
+    derived = graph_payload(graph)
+    if derived != payload:
+        raise ArithmeticError(_mismatch(payload, derived))
     validate_records(graph)
     return graph
 

@@ -55,14 +55,11 @@ def _fingerprint(ideal, norm):
 class VertexSet:
     """Ideal classes of the fixed maximal order, canonically ordered."""
 
-    def __init__(self, q, alg, order, classes, wq_perm, wq_witnesses, two_sided):
-        self.q = q
+    def __init__(self, alg, order):
+        self.q = alg.q
         self.alg = alg
         self.order = order
-        self.classes = classes
-        self.wq_perm = wq_perm
-        self.wq_witnesses = wq_witnesses
-        self.two_sided = two_sided  # per class: T_k = I_k^-1 j I_k, of norm q, two-sided in R_k
+        self.classes = []  # ``_add_class`` appends; ``_attach_wq`` sets the w_q records
         self._units = {}
         self._connectors = {}
         self._conjugates = set()  # the (m, k) whose connector is the conjugate of a product
@@ -242,7 +239,7 @@ def vertex_classes(q, alg=None):
         raise ValueError(f"q must be a prime >= 5, got {q}")
     alg = alg or make_algebra(q)
     order = maximal_order(alg)
-    found = VertexSet(q, alg, order, [], None, None, None)
+    found = VertexSet(alg, order)
     found._add_class(order)
     k = 0
     while k < len(found):  # classes are appended in discovery order: the queue
@@ -267,7 +264,8 @@ def vertex_classes(q, alg=None):
     perm = sorted(range(len(found)),
                   key=lambda i: (-found.classes[i].weight, found.classes[i].ideal.key()))
     pos = {old: new for new, old in enumerate(perm)}
-    vset = VertexSet(q, alg, order, [found.classes[i] for i in perm], None, None, None)
+    vset = VertexSet(alg, order)
+    vset.classes = [found.classes[i] for i in perm]
     vset._units = {pos[i]: u for i, u in found._units.items()}
     vset._connectors = {(pos[m], pos[k]): lat for (m, k), lat in found._connectors.items()}
     vset._conjugates = {(pos[m], pos[k]) for m, k in found._conjugates}
@@ -276,18 +274,21 @@ def vertex_classes(q, alg=None):
     return vset
 
 
-def _attach_wq(vset):
-    """w_q on vertices: the class t of I_k T_k and the witness y with
-    I_k T_k = I_t y, for T_k = ``two_sided_ideal`` of I_k."""
+def _attach_wq(vset, perm=None, witnesses=None):
+    """w_q on vertices: T_k = ``two_sided_ideal`` of I_k, the class
+    t = perm[k] of I_k T_k and the witness y with I_k T_k = I_t y, and
+    whether w_q fixes each class.  A build finds perm and the witnesses by
+    ``locate``; a cache load passes the stored ones."""
     vset.two_sided = [two_sided_ideal(rec.ideal, rec.norm) for rec in vset.classes]
-    perm = [None] * len(vset.classes)
-    witnesses = [None] * len(vset.classes)
-    for k, rec in enumerate(vset.classes):
-        # w_q is an involution: the class it sends k to is the j with
-        # wq_perm[j] == k if one is known, else most likely k itself, and
-        # if not k then a later class, as every earlier one has its image
-        first = perm.index(k) if k in perm else k
-        perm[k], witnesses[k] = vset.locate(rec.ideal.mul(vset.two_sided[k]), first)
+    if perm is None:
+        perm = [None] * len(vset.classes)
+        witnesses = [None] * len(vset.classes)
+        for k, rec in enumerate(vset.classes):
+            # w_q is an involution: the class it sends k to is the j with
+            # wq_perm[j] == k if one is known, else most likely k itself, and
+            # if not k then a later class, as every earlier one has its image
+            first = perm.index(k) if k in perm else k
+            perm[k], witnesses[k] = vset.locate(rec.ideal.mul(vset.two_sided[k]), first)
     vset.wq_perm = perm
     vset.wq_witnesses = witnesses
     vset.classes = [rec._replace(rational=perm[k] == k) for k, rec in enumerate(vset.classes)]
@@ -308,19 +309,18 @@ class ShimuraGraph:
         self.vset = vset
         self.edges = edges
         # (vertex k, image of P in R_k / p R_k) -> edge, for each orbit member
-        # P; a member that does not lie between p R_k and R_k (a damaged
-        # cache) gets no entry, and ``validate_records`` names it
+        # P.  The orbit of P is the P u^-1 over the units u of R_k, each of
+        # which lies between p R_k and R_k with index p^2 exactly when P
+        # does, as P is in its orbit: a damaged cache is rejected here.
         self._edge_lookup = {}
-        self._ideal_images = []  # the image of each edge ideal, for ``validate_records``
         for i, e in enumerate(edges):
             order = vset.classes[e.source].right_order
-            images = {member.key(): _residue_image(order, member, p) for member in e.orbit}
-            for image in images.values():
-                if image is not None:
-                    self._edge_lookup[(e.source, image)] = i
-            key = e.ideal.key()  # outside its orbit only in a damaged cache
-            self._ideal_images.append(
-                images[key] if key in images else _residue_image(order, e.ideal, p))
+            for member in e.orbit:
+                image = _residue_image(order, member, p)
+                if image is None:
+                    raise ArithmeticError(f"edge {i}: ideal does not lie between {p} "
+                                          f"R_{e.source} and R_{e.source} with index {p}^2")
+                self._edge_lookup[(e.source, image)] = i
         self.wp_perm = None
         self.wq_edge_perm = None
         self._neighbors = {}
@@ -512,6 +512,20 @@ def _orbit(ideal, unit_list):
     return tuple(members[key] for key in sorted(members))
 
 
+def _edge(vset, k, ideal, target, witness):
+    """The edge from k with the norm-p left ideal P = ideal of R_k, with
+    the records read off P: its orbit, its Eichler order and its length.
+
+    The Eichler order R_k meet O_R(P) is Z + P: Z + P lies in both, as
+    P P <= R_k P = P, and both have index p in R_k (``build_graph`` checks
+    the discriminant).  Its units are the units of R_k in it, and the
+    length is half their number."""
+    unit_list = vset.units_of(k)
+    eich = ideal.add_elem(Quat.one(vset.alg))
+    return Edge(source=k, ideal=ideal, orbit=_orbit(ideal, unit_list), eichler=eich,
+                length=sum(u in eich for u in unit_list) // 2, target=target, witness=witness)
+
+
 def build_graph(p, q, alg=None, vset=None):
     """The full dual graph for the pair (p, q), edges oriented S1 -> S2."""
     if p == q:
@@ -521,10 +535,8 @@ def build_graph(p, q, alg=None, vset=None):
             raise ValueError(f"{v} is not a prime >= 5")
     if vset is None:
         vset = vertex_classes(q, alg)
-    one = Quat.one(vset.alg)
     edges = []
     for k, rec in enumerate(vset.classes):
-        unit_list = vset.units_of(k)
         steps = {}
         for _, m, z in vset.neighbors(k, p):
             lam = vset.step_ideal(k, m, z)
@@ -534,20 +546,15 @@ def build_graph(p, q, alg=None, vset=None):
             if key in covered:
                 continue
             rep, t, z = steps[key]
-            orbit = _orbit(rep, unit_list)
-            covered.update(member.key() for member in orbit)
-            # The Eichler order R_k meet O_R(P) is Z + P: Z + P lies in both,
-            # as P P <= R_k P = P, and the discriminant check below shows it
-            # has index p in R_k, as R_k meet O_R(P) has.  Its units are the
-            # units of R_k in it, so length |orbit| = w_k checks the orbits.
-            eich = rep.add_elem(one)
-            length = sum(u in eich for u in unit_list) // 2
-            if length * len(orbit) != rec.weight:
+            edge = _edge(vset, k, rep, t, vset.step_witness(t, z))
+            covered.update(member.key() for member in edge.orbit)
+            # the discriminant pq shows that Z + P has index p in R_k, and
+            # length |orbit| = w_k checks the orbits
+            if edge.length * len(edge.orbit) != rec.weight:
                 raise ArithmeticError("orbit-stabilizer mismatch at a vertex")
-            if reduced_discriminant(eich) != p * q:
+            if reduced_discriminant(edge.eichler) != p * q:
                 raise ArithmeticError("edge order does not have discriminant pq")
-            edges.append(Edge(source=k, ideal=rep, orbit=orbit, eichler=eich,
-                              length=length, target=t, witness=vset.step_witness(t, z)))
+            edges.append(edge)
         if covered != steps.keys():
             raise ArithmeticError("orbits do not cover the p+1 ideals")
     graph = ShimuraGraph(p, q, vset, edges)
@@ -593,62 +600,27 @@ def validate_graph(graph):
 
 
 def validate_records(graph):
-    """Raise ArithmeticError naming the first record that does not match
-    what it is derived from.
+    """Raise ArithmeticError naming the first relation between the records
+    of a loaded graph that fails.
 
-    A build derives these records and so needs no check; a graph loaded
-    from the cache is checked here, after ``validate_graph``.  Each class
-    record against its ideal: the norm, right order, weight and fingerprint
-    that the neighbour search and ``locate`` trust.  The w_q records of each
-    class k: T_k is the two-sided ideal of norm q of R_k, which is
-    I_k^-1 j I_k (``two_sided_ideal``), and the witness
-    y_k gives I_k T_k = I_t y_k with t = wq_perm[k] (``_attach_wq_edges``
-    conjugates by y_k).  Each edge record against its ideal P: P lies
-    between p R_k and R_k with index p^2, as a norm-p left ideal of the
-    source R_k does (``brandt_edges`` and ``gross_shimura`` rely on it); the
-    Eichler order E = Z + P, with no HNF: E contains 1 and P, so Z + P; and
-    as p R_k <= P and 1 is not in P, [Z + P : P] = p, which is [E : P] when
-    det P = p det E; the length (half its unit count); the orbit, the
-    P u over the units u of R_k, which then lie between p R_k = p R_k u and
-    R_k = R_k u as well.  Last, the p+1 norm-p ideals of each R_k: the
-    orbits at k have p+1 members, with p+1 distinct images mod p (the keys
-    of ``_edge_lookup``).
+    The cache loader derives every other record from the primary ones
+    with the build's code, and ``ShimuraGraph`` rejects an edge ideal that
+    does not lie between p R_k and R_k with index p^2.  What no
+    derivation gives is checked here, after ``validate_graph``: the w_q
+    witness y_k of each class k gives I_k T_k = I_t y_k with
+    t = wq_perm[k] (``_attach_wq_edges`` conjugates by y_k); and the edges
+    hold the p+1 norm-p ideals of each R_k, each once: the orbits at k have
+    p+1 members, with p+1 distinct images mod p (the keys of
+    ``_edge_lookup``).
     """
-    p, q, edges, vset = graph.p, graph.q, graph.edges, graph.vset
+    p, vset = graph.p, graph.vset
     for k, rec in enumerate(vset.classes):
-        if ideal_norm(rec.ideal, vset.order) != rec.norm:
-            raise ArithmeticError(f"vertex {k}: norm {rec.norm} is not the reduced norm of its ideal")
-        if right_order(rec.ideal) != rec.right_order:
-            raise ArithmeticError(f"vertex {k}: right_order is not the right order of its ideal")
-        if len(vset.units_of(k)) // 2 != rec.weight:
-            raise ArithmeticError(
-                f"vertex {k}: weight {rec.weight} is not half the unit count of its right order")
-        if _fingerprint(rec.ideal, rec.norm) != rec.fingerprint:
-            raise ArithmeticError(f"vertex {k}: fingerprint does not match its ideal")
-        ts = vset.two_sided[k]
-        if ts != two_sided_ideal(rec.ideal, rec.norm):
-            raise ArithmeticError(
-                f"vertex {k}: two_sided is not the two-sided norm-{q} ideal of its right order")
-        t = vset.wq_perm[k]
-        if rec.ideal.mul(ts) != vset.classes[t].ideal.mul_elem(vset.wq_witnesses[k]):
+        t, y = vset.wq_perm[k], vset.wq_witnesses[k]
+        if rec.ideal.mul(vset.two_sided[k]) != vset.classes[t].ideal.mul_elem(y):
             raise ArithmeticError(f"vertex {k}: its w_q witness y does not give I_{k} T_{k} = I_{t} y")
-    one = Quat.one(vset.alg)
     members = Counter()
-    for i, e in enumerate(edges):
-        k = e.source
-        if graph._ideal_images[i] is None:
-            raise ArithmeticError(
-                f"edge {i}: ideal does not lie between {p} R_{k} and R_{k} with index {p}^2")
-        if (one not in e.eichler or e.ideal.coords_in(e.eichler) is None or one in e.ideal
-                or e.ideal.det() != p * e.eichler.det()):
-            raise ArithmeticError(f"edge {i}: eichler is not Z + its ideal")
-        unit_list = vset.units_of(k)
-        if 2 * e.length != sum(u in e.eichler for u in unit_list):
-            raise ArithmeticError(
-                f"edge {i}: length {e.length} is not half the unit count of its Eichler order")
-        if e.orbit != _orbit(e.ideal, unit_list):
-            raise ArithmeticError(f"edge {i}: orbit is not the set of its ideal times the units")
-        members[k] += len(e.orbit)
+    for e in graph.edges:
+        members[e.source] += len(e.orbit)
     images = Counter(k for k, _ in graph._edge_lookup)
     for k in range(len(vset)):
         if members[k] != p + 1 or images[k] != p + 1:

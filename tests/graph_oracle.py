@@ -221,7 +221,7 @@ def vertex_classes_by_equivalence(q, alg=None):
         raise ValueError(f"q must be a prime >= 5, got {q}")
     alg = alg or make_algebra(q)
     order = maximal_order(alg)
-    found = VertexSet(q, alg, order, [], None, None, None)
+    found = VertexSet(alg, order)
     found._add_class(order)
     recs = found.classes
     queue = [0]
@@ -245,7 +245,8 @@ def vertex_classes_by_equivalence(q, alg=None):
     if mass != Fraction(q - 1, 12):
         raise ArithmeticError(f"mass formula violated: {mass} != ({q}-1)/12")
     recs.sort(key=lambda r: (-r.weight, r.ideal.key()))
-    vset = VertexSet(q, alg, order, recs, None, None, None)
+    vset = VertexSet(alg, order)
+    vset.classes = recs
     _attach_wq(vset)
     return vset
 

@@ -250,13 +250,23 @@ class TestCache:
         assert cache_load(str(tmp_path), 13, 11) is None
         assert "corrupt" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["off_diagonal", "below_diagonal", "short_rows", "zero_den"])
-    def test_non_hnf_lattice_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
+    @pytest.mark.parametrize("where,damage", [
+        pytest.param(where, damage, id=damage if where == "right_order" else f"{where}-{damage}")
+        for where in ("right_order", "ideal", "edge_ideal")
+        for damage in ("off_diagonal", "below_diagonal", "short_rows", "zero_den")])
+    def test_non_hnf_lattice_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, where,
+                                                damage):
+        # vertex 0's ideal and edge 4's ideal are primary records, which
+        # _lat_from parses; vertex 0's right order is derived from its ideal,
+        # and the stored one must be the payload of the derived one
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
             good = fh.read()
         payload = json.loads(good)
-        lat = payload["vertices"][0]["right_order"]
+        if where == "edge_ideal":
+            lat = payload["edges"][4]["ideal"]
+        else:
+            lat = payload["vertices"][0][where]
         m = lat["m"]
         if damage == "off_diagonal":
             # add the second pivot to the entry above it: the same lattice,
@@ -271,7 +281,12 @@ class TestCache:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         assert cache_load(str(tmp_path), 13, 11) is None
-        assert "corrupt" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "corrupt" in err
+        if where == "right_order":
+            assert "vertex 0: right_order is not the right order of its ideal" in err
+        elif damage != "short_rows":
+            assert "not in Hermite normal form" in err
         graph, from_cache = load_or_build_graph(13, 11, str(tmp_path))
         assert not from_cache
         assert graph_payload(graph) == graph_payload(graph_13_11)
@@ -282,7 +297,8 @@ class TestCache:
                                         "norm", "right_order", "fingerprint", "weight",
                                         "eichler", "eichler_is_order", "eichler_swapped",
                                         "orbit", "p_times_ideal",
-                                        "foreign_ideal", "two_sided", "wq_witness", "order"])
+                                        "foreign_ideal", "two_sided", "wq_witness", "order",
+                                        "rational", "algebra"])
     def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
         # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
         # edge 11, and edge 5 is the other edge from 0 to 1; edge 6 starts at
@@ -290,7 +306,7 @@ class TestCache:
         # norm 1: swapping the weights keeps the mass.  13 P, with its orbit
         # and Eichler order Z + 13 P, is consistent in every other record,
         # so only the check that P lies between 13 R_0 and R_0 rejects it.
-        check = {"length": "edge mass formula violated",
+        check = {"length": "edge 4: length 2 is not half the unit count of its Eichler order",
                  "target": "w_p does not swap source and target",
                  "wp_perm": "w_p is not an involution on edges",
                  "wq_perm": "w_q is not an involution on vertices",
@@ -306,7 +322,10 @@ class TestCache:
                  "foreign_ideal": "edge 4: ideal does not lie between 13 R_0 and R_0",
                  "two_sided": "vertex 0: two_sided is not the two-sided norm-11 ideal",
                  "wq_witness": "vertex 0: its w_q witness y does not give I_0 T_0 = I_0 y",
-                 "order": "order is not the maximal order of the algebra"}[damage]
+                 "order": "order is not the maximal order of the algebra",
+                 "rational": "vertex 0: rational False is not whether w_q fixes it",
+                 "algebra": "cache is not the payload of the graph rebuilt from its primary "
+                            "records"}[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
             good = fh.read()
@@ -357,6 +376,14 @@ class TestCache:
             # covolume, which no record check depends on
             assert vertices[0]["right_order"] != payload["order"]
             payload["order"] = vertices[0]["right_order"]
+        elif damage == "rational":
+            # w_q fixes both classes, so both are rational
+            assert [v["rational"] for v in vertices] == [True, True]
+            vertices[0]["rational"] = False
+        elif damage == "algebra":
+            # b = q in every model make_algebra gives, so no derived record
+            # differs, only the stored b
+            payload["algebra"]["b"] += 1
         else:
             payload["wq_perm"][0] = 1
         with open(path, "w", encoding="utf-8") as fh:
@@ -369,6 +396,20 @@ class TestCache:
         assert graph_payload(graph) == graph_payload(graph_13_11)
         with open(path, "rb") as fh:
             assert fh.read() == good
+
+    def test_load_parses_only_primary_lattices(self, graph_13_11, tmp_path, monkeypatch):
+        # the base order, the h class ideals and the E edge ideals; every
+        # other lattice is derived, never parsed
+        calls = []
+
+        def counted(alg, payload):
+            calls.append(payload)
+            return _lat_from(alg, payload)
+
+        cache_store(str(tmp_path), graph_13_11)
+        monkeypatch.setattr(certify, "_lat_from", counted)
+        assert cache_load(str(tmp_path), 13, 11) is not None
+        assert len(calls) == 1 + len(graph_13_11.vset) + len(graph_13_11.edges)
 
     def test_failed_write_keeps_previous_cache(self, graph_13_11, tmp_path, monkeypatch):
         path = cache_store(str(tmp_path), graph_13_11)

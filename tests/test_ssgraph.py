@@ -8,7 +8,8 @@ from graph_oracle import brandt_matrix, dense, rref_mod_fresh, ss_oracle_referen
 from shimura_pq.certify import genus
 from shimura_pq.ntheory import is_prime
 from shimura_pq.quat import equiv_witness, make_algebra, maximal_order
-from shimura_pq.ssgraph import _rref_mod, build_graph, ss_oracle, vertex_classes
+from shimura_pq.ssgraph import (ShimuraGraph, _rref_mod, build_graph, ss_oracle,
+                              validate_graph, vertex_classes)
 
 
 class TestVertexClasses:
@@ -87,6 +88,18 @@ class TestEdges:
         exc3 = [i for i, e in enumerate(g.edges) if e.length == 3]
         assert g.wq_edge_perm[exc2[0]] == exc2[1]
         assert g.wq_edge_perm[exc3[0]] == exc3[1]
+
+    def test_validate_graph_rejects_an_edge_length(self, graph_13_11):
+        # a cache load derives every length, so only a graph put together
+        # by hand can break the edge mass formula alone
+        edges = list(graph_13_11.edges)
+        validate_graph(graph_13_11)
+        assert edges[4].length == 1
+        edges[4] = edges[4]._replace(length=2)
+        graph = ShimuraGraph(13, 11, graph_13_11.vset, edges)
+        graph.wp_perm, graph.wq_edge_perm = graph_13_11.wp_perm, graph_13_11.wq_edge_perm
+        with pytest.raises(ArithmeticError, match="^edge mass formula violated"):
+            validate_graph(graph)
 
     def test_wq_vertex_fixed_points_match_oracle(self, vset47, vset11):
         for vset, q in ((vset47, 47), (vset11, 11)):
