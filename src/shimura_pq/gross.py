@@ -12,7 +12,7 @@ coefficient sum.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .ntheory import kronecker
+from .ntheory import kronecker, prime_factors
 from .quat import Quat, units
 
 
@@ -46,20 +46,6 @@ def class_number(D):
 def unit_count(D):
     """#(O_D^* / {+-1})."""
     return 3 if D == -3 else 2 if D == -4 else 1
-
-
-def prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def tower_class_number(ell, n):

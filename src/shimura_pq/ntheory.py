@@ -106,17 +106,22 @@ def hilbert_symbol(a: int, b: int, p: int) -> int:
     return s
 
 
+def prime_factors(n: int):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def ramified_primes(a: int, b: int):
     """Finite primes where the quaternion algebra (a, b / Q) ramifies."""
-    cands = {2}
-    for x in (abs(a), abs(b)):
-        d = 2
-        while d * d <= x:
-            if x % d == 0:
-                cands.add(d)
-                while x % d == 0:
-                    x //= d
-            d += 1
-        if x > 1:
-            cands.add(x)
+    cands = {2, *prime_factors(abs(a)), *prime_factors(abs(b))}
     return sorted(p for p in cands if hilbert_symbol(a, b, p) == -1)

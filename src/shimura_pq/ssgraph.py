@@ -326,7 +326,6 @@ class ShimuraGraph:
         self._neighbors = {}
         self._brandt_v = {}
         self._brandt_e = {}
-        self._right_mult = {}
 
     def __len__(self):
         return len(self.edges)
@@ -339,24 +338,34 @@ class ShimuraGraph:
         return sum(Fraction(1, e.length) for e in self.edges)
 
     def _conjugate_edge(self, vertex, rows, den, y):
-        """The edge at vertex whose ideal is y L y^-1, for the lattice L
-        spanned by rows / den, found by its image mod p.
+        """The edge at vertex whose ideal Q has the image mod p of
+        M = y L y^-1, for the lattice L spanned by rows / den, or None.
 
-        The rows y r conj(y) / (den nrd(y)) span y L y^-1; their coordinates
-        in R_vertex (``_coords``) reduced mod p (``_rref_mod``) give its
-        image, the key of ``_edge_lookup``, with no lattice built.  An edge
-        ideal Q contains p R_vertex, so an integral conjugate with the image
-        of Q lies in Q; conjugation keeps the covolume, and Q has the
-        covolume of L, so the conjugate is Q."""
+        The rows y r conj(y) / (den nrd(y)) span M; their coordinates in
+        R_vertex (``_coords``) reduced mod p (``_rref_mod``) give its image,
+        the key of ``_edge_lookup``, with no lattice built.  The image of M
+        is that of Q exactly when M lies in R_vertex and M + p R_vertex = Q,
+        as Q contains p R_vertex.  The callers know which M they conjugate:
+
+        * w_p and w_q: M is the ideal itself.  An edge ideal Q contains
+          p R_vertex, so an integral M with the image of Q lies in Q;
+          conjugation keeps the covolume, and Q has the covolume of L, so
+          M = Q.
+        * T_ell through a step (L', m, z) of the source k, with
+          I_k L' = I_m z and m = vertex: the rows are ell P, and the pushed
+          ideal is Q = z (L'^-1 (L' meet P)) z^-1.  As ell R_k lies in L'
+          and in conj(L'), ell P lies in L' meet P and L'^-1 contains 1, so
+          M = z (ell P) z^-1 lies in Q.  Since nrd L' = ell is prime to p,
+          L' is R_k at p, so ell P and L'^-1 (L' meet P) are both P at p:
+          M and Q agree at p, and away from p both M + p R_m and Q are R_m.
+          So M + p R_m = Q."""
         mul4, yn = self.vset.alg.mul4, y.num
         yc = (yn[0], -yn[1], -yn[2], -yn[3])
         den *= self.vset.alg.nrd4(yn)
         order = self.vset.classes[vertex].right_order
         coords = [order._coords(mul4(mul4(yn, r), yc), den) for r in rows]
         image = None if None in coords else _rref_mod(coords, self.p)
-        if (vertex, image) not in self._edge_lookup:
-            raise ArithmeticError("edge lattice not found at vertex")
-        return self._edge_lookup[(vertex, image)]
+        return self._edge_lookup.get((vertex, image))
 
     # -- vertex-level Hecke neighbors, cached ------------------------------
     def vertex_neighbors(self, k, ell):
@@ -375,59 +384,20 @@ class ShimuraGraph:
                 for k in range(len(self.vset))]
         return self._brandt_v[ell]
 
-    def _right_mult_mod_p(self, m):
-        """table[s]: the coordinates mod p of b_0 b_s, ..., b_3 b_s over the
-        basis b of R_m, one flat tuple, so the rows of beta = sum_s c_s b_s
-        acting on R_m / p R_m by right multiplication are sum_s c_s table[s]."""
-        if m not in self._right_mult:
-            order = self.vset.classes[m].right_order
-            basis = order.basis()
-            self._right_mult[m] = [tuple(x % self.p for br in basis
-                                         for x in order.coords_of(br * bs)) for bs in basis]
-        return self._right_mult[m]
-
     def brandt_edges(self, ell):
         """Sparse rows of T_ell on edges, as ``brandt_vertices``: row i
         counts the ell-steps from edge i landing on each edge.
 
-        The step from e = (k, P) through a neighbour (L, m, z) of k, with
-        I_k L = I_m z, lands on the edge at m with ideal
-        z (L^-1 (L meet P)) z^-1.  Since nrd L = ell is prime to p, L is
-        R_k at p, so L^-1 (L meet P) is P at p and O_R(L) at every other
-        prime.  Take alpha in P outside p R_k: it generates P at p, and
-        ell alpha lies in ell R_k, which is inside O_R(L).  With
-        z O_R(L) z^-1 = R_m the pushed ideal is therefore
-        R_m beta + p R_m, beta = z (ell alpha) z^-1.  It contains p R_m, as
-        every norm-p left ideal of R_m does, so it is fixed by its image in
-        R_m / p R_m = F_p^4: the span mod p of the coordinates of the
-        r beta over the basis r of R_m, which is the key of ``_edge_lookup``.
-        One conjugation, one back-substitution (the coordinates of beta) and
-        the multiplication table of R_m mod p per step, no lattice.
-        """
+        The step from e = (k, P) through a neighbour (L, m, z) of k lands on
+        the edge at m with ideal z (L^-1 (L meet P)) z^-1, which
+        ``_conjugate_edge`` finds from the rows of ell P conjugated by z."""
         if ell not in self._brandt_e:
-            p, alg, classes = self.p, self.vset.alg, self.vset.classes
             out = []
             for i, e in enumerate(self.edges):
-                alpha = _local_generator(e.ideal, classes[e.source].right_order, p)
-                if alpha is None:
-                    raise ArithmeticError(
-                        f"edge {i}: ideal lies in {p} R_{e.source}, so the ell={ell} "
-                        f"step has no generator at p (damaged graph cache?)")
-                ell_alpha = tuple(ell * x for x in alpha.num)
+                rows = [tuple(ell * x for x in r) for r in e.ideal.rows]
                 row = Counter()
                 for _, m, z in self.vertex_neighbors(e.source, ell):
-                    # z^-1 = conj(z) / nrd(z), so the denominator of z cancels in beta
-                    zn = z.num
-                    beta = alg.mul4(alg.mul4(zn, ell_alpha), (zn[0], -zn[1], -zn[2], -zn[3]))
-                    c = classes[m].right_order.coords_of(
-                        Quat(alg, beta, alpha.den * alg.nrd4(zn)))
-                    image = None
-                    if c is not None:
-                        c0, c1, c2, c3 = c
-                        flat = [c0 * a + c1 * b + c2 * d + c3 * f
-                                for a, b, d, f in zip(*self._right_mult_mod_p(m))]
-                        image = _rref_mod([flat[0:4], flat[4:8], flat[8:12], flat[12:16]], p)
-                    j = self._edge_lookup.get((m, image))
+                    j = self._conjugate_edge(m, rows, e.ideal.den, z)
                     if j is None:
                         raise ArithmeticError(
                             f"edge {i}: its ell={ell} step lands on no edge ideal at "
@@ -436,16 +406,6 @@ class ShimuraGraph:
                 out.append(sorted(row.items()))
             self._brandt_e[ell] = out
         return self._brandt_e[ell]
-
-
-def _local_generator(ideal, order, p):
-    """The first HNF basis element of ideal that is not in p * order, or
-    None; for a norm-p left ideal of a maximal order it generates the ideal
-    at p."""
-    for x in ideal.basis():
-        if order.coords_of(x / p) is None:
-            return x
-    return None
 
 
 def _rref_mod(rows, p):
@@ -637,6 +597,8 @@ def _attach_wp(graph):
         graph._conjugate_edge(e.target, [(r[0], -r[1], -r[2], -r[3]) for r in e.ideal.rows],
                              e.ideal.den, e.witness)
         for e in graph.edges]
+    if None in graph.wp_perm:
+        raise ArithmeticError("edge lattice not found at vertex")
 
 
 def _attach_wq_edges(graph):
@@ -649,6 +611,8 @@ def _attach_wq_edges(graph):
         graph._conjugate_edge(vset.wq_perm[e.source], e.ideal.rows, e.ideal.den,
                              vset.wq_witnesses[e.source])
         for e in graph.edges]
+    if None in graph.wq_edge_perm:
+        raise ArithmeticError("edge lattice not found at vertex")
 
 
 # -- independent supersingular count -------------------------------------------

@@ -36,8 +36,9 @@ took it over, on a ``Lattice``:
 from fractions import Fraction
 from math import isqrt
 
-from shimura_pq.gross import prime_factors, validate_discriminant
+from shimura_pq.gross import validate_discriminant
 from shimura_pq.linalg import det_bareiss
+from shimura_pq.ntheory import prime_factors
 
 
 def conductor_split(D):

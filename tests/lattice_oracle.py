@@ -14,7 +14,7 @@ code against them:
   ``Fraction`` matrix-vector push through the Brandt matrix;
 * ``brandt_edges(graph, ell)`` -- the edge Brandt matrix with each edge
   pushed as the lattice z (conj(L)/ell (L meet P)) z^-1, before the push
-  went through a local generator at p;
+  read the image mod p of one conjugate (``ShimuraGraph._conjugate_edge``);
 * ``conj_by_integer`` and ``locate_edge`` -- the integer ``Lattice.conj_by``
   (a 4-row HNF of the rows y r conj(y)) and ``ShimuraGraph.locate_edge``
   (an edge by the image mod p of its ideal), which the package used for

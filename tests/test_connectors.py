@@ -31,8 +31,8 @@ from graph_oracle import (
 )
 from lattice_oracle import conj_by_integer
 from shimura_pq.quat import Lattice, Quat
-from shimura_pq.ssgraph import (VertexSet, _attach_wp, _residue_image, build_graph,
-                                vertex_classes)
+from shimura_pq.ssgraph import (VertexSet, _attach_wp, _attach_wq_edges, _residue_image,
+                                build_graph, vertex_classes)
 
 VSETS = {11: "vset11", 23: "vset23", 37: "vset37", 47: "vset47", 83: None, 163: "vset163"}
 GRAPHS = ["graph_13_47", "graph_5_23", "graph_7_23", "graph_13_11", "graph_29_47",
@@ -148,6 +148,15 @@ def test_missing_conjugate_is_named(vset11):
         del graph._edge_lookup[key]
     with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):
         _attach_wp(graph)
+
+
+def test_missing_wq_conjugate_is_named(vset11):
+    graph = build_graph(13, 11, vset=vset11)
+    moved = graph.wq_edge_perm[0]
+    for key in [key for key, i in graph._edge_lookup.items() if i == moved]:
+        del graph._edge_lookup[key]
+    with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):
+        _attach_wq_edges(graph)
 
 
 def test_non_integral_conjugate_is_named(vset11):

@@ -34,6 +34,10 @@ CHECK_HASHES = {
     # from the connectors instead of by equivalence tests
     (5, 163): ("437602583b30bdc674aa971cc25c02bc8924f0b0f0b1d1f11583a4140d6e48a2",
                "ff2498c22725f47ab127ae3e1d67612a35ca6a1e116a1a50e78a7364a400c57b"),
+    # 22 classes and 626 edges, the largest pair of the byte contract;
+    # recorded before T_ell on edges went through the edge conjugation
+    (29, 251): ("f5b909544ead4a48f0cc75021fbcbfec13d0bb931d727f8b80f2b15753491bee",
+                "6df42b0f4857c4c5987ab6e02bd4d00c0065813c754b94fa844f69cac5ba257c"),
 }
 WARM_13_47_L5_HASH = "17179ba22c20d47f5e00d81dbe849140d6b59e26c0e0a214262b32bc215e309d"
 EXIT2_29_47_HASHES = ("36d8371b1d6271a2cce3808ab3aff4bddf5837986c3ab776ed3c190b3bf6ee91",

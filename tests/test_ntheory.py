@@ -6,6 +6,7 @@ from shimura_pq.ntheory import (
     is_prime,
     kronecker,
     legendre,
+    prime_factors,
     primes_from,
     ramified_primes,
 )
@@ -15,6 +16,12 @@ def test_is_prime():
     primes = [2, 3, 5, 7, 11, 13, 47, 251, 1009]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(n) for n in (0, 1, 4, 9, 15, 91, 561, 1001))
+
+
+@given(st.integers(1, 5000))
+def test_prime_factors(n):
+    factors = prime_factors(n)
+    assert factors == [d for d in range(2, n + 1) if n % d == 0 and is_prime(d)]
 
 
 def test_primes_from():
