@@ -4,12 +4,14 @@
 For each negative discriminant D coprime to pq, tabulates the total
 optimal-embedding counts on both graphs against the closed-form trace
 values, and flags the Gross vectors whose support meets an exceptional
-edge (those break the cycle construction at small p).
+edge (those break the cycle construction at small p).  Exits 1 if any
+row is flagged TRACE MISMATCH.
 
     python scripts/disc_battery.py --p 13 --q 47 --bound 120
 """
 
 import argparse
+import sys
 
 from shimura_pq.certify import load_or_build_graph
 from shimura_pq.gross import (
@@ -33,6 +35,7 @@ def main():
     graph, _ = load_or_build_graph(p, q, args.cache)
     vset = graph.vset
     exceptional = {i for i, e in enumerate(graph.edges) if e.length > 1}
+    mismatch = False
 
     print(f" D      h  (D|q) (D|p)  sum H_k  sum h_i  exceptional support")
     for d in range(-3, -args.bound - 1, -1):
@@ -53,11 +56,13 @@ def main():
         flags = []
         if vertex_total != expect_v or edge_total != expect_e:
             flags.append("TRACE MISMATCH")
+            mismatch = True
         if hits:
             flags.append(f"hits {hits}")
         print(f"{d:5} {h:4}  {kronecker(d, q):+}   {kronecker(d, p):+}   "
               f"{vertex_total:5}    {edge_total:5}    {' '.join(flags)}")
+    return 1 if mismatch else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

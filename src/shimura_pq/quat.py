@@ -12,7 +12,12 @@ LLL on the Gram matrix of the HNF basis, then an exact integer LDL of the
 reduced form read off the LLL data, so the enumeration runs in integers
 over a reduced basis and maps each solution back to HNF coordinates.  The
 search is one loop nest with its four levels written out, no recursion;
-a rank-3 form runs in it with the top level held at 0.
+a rank-3 form runs in it with the top level held at 0.  Each form keeps
+a floor, the least squared Gram-Schmidt length of its reduced basis
+(scaled to the integer LDL): every nonzero vector has norm at least that,
+because its highest nonzero reduced coordinate y_j contributes
+|b_j*|^2 y_j^2 on its own.  A search for a smaller norm, as most
+embedding searches are, returns before the loop nest.
 
 A search with a fixed trace t (the embedding candidates of the Gross
 vectors) runs in rank 3 on the same enumerator.  x -> 2x - trd(x) maps the
@@ -21,7 +26,9 @@ pure parts of twice the basis, and nrd(2x - t) = 4 nrd(x) - t^2 when
 trd(x) = t.  So the x of trace t and norm n are the (y + t)/2 that lie in
 the lattice, for the y in S0 of norm 4n - t^2 (Gross's ternary lattice,
 Heights and the special values of L-series, 1987, section 12).  An int
-norm and trace keep the whole search in int arithmetic, with no Fraction.
+norm and trace give the target (4n - t^2) den^2 directly and keep the
+whole search in int arithmetic, with no Fraction; a search that finds no
+y returns before mapping anything back.
 
 Duality is integer too: the HNF basis R is upper triangular, so
 R^-1 = adj(R)/det(R) with adj(R) integral by exact back-substitution, and
@@ -178,9 +185,17 @@ class _ReducedForm:
     padded to that layout, with y_4 held at 0 and a zero fourth column in
     ``t`` that the output drops.  Raises ArithmeticError if G is not
     positive definite.
+
+    ``floor`` = min_j W_j d_j^2 over the levels j = 1..n (not the padding)
+    bounds S Q(y) from below on every y != 0: at the highest j with
+    y_j != 0 the offset sum_{i>j} lam[i][j] y_i is 0, so the j-th term
+    alone is W_j d_j^2 y_j^2 >= floor.  W_j d_j^2 / S = d_j / d_{j-1} is
+    the squared Gram-Schmidt length of b_j, so floor / S is the least of
+    them.  A search with S target < floor finds nothing and returns before
+    any loop.
     """
 
-    __slots__ = ("n", "t", "d", "lam", "w", "s", "min_bound")
+    __slots__ = ("n", "t", "d", "lam", "w", "s", "floor", "min_bound", "_data")
 
     def __init__(self, g):
         n = len(g)
@@ -246,6 +261,7 @@ class _ReducedForm:
 
         s = lcm(*(d[j] * d[j - 1] for j in range(1, n + 1)))
         w = [None] + [s // (d[j] * d[j - 1]) for j in range(1, n + 1)]
+        self.floor = min(w[j] * d[j] * d[j] for j in range(1, n + 1))
         # the norm of a reduced basis vector bounds the minimum from above
         self.min_bound = min(dot(times_g(i), i) for i in range(1, n + 1))
         if n == 3:
@@ -256,6 +272,9 @@ class _ReducedForm:
             d.append(1)
             w.append(1)
         self.n, self.t, self.d, self.lam, self.w, self.s = n, h, d, lam, w, s
+        # everything ``vectors`` reads, in the order it unpacks it
+        self._data = (n, *d[1:], *w[1:], lam[2][1], lam[3][1], lam[3][2], *lam[4][1:4],
+                      *(x for row in h[1:] for x in row))
 
     def vectors(self, target, upto=False):
         """Every (c, c^T G c) with c != 0 and c^T G c == target (<= target if
@@ -266,18 +285,17 @@ class _ReducedForm:
         after the levels above, y_j runs over the integers with
         W_j (d_j y_j + a_j)^2 <= rem_j.  A rank-3 form runs with y_4 = 0.
         The last level of an exact search is solved directly; with upto it
-        emits its whole range."""
-        if target < 0:
+        emits its whole range.  A target with S target below ``floor``,
+        target <= 0 among them, has no solution and returns at once."""
+        scale = self.s
+        rem4 = scale * target
+        if rem4 < self.floor:
             return []
-        n, scale, lam = self.n, self.s, self.lam
-        (_, d1, d2, d3, d4), (_, w1, w2, w3, w4) = self.d, self.w
-        l21, l31, l32 = lam[2][1], lam[3][1], lam[3][2]
-        _, l41, l42, l43, _ = lam[4]
-        ((t11, t12, t13, t14), (t21, t22, t23, t24),
-         (t31, t32, t33, t34), (t41, t42, t43, t44)) = self.t[1:]
+        (n, d1, d2, d3, d4, w1, w2, w3, w4, l21, l31, l32, l41, l42, l43,
+         t11, t12, t13, t14, t21, t22, t23, t24,
+         t31, t32, t33, t34, t41, t42, t43, t44) = self._data
         out = []
         emit = out.append
-        rem4 = scale * target
         if n == 4:
             s4 = isqrt(rem4 // w4)
             top = range(-(s4 // d4), s4 // d4 + 1)
@@ -494,32 +512,29 @@ class Lattice:
             self._cache["s0"] = (basis, _ReducedForm(g))
         return self._cache["s0"]
 
-    def _trace_vectors(self, n, t):
-        """The x with nrd(x) = n and trd(x) = t, as (y + t)/2 over the y in
-        S0 with nrd(y) = 4n - t^2, kept if they lie in the lattice.  n and t
-        are ints or Fractions, read as numerator over denominator, so an int
-        norm and trace stay in int arithmetic."""
-        den, tnum, tden = self.den, t.numerator, t.denominator
-        # the target (4n - t^2) den^2, written over n's and t's denominators
-        target, rem = divmod((4 * n.numerator * tden * tden - tnum * tnum * n.denominator)
-                             * den * den, n.denominator * tden * tden)
-        if target < 0 or rem:
-            return []
+    def _trace_vectors(self, target, tnum, tden):
+        """The x with trd(x) = t = tnum / tden and (4 nrd(x) - t^2) den^2 =
+        target, sorted by key: x = (y / den + t) / 2 over the y in den S0
+        with nrd(y) = target, kept if x lies in the lattice."""
         if target == 0:
             ys = [(0, 0, 0)]
         else:
             basis, form = self._trace_zero_form()
+            cs = form.vectors(target)
+            if not cs:
+                return []
             (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = basis
             ys = [(c1 * b11 + c2 * b21 + c3 * b31, c1 * b12 + c2 * b22 + c3 * b32,
                    c1 * b13 + c2 * b23 + c3 * b33)
-                  for (c1, c2, c3), _ in form.vectors(target)]
+                  for (c1, c2, c3), _ in cs]
         # x = (y / den + t) / 2 over the common denominator 2 den tden
-        xden, x0 = 2 * den * tden, tnum * den
+        xden, x0 = 2 * self.den * tden, tnum * self.den
         found = []
         for y1, y2, y3 in ys:
             num = (x0, y1 * tden, y2 * tden, y3 * tden)
             if self._coords(num, xden) is not None:
                 found.append(Quat(self.alg, num, xden))
+        found.sort(key=Quat.key)
         return found
 
     def _norm_target(self, n):
@@ -530,23 +545,28 @@ class Lattice:
 
     def norm_vectors(self, n, trace=None):
         """All x in the lattice with nrd(x) = n (and trd(x) = trace if
-        given), sorted by key.  With a trace the search runs in S0.  An int
-        norm and trace are used as they are, with no Fraction."""
+        given), sorted by key.  With a trace the search runs in S0, at the
+        target (4n - t^2) den^2; an int norm and trace (the embedding
+        searches) give it in ints, with no Fraction."""
+        if trace is not None:
+            if isinstance(n, int) and isinstance(trace, int):
+                return self._trace_vectors((4 * n - trace * trace) * self.den ** 2, trace, 1)
+            n, trace = Fraction(n), Fraction(trace)
+            tnum, tden = trace.numerator, trace.denominator
+            # the target written over n's and t's denominators
+            target, rem = divmod((4 * n.numerator * tden * tden - tnum * tnum * n.denominator)
+                                 * self.den ** 2, n.denominator * tden * tden)
+            return [] if rem else self._trace_vectors(target, tnum, tden)
         if not isinstance(n, int):
             n = Fraction(n)
-        if trace is not None and not isinstance(trace, int):
-            trace = Fraction(trace)
         if n < 0:
             return []
         if n == 0:
-            return [] if trace else [Quat(self.alg, (0, 0, 0, 0))]
-        if trace is not None:
-            found = self._trace_vectors(n, trace)
-        else:
-            target = self._norm_target(n)
-            if target is None:
-                return []
-            found = [self._vector(c) for c, _ in self._enum_form(target)]
+            return [Quat(self.alg, (0, 0, 0, 0))]
+        target = self._norm_target(n)
+        if target is None:
+            return []
+        found = [self._vector(c) for c, _ in self._enum_form(target)]
         found.sort(key=Quat.key)
         return found
 

@@ -6,13 +6,14 @@ as a function of the Gram matrix.  The fast one must give the same
 pick (it decides the equivalence witnesses stored in the graph cache) and
 the same ``min_vectors``.  ``Lattice.norm_vectors`` with a trace searches the
 rank-3 trace-zero lattice; it must give the list the rank-4 search filtered
-on the trace gives.
+on the trace gives.  A form's floor, below which a search returns at once,
+must be S times its least squared Gram-Schmidt length and lose no vector.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import enum_oracle as oracle
@@ -106,6 +107,48 @@ def test_random_rank3_gram_matches_oracle(g, extra):
     assert all(len(c) == 3 for c, _ in got)
     low = min(v for _, v in got)
     assert (low, {c for c, v in got if v == low}) == (best, vecs)
+
+
+def _gram_schmidt_floor(form, g):
+    """The least squared Gram-Schmidt length of the reduced basis, from the
+    leading minors of its Gram matrix: |b_j*|^2 = det G_j / det G_(j-1)."""
+    n = form.n
+    rows = [r[:n] for r in form.t[1:n + 1]]
+    red = [[sum(x * gxy * y for x, grow in zip(u, g) for gxy, y in zip(grow, v))
+            for v in rows] for u in rows]
+    minors = [1] + [det_bareiss([r[:j] for r in red[:j]]) for j in range(1, n + 1)]
+    return min(Fraction(minors[j], minors[j - 1]) for j in range(1, n + 1))
+
+
+def _check_floor(g):
+    """floor / S is the least squared Gram-Schmidt length, it bounds the
+    minimum, and the searches on either side of it match both oracles."""
+    form = _ReducedForm(g)
+    best, _ = oracle.min_vectors(g)
+    assert Fraction(form.floor, form.s) == _gram_schmidt_floor(form, g)
+    assert form.s * best >= form.floor
+    edge = form.floor // form.s
+    for t in (edge - 1, edge, edge + 1):
+        for upto in (False, True):
+            got = sorted(form.vectors(t, upto))
+            assert _as_set(got) == _as_set(oracle.enum_form(g, t, upto)), (t, upto)
+            assert got == sorted(oracle.reduced_vectors(form, t, upto)), (t, upto)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pd_grams())
+@example([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 5]])
+@example([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 7]])
+def test_floor_bounds_rank4_searches(g):
+    _check_floor(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pd_grams(3))
+@example([[1, 0, 0], [0, 4, 0], [0, 0, 9]])
+@example([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+def test_floor_bounds_rank3_searches(g):
+    _check_floor(g)
 
 
 def test_kernel_matches_recursive_search_on_cold_5_163(cold_5_163):
@@ -203,6 +246,24 @@ def test_embedding_candidates_match_rank4_search(pair, request):
             t0 = d % 2
             for order in orders:
                 found += len(_check_trace(order, (t0 - d) // 4, t0))
+    assert found > 0
+
+
+def test_int_and_fraction_trace_searches_agree(graph_13_47):
+    """An int norm and trace take the int path; Fractions of the same values
+    take the general one.  Both give the same list on every vertex and
+    Eichler order of (13,47), for -100 <= D <= -3."""
+    orders = [c.right_order for c in graph_13_47.vset.classes] + \
+        [e.eichler for e in graph_13_47.edges]
+    found = 0
+    for d in range(-3, -101, -1):
+        if d % 4 in (0, 1):
+            t0 = d % 2
+            n = (t0 - d) // 4
+            for order in orders:
+                got = order.norm_vectors(n, trace=t0)
+                assert got == order.norm_vectors(Fraction(n), trace=Fraction(t0)), (d, order)
+                found += len(got)
     assert found > 0
 
 

@@ -184,6 +184,18 @@ class TestShortVectors:
         assert weight_one.right_order.norm_vectors(1, trace=Fraction(0)) == []
         assert len(units(weight_one.right_order)) // 2 == 1
 
+    def test_int_norm_and_trace(self, vset47):
+        """The cases above with an int norm and trace, the path the
+        embedding searches take."""
+        assert [v.num for v in O47.norm_vectors(0, trace=0)] == [(0, 0, 0, 0)]
+        assert O47.norm_vectors(0, trace=1) == []
+        assert O47.norm_vectors(-1, trace=0) == O47.norm_vectors(1, trace=3) == []
+        found = O47.norm_vectors(1, trace=0)
+        assert found == O47.norm_vectors(1, trace=Fraction(0))
+        assert {(0, 1, 0, 0), (0, -1, 0, 0)} <= {v.num for v in found}
+        weight_one = next(c for c in vset47.classes if c.weight == 1)
+        assert weight_one.right_order.norm_vectors(1, trace=0) == []
+
 
 class TestEquivalence:
     def test_reflexive(self):

@@ -2,10 +2,12 @@
 
 Each script runs in a child interpreter on the package under test (the
 ``cli_env`` fixture), so a renamed import or a broken call in the scripts
-fails here rather than silently.
+fails here rather than silently.  The exit code of disc_battery on a broken
+count is tested in this process, with the count patched.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 
@@ -27,3 +29,17 @@ def test_script_runs(script, args, header, cli_env):
     assert res.stdout.splitlines()[0].startswith(header)
     # disc_battery flags each discriminant whose totals break the trace identities
     assert "TRACE MISMATCH" not in res.stdout
+
+
+def test_disc_battery_exits_1_on_a_trace_mismatch(monkeypatch, capsys):
+    """Counts off by one break the trace identities: the rows are flagged and
+    the script exits 1."""
+    from shimura_pq import gross
+
+    count = gross.optimal_embeddings
+    monkeypatch.setattr(gross, "optimal_embeddings", lambda *args: count(*args) + 1)
+    monkeypatch.setattr(sys, "argv", ["disc_battery.py", "--p", "13", "--q", "11", "--bound", "40"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(os.path.join(SCRIPTS, "disc_battery.py"), run_name="__main__")
+    assert exc.value.code == 1
+    assert "TRACE MISMATCH" in capsys.readouterr().out
