@@ -25,10 +25,11 @@ lattice onto S0 = {2x - trd x}, a lattice of pure quaternions spanned by the
 pure parts of twice the basis, and nrd(2x - t) = 4 nrd(x) - t^2 when
 trd(x) = t.  So the x of trace t and norm n are the (y + t)/2 that lie in
 the lattice, for the y in S0 of norm 4n - t^2 (Gross's ternary lattice,
-Heights and the special values of L-series, 1987, section 12).  An int
-norm and trace give the target (4n - t^2) den^2 directly and keep the
-whole search in int arithmetic, with no Fraction; a search that finds no
-y returns before mapping anything back.
+Heights and the special values of L-series, 1987, section 12).  The
+target (4n - t^2) den^2 is one expression for ints and Fractions alike,
+so an int norm and trace keep the whole search in int arithmetic, with
+no Fraction; a search that finds no y returns before mapping anything
+back.
 
 Duality is integer too: the HNF basis R is upper triangular, so
 R^-1 = adj(R)/det(R) with adj(R) integral by exact back-substitution, and
@@ -193,6 +194,10 @@ class _ReducedForm:
     the squared Gram-Schmidt length of b_j, so floor / S is the least of
     them.  A search with S target < floor finds nothing and returns before
     any loop.
+
+    ``vectors`` reads its LDL data and transform from the flat tuple
+    ``_data``; ``t``, ``d``, ``lam`` and ``w`` (padded) are kept for the
+    recursive oracle in tests/enum_oracle.py, not read by the kernel.
     """
 
     __slots__ = ("n", "t", "d", "lam", "w", "s", "floor", "min_bound", "_data")
@@ -546,19 +551,17 @@ class Lattice:
     def norm_vectors(self, n, trace=None):
         """All x in the lattice with nrd(x) = n (and trd(x) = trace if
         given), sorted by key.  With a trace the search runs in S0, at the
-        target (4n - t^2) den^2; an int norm and trace (the embedding
-        searches) give it in ints, with no Fraction."""
-        if trace is not None:
-            if isinstance(n, int) and isinstance(trace, int):
-                return self._trace_vectors((4 * n - trace * trace) * self.den ** 2, trace, 1)
-            n, trace = Fraction(n), Fraction(trace)
-            tnum, tden = trace.numerator, trace.denominator
-            # the target written over n's and t's denominators
-            target, rem = divmod((4 * n.numerator * tden * tden - tnum * tnum * n.denominator)
-                                 * self.den ** 2, n.denominator * tden * tden)
-            return [] if rem else self._trace_vectors(target, tnum, tden)
+        target (4n - t^2) den^2, which an int norm and trace (the embedding
+        searches) give in int arithmetic, with no Fraction."""
         if not isinstance(n, int):
             n = Fraction(n)
+        if trace is not None:
+            if not isinstance(trace, int):
+                trace = Fraction(trace)
+            target = (4 * n - trace * trace) * self.den ** 2
+            if target.denominator != 1:
+                return []
+            return self._trace_vectors(target.numerator, trace.numerator, trace.denominator)
         if n < 0:
             return []
         if n == 0:

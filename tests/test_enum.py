@@ -250,8 +250,8 @@ def test_embedding_candidates_match_rank4_search(pair, request):
 
 
 def test_int_and_fraction_trace_searches_agree(graph_13_47):
-    """An int norm and trace take the int path; Fractions of the same values
-    take the general one.  Both give the same list on every vertex and
+    """An int norm and trace, the embedding searches, stay in int arithmetic;
+    Fractions of the same values give the same list on every vertex and
     Eichler order of (13,47), for -100 <= D <= -3."""
     orders = [c.right_order for c in graph_13_47.vset.classes] + \
         [e.eichler for e in graph_13_47.edges]

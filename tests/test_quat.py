@@ -164,14 +164,20 @@ class TestLatticeOps:
 
 
 class TestShortVectors:
+    # each search runs with int and with Fraction arguments: the embedding
+    # searches pass ints, which must give the same vectors
     def test_zero(self):
-        assert [v.num for v in O47.norm_vectors(0, trace=Fraction(0))] == [(0, 0, 0, 0)]
-        assert O47.norm_vectors(0, trace=Fraction(1)) == []
+        for num in (int, Fraction):
+            assert [v.num for v in O47.norm_vectors(num(0), trace=num(0))] == [(0, 0, 0, 0)]
+            assert O47.norm_vectors(num(0), trace=num(1)) == []
+            assert O47.norm_vectors(num(-1), trace=num(0)) == []
+            assert O47.norm_vectors(num(1), trace=num(3)) == []
 
     def test_fourth_root_of_unity(self):
-        found = O47.norm_vectors(1, trace=Fraction(0))
-        nums = {v.num for v in found}
-        assert (0, 1, 0, 0) in nums and (0, -1, 0, 0) in nums
+        for num in (int, Fraction):
+            found = O47.norm_vectors(num(1), trace=num(0))
+            nums = {v.num for v in found}
+            assert (0, 1, 0, 0) in nums and (0, -1, 0, 0) in nums
 
     def test_unit_orders(self):
         # q = 11: the two classes have unit orders 2 and 3 (units / {+-1})
@@ -181,20 +187,9 @@ class TestShortVectors:
 
     def test_weight_one_order_has_no_extra_units(self, vset47):
         weight_one = next(c for c in vset47.classes if c.weight == 1)
-        assert weight_one.right_order.norm_vectors(1, trace=Fraction(0)) == []
+        for num in (int, Fraction):
+            assert weight_one.right_order.norm_vectors(num(1), trace=num(0)) == []
         assert len(units(weight_one.right_order)) // 2 == 1
-
-    def test_int_norm_and_trace(self, vset47):
-        """The cases above with an int norm and trace, the path the
-        embedding searches take."""
-        assert [v.num for v in O47.norm_vectors(0, trace=0)] == [(0, 0, 0, 0)]
-        assert O47.norm_vectors(0, trace=1) == []
-        assert O47.norm_vectors(-1, trace=0) == O47.norm_vectors(1, trace=3) == []
-        found = O47.norm_vectors(1, trace=0)
-        assert found == O47.norm_vectors(1, trace=Fraction(0))
-        assert {(0, 1, 0, 0), (0, -1, 0, 0)} <= {v.num for v in found}
-        weight_one = next(c for c in vset47.classes if c.weight == 1)
-        assert weight_one.right_order.norm_vectors(1, trace=0) == []
 
 
 class TestEquivalence:
