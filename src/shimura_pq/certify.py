@@ -25,7 +25,7 @@ from .compgroup import (
 )
 from .gross import (gross_tower_modular, gross_tower_shimura, s_star, support, t_star,
                     tower_class_number)
-from .ntheory import is_prime, kronecker, primes_from
+from .ntheory import check_primes, is_prime, kronecker, primes_from
 from .quat import Lattice, Quat, make_algebra, maximal_order
 from .ssgraph import (ShimuraGraph, VertexSet, _attach_wq, _edge, build_graph, ss_oracle,
                       validate_graph, validate_records)
@@ -40,17 +40,9 @@ NON_EFFECTIVITY_NOTE = (
 )
 
 
-def _validate_pair(p, q):
-    if p == q:
-        raise ValueError("p and q must be distinct primes")
-    for v in (p, q):
-        if not is_prime(v) or v < 5:
-            raise ValueError(f"{v} is not a prime >= 5")
-
-
 def check_ogg(p, q):
     """Congruence case classifier: 'ramified', 'nonramified', or 'none'."""
-    _validate_pair(p, q)
+    check_primes(p=p, q=q)
     if kronecker(p, q) != -1:
         return "none"
     if p % 4 == 3:
@@ -62,8 +54,7 @@ def check_ogg(p, q):
 
 def genus(q):
     """Genus of X_0(q) for prime q >= 5."""
-    if not is_prime(q) or q < 5:
-        raise ValueError(f"q must be a prime >= 5, got {q}")
+    check_primes(q=q)
     g = (q + 1) // 12
     if q % 12 == 1:
         g -= 1
@@ -422,6 +413,8 @@ def cache_load(cache_dir, p, q):
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("cache is not a JSON object")
         if payload.get("version") != CACHE_VERSION or payload.get("q") != q or payload.get("p") != p:
             return None
         return graph_from_payload(payload)
@@ -457,7 +450,7 @@ def run_criterion(p, q, l=None, n_max=None, cache_dir=None, override=False):
 
     The pair, the auxiliary prime l and the depth n_max are checked before
     the graph is built, so bad input fails at once, naming its flag."""
-    _validate_pair(p, q)
+    check_primes(p=p, q=q)
     if l is not None and (l in (p, q) or not is_prime(l)):
         raise ValueError(f"--l must be a prime distinct from p and q, got {l}")
     if n_max is not None and n_max < 1:

@@ -30,6 +30,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_primes(**named):
+    """Raise ValueError unless the named values are distinct primes >= 5,
+    naming the value at fault: check_primes(p=p, q=q) or check_primes(q=q)."""
+    for name, v in named.items():
+        if not is_prime(v) or v < 5:
+            raise ValueError(f"{name} must be a prime >= 5, got {v}")
+    if len(set(named.values())) < len(named):
+        raise ValueError(f"{' and '.join(named)} must be distinct primes, got "
+                         + ", ".join(f"{name} = {v}" for name, v in named.items()))
+
+
 def primes_from(start: int):
     """Unbounded ascending prime generator."""
     n = max(2, start)

@@ -31,11 +31,13 @@ so an int norm and trace keep the whole search in int arithmetic, with
 no Fraction; a search that finds no y returns before mapping anything
 back.
 
-Duality is integer too: the HNF basis R is upper triangular, so
-R^-1 = adj(R)/det(R) with adj(R) integral by exact back-substitution, and
-the dual of R/d has basis d adj(R)^T/det(R).  Right orders are duals of
-integer constraint lattices; membership and the reduced discriminant stay
-in integers as well.  No floating point is used anywhere.
+Orders and ideals are integer products too.  Every ideal whose right
+order the program needs is a left ideal I of a maximal order, so
+invertible with I^-1 = conj(I) / nrd(I): its right order I^-1 I and the
+two-sided ideal I^-1 j I are each one HNF of the 16 products of its rows,
+over one denominator.  The norm-ell ideals come from one scan of
+O / ell O = M_2(F_ell) for singular elements.  Membership and the reduced
+discriminant stay in integers as well.  No floating point is used anywhere.
 """
 
 from collections import namedtuple
@@ -43,7 +45,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .linalg import det_bareiss, frac_sqrt, hnf_rows
-from .ntheory import is_prime, ramified_primes
+from .ntheory import check_primes, is_prime, ramified_primes
 
 
 class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "q a b")):
@@ -609,53 +611,6 @@ class Lattice:
         self._cache["min"] = res
         return res
 
-# -- duality helpers ---------------------------------------------------------
-
-def _adjugate(rows):
-    """(adj(R), det R) of an upper-triangular integer R with nonzero diagonal.
-
-    R * adj(R) = det(R) * I, and adj(R) is integral and upper triangular, so
-    back-substitution column by column divides exactly."""
-    det = rows[0][0] * rows[1][1] * rows[2][2] * rows[3][3]
-    adj = [[0] * 4 for _ in range(4)]
-    for j in range(4):
-        adj[j][j] = det // rows[j][j]
-        for i in range(j - 1, -1, -1):
-            adj[i][j] = -sum(rows[i][k] * adj[k][j] for k in range(i + 1, j + 1)) // rows[i][i]
-    return adj, det
-
-
-def _dual(lat):
-    """{x : x . y in Z for all y in lat}, for the dot product of coordinates.
-
-    The basis is R/d with R the triangular HNF, so the dual basis is
-    d (R^-1)^T = d adj(R)^T / det(R), with no rational arithmetic."""
-    adj, det = _adjugate(lat.rows)
-    rows = [[lat.den * adj[c][r] for c in range(4)] for r in range(4)]
-    return Lattice.from_int_rows(lat.alg, rows, det)
-
-
-_UNIT_VECTORS = tuple(tuple(int(m == r) for m in range(4)) for r in range(4))
-
-
-def right_order(lat):
-    """{x : L * x <= L}.
-
-    x lies in it iff the coordinates of b * x in the basis R/d are integral
-    for each basis element b = R_i/d.  With A_i the integer matrix whose row
-    r is R_i * e_r, those coordinates are x A_i adj(R) / det(R): the columns
-    of A_i adj(R) are the constraint functionals, over the common
-    denominator det(R).  The left order of L is conj(O_R(conj L))."""
-    adj, det = _adjugate(lat.rows)
-    mul4 = lat.alg.mul4
-    functionals = []
-    for b in lat.rows:
-        a = [mul4(b, e) for e in _UNIT_VECTORS]
-        for col in range(4):
-            functionals.append([sum(a[r][m] * adj[m][col] for m in range(4)) for r in range(4)])
-    return _dual(Lattice.from_int_rows(lat.alg, functionals, det))
-
-
 # -- orders ------------------------------------------------------------------
 
 def reduced_discriminant(order):
@@ -696,8 +651,7 @@ def make_algebra(q, a=None):
     smallest a with the right ramification.  Passing ``a`` forces a specific
     model (used to exercise model independence).
     """
-    if not is_prime(q) or q < 5:
-        raise ValueError(f"q must be a prime >= 5, got {q}")
+    check_primes(q=q)
     if a is None:
         if q % 4 == 3:
             a = 1
@@ -815,9 +769,31 @@ def equiv_witness(i1, i2, order, n1=None, n2=None):
     return x / n1
 
 
+def _conjugated(ideal, norm, x):
+    """I^-1 x I = conj(I) x I / n, for a left ideal I of reduced norm n of a
+    maximal order and x an integer 4-vector: the products conj(r) x s over
+    the rows r, s of I, over den^2 n, with n's denominator folded into x.
+
+    Such an I is invertible, with I^-1 = conj(I) / n, as conj(I) I = n O_R(I)
+    (Voight, Quaternion Algebras, GTM 288, 2021, ch. 16)."""
+    alg, n = ideal.alg, Fraction(norm)
+    x = tuple(n.denominator * v for v in x)
+    left = [alg.mul4((r[0], -r[1], -r[2], -r[3]), x) for r in ideal.rows]
+    return Lattice.from_int_rows(alg, [alg.mul4(y, s) for y in left for s in ideal.rows],
+                                 ideal.den ** 2 * n.numerator)
+
+
+def right_order(ideal, norm):
+    """O_R(I) = {x : I x <= I} = I^-1 I, for a left ideal I of reduced norm
+    n of a maximal order (``_conjugated`` with x = 1).  The left order of
+    I is conj(O_R(conj I))."""
+    return _conjugated(ideal, norm, (1, 0, 0, 0))
+
+
 def two_sided_ideal(ideal, norm):
-    """T = conj(I) j I / n, the two-sided ideal of reduced norm q of the
-    right order R of I, a left ideal of reduced norm n of the base order O.
+    """T = I^-1 j I = conj(I) j I / n, the two-sided ideal of reduced norm q
+    of the right order R of I, a left ideal of reduced norm n of the base
+    order O.
 
     It needs j in O, true of every ``maximal_order`` (the classical order
     holds j = 2 (1+j)/2 - 1; saturation starts from Z<1, i, j, k>).  Then
@@ -826,31 +802,29 @@ def two_sided_ideal(ideal, norm):
     Locally I = O a and R = a^-1 O a.  At l != q, T and P are the orders, so
     I T = I = P I; at q, T is the maximal ideal P of R = O, stable under
     conjugation, so I T = O a P = P a = P I.  Hence I T = P I = j I, and
-    T = I^-1 j I with I^-1 = conj(I) / n.  The index check reads
-    [R : T] = q^2 as det(T) n^2 = q^2 det(I), since [R : I] = n^2.
+    T = I^-1 j I.  The index check reads [R : T] = q^2 as
+    det(T) n^2 = q^2 det(I), since [R : I] = n^2.
     """
-    alg, n = ideal.alg, Fraction(norm)
-    # conj(r) j over the rows r of I, with n's denominator folded into j
-    left = [alg.mul4((r[0], -r[1], -r[2], -r[3]), (0, 0, n.denominator, 0)) for r in ideal.rows]
-    ts = Lattice.from_int_rows(alg, [alg.mul4(x, r) for x in left for r in ideal.rows],
-                               ideal.den ** 2 * n.numerator)
-    if ts.det() * n * n != alg.q ** 2 * ideal.det():
+    ts = _conjugated(ideal, norm, (0, 0, 1, 0))
+    n = Fraction(norm)
+    if ts.det() * n * n != ideal.alg.q ** 2 * ideal.det():
         raise ArithmeticError("two-sided ideal has wrong index")
     return ts
 
 
 def norm_ideals(order, ell):
-    """The ell+1 left ideals of reduced norm ell of a (locally) maximal
-    order, sorted by key.
+    """The ell+1 left ideals of reduced norm ell of a maximal order O, for a
+    prime ell != q, sorted by key: the O x + ell O for the x in O with
+    nrd(x) = 0 mod ell, x = sum c_r b_r over the lines c of F_ell^4.
 
-    O / ell O = M_2(F_ell) for ell != q, split by a rank-one idempotent e:
-    with f = e b_r (1 - e) != 0 for some basis element b_r, the ideals are
-    O x + ell O for the ell+1 generators x = e + c f (c mod ell) and 1 - e.
-    The idempotent is e = x / trd(x) mod ell for the first x of the
-    coefficient sweep with nrd(x) = 0 and trd(x) != 0 mod ell, as
-    x^2 = trd(x) x - nrd(x) = trd(x) x there.  Trace and norm are integers:
-    the structure constants below are integral, so O is a ring, finitely
-    generated over Z.
+    O / ell O = M_2(F_ell), where the reduced norm is the determinant.  Such
+    an x is not in ell O and its image x' is singular, so x' has rank 1, and
+    O x + ell O is the preimage of M_2(F_ell) x' = {A : ker A >= ker x'}: it
+    has index ell^2, so reduced norm ell.  A norm-ell left ideal I holds
+    ell O (ell = nrd(I) lies in I) and has index ell^2, so I / ell O is one
+    of these ell+1 subspaces, one per line of F_ell^2, and each holds a
+    rank-1 x'.  So the scan meets every such ideal; it stops at the
+    (ell+1)-th.
     """
     alg = order.alg
     if alg.q % ell == 0:
@@ -858,54 +832,18 @@ def norm_ideals(order, ell):
     if not is_prime(ell):
         raise ValueError("ell must be prime")
     rows, den = order.rows, order.den
-    # structure constants: coordinates of 1 and of each b_r * b_s in the basis
-    one = order.coords_of(Quat.one(alg))
-    gamma = [[order._coords(alg.mul4(r, s), den * den) for s in rows] for r in rows]
-    if one is None or any(c is None for row in gamma for c in row):
-        raise ArithmeticError("expected integral coordinates")
-
-    def mul_mod(c1, c2):
-        out = [0, 0, 0, 0]
-        for r in range(4):
-            for s in range(4):
-                f = c1[r] * c2[s] % ell
-                if f:
-                    for m, g in enumerate(gamma[r][s]):
-                        out[m] += f * g
-        return tuple(x % ell for x in out)
-
-    def num(c):
-        """The numerator over den of sum_r c_r b_r."""
-        return tuple(sum(cr * r[m] for cr, r in zip(c, rows)) for m in range(4))
-
-    for n in range(1, ell ** 4):
-        c = tuple(n // ell ** i % ell for i in range(4))
-        x = num(c)
-        t = 2 * x[0] // den % ell
-        if t and alg.nrd4(x) // (den * den) % ell == 0:
-            break
-    else:
-        raise ArithmeticError("no element of norm 0 and trace not 0 mod ell")
-    tinv = pow(t, -1, ell)
-    e = tuple(ci * tinv % ell for ci in c)
-    one_minus_e = tuple((o - x) % ell for o, x in zip(one, e))
-    for g in _UNIT_VECTORS:
-        f = mul_mod(mul_mod(e, g), one_minus_e)
-        if any(f):
-            break
-    else:
-        raise ArithmeticError("no off-diagonal unit found")
-    gens = [tuple((e[m] + c * f[m]) % ell for m in range(4)) for c in range(ell)]
-    gens.append(one_minus_e)
     ideals = {}
-    for gvec in gens:
-        xnum = num(gvec)
-        lat_rows = [alg.mul4(r, xnum) for r in rows]
-        lat_rows += [tuple(ell * den * x for x in r) for r in rows]
+    for c in _line_reps(ell):
+        # the numerator over den of x = sum_r c_r b_r; nrd(x) = nrd4(x) / den^2
+        x = tuple(sum(cr * r[m] for cr, r in zip(c, rows)) for m in range(4))
+        if alg.nrd4(x) % (ell * den * den):
+            continue
+        lat_rows = [alg.mul4(r, x) for r in rows]
+        lat_rows += [tuple(ell * den * v for v in r) for r in rows]
         ideal = Lattice.from_int_rows(alg, lat_rows, den ** 2)
         if ideal.index_in(order) != ell * ell:
             raise ArithmeticError("norm-ell ideal has wrong index")
         ideals[ideal.key()] = ideal
-    if len(ideals) != ell + 1:
-        raise ArithmeticError("norm-ell ideals collided")
-    return [ideals[key] for key in sorted(ideals)]
+        if len(ideals) == ell + 1:
+            return [ideals[key] for key in sorted(ideals)]
+    raise ArithmeticError(f"{len(ideals)} norm-ell ideals found, not ell + 1")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .linalg import det_bareiss
-from .ntheory import is_prime
+from .ntheory import check_primes
 from .quat import (
     Quat,
     equiv_witness,
@@ -83,10 +83,10 @@ class VertexSet:
     def _add_class(self, ideal):
         """Append the class of ideal, a left ideal of the base order, with
         its weight read off the unit list that ``units_of`` then returns."""
-        ro = right_order(ideal)
+        n = ideal_norm(ideal, self.order)
+        ro = right_order(ideal, n)
         unit_list = units(ro)
         self._units[len(self.classes)] = unit_list
-        n = ideal_norm(ideal, self.order)
         self.classes.append(VertexClass(ideal=ideal, right_order=ro, weight=len(unit_list) // 2,
                                         norm=n, fingerprint=_fingerprint(ideal, n)))
 
@@ -235,8 +235,7 @@ def vertex_classes(q, alg=None):
     completeness is independently certified by the Eichler mass formula
     closing exactly (a hard error otherwise).
     """
-    if not is_prime(q) or q < 5:
-        raise ValueError(f"q must be a prime >= 5, got {q}")
+    check_primes(q=q)
     alg = alg or make_algebra(q)
     order = maximal_order(alg)
     found = VertexSet(alg, order)
@@ -486,15 +485,11 @@ def _edge(vset, k, ideal, target, witness):
                 length=sum(u in eich for u in unit_list) // 2, target=target, witness=witness)
 
 
-def build_graph(p, q, alg=None, vset=None):
+def build_graph(p, q, vset=None):
     """The full dual graph for the pair (p, q), edges oriented S1 -> S2."""
-    if p == q:
-        raise ValueError("p and q must be distinct")
-    for v in (p, q):
-        if not is_prime(v) or v < 5:
-            raise ValueError(f"{v} is not a prime >= 5")
+    check_primes(p=p, q=q)
     if vset is None:
-        vset = vertex_classes(q, alg)
+        vset = vertex_classes(q)
     edges = []
     for k, rec in enumerate(vset.classes):
         steps = {}
@@ -655,8 +650,7 @@ def ss_oracle(q):
     for a u' in [0, (q+1)/2]: each root found there brings (1-u, v) and
     the conjugates (u, -v), (1-u, -v) with it.
     """
-    if not is_prime(q) or q < 5:
-        raise ValueError(f"q must be a prime >= 5, got {q}")
+    check_primes(q=q)
     m = (q - 1) // 2
     coeffs = [comb(m, i) ** 2 % q for i in range(m + 1)]
     coeffs.reverse()  # Horner from the top degree

@@ -1,15 +1,17 @@
 """Reference lattice duality and Hecke towers for differential tests.
 
-These are the ``Fraction`` versions the package used before duality moved to
-integer adjugates of the triangular HNF basis and the two tower loops became
-one sparse recursion.  They are kept here unchanged (apart from taking what
-they used from the package as imports), so the tests can compare the fast
-code against them:
+These are the ``Fraction`` versions the package used before its lattice
+code moved to integers (its right orders are now I^-1 I = conj(I) I / nrd(I),
+as it needs them only for left ideals of maximal orders) and the two tower
+loops became one sparse recursion.  They are kept here unchanged (apart
+from taking what they used from the package as imports), so the tests can
+compare the fast code against them:
 
 * ``dual_of_constraints(alg, functionals)`` -- the lattice
   {x : x . w in Z for every w in the span of the functionals}, through a
   ``Fraction`` inverse of the HNF of the functionals;
-* ``left_order``, ``right_order`` and ``lattice_intersection`` built on it;
+* ``left_order``, ``right_order`` and ``lattice_intersection`` built on it,
+  for any full-rank lattice;
 * ``gross_tower_modular`` and ``gross_tower_shimura`` -- the dense
   ``Fraction`` matrix-vector push through the Brandt matrix;
 * ``brandt_edges(graph, ell)`` -- the edge Brandt matrix with each edge

@@ -298,7 +298,8 @@ class TestCache:
                                         "eichler", "eichler_is_order", "eichler_swapped",
                                         "orbit", "p_times_ideal",
                                         "foreign_ideal", "two_sided", "wq_witness", "order",
-                                        "rational", "algebra"])
+                                        "rational", "algebra", "json_list", "json_number",
+                                        "json_string"])
     def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
         # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
         # edge 11, and edge 5 is the other edge from 0 to 1; edge 6 starts at
@@ -325,7 +326,10 @@ class TestCache:
                  "order": "order is not the maximal order of the algebra",
                  "rational": "vertex 0: rational False is not whether w_q fixes it",
                  "algebra": "cache is not the payload of the graph rebuilt from its primary "
-                            "records"}[damage]
+                            "records",
+                 "json_list": "cache is not a JSON object",
+                 "json_number": "cache is not a JSON object",
+                 "json_string": "cache is not a JSON object"}[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
             good = fh.read()
@@ -334,7 +338,10 @@ class TestCache:
         assert payload["wp_perm"][4] == 11 and payload["wq_perm"] == [0, 1]
         vertices = payload["vertices"]
         assert [(v["weight"], v["norm"]) for v in vertices] == [(3, "2"), (2, "1")]
-        if damage == "norm":
+        not_objects = {"json_list": [], "json_number": 1, "json_string": "x"}
+        if damage in not_objects:
+            payload = not_objects[damage]
+        elif damage == "norm":
             vertices[1]["norm"] = "4"
         elif damage == "right_order":
             vertices[0]["right_order"] = vertices[1]["right_order"]

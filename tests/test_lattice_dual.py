@@ -1,10 +1,12 @@
-"""Integer lattice duality and the sparse Hecke recursion against the oracle.
+"""Integer lattice code and the sparse Hecke recursion against the oracle.
 
 ``lattice_oracle`` holds the ``Fraction`` versions the package used before:
-duals through a ``Fraction`` inverse of the constraint HNF, and the towers
-through a dense matrix-vector push.  The integer code must give the same
-lattices (lattice equality is canonical: HNF rows over the least
-denominator) and the same tower vectors, entry by entry.
+right and left orders as duals of constraint lattices, through a
+``Fraction`` inverse of their HNF, and the towers through a dense
+matrix-vector push.  The integer code must give the same lattices (lattice
+equality is canonical: HNF rows over the least denominator) and the same
+tower vectors, entry by entry.  The package's right order is I^-1 I, so it
+is compared on invertible ideals: left ideals of maximal orders.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ import lattice_oracle as oracle
 from graph_oracle import tower_vectors
 from shimura_pq import gross, quat
 from shimura_pq.linalg import det_bareiss
-from shimura_pq.quat import Lattice, Quat, make_algebra
+from shimura_pq.quat import Lattice, Quat, ideal_norm, make_algebra
 
 ALG = make_algebra(47)
 
@@ -35,32 +37,22 @@ def lattices(draw):
     return Lattice.from_int_rows(ALG, rows, draw(st.integers(1, 60)))
 
 
-@given(lattices())
-@settings(max_examples=150, deadline=None)
-def test_adjugate_of_hnf(lat):
-    adj, det = quat._adjugate(lat.rows)
-    assert det == det_bareiss(lat.rows) > 0
-    for i in range(4):
-        for j in range(4):
-            assert sum(lat.rows[i][k] * adj[k][j] for k in range(4)) == det * (i == j)
+vectors = st.tuples(*[st.integers(-30, 30)] * 4)
 
 
-@given(lattices())
-@settings(max_examples=150, deadline=None)
-def test_dual_matches_oracle(lat):
-    dual = quat._dual(lat)
-    assert dual == oracle.dual_of_constraints(ALG, oracle.frac_rows(lat))
-    assert quat._dual(dual) == lat
-    for r in oracle.frac_rows(lat):
-        for s in oracle.frac_rows(dual):
-            assert sum(x * y for x, y in zip(r, s)).denominator == 1
-
-
-@given(lattices())
+@given(st.integers(0, 2), vectors, vectors, st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
-def test_orders_match_oracle(lat):
-    assert quat.right_order(lat.conj_lattice()).conj_lattice() == oracle.left_order(lat)
-    assert quat.right_order(lat) == oracle.right_order(lat)
+def test_orders_match_oracle(vset47, k, x, y, m):
+    # I = (O x + O y) / m, a left ideal of O, the right order of one of the
+    # first three classes (the base order among them): a maximal order
+    assume(any(x))
+    order = vset47.classes[k].right_order
+    ideal = Lattice.from_int_rows(ALG, [ALG.mul4(r, v) for v in (x, y) for r in order.rows],
+                                  order.den * m)
+    n = ideal_norm(ideal, order)
+    assert quat.right_order(ideal, n) == oracle.right_order(ideal)
+    assert quat.right_order(ideal.conj_lattice(), n).conj_lattice() == \
+        oracle.left_order(ideal) == order
 
 
 quats = st.builds(lambda num, den: Quat(ALG, num, den),
@@ -104,21 +96,17 @@ def test_reduced_discriminant_matches_oracle(lat):
     assert results[0] == results[1]
 
 
-def test_standard_lattice_is_self_dual():
-    flat = Lattice(ALG, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 1)
-    assert quat._dual(flat) == flat
-    assert quat._dual(oracle.scale(flat, Fraction(3, 2))) == oracle.scale(flat, Fraction(2, 3))
-
-
 def test_vertex_and_edge_orders_13_47(graph_13_47):
-    ideals = [c.ideal for c in graph_13_47.vset.classes]
-    ideals += [m for e in graph_13_47.edges for m in e.orbit]
-    for ideal in ideals:
-        assert quat.right_order(ideal.conj_lattice()).conj_lattice() == \
+    # class ideals are left ideals of the base order, edge ideals left
+    # ideals of norm p of the right order of their source
+    cases = [(c.ideal, c.norm) for c in graph_13_47.vset.classes]
+    cases += [(m, graph_13_47.p) for e in graph_13_47.edges for m in e.orbit]
+    for ideal, n in cases:
+        assert quat.right_order(ideal.conj_lattice(), n).conj_lattice() == \
             oracle.left_order(ideal)
-        assert quat.right_order(ideal) == oracle.right_order(ideal)
+        assert quat.right_order(ideal, n) == oracle.right_order(ideal)
     for c in graph_13_47.vset.classes:
-        assert quat.right_order(c.ideal) == c.right_order
+        assert quat.right_order(c.ideal, c.norm) == c.right_order
 
 
 @pytest.mark.parametrize("ell", [3, 5])

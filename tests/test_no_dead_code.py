@@ -1,8 +1,8 @@
 """Guard against dead code in the package.
 
-Every top-level function and class of ``src/shimura_pq/*.py``, and every
-method of those classes, public or private, must be referenced from the
-program:
+Every top-level function, class and assigned name (constants and
+namedtuple classes) of ``src/shimura_pq/*.py``, and every method of those
+classes, public or private, must be referenced from the program:
 ``src/``, ``scripts/`` or the benchmark's own modules (``perfbench/*.py``,
 not its tests).  A reference is a ``Name``, an ``Attribute`` or an imported
 name, outside the definition itself, so recursion does not keep a function
@@ -13,7 +13,7 @@ its name with a live function or variable) hides dead code: the guard is
 lenient, not strict.  Only a name reached through strings alone (``getattr``
 or a class ``__dict__``, as the benchmark's tracer does) would be flagged
 although used; each such name is also called directly.  Dunder methods
-and ``cli.main``, the entry point, are exempt.
+(``__version__`` among them) and ``cli.main``, the entry point, are exempt.
 """
 
 import ast
@@ -40,6 +40,12 @@ def _is_dunder(name):
 def _definitions(module, tree):
     """(qualified name, bare name, node) for each definition but the dunders."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not _is_dunder(target.id):
+                    yield f"{module}.{target.id}", target.id, node
+            continue
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         yield f"{module}.{node.name}", node.name, node

@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shimura_pq.certify import check_ogg, genus, run_criterion
 from shimura_pq.ntheory import (
     hilbert_symbol,
     is_prime,
@@ -10,6 +12,8 @@ from shimura_pq.ntheory import (
     primes_from,
     ramified_primes,
 )
+from shimura_pq.quat import make_algebra
+from shimura_pq.ssgraph import build_graph, ss_oracle, vertex_classes
 
 
 def test_is_prime():
@@ -22,6 +26,24 @@ def test_is_prime():
 def test_prime_factors(n):
     factors = prime_factors(n)
     assert factors == [d for d in range(2, n + 1) if n % d == 0 and is_prime(d)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_algebra(15), "q must be a prime >= 5, got 15"),
+    (lambda: genus(3), "q must be a prime >= 5, got 3"),
+    (lambda: vertex_classes(1), "q must be a prime >= 5, got 1"),
+    (lambda: ss_oracle(49), "q must be a prime >= 5, got 49"),
+    (lambda: build_graph(4, 11), "p must be a prime >= 5, got 4"),
+    (lambda: build_graph(13, 2), "q must be a prime >= 5, got 2"),
+    (lambda: build_graph(13, 13), "p and q must be distinct primes, got p = 13, q = 13"),
+    (lambda: check_ogg(13, 13), "p and q must be distinct primes, got p = 13, q = 13"),
+    (lambda: run_criterion(21, 47), "p must be a prime >= 5, got 21"),
+])
+def test_one_input_check_names_the_value(call, message):
+    # every entry point goes through check_primes, before any work
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_primes_from():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lattice_oracle
 from lattice_oracle import (conj_by_integer, from_elements, lattice_intersection,
                             norm_ideals_exhaustive, scale, two_sided_prime)
 from shimura_pq.ntheory import ramified_primes
@@ -101,14 +102,14 @@ class TestMaximalOrder:
 
     def test_orders_of_itself(self):
         # the left order of L is conj(O_R(conj L))
-        assert right_order(O47.conj_lattice()).conj_lattice() == O47
-        assert right_order(O47) == O47
+        assert right_order(O47.conj_lattice(), 1).conj_lattice() == O47
+        assert right_order(O47, 1) == O47
 
 
 class TestLatticeOps:
     def test_unit_of_monoid(self):
         ideal = norm_ideals(O47, 2)[0]
-        assert ideal.mul(right_order(ideal)) == ideal
+        assert ideal.mul(right_order(ideal, 2)) == ideal
         assert O47.mul(O47) == O47
 
     def test_nrd_multiplicativity_on_products(self):
@@ -118,16 +119,20 @@ class TestLatticeOps:
             ell1 = rng.choice([2, 3, 5])
             ell2 = rng.choice([2, 3, 5])
             i1 = rng.choice(norm_ideals(O11, ell1))
-            i2 = rng.choice(norm_ideals(right_order(i1), ell2))
+            r1 = right_order(i1, ell1)
+            assert r1 == lattice_oracle.right_order(i1)
+            i2 = rng.choice(norm_ideals(r1, ell2))
             prod = i1.mul(i2)
             # oracle: norm via the generalized index in the left order
             assert prod.index_in(O11) == (ell1 * ell2) ** 2
             assert ideal_norm(prod, O11) == ell1 * ell2
+            assert right_order(prod, ell1 * ell2) == lattice_oracle.right_order(prod) == \
+                right_order(i2, ell2)
             count += 1
 
     def test_right_order_of_norm_p_ideal_is_maximal(self):
         for ideal in norm_ideals(O47, 5):
-            assert reduced_discriminant(right_order(ideal)) == 47
+            assert reduced_discriminant(right_order(ideal, 5)) == 47
 
     def test_left_order_of_principal(self):
         rng = random.Random(5)
@@ -139,7 +144,19 @@ class TestLatticeOps:
             principal = Lattice.from_int_rows(B47, [B47.mul4(x.num, r) for r in O47.rows],
                                               O47.den * x.den)
             conj = conj_by_integer(O47, x)  # x * O * x^-1
-            assert right_order(principal.conj_lattice()).conj_lattice() == conj
+            assert right_order(principal.conj_lattice(), x.nrd()).conj_lattice() == conj
+
+    @pytest.mark.parametrize("q, a", [(11, 1), (11, 3), (37, None), (41, None), (47, None),
+                                      (163, None)])
+    def test_right_orders_of_classes_match_oracle(self, q, a):
+        # I^-1 I against the Fraction dual of the constraint lattice, on every
+        # class; q = 37 and 41 (1 mod 4) and a = 3 use saturated orders
+        vset = vertex_classes(q, alg=make_algebra(q, a=a))
+        for rec in vset.classes:
+            assert rec.right_order == right_order(rec.ideal, rec.norm) == \
+                lattice_oracle.right_order(rec.ideal)
+            assert right_order(rec.ideal.conj_lattice(), rec.norm).conj_lattice() == \
+                lattice_oracle.left_order(rec.ideal) == vset.order
 
     def test_hnf_canonical_under_rebasing(self):
         rng = random.Random(3)
@@ -182,7 +199,7 @@ class TestShortVectors:
     def test_unit_orders(self):
         # q = 11: the two classes have unit orders 2 and 3 (units / {+-1})
         orders = {len(units(order)) // 2
-                  for order in [right_order(i) for i in norm_ideals(O11, 2)] + [O11]}
+                  for order in [right_order(i, 2) for i in norm_ideals(O11, 2)] + [O11]}
         assert 2 in orders and 3 in orders
 
     def test_weight_one_order_has_no_extra_units(self, vset47):
@@ -222,7 +239,8 @@ class TestEquivalence:
         assert len(seen) == 2
 
     def test_reduce_ideal(self):
-        ideal = norm_ideals(O47, 5)[0].mul(norm_ideals(right_order(norm_ideals(O47, 5)[0]), 3)[0])
+        first = norm_ideals(O47, 5)[0]
+        ideal = first.mul(norm_ideals(right_order(first, 5), 3)[0])
         red, z = reduce_ideal(ideal, O47)
         assert ideal.mul_elem(z) == red
         assert ideal_norm(red, O47) <= ideal_norm(ideal, O47)
@@ -235,8 +253,7 @@ class TestNormIdeals:
         # q = 37 = 1 mod 4: the maximal order comes from saturation (a != 1)
         for vset in (vset23, vset37):
             cases += [(c.right_order, ell) for c in vset.classes for ell in (2, 3)]
-        # odd ell, for the idempotent x / trd(x), in the models a = 2 (q = 37)
-        # and a = 3 (q = 41)
+        # odd ell in the models a = 2 (q = 37) and a = 3 (q = 41)
         for vset in (vset37, vertex_classes(41)):
             assert vset.alg.a != 1
             cases += [(c.right_order, ell) for c in vset.classes for ell in (5, 7)]
