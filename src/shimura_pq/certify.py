@@ -14,6 +14,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import gcd, lcm
 
 from .compgroup import (
@@ -77,11 +78,9 @@ def _eliminate(row, pivot, col):
 
 
 def decompose_eisenstein(graph, ell, n_max):
-    """lambda0 A_E = sum over n <= N of lambda_n Gamma_{-4 ell^(2n)}, exactly.
-
-    Finds the smallest depth N <= n_max admitting a solution, scales the
-    canonical rational solution to primitive integers and then by 12 so all
-    coefficients are multiples of 12.  Returns None if no depth works.
+    """lambda0 A_E = sum over n <= N of lambda_n Gamma_{-4 ell^(2n)}, exactly,
+    at the smallest depth N <= n_max with a solution, or None: the canonical
+    rational solution scaled to primitive integers, then by 12.
 
     One incremental fraction-free elimination serves every depth.  With the
     tower as numerators t_n over den, A_E times den lcm(w) is the integer
@@ -147,14 +146,12 @@ def build_cycle(graph, ell, lam0, lams):
     With the edge tower as numerators t_n over den (``hecke_tower``), the
     integers m_i = (p+1) sum lambda_n t_n[i] - 4 lambda0 den give
     C0[i] = m_i / (den length_i); only the printed ``c0`` strings leave
-    the integers.
-
-    Checks (in reporting order): intersection (no Gross vector meets an
-    exceptional edge; the per-instance surrogate for the non-effective
-    disjointness bound); C0 is closed (both boundary maps vanish); C0 is the
-    degree-zero projection of (p+1)C; every length-2 edge carries coefficient
-    -2 lambda0; 2 lambda0 is coprime to p.  Failures are reported, never
-    raised.
+    the integers.  Checks, reported in this order and never raised:
+    intersection (no Gross vector meets an exceptional edge, the
+    per-instance surrogate for the non-effective disjointness bound); C0
+    is closed (both boundary maps vanish); C0 is the degree-zero projection
+    of (p+1)C; every length-2 edge carries -2 lambda0; 2 lambda0 is coprime
+    to p.
 
     The projection check is deg C0 = 0.  The monodromy pairing is diagonal
     with the lengths and a_E[i] = 1/length_i, so <v, a_E> = sum v_i and the
@@ -350,17 +347,14 @@ def _mismatch(stored, derived):
 
 def graph_from_payload(payload):
     """The graph a cache payload describes, rebuilt from its primary
-    records: the base order, the class ideals, w_q on vertices and its
-    witnesses, each edge's source, ideal, target and witness, and w_p and
-    w_q on edges.  Each of these lattices is parsed by ``_lat_from``.
-
-    Every other record is derived with the build's code (``_add_class``,
-    ``_attach_wq`` and ``_edge``), so it is what a build gives.  The
-    checks, in order: each edge ideal lies between p R_k and R_k
-    (``ShimuraGraph``), ``validate_graph``, the payload of the rebuilt
-    graph is the stored payload byte for byte (a stored derived record
-    that differs is named), and ``validate_records``.  Any failure raises.
-    """
+    records (lattices parsed by ``_lat_from``): the base order, the class
+    ideals, w_q on vertices and its witnesses, each edge's source, ideal,
+    target and witness, and w_p and w_q on edges.  Every other record is
+    derived with the build's code (``_add_class``, ``_attach_wq``,
+    ``_edge``).  The checks, in order: each edge ideal is a norm-p ideal of
+    R_k (``ShimuraGraph``), ``validate_graph``, the rebuilt graph's payload
+    is the stored one byte for byte (a stored derived record that differs
+    is named), and ``validate_records``.  Any failure raises."""
     alg = make_algebra(payload["q"], a=payload["algebra"]["a"])
     order = _lat_from(alg, payload["order"])
     # another maximal order has the same covolume, so no record check below
@@ -497,46 +491,31 @@ def run_criterion(p, q, l=None, n_max=None, cache_dir=None, override=False):
     n_max = n_max if n_max is not None else genus(q) + 2
     tried = []
     decomposition = None
-    if l is not None:
-        candidates = [l]
-    else:
-        candidates = []
-        gen = primes_from(3)
-        while len(candidates) < 12:
-            c = next(gen)
-            if c not in (p, q):
-                candidates.append(c)
+    candidates = [l] if l is not None else list(
+        islice((c for c in primes_from(3) if c not in (p, q)), 12))
     for ell in candidates:
         dec = decompose_eisenstein(graph, ell, n_max)
-        if dec is None:
-            tried.append({"l": ell, "decomposed": False})
-            continue
-        if dec["lambda0"] % p == 0:
-            tried.append({"l": ell, "decomposed": True, "p_divides_lambda0": True})
-            continue
-        tried.append({"l": ell, "decomposed": True, "p_divides_lambda0": False})
-        decomposition = dec
-        break
+        tried.append({"l": ell, "decomposed": dec is not None})
+        if dec is not None:
+            tried[-1]["p_divides_lambda0"] = dec["lambda0"] % p == 0
+            if dec["lambda0"] % p:
+                decomposition = dec
+                break
     cert["decomposition_attempts"] = tried
     if decomposition is None:
         cert["verdict"] = "check_failed"
         cert["failed_check"] = "decomposition"
         return cert
-    cert["decomposition"] = {k: v for k, v in decomposition.items()}
+    cert["decomposition"] = dict(decomposition)
 
     cycle = build_cycle(graph, decomposition["l"], decomposition["lambda0"],
                         decomposition["lambdas"])
     checks = dict(cycle["checks"])
     checks["residual_zero"] = decomposition["residual_zero"]
     checks["degree_identity"] = decomposition["degree_identity"]
-    cert["cycle"] = {
-        "c0": cycle["c0"],
-        "exceptional_edges": cycle["exceptional_edges"],
-        "length2_edges": cycle["length2_edges"],
-        "support_overlap": cycle["support_overlap"],
-        "exceptional_multiplicity": cycle["exceptional_multiplicity"],
-        "gcd_2lambda0_p": gcd(2 * decomposition["lambda0"], p),
-    }
+    cert["cycle"] = {key: cycle[key] for key in (
+        "c0", "exceptional_edges", "length2_edges", "support_overlap", "exceptional_multiplicity")}
+    cert["cycle"]["gcd_2lambda0_p"] = gcd(2 * decomposition["lambda0"], p)
     cert["checks"] = checks
 
     failed = [name for name in ("residual_zero", "degree_identity", *CHECK_ORDER)

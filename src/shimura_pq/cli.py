@@ -60,6 +60,17 @@ def _build_parser():
     return parser
 
 
+def _writable(path, directory):
+    """Whether a file, or a directory made if missing, can be written at
+    path: the nearest existing directory on its way must be writable."""
+    path = os.path.abspath(path)
+    if not directory:
+        path = "" if os.path.isdir(path) else os.path.dirname(path)
+    while directory and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return os.path.isdir(path) and os.access(path, os.W_OK)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -69,6 +80,11 @@ def main(argv=None):
             return 0
 
         cache_dir = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
+        for flag, path, directory in (("--cache" if args.cache else CACHE_ENV, cache_dir, True),
+                                      ("--json", args.json_file, False),
+                                      ("--dot", getattr(args, "dot", None), False)):
+            if path and not _writable(path, directory):  # before any work is done
+                raise ValueError(f"cannot write {flag} {path}")
 
         if args.command == "graph":
             graph, from_cache = load_or_build_graph(args.p, args.q, cache_dir)

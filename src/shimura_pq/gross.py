@@ -1,12 +1,11 @@
 """Class numbers, optimal embeddings and Gross vectors.
 
-A single Gross vector over the vertex set (divisors) or the edge set
-(paths) is a tuple of Fractions.  A conductor tower is integer: one common
-denominator and one list of integer numerators per level, the CM-reduction
-counts, which divided by the denominator and the weight of each entry give
-the vector.  The monodromy pairing is diagonal with the weights, so the
-degree of a vector, its pairing with the Eisenstein vector, is just the
-coefficient sum.
+A Gross vector over the vertices (divisors) or the edges (paths) is a
+tuple of Fractions.  A conductor tower is integer: one common denominator
+and one list of numerators per level, the CM-reduction counts, which over
+the denominator and each entry's weight give the vector.  The monodromy
+pairing is diagonal with the weights, so a vector's degree, its pairing
+with the Eisenstein vector, is its coefficient sum.
 """
 
 from fractions import Fraction
@@ -206,13 +205,10 @@ def hecke_tower(g0, g1, rows, weights, c1, ell, N):
 
 def gross_tower_modular(graph, ell, N):
     """Vertex Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N), as
-    ``hecke_tower`` returns them (the vertex weights are all 1 here).
-
-    Embeddings of the conductor-ell^n order are computed directly for n = 1;
-    higher conductors follow the Hecke three-term recursion on sums of CM
-    reductions (each conductor-ell^n class has one neighbor of conductor
-    ell^(n-1) and ell of conductor ell^(n+1) under the ell-isogeny operator).
-    """
+    ``hecke_tower`` returns them (the vertex weights are all 1 here): the
+    embeddings are counted for n = 1, and higher conductors follow the Hecke
+    three-term recursion on sums of CM reductions (a conductor-ell^n class
+    has one ell-isogeny neighbour of conductor ell^(n-1), ell of ell^(n+1))."""
     if N < 1:
         return 1, []
     vset = graph.vset
@@ -223,10 +219,8 @@ def gross_tower_modular(graph, ell, N):
 
 def gross_tower_shimura(graph, ell, N):
     """Edge Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N), as
-    ``hecke_tower`` returns them: the numerators are the CM-reduction
-    counts, and the edge lengths are the weights.
-
-    Same recursion as the vertex tower, conjugated by the length weights."""
+    ``hecke_tower`` returns them: the vertex tower's recursion, with the
+    edge lengths as the weights."""
     if N < 1:
         return 1, []
     return hecke_tower(gross_shimura(graph, -4), gross_shimura(graph, -4 * ell * ell),

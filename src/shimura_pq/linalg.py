@@ -2,10 +2,9 @@
 
 Matrices are lists (or tuples) of integer rows: the Hermite and Smith
 normal forms, fraction-free (Bareiss) determinants and solves, and the
-exact square root of a rational.  No routine eliminates over
-``fractions.Fraction``.  Sizes here are tiny (4x4 for lattices, at most a
-few hundred for graph Laplacians), so the classical algorithms are used
-without any fancy pivoting.
+exact square root of a rational, with no ``Fraction`` elimination.  Sizes
+are tiny (4x4 lattices, Laplacians of a few hundred rows), so the classical
+algorithms are used without any fancy pivoting.
 """
 
 from fractions import Fraction
@@ -32,16 +31,14 @@ def hnf_rows(rows):
     length 4 (a rank-3 lattice goes in with a zero column prepended).
 
     Returns the list of nonzero rows as tuples: row echelon with positive
-    pivots and the entries above each pivot reduced into [0, pivot).  The
-    output is canonical for the row span, which is what makes lattice
-    equality a plain tuple comparison.
-
-    Rows are inserted one at a time into one slot per pivot column, written
-    out on the four columns.  At each column a row with a zero entry moves
-    on; at an empty slot it becomes that slot's pivot row; a multiple of the
-    pivot is cleared by subtracting the pivot row; anything else takes one
-    unimodular xgcd step with the pivot row, which leaves the gcd in the
-    slot and a zero in the row.
+    pivots and the entries above each pivot reduced into [0, pivot), which
+    is canonical for the row span, so lattice equality is a tuple
+    comparison.  Rows are inserted one at a time into one slot per pivot
+    column, written out on the four columns.  At each column a row with a
+    zero entry moves on; at an empty slot it becomes that slot's pivot row;
+    a multiple of the pivot is cleared by subtracting the pivot row; anything
+    else takes one unimodular xgcd step with the pivot row, leaving the gcd
+    in the slot and a zero in the row.
     """
     s0 = s1 = s2 = s3 = None
     for r0, r1, r2, r3 in rows:

@@ -4,40 +4,23 @@ An algebra (q, a, b) has Q-basis 1, i, j, k with i^2 = -a, j^2 = -b, k = ij,
 ramified exactly at {q, infinity}.  Elements carry integer numerator
 4-vectors over a positive denominator; lattices carry a 4x4 integer basis
 matrix in row Hermite normal form over a denominator, which makes lattice
-equality a tuple comparison.
+equality a tuple comparison.  No floating point is used anywhere.
 
 Short vectors (norm_vectors, find_norm_vector, min_vectors and the class
-fingerprints) come from one Fincke-Pohst enumerator per lattice: integral
-LLL on the Gram matrix of the HNF basis, then an exact integer LDL of the
-reduced form read off the LLL data, so the enumeration runs in integers
-over a reduced basis and maps each solution back to HNF coordinates.  The
-search is one loop nest with its four levels written out, no recursion;
-a rank-3 form runs in it with the top level held at 0.  Each form keeps
-a floor, the least squared Gram-Schmidt length of its reduced basis
-(scaled to the integer LDL): every nonzero vector has norm at least that,
-because its highest nonzero reduced coordinate y_j contributes
-|b_j*|^2 y_j^2 on its own.  A search for a smaller norm, as most
-embedding searches are, returns before the loop nest.
-
-A search with a fixed trace t (the embedding candidates of the Gross
-vectors) runs in rank 3 on the same enumerator.  x -> 2x - trd(x) maps the
-lattice onto S0 = {2x - trd x}, a lattice of pure quaternions spanned by the
-pure parts of twice the basis, and nrd(2x - t) = 4 nrd(x) - t^2 when
-trd(x) = t.  So the x of trace t and norm n are the (y + t)/2 that lie in
-the lattice, for the y in S0 of norm 4n - t^2 (Gross's ternary lattice,
-Heights and the special values of L-series, 1987, section 12).  The
-target (4n - t^2) den^2 is one expression for ints and Fractions alike,
-so an int norm and trace keep the whole search in int arithmetic, with
-no Fraction; a search that finds no y returns before mapping anything
-back.
+fingerprints) come from one Fincke-Pohst enumerator per lattice
+(``_ReducedForm``): integral LLL, an exact integer LDL and one loop nest in
+integers, with a floor below which a search returns before any loop.  A
+search with a fixed trace t runs in rank 3 on the same enumerator, in
+S0 = {2x - trd x}, as nrd(2x - t) = 4 nrd(x) - t^2 when trd(x) = t
+(Gross's ternary lattice, Heights and the special values of L-series,
+1987, section 12); int norms and traces keep it in int arithmetic.
 
 Orders and ideals are integer products too.  Every ideal whose right
 order the program needs is a left ideal I of a maximal order, so
 invertible with I^-1 = conj(I) / nrd(I): its right order I^-1 I and the
-two-sided ideal I^-1 j I are each one HNF of the 16 products of its rows,
-over one denominator.  The norm-ell ideals come from one scan of
-O / ell O = M_2(F_ell) for singular elements.  Membership and the reduced
-discriminant stay in integers as well.  No floating point is used anywhere.
+two-sided ideal I^-1 j I are each one HNF of the 16 products of its rows.
+The norm-ell ideals come from one scan of O / ell O = M_2(F_ell) for
+singular elements.
 """
 
 from collections import namedtuple
@@ -192,14 +175,11 @@ class _ReducedForm:
     ``floor`` = min_j W_j d_j^2 over the levels j = 1..n (not the padding)
     bounds S Q(y) from below on every y != 0: at the highest j with
     y_j != 0 the offset sum_{i>j} lam[i][j] y_i is 0, so the j-th term
-    alone is W_j d_j^2 y_j^2 >= floor.  W_j d_j^2 / S = d_j / d_{j-1} is
-    the squared Gram-Schmidt length of b_j, so floor / S is the least of
-    them.  A search with S target < floor finds nothing and returns before
-    any loop.
-
-    ``vectors`` reads its LDL data and transform from the flat tuple
-    ``_data``; ``t``, ``d``, ``lam`` and ``w`` (padded) are kept for the
-    recursive oracle in tests/enum_oracle.py, not read by the kernel.
+    alone is W_j d_j^2 y_j^2 >= floor; floor / S is the least squared
+    Gram-Schmidt length d_j / d_{j-1}.  A search with S target < floor
+    returns before any loop.  ``vectors`` reads the flat tuple ``_data``;
+    ``t``, ``d``, ``lam`` and ``w`` (padded) serve the recursive oracle in
+    tests/enum_oracle.py.
     """
 
     __slots__ = ("n", "t", "d", "lam", "w", "s", "floor", "min_bound", "_data")
@@ -576,14 +556,11 @@ class Lattice:
         return found
 
     def find_norm_vector(self, n):
-        """One x with nrd(x) = n, or None.
-
-        The pick is the solution with the least (c3, c2, c1, c0) in the HNF
-        coordinates.  It becomes an equivalence witness, and witnesses are
-        stored in the graph cache, so the rule must not change.
-        ``ssgraph.VertexSet.step_witness`` applies the same rule to the
-        edge witnesses without calling this method, so the two must change
-        together."""
+        """One x with nrd(x) = n, or None: the solution with the least
+        (c3, c2, c1, c0) in the HNF coordinates.  It becomes an equivalence
+        witness, stored in the graph cache, so the rule must not change;
+        ``ssgraph.VertexSet.step_witness`` applies it to the edge witnesses
+        without calling this method, so the two must change together."""
         n = Fraction(n)
         if n <= 0:
             return None
@@ -793,18 +770,15 @@ def right_order(ideal, norm):
 def two_sided_ideal(ideal, norm):
     """T = I^-1 j I = conj(I) j I / n, the two-sided ideal of reduced norm q
     of the right order R of I, a left ideal of reduced norm n of the base
-    order O.
-
-    It needs j in O, true of every ``maximal_order`` (the classical order
-    holds j = 2 (1+j)/2 - 1; saturation starts from Z<1, i, j, k>).  Then
-    P = O j = j O is the two-sided ideal of norm q of O: nrd j = q, so j is
-    a unit at every prime l != q, and at q there is one ideal of norm q.
-    Locally I = O a and R = a^-1 O a.  At l != q, T and P are the orders, so
-    I T = I = P I; at q, T is the maximal ideal P of R = O, stable under
-    conjugation, so I T = O a P = P a = P I.  Hence I T = P I = j I, and
-    T = I^-1 j I.  The index check reads [R : T] = q^2 as
-    det(T) n^2 = q^2 det(I), since [R : I] = n^2.
-    """
+    order O.  It needs j in O, true of every ``maximal_order`` (the
+    classical order holds j = 2 (1+j)/2 - 1; saturation starts from
+    Z<1, i, j, k>).  Then P = O j = j O is the two-sided ideal of norm q of
+    O: nrd j = q, so j is a unit at every prime l != q, and at q there is
+    one ideal of norm q.  Locally I = O a and R = a^-1 O a.  At l != q, T
+    and P are the orders, so I T = I = P I; at q, T is the maximal ideal P
+    of R = O, stable under conjugation, so I T = O a P = P a = P I.  Hence
+    I T = P I = j I, and T = I^-1 j I.  The index check reads
+    [R : T] = q^2 as det(T) n^2 = q^2 det(I), since [R : I] = n^2."""
     ts = _conjugated(ideal, norm, (0, 0, 1, 0))
     n = Fraction(norm)
     if ts.det() * n * n != ideal.alg.q ** 2 * ideal.det():

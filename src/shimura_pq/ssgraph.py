@@ -15,6 +15,7 @@ from math import comb
 from .linalg import det_bareiss
 from .ntheory import check_primes
 from .quat import (
+    Lattice,
     Quat,
     equiv_witness,
     ideal_norm,
@@ -37,11 +38,9 @@ VertexClass = namedtuple("VertexClass", "ideal right_order weight norm fingerpri
 
 
 def _fingerprint(ideal, norm):
-    """Counts of lattice vectors of reduced norm k*nrd(I), k = 1, 2, 3.
-
-    The normalized norm form is a left-class invariant, so this is a cheap
-    pre-filter before the short-vector equivalence test.
-    """
+    """Counts of lattice vectors of reduced norm k*nrd(I), k = 1, 2, 3: the
+    normalized norm form is a left-class invariant, so this is a cheap
+    pre-filter before the short-vector equivalence test."""
     target = 3 * norm * ideal.den ** 2
     counts = [0, 0, 0]
     unit = norm * ideal.den ** 2
@@ -56,12 +55,9 @@ class VertexSet:
     """Ideal classes of the fixed maximal order, canonically ordered."""
 
     def __init__(self, alg, order):
-        self.q = alg.q
-        self.alg = alg
-        self.order = order
+        self.q, self.alg, self.order = alg.q, alg, order
         self.classes = []  # ``_add_class`` appends; ``_attach_wq`` sets the w_q records
-        self._units = {}
-        self._connectors = {}
+        self._units, self._connectors = {}, {}
         self._conjugates = set()  # the (m, k) whose connector is the conjugate of a product
         self._vectors = {}  # (m, k, n) of a product -> its vectors of norm n, until both are taken
 
@@ -95,14 +91,12 @@ class VertexSet:
 
     def locate(self, ideal, first=None):
         """Class index and witness y with ideal = I_k * y (ideal must be a
-        left ideal of the base order).
-
-        The class ``first``, if given, is tested before the fingerprint
-        scan, which then runs over the later classes only: the caller
-        knows that no earlier class matches.  One class matches, and its
-        witness comes from the same equivalence test whichever order the
-        classes are tried in, so the answer does not depend on ``first``;
-        a right guess saves the fingerprint and the other tests."""
+        left ideal of the base order).  The class ``first``, if given, is
+        tested before the fingerprint scan, which then runs over the later
+        classes only: the caller knows that no earlier class matches.  One
+        class matches, and its witness comes from the same equivalence test
+        whichever order the classes are tried in, so the answer does not
+        depend on ``first``; a right guess saves the other tests."""
         reduced, z = reduce_ideal(ideal, self.order)
         nr = ideal_norm(reduced, self.order)
         if first is not None:
@@ -123,9 +117,18 @@ class VertexSet:
     def connector(self, m, k):
         """conj(I_m) * I_k, cached for both directions from one product:
         conj(I_k) * I_m is its conjugate, and (k, m) goes into
-        ``_conjugates``."""
+        ``_conjugates``.  Two need no product: conj(I_k) I_k = n_k R_k
+        (R_k's HNF rows scaled), and O I_k = I_k for I_m = O = conj(O)."""
         if (m, k) not in self._connectors:
-            lat = self.classes[m].ideal.conj_lattice().mul(self.classes[k].ideal)
+            rec, ideal = self.classes[m], self.classes[k].ideal
+            if ideal == self.order != rec.ideal:
+                self.connector(k, m)  # conj(I_m) O is the conjugate of O I_m
+                return self._connectors[(m, k)]
+            n, ro = Fraction(rec.norm), rec.right_order
+            lat = (Lattice(self.alg, [tuple(n.numerator * x for x in r) for r in ro.rows],
+                           ro.den * n.denominator) if m == k
+                   else ideal if rec.ideal == self.order
+                   else rec.ideal.conj_lattice().mul(ideal))
             self._connectors[(m, k)] = lat
             if m != k:
                 self._connectors[(k, m)] = lat.conj_lattice()
@@ -138,12 +141,16 @@ class VertexSet:
         Both directions of a pair are searched on the product lattice, so
         one reduced form serves both: the other direction is its conjugate,
         whose vectors of norm n are the conjugates, sorted again.  A list
-        is kept until the other direction takes it."""
+        is kept until the other direction takes it.  n_k R_k is searched on
+        R_k (its units' form): n_k times its vectors of norm n / n_k^2."""
         self.connector(m, k)  # the pair's product, which sets _conjugates
         flip = (m, k) in self._conjugates
         key = (k, m, n) if flip else (m, k, n)
         vecs = self._vectors.pop(key, None)
-        if vecs is None:
+        if vecs is None and m == k:
+            nk, ro = Fraction(self.classes[k].norm), self.classes[k].right_order
+            vecs = sorted((x * nk for x in ro.norm_vectors(n / nk ** 2)), key=Quat.key)
+        elif vecs is None:
             vecs = self._connectors[key[:2]].norm_vectors(n)
             if m != k:
                 self._vectors[key] = vecs
@@ -152,14 +159,12 @@ class VertexSet:
     def _steps(self, k, m, ell):
         """The ell-steps from k landing at m: (image, m, z) with I_k L = I_m z,
         one per norm-ell left ideal L of R_k in the class of m, and image the
-        image of L in R_k / ell R_k (``_image_mod``).
-
-        Read off the theta series (Pizer 1980): z lies in I_m^-1 I_k, so the
-        x = n_m z are the vectors of norm ell n_k n_m of conj(I_m) I_k, and
-        the 2 w_m units u of R_m give the same L from u z.  Then
-        L = conj(I_k) I_m z / n_k, as conj(I_k) I_k = n_k R_k; its image is
-        read off the coordinates in R_k of the rows of conj(I_k) I_m times
-        z / n_k, with no lattice built (``step_ideal`` builds it)."""
+        image of L in R_k / ell R_k (``_image_mod``).  From the theta series
+        (Pizer 1980): z lies in I_m^-1 I_k, so the x = n_m z are the vectors
+        of norm ell n_k n_m of conj(I_m) I_k, and the 2 w_m units u of R_m
+        give the same L from u z.  L = conj(I_k) I_m z / n_k, as
+        conj(I_k) I_k = n_k R_k; its image is read off the coordinates in R_k
+        of the rows of conj(I_k) I_m times z / n_k, with no lattice built."""
         rec, target = self.classes[k], self.classes[m]
         order, mul4 = rec.right_order, self.alg.mul4
         lat = self.connector(k, m)
@@ -182,14 +187,11 @@ class VertexSet:
     def neighbors(self, k, ell):
         """List of (image of L in R_k / ell R_k, target class m, witness z)
         with I_k * L = I_m * z, one per norm-ell left ideal L of R_k, sorted
-        by the image: the ``_steps`` from k to every class.
-
-        Each L = conj(I_k) I_m z / n_k is a left R_k-module, as conj(I_k)
-        is.  So an L with ell R_k <= L <= R_k of index ell^2 is a left ideal
-        of R_k of reduced norm ell, and it is fixed by its image mod ell.
-        For a prime ell != q, R_k has exactly ell+1 left ideals of norm ell.
-        So ell+1 steps whose ideals have ell+1 distinct such images are
-        these ideals, each once, with no ``norm_ideals`` to compare with."""
+        by the image: the ``_steps`` from k to every class.  Each
+        L = conj(I_k) I_m z / n_k is a left R_k-module, as conj(I_k) is, so
+        an L with ell R_k <= L <= R_k of index ell^2 is a norm-ell left
+        ideal of R_k, fixed by its image mod ell.  R_k has ell+1 of them
+        (ell != q prime), so ell+1 steps with distinct images are these."""
         out = [step for m in range(len(self)) for step in self._steps(k, m, ell)]
         images = {image for image, _, _ in out}
         if len(out) != ell + 1 or len(images) != ell + 1 or None in images:
@@ -201,16 +203,14 @@ class VertexSet:
 
     def step_witness(self, t, z):
         """The witness y that ``locate`` gives for I_t * z, byte for byte,
-        without its lattice products.
-
-        x -> x z maps I_t onto I_t z and multiplies nrd by nrd(z), so the
-        least vector of I_t z by key is the least v z over the minimal
-        vectors v of I_t, and ``reduce_ideal`` moves I_t z to I_t z z0 with
-        z0 = conj(v z) / (n_t nrd z).  The equivalence test then searches
-        conj(I_t) I_t z z0 = R_t (n_t z z0): its vectors of the norm asked
-        for are the n_t u z z0 with u a unit of R_t, and it picks the one
-        with the least reversed coordinates, as ``Lattice.find_norm_vector``
-        does.  The witness is u z."""
+        without its lattice products.  x -> x z maps I_t onto I_t z and
+        multiplies nrd by nrd(z), so the least vector of I_t z by key is the
+        least v z over the minimal vectors v of I_t, and ``reduce_ideal``
+        moves I_t z to I_t z z0 with z0 = conj(v z) / (n_t nrd z).  The
+        equivalence test then searches conj(I_t) I_t z z0 = R_t (n_t z z0):
+        its vectors of the norm asked for are the n_t u z z0 with u a unit of
+        R_t, and it picks the one with the least reversed coordinates, as
+        ``Lattice.find_norm_vector`` does.  The witness is u z."""
         rec = self.classes[t]
         x = min((v * z for v in rec.ideal.min_vectors()[1]), key=Quat.key)
         y = z * (x.conj() / z.nrd())  # n_t z z0
@@ -225,16 +225,12 @@ def vertex_classes(q, alg=None):
     Breadth first from the order itself, with no equivalence test: the
     norm-2 ideals L of R_k with I_k L in a known class m are the ``_steps``
     from k to m, matched by their images in R_k / 2 R_k.  Each L left over,
-    in ``norm_ideals`` order, gives a new class, I_k L reduced, and its
-    steps from k are read at once, so the next L left over is in no known
-    class either.  The steps from k must then be its three norm-2 ideals.
-    The connectors and unit lists found on the way are kept by the sorted
-    set.
-
-    Connectivity of the norm-2 step graph follows from strong approximation;
-    completeness is independently certified by the Eichler mass formula
-    closing exactly (a hard error otherwise).
-    """
+    in ``norm_ideals`` order, gives a new class, I_k L reduced, whose steps
+    from k are read at once, so the next L left over is in no known class
+    either; the steps from k must then be its three norm-2 ideals.  The
+    sorted set keeps the connectors and unit lists found on the way.
+    Strong approximation makes the norm-2 graph connected; the Eichler mass
+    formula, closing exactly, certifies completeness."""
     check_primes(q=q)
     alg = alg or make_algebra(q)
     order = maximal_order(alg)
@@ -246,7 +242,7 @@ def vertex_classes(q, alg=None):
         ideals = norm_ideals(rec.right_order, 2)
         steps = [step for m in range(len(found)) for step in found._steps(k, m, 2)]
         known = {image for image, _, _ in steps}
-        images = [_residue_image(rec.right_order, lam, 2) for lam in ideals]
+        images = [_image_mod(lam.coords_in(rec.right_order), 2) for lam in ideals]
         for lam, image in zip(ideals, images):
             if image in known:
                 continue
@@ -280,16 +276,14 @@ def _attach_wq(vset, perm=None, witnesses=None):
     ``locate``; a cache load passes the stored ones."""
     vset.two_sided = [two_sided_ideal(rec.ideal, rec.norm) for rec in vset.classes]
     if perm is None:
-        perm = [None] * len(vset.classes)
-        witnesses = [None] * len(vset.classes)
+        perm, witnesses = [None] * len(vset.classes), [None] * len(vset.classes)
         for k, rec in enumerate(vset.classes):
             # w_q is an involution: the class it sends k to is the j with
             # wq_perm[j] == k if one is known, else most likely k itself, and
             # if not k then a later class, as every earlier one has its image
             first = perm.index(k) if k in perm else k
             perm[k], witnesses[k] = vset.locate(rec.ideal.mul(vset.two_sided[k]), first)
-    vset.wq_perm = perm
-    vset.wq_witnesses = witnesses
+    vset.wq_perm, vset.wq_witnesses = perm, witnesses
     vset.classes = [rec._replace(rational=perm[k] == k) for k, rec in enumerate(vset.classes)]
 
 
@@ -300,31 +294,51 @@ Edge = namedtuple("Edge", "source ideal orbit eichler length target witness")
 
 
 class ShimuraGraph:
-    """Vertices, oriented edges, and the two Atkin-Lehner actions."""
+    """Vertices, oriented edges, and the two Atkin-Lehner actions.
+
+    Edges are points of P^1(F_p).  rho_k (``_splitting``), left
+    multiplication on the image of the first edge ideal at k, a simple
+    module, maps R_k / p R_k onto M_2(F_p), whose 2-dimensional left ideals
+    are the {A : A v = 0}.  So a norm-p left ideal P of R_k is the line v
+    with P / p R_k = {x : rho_k(x) v = 0}, keyed (k, v) in ``_edge_lookup``,
+    and its orbit members P u^-1 = u P u^-1 have the lines rho_k(u) v.  If
+    z R_k z^-1 = R_m at p, x -> rho_m(z x z^-1) is rho_k conjugated by a g
+    in GL_2(F_p) (Skolem-Noether, ``_intertwiner``): z P z^-1 has line g v.
+    * T_ell, a step (L, m, z) of k: I_k L = I_m z makes z^-1 R_m z the right
+      order of L, which is R_k at p, as nrd L = ell is prime to p; so one g
+      per step moves every edge at k, to z (L^-1 (L meet P)) z^-1, which is
+      z P z^-1 at p.  ell R_k lies in the right order of L
+      (L R_k ell <= ell R_k <= L), so ell z R_k z^-1 <= R_m gives g.
+    * w_q: I_k T_k = I_t y with T_k two-sided, so y R_k y^-1 = R_t.
+    * w_p: I_k P = I_t y gives only y O_R(P) y^-1 = R_t, so the rows of
+      conj(P), a left ideal of O_R(P), are conjugated per edge and their
+      line read off (``_line``).  rho_k takes conj x = trd x - x to the
+      adjugate (trd and nrd to trace and determinant), so
+      conj(P) / p R_k = {adj A : A v = 0} = {B : B F_p^2 <= F_p v}."""
 
     def __init__(self, p, q, vset, edges):
-        self.p = p
-        self.q = q
-        self.vset = vset
-        self.edges = edges
-        # (vertex k, image of P in R_k / p R_k) -> edge, for each orbit member
-        # P.  The orbit of P is the P u^-1 over the units u of R_k, each of
-        # which lies between p R_k and R_k with index p^2 exactly when P
-        # does, as P is in its orbit: a damaged cache is rejected here.
-        self._edge_lookup = {}
+        self.p, self.q, self.vset, self.edges = p, q, vset, edges
+        # An ideal of index p^2 in R_k whose rows kill a line v is the ideal
+        # of v, of index p^2 too; any other edge ideal is rejected.
+        self._rho, self._lines, self._edge_lookup, unit_moves = {}, [], {}, {}
         for i, e in enumerate(edges):
-            order = vset.classes[e.source].right_order
-            for member in e.orbit:
-                image = _residue_image(order, member, p)
-                if image is None:
-                    raise ArithmeticError(f"edge {i}: ideal does not lie between {p} "
-                                          f"R_{e.source} and R_{e.source} with index {p}^2")
-                self._edge_lookup[(e.source, image)] = i
-        self.wp_perm = None
-        self.wq_edge_perm = None
-        self._neighbors = {}
-        self._brandt_v = {}
-        self._brandt_e = {}
+            k, order = e.source, vset.classes[e.source].right_order
+            c = e.ideal.coords_in(order)
+            ok = c and abs(c[0][0] * c[1][1] * c[2][2] * c[3][3]) == p * p
+            if ok and k not in self._rho:
+                self._rho[k] = _splitting(order, c, p)
+                unit_moves[k] = self._rho[k] and [(1, 0, 0, 1)] + [
+                    self._rho_of(k, order.coords_of(u))
+                    for u in vset.units_of(k) if any(u.num[1:])]
+            line = self._line(k, c) if ok and self._rho[k] else None
+            if line is None:
+                raise ArithmeticError(f"edge {i}: ideal does not lie between {p} "
+                                      f"R_{k} and R_{k} with index {p}^2")
+            self._lines.append(line)
+            for g in unit_moves[k]:  # the identity, then the units but +-1
+                self._edge_lookup[(k, self._move(g, line))] = i
+        self.wp_perm = self.wq_edge_perm = None
+        self._neighbors, self._brandt_v, self._brandt_e = {}, {}, {}
 
     def __len__(self):
         return len(self.edges)
@@ -336,35 +350,65 @@ class ShimuraGraph:
     def edge_mass(self):
         return sum(Fraction(1, e.length) for e in self.edges)
 
-    def _conjugate_edge(self, vertex, rows, den, y):
-        """The edge at vertex whose ideal Q has the image mod p of
-        M = y L y^-1, for the lattice L spanned by rows / den, or None.
+    def _rho_of(self, k, coords):
+        """rho_k of the element of R_k with these coordinates, (a, b, c, d)."""
+        x0, x1, x2, x3 = coords
+        return tuple((x0 * r0 + x1 * r1 + x2 * r2 + x3 * r3) % self.p
+                     for r0, r1, r2, r3 in self._rho[k])
 
-        The rows y r conj(y) / (den nrd(y)) span M; their coordinates in
-        R_vertex (``_coords``) reduced mod p (``_rref_mod``) give its image,
-        the key of ``_edge_lookup``, with no lattice built.  The image of M
-        is that of Q exactly when M lies in R_vertex and M + p R_vertex = Q,
-        as Q contains p R_vertex.  The callers know which M they conjugate:
+    def _move(self, g, v):
+        """The line of g v for g = (a, b, c, d), as (x, 1) or (1, 0), or None
+        if g v = 0 mod p."""
+        x0, x1, p = g[0] * v[0] + g[1] * v[1], g[2] * v[0] + g[3] * v[1], self.p
+        if x1 % p:
+            return x0 * pow(x1, -1, p) % p, 1
+        return (1, 0) if x0 % p else None
 
-        * w_p and w_q: M is the ideal itself.  An edge ideal Q contains
-          p R_vertex, so an integral M with the image of Q lies in Q;
-          conjugation keeps the covolume, and Q has the covolume of L, so
-          M = Q.
-        * T_ell through a step (L', m, z) of the source k, with
-          I_k L' = I_m z and m = vertex: the rows are ell P, and the pushed
-          ideal is Q = z (L'^-1 (L' meet P)) z^-1.  As ell R_k lies in L'
-          and in conj(L'), ell P lies in L' meet P and L'^-1 contains 1, so
-          M = z (ell P) z^-1 lies in Q.  Since nrd L' = ell is prime to p,
-          L' is R_k at p, so ell P and L'^-1 (L' meet P) are both P at p:
-          M and Q agree at p, and away from p both M + p R_m and Q are R_m.
-          So M + p R_m = Q."""
+    def _line(self, k, coords):
+        """The line killed by rho_k of every row of the lattice with basis
+        coordinates coords in R_k, or None (also for coords None).  A of
+        rank 1 kills the image of adj A, as A adj A = det A = 0."""
+        p, mats = self.p, [self._rho_of(k, c) for c in coords or ()]
+        a, b, c, d = next((m for m in mats if any(m)), (0, 0, 0, 0))
+        v = self._move((d, -b, -c, a), (1, 0)) or self._move((d, -b, -c, a), (0, 1))
+        if v and not any((m[0] * v[0] + m[1] * v[1]) % p or (m[2] * v[0] + m[3] * v[1]) % p
+                         for m in mats):
+            return v
+        return None
+
+    def _conjugate(self, vertex, rows, den, y):
+        """The coordinates in R_vertex of the y r y^-1 over the rows r / den,
+        or None if one is not integral: y r conj(y) over den nrd4(y)."""
         mul4, yn = self.vset.alg.mul4, y.num
         yc = (yn[0], -yn[1], -yn[2], -yn[3])
         den *= self.vset.alg.nrd4(yn)
         order = self.vset.classes[vertex].right_order
         coords = [order._coords(mul4(mul4(yn, r), yc), den) for r in rows]
-        image = None if None in coords else _rref_mod(coords, self.p)
-        return self._edge_lookup.get((vertex, image))
+        return None if None in coords else coords
+
+    def _intertwiner(self, k, m, z, s, what):
+        """g with rho_m(z x z^-1) = g rho_k(x) g^-1 on R_k, for an s prime to
+        p with s z R_k z^-1 <= R_m: g (s rho_k(b)) = rho_m(s z b z^-1) g over
+        the basis b of R_k, 16 equations in (g00, g01, g10, g11) solved by
+        a line (Schur).  With no invertible g, what (the step) is named."""
+        p, order = self.p, self.vset.classes[k].right_order
+        coords = self._conjugate(m, [tuple(s * x for x in r) for r in order.rows], order.den, z)
+        eqs = []
+        for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(
+                zip(*self._rho[k]), (self._rho_of(m, c) for c in coords or ())):
+            a0, a1, a2, a3 = s * a0, s * a1, s * a2, s * a3  # entries 00, 01, 10, 11:
+            eqs += [(a0 - b0, a2, -b1, 0), (a1, a3 - b0, 0, -b1),
+                    (-b2, 0, a0 - b3, a2), (0, -b2, a1, a3 - b3)]
+        echelon, g = _rref_mod(eqs, p) if eqs else (), [0, 0, 0, 0]
+        if len(echelon) == 3:
+            free = 6 - sum(r.index(1) for r in echelon)  # the column with no pivot
+            g[free] = 1
+            for r in echelon:
+                g[r.index(1)] = -r[free] % p
+        if (g[0] * g[3] - g[1] * g[2]) % p == 0:
+            raise ArithmeticError(f"vertex {k}: its {what} does not conjugate R_{k} onto "
+                                  f"R_{m} at {p} (damaged graph cache?)")
+        return g
 
     # -- vertex-level Hecke neighbors, cached ------------------------------
     def vertex_neighbors(self, k, ell):
@@ -385,18 +429,20 @@ class ShimuraGraph:
 
     def brandt_edges(self, ell):
         """Sparse rows of T_ell on edges, as ``brandt_vertices``: row i
-        counts the ell-steps from edge i landing on each edge.
-
-        The step from e = (k, P) through a neighbour (L, m, z) of k lands on
-        the edge at m with ideal z (L^-1 (L meet P)) z^-1, which
-        ``_conjugate_edge`` finds from the rows of ell P conjugated by z."""
+        counts the ell-steps from edge i landing on each edge.  The step of
+        e = (k, P) through a step (L, m, z) of k lands on the edge at m with
+        ideal z (L^-1 (L meet P)) z^-1, of line g v for the step's g."""
         if ell not in self._brandt_e:
-            out = []
+            moves, out = {}, []
             for i, e in enumerate(self.edges):
-                rows = [tuple(ell * x for x in r) for r in e.ideal.rows]
+                k = e.source
+                if k not in moves:
+                    moves[k] = [(m, self._intertwiner(k, m, z, ell,
+                                                      f"ell={ell} step to vertex {m}"))
+                                for _, m, z in self.vertex_neighbors(k, ell)]
                 row = Counter()
-                for _, m, z in self.vertex_neighbors(e.source, ell):
-                    j = self._conjugate_edge(m, rows, e.ideal.den, z)
+                for m, g in moves[k]:
+                    j = self._edge_lookup.get((m, self._move(g, self._lines[i])))
                     if j is None:
                         raise ArithmeticError(
                             f"edge {i}: its ell={ell} step lands on no edge ideal at "
@@ -410,10 +456,8 @@ class ShimuraGraph:
 def _rref_mod(rows, p):
     """The nonzero rows of the reduced row echelon form of rows over F_p,
     as a tuple of tuples: equal exactly when the spans mod p are equal.
-
-    Eliminates in place: the pivot rows move to the top in column order, and
-    as every row below them is zero left of the current column, each row
-    operation touches only the columns from the pivot column on."""
+    Eliminates in place, the pivot rows moving to the top in column order,
+    so each row operation touches only the columns from the pivot on."""
     rows = [[x % p for x in r] for r in rows]
     ncols = len(rows[0])
     rank = 0
@@ -439,25 +483,37 @@ def _rref_mod(rows, p):
     return tuple(tuple(r) for r in rows[:rank])
 
 
-def _residue_image(order, lat, p):
-    """The image of lat in order / p order (``_image_mod`` of its basis
-    coordinates) if p order <= lat <= order with index p^2, as for a
-    norm-p left ideal of a maximal order, else None.  Such a lattice is the
-    preimage of its image, so the image determines it."""
-    return _image_mod(lat.coords_in(order), p)
-
-
 def _image_mod(coords, p):
-    """The image mod p (``_rref_mod``) of the lattice whose basis has the
-    coordinates ``coords`` in an order, if it lies between p order and
-    order with index p^2, else None.  With integer coordinates the lattice
-    lies in the order with index |det|; when that is p^2 and the image has
-    rank 2, the sum of the lattice and p order has index p^2 too, so the
-    two are equal and the lattice contains p order."""
+    """The image mod p (``_rref_mod``) of the lattice with basis coordinates
+    coords in an order, if it lies between p order and order with index
+    p^2, the preimage of its image, else None.  With integer coordinates
+    its index is |det|; when that is p^2 and the image has rank 2, the sum
+    of the lattice and p order has index p^2 too, so the two are equal."""
     if coords is None or None in coords or abs(det_bareiss(coords)) != p * p:
         return None
     image = _rref_mod(coords, p)
     return image if len(image) == 2 else None
+
+
+def _splitting(order, coords, p):
+    """rho, left multiplication of the basis b of the order on the image mod p
+    of the lattice with basis coordinates coords, entry by entry as
+    ``ShimuraGraph._rho_of`` reads it; None unless that image is a
+    2-dimensional left ideal.  In the basis e_1, e_2 of the image's echelon
+    form, column s of rho(b) holds the pivot entries of b e_s."""
+    image = _rref_mod(coords, p)
+    if len(image) != 2:
+        return None
+    pivots = [r.index(1) for r in image]
+    basis = [tuple(sum(c * r[j] for c, r in zip(e, order.rows)) for j in range(4)) for e in image]
+    rho = []
+    for b in order.rows:
+        cols = [order._coords(order.alg.mul4(b, e), order.den ** 2) for e in basis]
+        if any((x[j] - x[pivots[0]] * image[0][j] - x[pivots[1]] * image[1][j]) % p
+               for x in cols for j in range(4)):
+            return None
+        rho.append(tuple(x[c] for c in pivots for x in cols))
+    return list(zip(*rho))
 
 
 def _orbit(ideal, unit_list):
@@ -474,7 +530,6 @@ def _orbit(ideal, unit_list):
 def _edge(vset, k, ideal, target, witness):
     """The edge from k with the norm-p left ideal P = ideal of R_k, with
     the records read off P: its orbit, its Eichler order and its length.
-
     The Eichler order R_k meet O_R(P) is Z + P: Z + P lies in both, as
     P P <= R_k P = P, and both have index p in R_k (``build_graph`` checks
     the discriminant).  Its units are the units of R_k in it, and the
@@ -540,34 +595,25 @@ def validate_graph(graph):
     wp, wq = graph.wp_perm, graph.wq_edge_perm
     for i, e in enumerate(edges):
         dual, moved = edges[wp[i]], edges[wq[i]]
-        if wp[wp[i]] != i:
-            raise ArithmeticError("w_p is not an involution on edges")
-        if dual.source != e.target:
-            raise ArithmeticError("w_p does not swap source and target")
-        if dual.length != e.length:
-            raise ArithmeticError("w_p does not preserve lengths")
-        if wq[wq[i]] != i:
-            raise ArithmeticError("w_q is not an involution on edges")
-        if moved.length != e.length:
-            raise ArithmeticError("w_q does not preserve lengths")
-        if moved.source != sigma[e.source] or moved.target != sigma[e.target]:
-            raise ArithmeticError("w_q does not commute with the source and target maps")
+        for broken, msg in ((wp[wp[i]] != i, "w_p is not an involution on edges"),
+                            (dual.source != e.target, "w_p does not swap source and target"),
+                            (dual.length != e.length, "w_p does not preserve lengths"),
+                            (wq[wq[i]] != i, "w_q is not an involution on edges"),
+                            (moved.length != e.length, "w_q does not preserve lengths"),
+                            ((moved.source, moved.target) != (sigma[e.source], sigma[e.target]),
+                             "w_q does not commute with the source and target maps")):
+            if broken:
+                raise ArithmeticError(msg)
 
 
 def validate_records(graph):
     """Raise ArithmeticError naming the first relation between the records
-    of a loaded graph that fails.
-
-    The cache loader derives every other record from the primary ones
-    with the build's code, and ``ShimuraGraph`` rejects an edge ideal that
-    does not lie between p R_k and R_k with index p^2.  What no
-    derivation gives is checked here, after ``validate_graph``: the w_q
-    witness y_k of each class k gives I_k T_k = I_t y_k with
-    t = wq_perm[k] (``_attach_wq_edges`` conjugates by y_k); and the edges
-    hold the p+1 norm-p ideals of each R_k, each once: the orbits at k have
-    p+1 members, with p+1 distinct images mod p (the keys of
-    ``_edge_lookup``).
-    """
+    of a loaded graph that fails, of those no derivation gives (the loader
+    derives every other record with the build's code, and ``ShimuraGraph``
+    rejects an edge ideal that is no norm-p ideal of R_k): the w_q witness
+    y_k of each class k gives I_k T_k = I_t y_k with t = wq_perm[k]; and
+    the edges hold the p+1 norm-p ideals of each R_k, each once: the orbits
+    at k have p+1 members, with p+1 distinct lines, all of P^1(F_p)."""
     p, vset = graph.p, graph.vset
     for k, rec in enumerate(vset.classes):
         t, y = vset.wq_perm[k], vset.wq_witnesses[k]
@@ -581,31 +627,34 @@ def validate_records(graph):
         if members[k] != p + 1 or images[k] != p + 1:
             raise ArithmeticError(
                 f"vertex {k}: its edge orbits have {members[k]} members with {images[k]} "
-                f"distinct images mod {p}, not {p + 1}")
+                f"distinct lines in P^1(F_{p}), not {p + 1}")
 
 
 def _attach_wp(graph):
     """Dual-isogeny involution: e = (k, P) goes to the edge at t(e) with
     ideal y conj(P) y^{-1}; as a path operator it carries a global -1 sign.
-    conj(P) is spanned by the conjugates of the rows of P."""
+    The rows of conj(P), the conjugates of P's, are conjugated by y; an
+    integral conjugate has P's covolume, so it is the ideal of its line."""
     graph.wp_perm = [
-        graph._conjugate_edge(e.target, [(r[0], -r[1], -r[2], -r[3]) for r in e.ideal.rows],
-                             e.ideal.den, e.witness)
+        graph._edge_lookup.get((e.target, graph._line(e.target, graph._conjugate(
+            e.target, [(r[0], -r[1], -r[2], -r[3]) for r in e.ideal.rows], e.ideal.den,
+            e.witness))))
         for e in graph.edges]
     if None in graph.wp_perm:
         raise ArithmeticError("edge lattice not found at vertex")
 
 
 def _attach_wq_edges(graph):
-    """Frobenius on edges: conjugate the subgroup ideal by the vertex
-    witness y (with I_k * Q = I_sigma(k) * y).  Since y lies in the
-    two-sided norm-q ideal, this conjugation is the Frobenius transport; at
-    a fixed vertex it swaps the eigen-ideals of the extra automorphisms."""
-    vset = graph.vset
-    graph.wq_edge_perm = [
-        graph._conjugate_edge(vset.wq_perm[e.source], e.ideal.rows, e.ideal.den,
-                             vset.wq_witnesses[e.source])
-        for e in graph.edges]
+    """Frobenius on edges: conjugate the edge ideals at k by the witness y
+    with I_k T_k = I_sigma(k) y, one g per vertex.  As y lies in the
+    two-sided norm-q ideal, this is the Frobenius transport; at a fixed
+    vertex it swaps the eigen-ideals of the extra automorphisms."""
+    vset, gs, graph.wq_edge_perm = graph.vset, {}, []
+    for e, line in zip(graph.edges, graph._lines):
+        k, t = e.source, vset.wq_perm[e.source]
+        if k not in gs:
+            gs[k] = graph._intertwiner(k, t, vset.wq_witnesses[k], 1, "w_q witness")
+        graph.wq_edge_perm.append(graph._edge_lookup.get((t, graph._move(gs[k], line))))
     if None in graph.wq_edge_perm:
         raise ArithmeticError("edge lattice not found at vertex")
 
@@ -630,26 +679,18 @@ def _fq2_ops(q, d):
 
 
 def ss_oracle(q):
-    """(number of supersingular j-invariants, number of F_q-rational ones).
+    """(number of supersingular j-invariants, number of F_q-rational ones),
+    independently of the quaternion machinery.
 
     Roots of the Hasse polynomial H = sum C(m,i)^2 x^i (m = (q-1)/2) over
-    F_{q^2} are the supersingular Legendre parameters; they map to
-    j-invariants by j = 256 (x^2-x+1)^3 / (x^2 (x-1)^2).  Entirely
-    independent of the quaternion machinery.  The Horner step
-    acc <- acc lam + c, the inner loop, is written out on the two
-    coordinates of acc.
-
-    Only about half the parameters are evaluated.  x -> 1 - x maps
-    y^2 = x(x-1)(x-lam) onto y^2 = -x(x-1)(x-(1-lam)), a twist of the
-    Legendre curve of 1 - lam, with the same j (the formula above is
-    visibly invariant under lam -> 1 - lam); supersingularity depends on j
-    alone, so lam is a root of H exactly when 1 - lam is.  H has
-    coefficients in F_q, so the conjugate of a root is a root too.  Writing
-    lam = u + v sqrt(d), the roots with a given v in [0, (q-1)/2] are
-    therefore closed under u -> 1 - u, and every u mod q is u' or 1 - u'
-    for a u' in [0, (q+1)/2]: each root found there brings (1-u, v) and
-    the conjugates (u, -v), (1-u, -v) with it.
-    """
+    F_{q^2} are the supersingular Legendre parameters, with
+    j = 256 (x^2-x+1)^3 / (x^2 (x-1)^2); the Horner step is written out on
+    the two coordinates.  Half the parameters are evaluated: j is invariant
+    under lam -> 1 - lam (x -> 1 - x maps the curve of lam to a twist of
+    that of 1 - lam), so roots come in pairs u, 1 - u for each v of
+    lam = u + v sqrt(d), and H has coefficients in F_q, so in conjugate
+    pairs v, -v: each root with u in [0, (q+1)/2], v in [0, (q-1)/2]
+    brings (1-u, v), (u, -v), (1-u, -v) with it."""
     check_primes(q=q)
     m = (q - 1) // 2
     coeffs = [comb(m, i) ** 2 % q for i in range(m + 1)]

@@ -1,11 +1,15 @@
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from types import SimpleNamespace
 
 import pytest
 
 import shimura_pq
+from shimura_pq.certify import CACHE_ENV, cache_load, cache_path
+from shimura_pq.cli import main
 from shimura_pq.gross import gross_modular, gross_shimura
 from shimura_pq.quat import _ReducedForm
 from shimura_pq.ssgraph import build_graph, vertex_classes
@@ -104,6 +108,29 @@ def graph_5_163(vset163):
 @pytest.fixture(scope="session")
 def graph_29_23(vset23):
     return build_graph(29, 23, vset=vset23)
+
+
+@pytest.fixture(scope="session")
+def graph_29_251():
+    """``build_graph(29, 251)`` in this process: 22 classes, 626 edges."""
+    return build_graph(29, 251)
+
+
+@pytest.fixture(scope="session")
+def cold_257_251(tmp_path_factory):
+    """A cold ``check --p 257 --q 251 --override-hypotheses`` through the
+    CLI's ``main``: its exit code, its certificate and cache bytes, and the
+    graph (22 classes, 5,376 edges) loaded back from that cache."""
+    cache = str(tmp_path_factory.mktemp("cache_257_251"))
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
+        mp.delenv(CACHE_ENV, raising=False)
+        code = main(["check", "--p", "257", "--q", "251", "--override-hypotheses",
+                     "--cache", cache])
+    with open(cache_path(cache, 257, 251), "rb") as fh:
+        cache_bytes = fh.read()
+    return SimpleNamespace(code=code, cert=out.getvalue().encode(), cache=cache_bytes,
+                           graph=cache_load(cache, 257, 251))
 
 
 @pytest.fixture(scope="session")

@@ -30,6 +30,16 @@ here, unchanged apart from their imports:
   (``lattice_oracle.conj_by_integer``) and looking it up
   (``lattice_oracle.locate_edge``), the oracle for the maps that
   ``build_graph`` reads off the conjugated rows;
+* ``rref_edge_lookup``, ``conjugate_edge_rref``, ``brandt_edges_rref``,
+  ``wp_perm_rref`` and ``wq_edge_perm_rref`` -- the edge table and the
+  edge pushes as they were before edges were read as points of
+  P^1(F_p): the table keyed by the echelon form mod p of each orbit
+  member's image in R_k / p R_k (``residue_image``), and each
+  push (T_ell, w_p, w_q) one conjugation of the ideal's rows by the
+  step's or the edge's witness, read off by ``ssgraph._rref_mod``; the
+  oracle for ``ShimuraGraph.brandt_edges``, ``_attach_wp`` and
+  ``_attach_wq_edges``; ``residue_image`` (moved from ``ssgraph``) is
+  that key, and keys the norm-ell ideals of the vertex tests;
 * ``gross_shimura_per_edge`` -- the edge Gross vector by one embedding
   search in each Eichler order, the oracle for ``gross.gross_shimura``;
 * ``rref_mod_fresh`` -- ``ssgraph._rref_mod`` as it was before it
@@ -46,6 +56,7 @@ here, unchanged apart from their imports:
   tower of ``gross.hecke_tower`` back into ``Fraction`` tuples.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -59,7 +70,7 @@ from shimura_pq.linalg import det_bareiss
 from shimura_pq.ntheory import is_prime, kronecker
 from shimura_pq.quat import (equiv_witness, ideal_norm, make_algebra, maximal_order,
                              norm_ideals, reduce_ideal)
-from shimura_pq.ssgraph import VertexSet, _attach_wq, _fingerprint
+from shimura_pq.ssgraph import VertexSet, _attach_wq, _fingerprint, _image_mod, _rref_mod
 
 
 def make_multigraph(nvertices, edges):
@@ -254,19 +265,81 @@ def vertex_classes_by_equivalence(q, alg=None):
 def wp_perm_by_conjugation(graph):
     """w_p on edges: e = (k, P) goes to the edge at t(e) whose ideal is the
     lattice y conj(P) y^-1, y the witness of e."""
+    lookup = rref_edge_lookup(graph)
     return [lattice_oracle.locate_edge(
-        graph, e.target, lattice_oracle.conj_by_integer(e.ideal.conj_lattice(), e.witness))
+        graph, lookup, e.target,
+        lattice_oracle.conj_by_integer(e.ideal.conj_lattice(), e.witness))
         for e in graph.edges]
 
 
 def wq_edge_perm_by_conjugation(graph):
     """w_q on edges: e = (k, P) goes to the edge at w_q(k) whose ideal is the
     lattice y P y^-1, y the w_q witness of k."""
-    vset = graph.vset
+    vset, lookup = graph.vset, rref_edge_lookup(graph)
     return [lattice_oracle.locate_edge(
-        graph, vset.wq_perm[e.source],
+        graph, lookup, vset.wq_perm[e.source],
         lattice_oracle.conj_by_integer(e.ideal, vset.wq_witnesses[e.source]))
         for e in graph.edges]
+
+
+def residue_image(order, lat, p):
+    """The image of lat in order / p order (``ssgraph._image_mod`` of its
+    basis coordinates) if p order <= lat <= order with index p^2, else
+    None: the key of a norm-p ideal before ideals were read as lines."""
+    return _image_mod(lat.coords_in(order), p)
+
+
+def rref_edge_lookup(graph):
+    """(vertex k, image of P in R_k / p R_k) -> edge, for each orbit member
+    P of each edge, the image by ``residue_image``."""
+    lookup = {}
+    for i, e in enumerate(graph.edges):
+        order = graph.vset.classes[e.source].right_order
+        for member in e.orbit:
+            lookup[(e.source, residue_image(order, member, graph.p))] = i
+    return lookup
+
+
+def conjugate_edge_rref(graph, lookup, vertex, rows, den, y):
+    """The edge at vertex whose ideal has the image mod p of y L y^-1, for
+    the lattice L spanned by rows / den, or None: the rows y r conj(y) /
+    (den nrd(y)) in coordinates of R_vertex, read off by ``_rref_mod``."""
+    mul4, yn = graph.vset.alg.mul4, y.num
+    yc = (yn[0], -yn[1], -yn[2], -yn[3])
+    den *= graph.vset.alg.nrd4(yn)
+    order = graph.vset.classes[vertex].right_order
+    coords = [order._coords(mul4(mul4(yn, r), yc), den) for r in rows]
+    image = None if None in coords else _rref_mod(coords, graph.p)
+    return lookup.get((vertex, image))
+
+
+def brandt_edges_rref(graph, ell):
+    """Sparse rows of T_ell on edges: each edge (k, P) pushed through each
+    ell-step (L, m, z) of k by conjugating the rows of ell P by z."""
+    lookup, out = rref_edge_lookup(graph), []
+    for e in graph.edges:
+        rows = [tuple(ell * x for x in r) for r in e.ideal.rows]
+        row = Counter(conjugate_edge_rref(graph, lookup, m, rows, e.ideal.den, z)
+                      for _, m, z in graph.vertex_neighbors(e.source, ell))
+        out.append(sorted(row.items()))
+    return out
+
+
+def wp_perm_rref(graph):
+    """w_p on edges: the rows of conj(P) conjugated by the edge's witness."""
+    lookup = rref_edge_lookup(graph)
+    return [conjugate_edge_rref(graph, lookup, e.target,
+                                [(r[0], -r[1], -r[2], -r[3]) for r in e.ideal.rows],
+                                e.ideal.den, e.witness)
+            for e in graph.edges]
+
+
+def wq_edge_perm_rref(graph):
+    """w_q on edges: the rows of P conjugated by the w_q witness of k."""
+    vset, lookup = graph.vset, rref_edge_lookup(graph)
+    return [conjugate_edge_rref(graph, lookup, vset.wq_perm[e.source], e.ideal.rows,
+                                e.ideal.den, vset.wq_witnesses[e.source])
+            for e in graph.edges]
 
 
 def gross_shimura_per_edge(graph, D):

@@ -16,12 +16,14 @@ compare the fast code against them:
   ``Fraction`` matrix-vector push through the Brandt matrix;
 * ``brandt_edges(graph, ell)`` -- the edge Brandt matrix with each edge
   pushed as the lattice z (conj(L)/ell (L meet P)) z^-1, before the push
-  read the image mod p of one conjugate (``ShimuraGraph._conjugate_edge``);
+  read the image mod p of one conjugate (now ``graph_oracle.brandt_edges_rref``)
+  and then moved each edge's line by one g per step;
 * ``conj_by_integer`` and ``locate_edge`` -- the integer ``Lattice.conj_by``
   (a 4-row HNF of the rows y r conj(y)) and ``ShimuraGraph.locate_edge``
-  (an edge by the image mod p of its ideal), which the package used for
-  w_p and w_q on edges before it read the image of each conjugate off its
-  rows; moved unchanged, as functions of the lattice and of the graph;
+  (an edge by the image mod p of its ideal, now in the table
+  ``graph_oracle.rref_edge_lookup``), which the package used for w_p and
+  w_q on edges before it read the image of each conjugate off its rows;
+  as functions of the lattice and of the graph;
 * ``from_elements``, ``conj_by``, ``coords_of`` and
   ``reduced_discriminant`` -- the ``Fraction`` lattice primitives of
   ``quat`` from before they moved to integers (``conj_by`` through a
@@ -54,7 +56,6 @@ import graph_oracle
 from shimura_pq.gross import class_number, gross_modular, gross_shimura
 from shimura_pq.linalg import det_bareiss, frac_sqrt, hnf_rows, xgcd
 from shimura_pq.quat import Lattice, Quat, ideal_norm
-from shimura_pq.ssgraph import _residue_image
 
 
 # -- the pairwise HNF ---------------------------------------------------------
@@ -332,20 +333,23 @@ def brandt_edges(graph, ell):
     n = len(graph.edges)
     mat = [[0] * n for _ in range(n)]
     inv_ell = Fraction(1, ell)
+    lookup = graph_oracle.rref_edge_lookup(graph)
     for i, e in enumerate(graph.edges):
         for _, m, z in graph.vertex_neighbors(e.source, ell):
             lam = graph.vset.step_ideal(e.source, m, z)
             pushed = conj_by_integer(scale(lam.conj_lattice(), inv_ell).mul(
                 lattice_intersection(lam, e.ideal)), z)
-            mat[i][locate_edge(graph, m, pushed)] += 1
+            mat[i][locate_edge(graph, lookup, m, pushed)] += 1
     return mat
 
 
-def locate_edge(graph, vertex, ideal):
-    image = _residue_image(graph.vset.classes[vertex].right_order, ideal, graph.p)
-    if (vertex, image) not in graph._edge_lookup:
+def locate_edge(graph, lookup, vertex, ideal):
+    """The edge at vertex with this ideal, by its image mod p in the table
+    ``graph_oracle.rref_edge_lookup``."""
+    image = graph_oracle.residue_image(graph.vset.classes[vertex].right_order, ideal, graph.p)
+    if (vertex, image) not in lookup:
         raise ArithmeticError("edge lattice not found at vertex")
-    return graph._edge_lookup[(vertex, image)]
+    return lookup[(vertex, image)]
 
 
 # -- norm-ell ideals by exhaustion -------------------------------------------

@@ -134,3 +134,26 @@ def test_bad_flag_fails_before_the_graph_is_built(args, flag, monkeypatch, capsy
     assert code == 3
     assert out == ""
     assert err.startswith(f"error: {flag} must be ")
+
+
+@pytest.mark.parametrize("command,flag", [("check", "--cache"), ("check", "--json"),
+                                          ("graph", "--dot")])
+def test_unwritable_output_fails_before_any_work(command, flag, tmp_path, monkeypatch, capsys):
+    # --cache names an existing file; --json and --dot a file in a missing
+    # directory
+    def build_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the output paths were checked")
+
+    monkeypatch.delenv("CRITERION_CACHE_DIR", raising=False)
+    monkeypatch.setattr("shimura_pq.certify.build_graph", build_graph)
+    existing = tmp_path / "file"
+    existing.write_text("")
+    path = str(existing if flag == "--cache" else tmp_path / "missing" / "out")
+    args = [command, "--p", "13", "--q", "47", flag, path]
+    if command == "check":
+        args.append("--override-hypotheses")
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == f"error: cannot write {flag} {path}\n"

@@ -23,6 +23,7 @@ import pytest
 
 import shimura_pq.ssgraph as ssgraph
 from graph_oracle import (
+    residue_image,
     steps_per_direction,
     vertex_classes_by_equivalence,
     wp_perm_by_conjugation,
@@ -31,7 +32,7 @@ from graph_oracle import (
 )
 from lattice_oracle import conj_by_integer
 from shimura_pq.quat import Lattice, Quat
-from shimura_pq.ssgraph import (VertexSet, _attach_wp, _attach_wq_edges, _residue_image,
+from shimura_pq.ssgraph import (VertexSet, _attach_wp, _attach_wq_edges,
                                 build_graph, vertex_classes)
 
 VSETS = {11: "vset11", 23: "vset23", 37: "vset37", 47: "vset47", 83: None, 163: "vset163"}
@@ -72,7 +73,7 @@ def test_steps_match_one_search_per_direction(fixture, request):
                 slow = steps_per_direction(vset, k, m, ell)
                 assert [(m, z) for _, m, z in fast] == [(m, z) for _, m, z in slow]
                 assert [image for image, _, _ in fast] == \
-                    [_residue_image(rec.right_order, lam, ell) for lam, _, _ in slow]
+                    [residue_image(rec.right_order, lam, ell) for lam, _, _ in slow]
                 assert [vset.step_ideal(k, m, z) for _, m, z in fast] == \
                     [lam for lam, _, _ in slow]
 
@@ -213,7 +214,8 @@ def test_equivalence_tests_only_in_locate(build, monkeypatch):
 @pytest.mark.parametrize("build", ["vertex_classes_163", "build_graph_13_47"])
 def test_one_connector_search_per_pair(build, monkeypatch):
     # every norm_vectors call with no trace, by (lattice key, norm); the
-    # connectors are told apart from the unit searches by their norms
+    # connectors are told apart from the unit searches by their norms, and
+    # conj(I_k) I_k = n_k R_k is searched on R_k at norm ell
     searched = Counter()
     norm_vectors = Lattice.norm_vectors
 
@@ -233,6 +235,8 @@ def test_one_connector_search_per_pair(build, monkeypatch):
             for ell in ells:
                 n = ell * vset.classes[k].norm * vset.classes[m].norm
                 per_pair[(k, m, ell)] = sum(searched[(key, n)] for key in keys)
+                if k == m and vset.classes[k].norm != 1:
+                    per_pair[(k, m, ell)] += searched[(vset.classes[k].right_order.key(), ell)]
     assert set(per_pair.values()) <= {0, 1}
     # ell = 2: each class has a searched pair, as its 2-steps land somewhere;
     # ell = 13: every pair, as neighbors(k, 13) asks every class
@@ -244,11 +248,22 @@ def test_one_connector_search_per_pair(build, monkeypatch):
 
 def test_one_reduced_form_per_connector_pair(cold_5_163):
     """Both directions of a class pair are searched on its product lattice,
-    so at most one of its two connectors gets a reduced form.  A cold build
-    of (5,163) then builds 188 reduced forms; reducing both connectors of
-    each pair would build 250."""
-    connectors = cold_5_163.graph.vset._connectors
+    so at most one of its two connectors gets a reduced form.  Two kinds
+    get neither a product nor a form: conj(I_k) I_k = n_k R_k is searched
+    on R_k, and O I_k = I_k (O the base order) on I_k, whose forms the unit
+    and fingerprint searches built.  A cold build of (5,163) then builds
+    161 reduced forms; a product and a form for those would make 188, and
+    reducing both connectors of each pair 250."""
+    vset = cold_5_163.graph.vset
+    connectors = vset._connectors
     for (m, k), lat in connectors.items():
         if m < k:
             assert not ("form" in lat._cache and "form" in connectors[(k, m)]._cache), (m, k)
-    assert len(cold_5_163.graph_forms) == 188
+    base = next(o for o, rec in enumerate(vset.classes) if rec.ideal == vset.order)
+    for k, rec in enumerate(vset.classes):
+        assert "form" not in connectors[(k, k)]._cache
+        assert connectors[(k, k)] == rec.ideal.conj_lattice().mul(rec.ideal)
+        if k != base:
+            assert connectors[(base, k)] is rec.ideal
+            assert connectors[(k, base)] == rec.ideal.conj_lattice()
+    assert len(cold_5_163.graph_forms) == 161

@@ -45,6 +45,9 @@ EXIT2_29_47_HASHES = ("36d8371b1d6271a2cce3808ab3aff4bddf5837986c3ab776ed3c190b3
 WARM_13_83_L5_HASHES = ("ad4ef7d80e97927091aceae288c9d0fa4c73a34753d2f377ec8aad023b8ad6cc",
                         "ffc1af118142782693fdb2ca52099af374b6612a7236a59d44898cfac6960707")
 GRAPH_13_11_HASH = "daaeae2e98a19dc56c9d5a55dc6beb9de360145423e056d5f95b8cf0dfa4cb00"
+# 5,376 edges, recorded before edges were read as points of P^1(F_p)
+COLD_257_251_HASHES = ("0edb0d57a5f85ca52af15120eb6bfb65c6b5339f283a100940a6e6f687b315d3",
+                       "afe9f4789e9fbed326e776cf4ad4300d6ae4d4c63481670e3512e143ab634929")
 
 
 def _sha(data):
@@ -61,6 +64,11 @@ def test_check_certificate_and_cache_bytes(p, q, tmp_path, capsysbinary, monkeyp
     assert _sha(capsysbinary.readouterr().out) == cert_hash
     with open(cache_path(str(tmp_path), p, q), "rb") as fh:
         assert _sha(fh.read()) == cache_hash
+
+
+def test_cold_257_251_certificate_and_cache_bytes(cold_257_251):
+    assert cold_257_251.code == 1
+    assert (_sha(cold_257_251.cert), _sha(cold_257_251.cache)) == COLD_257_251_HASHES
 
 
 def test_graph_output_bytes(capsysbinary, monkeypatch):
