@@ -33,6 +33,9 @@ from .ssgraph import (ShimuraGraph, VertexSet, _attach_wq, _edge, build_graph, s
 
 CACHE_VERSION = 1
 CACHE_ENV = "CRITERION_CACHE_DIR"
+# ss_oracle is a closed form, cheap at any q: the threshold is kept only so
+# that certificates with q > 150 keep their bytes ("skipped (q above oracle
+# threshold)").  Lifting it changes those certificates.
 SS_ORACLE_MAX_Q = 150
 NON_EFFECTIVITY_NOTE = (
     "a satisfied verdict certifies every instance-decidable hypothesis; the "

@@ -10,8 +10,8 @@ through the two-sided norm-q ideal (w_q).
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import comb
 
+from .gross import class_number
 from .linalg import det_bareiss
 from .ntheory import check_primes
 from .quat import (
@@ -661,67 +661,29 @@ def _attach_wq_edges(graph):
 
 # -- independent supersingular count -------------------------------------------
 
-def _fq2_ops(q, d):
-    """Product and inverse in F_{q^2} = F_q(sqrt d), on pairs (u, v) = u + v sqrt d."""
-
-    def mul(x, y):
-        u1, v1 = x
-        u2, v2 = y
-        return ((u1 * u2 + d * v1 * v2) % q, (u1 * v2 + u2 * v1) % q)
-
-    def inv(x):
-        u, v = x
-        n = (u * u - d * v * v) % q
-        ninv = pow(n, -1, q)
-        return (u * ninv % q, (-v) * ninv % q)
-
-    return mul, inv
-
-
 def ss_oracle(q):
     """(number of supersingular j-invariants, number of F_q-rational ones),
     independently of the quaternion machinery.
 
-    Roots of the Hasse polynomial H = sum C(m,i)^2 x^i (m = (q-1)/2) over
-    F_{q^2} are the supersingular Legendre parameters, with
-    j = 256 (x^2-x+1)^3 / (x^2 (x-1)^2); the Horner step is written out on
-    the two coordinates.  Half the parameters are evaluated: j is invariant
-    under lam -> 1 - lam (x -> 1 - x maps the curve of lam to a twist of
-    that of 1 - lam), so roots come in pairs u, 1 - u for each v of
-    lam = u + v sqrt(d), and H has coefficients in F_q, so in conjugate
-    pairs v, -v: each root with u in [0, (q+1)/2], v in [0, (q-1)/2]
-    brings (1-u, v), (u, -v), (1-u, -v) with it."""
+    Both are closed forms in q and imaginary quadratic class numbers:
+
+    * the count is Eichler's class number, floor(q/12) + (0, 1, 1, 2) for
+      q = (1, 5, 7, 11) mod 12, which is genus(X_0(q)) + 1 (Gross, *Heights
+      and the special values of L-series*, 1987);
+    * the F_q-rational count is h(-4q)/2, h(-q) or 2 h(-q) for q = 1 (mod 4),
+      7 (mod 8) or 3 (mod 8) (Delfs-Galbraith, *Computing isogenies between
+      supersingular elliptic curves over F_p*, Des. Codes Cryptogr. 78, 2016).
+
+    h(D) comes from ``gross.class_number``, a count of reduced binary
+    quadratic forms, so neither figure reads an ideal class, an order or
+    w_q: the certificate compares them with the vertices and the w_q-fixed
+    classes of ``vertex_classes``."""
     check_primes(q=q)
-    m = (q - 1) // 2
-    coeffs = [comb(m, i) ** 2 % q for i in range(m + 1)]
-    coeffs.reverse()  # Horner from the top degree
-    d = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
-    half = range((q + 1) // 2 + 1)
-    roots = set()
-    for u in half:
-        a = 0
-        for c in coeffs:
-            a = (a * u + c) % q
-        if a == 0:
-            roots.update(((u, 0), ((1 - u) % q, 0)))
-    for v in range(1, (q - 1) // 2 + 1):
-        dv = d * v
-        for u in half:
-            a = b = 0
-            for c in coeffs:
-                a, b = (a * u + b * dv + c) % q, (a * v + b * u) % q
-            if a == 0 and b == 0:
-                u1 = (1 - u) % q
-                roots.update(((u, v), (u, q - v), (u1, v), (u1, q - v)))
-    mul, inv = _fq2_ops(q, d)
-    jset = set()
-    for lam in roots:
-        lam2 = mul(lam, lam)
-        num = ((lam2[0] - lam[0] + 1) % q, (lam2[1] - lam[1]) % q)
-        num3 = mul(mul(num, num), num)
-        den = mul(lam2, ((lam[0] - 1) % q, lam[1]))
-        den = mul(den, ((lam[0] - 1) % q, lam[1]))
-        j = mul(((256 % q) * num3[0] % q, (256 % q) * num3[1] % q), inv(den))
-        jset.add(j)
-    rational = sum(1 for j in jset if j[1] == 0)
-    return len(jset), rational
+    count = q // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[q % 12]
+    if q % 4 == 1:
+        rational = class_number(-4 * q) // 2
+    elif q % 8 == 7:
+        rational = class_number(-q)
+    else:
+        rational = 2 * class_number(-q)
+    return count, rational

@@ -106,6 +106,11 @@ def graph_5_163(vset163):
 
 
 @pytest.fixture(scope="session")
+def graph_13_83():
+    return build_graph(13, 83)
+
+
+@pytest.fixture(scope="session")
 def graph_29_23(vset23):
     return build_graph(29, 23, vset=vset23)
 

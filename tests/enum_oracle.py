@@ -29,8 +29,8 @@ took it over, on a ``Lattice``:
 * ``norm_vectors_with_trace(lat, n, trace)`` -- every vector of norm n from
   the rank-4 search, then a filter on the trace;
 * ``count_optimal(order, D, cands, unit_list)`` -- optimality tested on the
-  ``Fraction`` element (2x + shift) / (2 ell), orbits by conjugation with
-  ``u.inv()``.
+  ``Fraction`` element (2x + shift) / (2 ell) (``optimal_candidates``, which
+  the Kaneko-bound test also reads), orbits by conjugation with ``u.inv()``.
 """
 
 from fractions import Fraction
@@ -187,13 +187,20 @@ def norm_vectors_with_trace(lat, n, trace):
     return [x for x in lat.norm_vectors(n) if x.trd() == trace]
 
 
-def count_optimal(order, D, cands, unit_list):
-    """Unit-conjugation orbits of the candidates that are optimal in order."""
+def optimal_candidates(order, D, cands):
+    """The candidates that are optimal in order: x is not optimal if
+    (2x + shift) / (2 ell) lies in order for a prime ell of the conductor."""
     t0 = D % 2
     _, f = conductor_split(D)
     for ell in prime_factors(f):
         shift = ell * ((D // (ell * ell)) % 2) - t0
         cands = [x for x in cands if (x * 2 + shift) / (2 * ell) not in order]
+    return cands
+
+
+def count_optimal(order, D, cands, unit_list):
+    """Unit-conjugation orbits of the candidates that are optimal in order."""
+    cands = optimal_candidates(order, D, cands)
     remaining = {x.key(): x for x in cands}
     orbits = 0
     while remaining:

@@ -44,8 +44,10 @@ here, unchanged apart from their imports:
   search in each Eichler order, the oracle for ``gross.gross_shimura``;
 * ``rref_mod_fresh`` -- ``ssgraph._rref_mod`` as it was before it
   eliminated in place: a fresh list per row operation, over all columns;
-* ``ss_oracle_reference`` -- the supersingular count with one function call
-  per F_{q^2} product, the oracle for ``ssgraph.ss_oracle``;
+* ``ss_oracle_reference`` -- the supersingular count by a sweep of the
+  Hasse polynomial over F_{q^2}, one function call per product: the only
+  such sweep, the oracle the closed form of ``ssgraph.ss_oracle`` (class
+  numbers) is checked against;
 * ``solve_frac`` -- one dense ``Fraction`` solve with the free variables set
   to 0, and ``decompose_by_solve_frac``, the Eisenstein decomposition by one
   such solve per depth, the oracle for ``certify.decompose_eisenstein``;
@@ -352,9 +354,12 @@ def gross_shimura_per_edge(graph, D):
 
 
 def ss_oracle_reference(q):
-    """``ssgraph.ss_oracle`` as it was before its Horner step was written
-    out: every F_{q^2} product is a call of ``mul``, which with ``inv`` is
-    the package's ``_fq2_ops``."""
+    """(number of supersingular j-invariants, number of F_q-rational ones)
+    from the roots of the Hasse polynomial H = sum C(m,i)^2 x^i
+    (m = (q-1)/2) over F_{q^2}, the supersingular Legendre parameters, with
+    j = 256 (x^2-x+1)^3 / (x^2 (x-1)^2).  Every F_{q^2} product is a call of
+    ``mul``.  This is the only Hasse sweep left: ``ssgraph.ss_oracle`` reads
+    both numbers off class numbers, and is checked against this."""
     if not is_prime(q) or q < 5:
         raise ValueError(f"q must be a prime >= 5, got {q}")
     m = (q - 1) // 2

@@ -18,6 +18,8 @@ from graph_oracle import (
     tower_vectors,
     vec_scale,
 )
+from lattice_oracle import from_elements
+from shimura_pq.certify import build_cycle, decompose_eisenstein, genus
 from shimura_pq.gross import (
     _count_optimal,
     _embedding_candidates,
@@ -35,6 +37,7 @@ from shimura_pq.gross import (
     unit_count,
 )
 from shimura_pq.ntheory import kronecker
+from shimura_pq.quat import Quat, reduced_discriminant
 from shimura_pq.ssgraph import build_graph
 
 
@@ -337,3 +340,45 @@ class TestBoundaryIdentity:
             assert any(target)
             for star in (s_star, t_star):
                 assert tuple(den_v * x for x in star(g, edge[n - 1])) == target, n
+
+
+class TestKanekoBound:
+    """The Kaneko-type lemma behind every ``intersection`` failure.  On an
+    exceptional edge the Eichler order E (reduced discriminant pq) has a
+    unit x of discriminant d_x = -4 or -3; an optimal embedding y of the
+    order of discriminant D does not commute with it, so 1, x, y, xy span an
+    order of E of reduced discriminant (d_x D - s^2)/4 with
+    s = trd(x_0 y_0)/2, x_0 = 2x - trd x.  That number is a positive multiple
+    of pq, so a Gross vector meets the edge only if pq <= |d_x D|/4 (Kaneko,
+    *Supersingular j-invariants as singular moduli mod p*, 1989).  Checked at
+    the least |D| of the certificate's ``support_overlap``; larger D cost a
+    search each that grows fast with the conductor."""
+
+    @pytest.mark.parametrize("p,q,key", [(5, 23, "-2916"), (13, 47, "-236196"),
+                                         (5, 163, "-236196"), (13, 83, "-236196"),
+                                         (29, 251, "-19131876")])
+    def test_overlap_order_discriminant(self, p, q, key, request):
+        graph = request.getfixturevalue(f"graph_{p}_{q}")
+        dec = decompose_eisenstein(graph, 3, genus(q) + 2)
+        overlap = build_cycle(graph, 3, dec["lambda0"], dec["lambdas"])["support_overlap"]
+        assert max(overlap, key=int) == key
+        D = int(key)
+        one = Quat.one(graph.vset.alg)
+        pairs = 0
+        for i in overlap[key]:
+            E = graph.edges[i].eichler
+            ys = enum_oracle.optimal_candidates(E, D, _embedding_candidates(E, D))
+            for x in graph_eichler_units(graph, i):
+                if x.num[1:] == (0, 0, 0):
+                    continue
+                d_x = x.trd() ** 2 - 4 * x.nrd()
+                assert d_x in (-4, -3)
+                x0 = 2 * x - x.trd()
+                for y in ys:
+                    s = (x0 * (2 * y - y.trd())).trd() / 2
+                    disc = reduced_discriminant(from_elements(graph.vset.alg, [one, x, y, x * y]))
+                    assert disc == (d_x * D - s * s) / 4
+                    assert disc % (p * q) == 0
+                    assert p * q <= abs(d_x * D) / 4
+                    pairs += 1
+        assert pairs

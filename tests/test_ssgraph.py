@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import brandt_matrix, dense, rref_mod_fresh, ss_oracle_reference
-from shimura_pq.certify import genus
+from shimura_pq.certify import SS_ORACLE_MAX_Q, genus
 from shimura_pq.ntheory import is_prime
 from shimura_pq.quat import equiv_witness, make_algebra, maximal_order
 from shimura_pq.ssgraph import (ShimuraGraph, _rref_mod, build_graph, ss_oracle,
@@ -239,13 +239,26 @@ class TestSsOracle:
         assert ss_oracle(47) == (5, 5)
 
     def test_count_is_genus_plus_one(self):
-        for q in (11, 13, 23, 31, 59):
-            assert ss_oracle(q)[0] == genus(q) + 1
+        for q in range(5, SS_ORACLE_MAX_Q + 1):
+            if is_prime(q):
+                assert ss_oracle(q)[0] == genus(q) + 1, q
 
     def test_matches_reference(self):
         for q in range(5, 151):
             if is_prime(q):
                 assert ss_oracle(q) == ss_oracle_reference(q), q
+
+    def test_matches_vertex_classes(self):
+        """The closed form against the quaternion side: the class number and
+        the w_q-fixed classes, for q = 1 and 3 (mod 4) and every branch of
+        the rational count."""
+        residues = set()
+        for q in range(5, 151):
+            if is_prime(q):
+                vset = vertex_classes(q)
+                assert ss_oracle(q) == (len(vset), vset.rational_count()), q
+                residues.add(q % 8)
+        assert residues == {1, 3, 5, 7}
 
 
 class TestModelIndependence:
