@@ -251,21 +251,22 @@ def graph_statistics(graph):
 # -- cache ----------------------------------------------------------------------
 
 def _lat_payload(lat):
-    return {"d": lat.den, "m": [x for row in lat.rows for x in row]}
+    r0, r1, r2, r3 = lat.rows
+    return {"d": lat.den, "m": [*r0, *r1, *r2, *r3]}
 
 
 def _lat_from(alg, payload):
-    rows = [tuple(payload["m"][4 * r : 4 * r + 4]) for r in range(4)]
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = payload["m"]
     # duality reads the basis as a triangular HNF, so a damaged one must not
     # load: upper triangular, positive pivots, the entries above a pivot in
     # [0, pivot), which for four rows of four is what hnf_rows returns
-    if payload["d"] < 1 or not all(
-            rows[c][c] > 0
-            and all(0 <= rows[r][c] < rows[c][c] for r in range(c))
-            and not any(rows[r][c] for r in range(c + 1, 4))
-            for c in range(4)):
+    if not (payload["d"] >= 1 and a0 > 0 and b1 > 0 and c2 > 0 and d3 > 0
+            and not (b0 or c0 or c1 or d0 or d1 or d2)
+            and 0 <= a1 < b1 and 0 <= a2 < c2 and 0 <= b2 < c2
+            and 0 <= a3 < d3 and 0 <= b3 < d3 and 0 <= c3 < d3):
         raise ValueError("lattice basis is not in Hermite normal form")
-    return Lattice(alg, rows, payload["d"])
+    return Lattice(alg, ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3)),
+                   payload["d"])
 
 
 def _quat_payload(x):
@@ -273,7 +274,7 @@ def _quat_payload(x):
 
 
 def _quat_from(alg, payload):
-    return Quat(alg, tuple(payload["n"]), payload["d"])
+    return Quat(alg, payload["n"], payload["d"])
 
 
 def graph_payload(graph):
@@ -356,8 +357,10 @@ def graph_from_payload(payload):
     derived with the build's code (``_add_class``, ``_attach_wq``,
     ``_edge``).  The checks, in order: each edge ideal is a norm-p ideal of
     R_k (``ShimuraGraph``), ``validate_graph``, the rebuilt graph's payload
-    is the stored one byte for byte (a stored derived record that differs
-    is named), and ``validate_records``.  Any failure raises."""
+    equals the stored one (a stored derived record that differs is named),
+    and ``validate_records``.  Any failure raises.  The comparison is by
+    value, where 1.0 == True == 1: ``cache_load`` refuses a float, and a
+    true or false other than a rational flag, before it calls this."""
     alg = make_algebra(payload["q"], a=payload["algebra"]["a"])
     order = _lat_from(alg, payload["order"])
     # another maximal order has the same covolume, so no record check below
@@ -403,17 +406,30 @@ def cache_store(cache_dir, graph):
     return path
 
 
+def _not_an_int(literal):
+    """``json.loads`` hook for a number that is no int (1.0, 1e3, NaN, ...):
+    a cache holds ints only, and 1.0 == 1 would pass every comparison."""
+    raise ValueError(f"{literal} in the cache is not an integer")
+
+
 def cache_load(cache_dir, p, q):
     path = cache_path(cache_dir, p, q)
     if not os.path.exists(path):
         return None
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            text = fh.read()
+        payload = json.loads(text, parse_float=_not_an_int, parse_constant=_not_an_int)
         if not isinstance(payload, dict):
             raise ValueError("cache is not a JSON object")
         if payload.get("version") != CACHE_VERSION or payload.get("q") != q or payload.get("p") != p:
             return None
+        # json reads true as a number equal to 1, so a true or false is
+        # refused unless it is one of the h rational flags, each a bool
+        flags = [v["rational"] for v in payload["vertices"]]
+        if (any(type(f) is not bool for f in flags)
+                or text.count("true") + text.count("false") != len(flags)):
+            raise ValueError("a true or false in the cache is not a vertex's rational flag")
         return graph_from_payload(payload)
     except (ValueError, KeyError, IndexError, TypeError, ArithmeticError, OSError) as exc:
         print(f"warning: ignoring corrupt cache file {path}: {exc}", file=sys.stderr)

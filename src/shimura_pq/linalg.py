@@ -89,11 +89,13 @@ def hnf_rows(rows):
             continue
         if slot[col] < 0:
             slot = tuple(-x for x in slot)
+        t0, t1, t2, t3 = slot
         pval = slot[col]
         for i, above in enumerate(result):
             q = above[col] // pval
             if q:
-                result[i] = tuple(x - q * y for x, y in zip(above, slot))
+                a0, a1, a2, a3 = above
+                result[i] = (a0 - q * t0, a1 - q * t1, a2 - q * t2, a3 - q * t3)
         result.append(slot)
     return result
 

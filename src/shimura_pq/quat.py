@@ -56,15 +56,18 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "q a b")):
 
 
 def _norm4(num, den):
-    g = gcd(gcd(gcd(abs(num[0]), abs(num[1])), gcd(abs(num[2]), abs(num[3]))), den)
+    """num / den in lowest terms, by one gcd; a float or Fraction entry
+    raises TypeError (math.gcd takes ints only)."""
+    x0, x1, x2, x3 = num
+    g = gcd(den, x0, x1, x2, x3)
     if g > 1:
-        num = (num[0] // g, num[1] // g, num[2] // g, num[3] // g)
-        den //= g
-    return num, den
+        return (x0 // g, x1 // g, x2 // g, x3 // g), den // g
+    return (x0, x1, x2, x3), den
 
 
 class Quat:
-    """Quaternion with exact rational coordinates (integer numerators / den)."""
+    """Quaternion with exact rational coordinates (integer numerators / den),
+    in lowest terms by one gcd; a non-int entry raises TypeError."""
 
     __slots__ = ("alg", "num", "den")
 
@@ -72,9 +75,9 @@ class Quat:
         if den < 0:
             num = tuple(-x for x in num)
             den = -den
-        if den == 0:
+        elif not den:
             raise ZeroDivisionError("zero denominator")
-        num, den = _norm4(tuple(int(x) for x in num), den)
+        num, den = _norm4(num, den)
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -99,9 +102,11 @@ class Quat:
         return Quat(self.alg, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Quat(self.alg, tuple(f.numerator * x for x in self.num), self.den * f.denominator)
+        if isinstance(other, int):
+            return Quat(self.alg, tuple(other * x for x in self.num), self.den)
+        if isinstance(other, Fraction):
+            a = other.numerator
+            return Quat(self.alg, tuple(a * x for x in self.num), self.den * other.denominator)
         return Quat(self.alg, self.alg.mul4(self.num, other.num), self.den * other.den)
 
     def __rmul__(self, other):
@@ -110,8 +115,12 @@ class Quat:
         return NotImplemented
 
     def __truediv__(self, other):
-        f = Fraction(other)
-        return self * Fraction(f.denominator, f.numerator)
+        if isinstance(other, int):
+            return Quat(self.alg, self.num, self.den * other)
+        if isinstance(other, Fraction):
+            b = other.denominator
+            return Quat(self.alg, tuple(b * x for x in self.num), self.den * other.numerator)
+        return NotImplemented
 
     def _coerce(self, other):
         if isinstance(other, Quat):
@@ -166,6 +175,10 @@ class _ReducedForm:
 
         S * Q(y) = sum_j W_j (d_j y_j + sum_{i>j} lam[i][j] y_i)^2.
 
+    The LLL keeps the Gram matrix of the current basis, updated with each
+    size reduction and swap, so each b_k . b_j is read off it, and its
+    diagonal gives ``min_bound``.
+
     Lists are indexed from 1, as in Cohen.  The rank is 3 or 4: ``vectors``
     is one search with its four levels written out, and a rank-3 form is
     padded to that layout, with y_4 held at 0 and a zero fourth column in
@@ -188,48 +201,26 @@ class _ReducedForm:
         n = len(g)
         if n not in (3, 4):
             raise ValueError(f"forms of rank 3 and 4 only, not {n}")
+        cols = range(1, n + 1)
         h = [None] + [[int(r == c) for c in range(n)] for r in range(n)]
+        # gram[i][j] = b_i . b_j, updated with every row operation on h;
+        # a swap moves rows, so grows keeps every row of gram in some order
+        grows = [[0, *row] for row in g]
+        gram = [None, *grows]
         lam = [[0] * (n + 1) for _ in range(n + 1)]
         d = [1] + [0] * n
-
-        def times_g(i):
-            return [sum(x * row[c] for x, row in zip(h[i], g)) for c in range(n)]
-
-        def dot(v, j):
-            return sum(x * y for x, y in zip(v, h[j]))
-
-        def redi(k, l):
-            if 2 * abs(lam[k][l]) > d[l]:
-                q = (2 * lam[k][l] + d[l]) // (2 * d[l])
-                h[k] = [x - q * y for x, y in zip(h[k], h[l])]
-                lam[k][l] -= q * d[l]
-                for i in range(1, l):
-                    lam[k][i] -= q * lam[l][i]
-
-        def swapi(k, kmax):
-            h[k], h[k - 1] = h[k - 1], h[k]
-            for j in range(1, k - 1):
-                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-            lk = lam[k][k - 1]
-            b = (d[k - 2] * d[k] + lk * lk) // d[k - 1]
-            for i in range(k + 1, kmax + 1):
-                u = lam[i][k]
-                lam[i][k] = (d[k] * lam[i][k - 1] - lk * u) // d[k - 1]
-                lam[i][k - 1] = (b * u + lk * lam[i][k]) // d[k]
-            d[k - 1] = b
-
         k, kmax = 1, 0
         while k <= n:
             if k > kmax:
                 # incremental integral Gram-Schmidt of the new vector b_k
                 kmax = k
-                hk = times_g(k)
+                gk, lk = gram[k], lam[k]
                 for j in range(1, k + 1):
-                    u = dot(hk, j)
+                    u, lj = gk[j], lam[j]
                     for i in range(1, j):
-                        u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                        u = (d[i] * u - lk[i] * lj[i]) // d[i - 1]
                     if j < k:
-                        lam[k][j] = u
+                        lk[j] = u
                     elif u <= 0:
                         raise ArithmeticError("form is not positive definite")
                     else:
@@ -237,20 +228,49 @@ class _ReducedForm:
                 if k == 1:
                     k = 2
                     continue
-            redi(k, k - 1)
-            if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
-                swapi(k, kmax)
-                k = max(2, k - 1)
+            # size-reduce b_k against b_{k-1}, test the Lovasz condition,
+            # then size-reduce against b_{k-2}, ..., b_1 unless b_k moves down
+            for l in range(k - 1, 0, -1):
+                lk, dl = lam[k], d[l]
+                if 2 * abs(lk[l]) > dl:
+                    q = (2 * lk[l] + dl) // (2 * dl)
+                    h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+                    lk[l] -= q * dl
+                    ll = lam[l]
+                    for i in range(1, l):
+                        lk[i] -= q * ll[i]
+                    gk, gl = gram[k], gram[l]
+                    gkk = gk[k] - q * (2 * gk[l] - q * gl[l])
+                    for j in cols:
+                        gram[j][k] = gk[j] = gk[j] - q * gl[j]
+                    gk[k] = gkk
+                if l == k - 1 and 4 * d[k] * d[k - 2] < 3 * dl * dl - 4 * lk[l] ** 2:
+                    # swap b_k and b_{k-1}
+                    h[k], h[l] = h[l], h[k]
+                    gram[k], gram[l] = gram[l], gram[k]
+                    for row in grows:
+                        row[k], row[l] = row[l], row[k]
+                    ll = lam[l]
+                    for j in range(1, l):
+                        lk[j], ll[j] = ll[j], lk[j]
+                    lkl = lk[l]
+                    b = (d[k - 2] * d[k] + lkl * lkl) // d[l]
+                    for i in range(k + 1, kmax + 1):
+                        li = lam[i]
+                        u = li[k]
+                        li[k] = (d[k] * li[l] - lkl * u) // d[l]
+                        li[l] = (b * u + lkl * li[k]) // d[k]
+                    d[l] = b
+                    k = max(2, l)
+                    break
             else:
-                for l in range(k - 2, 0, -1):
-                    redi(k, l)
                 k += 1
 
-        s = lcm(*(d[j] * d[j - 1] for j in range(1, n + 1)))
-        w = [None] + [s // (d[j] * d[j - 1]) for j in range(1, n + 1)]
-        self.floor = min(w[j] * d[j] * d[j] for j in range(1, n + 1))
+        s = lcm(*(d[j] * d[j - 1] for j in cols))
+        w = [None] + [s // (d[j] * d[j - 1]) for j in cols]
+        self.floor = min(w[j] * d[j] * d[j] for j in cols)
         # the norm of a reduced basis vector bounds the minimum from above
-        self.min_bound = min(dot(times_g(i), i) for i in range(1, n + 1))
+        self.min_bound = min(gram[i][i] for i in cols)
         if n == 3:
             # pad to the rank-4 layout that ``vectors`` reads: y_4 = 0 there,
             # so level 4 adds nothing, and c gets a fourth coordinate 0
@@ -325,22 +345,20 @@ class _ReducedForm:
 
 
 class Lattice:
-    """Full rank-4 lattice: integer HNF rows over a positive denominator."""
+    """Full rank-4 lattice: integer HNF rows over a positive denominator,
+    in lowest terms by one gcd; a non-int entry raises TypeError."""
 
     __slots__ = ("alg", "den", "rows", "_cache")
 
     def __init__(self, alg, rows, den):
-        rows = [tuple(int(x) for x in r) for r in rows]
-        g = den
-        for r in rows:
-            for x in r:
-                g = gcd(g, abs(x))
+        r0, r1, r2, r3 = rows = tuple(map(tuple, rows))
+        g = gcd(den, *r0, *r1, *r2, *r3)
         if g > 1:
             den //= g
-            rows = [tuple(x // g for x in r) for r in rows]
+            rows = tuple((x0 // g, x1 // g, x2 // g, x3 // g) for x0, x1, x2, x3 in rows)
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *_):
@@ -450,9 +468,13 @@ class Lattice:
         return Lattice.from_int_rows(self.alg, rows, den)
 
     def add_elem(self, x):
+        """The lattice + Z x: the HNF of its rows and x over a common
+        denominator; the rows stay as they are when x.den divides den."""
         den = self.den * x.den // gcd(self.den, x.den)
-        rows = [tuple((den // self.den) * v for v in r) for r in self.rows]
-        rows.append(tuple((den // x.den) * v for v in x.num))
+        s = den // self.den
+        rows = list(self.rows) if s == 1 else [tuple(s * v for v in r) for r in self.rows]
+        s = den // x.den
+        rows.append(tuple(s * v for v in x.num))
         return Lattice.from_int_rows(self.alg, rows, den)
 
     def index_in(self, other):
@@ -463,11 +485,11 @@ class Lattice:
     def gram(self):
         """Integer Gram matrix G with nrd(c . basis) = c^T G c / den^2."""
         if "gram" not in self._cache:
-            a, b = self.alg.a, self.alg.b
-            w = (1, a, b, a * b)
-            g = [[sum(w[m] * self.rows[r][m] * self.rows[s][m] for m in range(4))
-                  for s in range(4)] for r in range(4)]
-            self._cache["gram"] = g
+            a, b, rows = self.alg.a, self.alg.b, self.rows
+            ab = a * b
+            self._cache["gram"] = [
+                [x0 * y0 + a * x1 * y1 + b * x2 * y2 + ab * x3 * y3 for y0, y1, y2, y3 in rows]
+                for x0, x1, x2, x3 in rows]
         return self._cache["gram"]
 
     def _form(self):
@@ -481,9 +503,13 @@ class Lattice:
         return self._form().vectors(target, upto)
 
     def _vector(self, c):
-        return Quat(self.alg,
-                    tuple(sum(c[r] * self.rows[r][m] for r in range(4)) for m in range(4)),
-                    self.den)
+        """The element c . basis, written out on the four rows."""
+        c0, c1, c2, c3 = c
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (e0, e1, e2, e3), (f0, f1, f2, f3) = self.rows
+        return Quat(self.alg, (c0 * a0 + c1 * b0 + c2 * e0 + c3 * f0,
+                               c0 * a1 + c1 * b1 + c2 * e1 + c3 * f1,
+                               c0 * a2 + c1 * b2 + c2 * e2 + c3 * f2,
+                               c0 * a3 + c1 * b3 + c2 * e3 + c3 * f3), self.den)
 
     def _trace_zero_form(self):
         """(basis, form) of S0 = {2x - trd x}: the HNF of the pure parts
@@ -493,9 +519,9 @@ class Lattice:
             basis = [r[1:] for r in hnf_rows([(0, 2 * r[1], 2 * r[2], 2 * r[3])
                                                for r in self.rows])]
             a, b = self.alg.a, self.alg.b
-            w = (a, b, a * b)
-            g = [[sum(wm * r[m] * s[m] for m, wm in enumerate(w)) for s in basis]
-                 for r in basis]
+            ab = a * b
+            g = [[a * x1 * y1 + b * x2 * y2 + ab * x3 * y3 for y1, y2, y3 in basis]
+                 for x1, x2, x3 in basis]
             self._cache["s0"] = (basis, _ReducedForm(g))
         return self._cache["s0"]
 
@@ -593,8 +619,11 @@ class Lattice:
 def reduced_discriminant(order):
     """sqrt |det trd(b_r b_s)|.  With b_r = R_r / d the trace form is the
     integer matrix 2 (R_r R_s)_0 over d^2, so the root is an integer over d^4."""
-    mul4, rows = order.alg.mul4, order.rows
-    det = abs(det_bareiss([[2 * mul4(r, s)[0] for s in rows] for r in rows]))
+    a, b, rows = order.alg.a, order.alg.b, order.rows
+    ab = a * b
+    # (R_r R_s)_0, the real part of the product, written out
+    det = abs(det_bareiss([[2 * (x0 * y0 - a * x1 * y1 - b * x2 * y2 - ab * x3 * y3)
+                            for y0, y1, y2, y3 in rows] for x0, x1, x2, x3 in rows]))
     root = isqrt(det)
     scale = order.den ** 4
     if root * root != det or root % scale:

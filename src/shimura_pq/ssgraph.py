@@ -10,6 +10,7 @@ through the two-sided norm-q ideal (w_q).
 
 from collections import Counter, namedtuple
 from fractions import Fraction
+from math import lcm
 
 from .gross import class_number
 from .linalg import det_bareiss
@@ -17,6 +18,7 @@ from .ntheory import check_primes
 from .quat import (
     Lattice,
     Quat,
+    _norm4,
     equiv_witness,
     ideal_norm,
     make_algebra,
@@ -164,19 +166,41 @@ class VertexSet:
         of norm ell n_k n_m of conj(I_m) I_k, and the 2 w_m units u of R_m
         give the same L from u z.  L = conj(I_k) I_m z / n_k, as
         conj(I_k) I_k = n_k R_k; its image is read off the coordinates in R_k
-        of the rows of conj(I_k) I_m times z / n_k, with no lattice built."""
+        of the rows of conj(I_k) I_m times z / n_k, with no lattice built.
+
+        The orbits are marked on the integer 4-vectors v of the x over their
+        common denominator: -v with no product, and +-u v / den(u) for one
+        unit u of each pair other than +-1 of R_m, an exact division, as
+        u x is again one of the x."""
         rec, target = self.classes[k], self.classes[m]
-        order, mul4 = rec.right_order, self.alg.mul4
+        vecs = self._connector_vectors(m, k, ell * rec.norm * target.norm)
+        if not vecs:
+            return []
+        order, alg, mul4 = rec.right_order, self.alg, self.alg.mul4
         lat = self.connector(k, m)
-        out = []
-        seen = set()
-        for x in self._connector_vectors(m, k, ell * rec.norm * target.norm):
-            if x in seen:
+        den = lcm(*(x.den for x in vecs))
+        moves = [(u.num, u.den) for u in self.units_of(m)
+                 if any(u.num[1:]) and u.num > tuple(-c for c in u.num)]
+        nm, n = target.norm, rec.norm * target.norm
+        zs, zd = nm.denominator, nm.numerator  # z = x / n_m
+        ws, wd = n.denominator, lat.den * n.numerator  # x / (n_m n_k) over lat's rows
+        out, seen = [], set()
+        for x in vecs:
+            s = den // x.den
+            x0, x1, x2, x3 = x.num
+            v = (s * x0, s * x1, s * x2, s * x3)
+            if v in seen:
                 continue
-            seen.update(u * x for u in self.units_of(m))
-            z = x / target.norm
-            w = z / rec.norm
-            coords = [order._coords(mul4(r, w.num), lat.den * w.den) for r in lat.rows]
+            seen.add(v)
+            seen.add((-v[0], -v[1], -v[2], -v[3]))
+            for un, ud in moves:
+                y0, y1, y2, y3 = mul4(un, v)
+                y = (y0 // ud, y1 // ud, y2 // ud, y3 // ud)
+                seen.add(y)
+                seen.add((-y[0], -y[1], -y[2], -y[3]))
+            w = (ws * x0, ws * x1, ws * x2, ws * x3)
+            coords = [order._coords(mul4(r, w), wd * x.den) for r in lat.rows]
+            z = Quat(alg, (zs * x0, zs * x1, zs * x2, zs * x3), zd * x.den)
             out.append((_image_mod(coords, ell), m, z))
         return out
 
@@ -210,13 +234,22 @@ class VertexSet:
         equivalence test then searches conj(I_t) I_t z z0 = R_t (n_t z z0):
         its vectors of the norm asked for are the n_t u z z0 with u a unit of
         R_t, and it picks the one with the least reversed coordinates, as
-        ``Lattice.find_norm_vector`` does.  The witness is u z."""
-        rec = self.classes[t]
-        x = min((v * z for v in rec.ideal.min_vectors()[1]), key=Quat.key)
-        y = z * (x.conj() / z.nrd())  # n_t z z0
-        lat = rec.right_order.mul_elem(y)
-        u = min(self.units_of(t), key=lambda u: lat.coords_of(u * y)[::-1])
-        return u * z
+        ``Lattice.find_norm_vector`` does.  The witness is u z.  All of it
+        runs on integer 4-vectors: the one HNF is that of R_t y, with
+        y = n_t z z0."""
+        rec, mul4 = self.classes[t], self.alg.mul4
+        zn, zd = z.num, z.den
+        # x = v z of least key (den, num), each in lowest terms
+        xd, xn = min(_norm4(mul4(v.num, zn), v.den * zd)[::-1]
+                     for v in rec.ideal.min_vectors()[1])
+        # y = z conj(x) / nrd(z) = yn / yd, as nrd(z) = nrd4(zn) / zd^2
+        yn = tuple(zd * c for c in mul4(zn, (xn[0], -xn[1], -xn[2], -xn[3])))
+        yd = xd * self.alg.nrd4(zn)
+        ro = rec.right_order
+        lat = Lattice.from_int_rows(self.alg, [mul4(r, yn) for r in ro.rows], ro.den * yd)
+        un, ud = min(((u.num, u.den) for u in self.units_of(t)),
+                     key=lambda u: lat._coords(mul4(u[0], yn), u[1] * yd)[::-1])
+        return Quat(self.alg, mul4(un, zn), ud * zd)
 
 
 def vertex_classes(q, alg=None):
@@ -353,8 +386,12 @@ class ShimuraGraph:
     def _rho_of(self, k, coords):
         """rho_k of the element of R_k with these coordinates, (a, b, c, d)."""
         x0, x1, x2, x3 = coords
-        return tuple((x0 * r0 + x1 * r1 + x2 * r2 + x3 * r3) % self.p
-                     for r0, r1, r2, r3 in self._rho[k])
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = self._rho[k]
+        p = self.p
+        return ((x0 * a0 + x1 * a1 + x2 * a2 + x3 * a3) % p,
+                (x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3) % p,
+                (x0 * c0 + x1 * c1 + x2 * c2 + x3 * c3) % p,
+                (x0 * d0 + x1 * d1 + x2 * d2 + x3 * d3) % p)
 
     def _move(self, g, v):
         """The line of g v for g = (a, b, c, d), as (x, 1) or (1, 0), or None

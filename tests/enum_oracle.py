@@ -23,6 +23,14 @@ out:
   search over the integer LDL data of a ``_ReducedForm``, a second oracle
   for ``_ReducedForm.vectors`` on the same reduced basis.
 
+and the integral LLL as it was before it kept the Gram matrix of the
+reduced basis:
+
+* ``reduced_form_reference(g)`` -- ``_ReducedForm.__init__`` with its
+  closures, each b_k . b_j and each norm of the ``min_bound`` recomputed
+  from the transform and G; the oracle for the ``t``, ``d``, ``lam``,
+  ``w``, ``s``, ``floor`` and ``min_bound`` of ``_ReducedForm``.
+
 It also keeps the embedding search as it was before the trace-zero lattice
 took it over, on a ``Lattice``:
 
@@ -34,7 +42,8 @@ took it over, on a ``Lattice``:
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from types import SimpleNamespace
 
 from shimura_pq.gross import validate_discriminant
 from shimura_pq.linalg import det_bareiss
@@ -250,3 +259,79 @@ def reduced_vectors(form, target, upto=False):
 
     rec(n, scale * target)
     return out
+
+
+def reduced_form_reference(g):
+    """``_ReducedForm.__init__`` as it was: integral LLL (Cohen, GTM 138,
+    Alg. 2.6.7) with b_k . b_j read as (h_k G) . h_j, in closures; the
+    fields it set, in a namespace."""
+    n = len(g)
+    if n not in (3, 4):
+        raise ValueError(f"forms of rank 3 and 4 only, not {n}")
+    h = [None] + [[int(r == c) for c in range(n)] for r in range(n)]
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+    d = [1] + [0] * n
+
+    def times_g(i):
+        return [sum(x * row[c] for x, row in zip(h[i], g)) for c in range(n)]
+
+    def dot(v, j):
+        return sum(x * y for x, y in zip(v, h[j]))
+
+    def redi(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swapi(k, kmax):
+        h[k], h[k - 1] = h[k - 1], h[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        b = (d[k - 2] * d[k] + lk * lk) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            u = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - lk * u) // d[k - 1]
+            lam[i][k - 1] = (b * u + lk * lam[i][k]) // d[k]
+        d[k - 1] = b
+
+    k, kmax = 1, 0
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            hk = times_g(k)
+            for j in range(1, k + 1):
+                u = dot(hk, j)
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ArithmeticError("form is not positive definite")
+                else:
+                    d[k] = u
+            if k == 1:
+                k = 2
+                continue
+        redi(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swapi(k, kmax)
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                redi(k, l)
+            k += 1
+
+    s = lcm(*(d[j] * d[j - 1] for j in range(1, n + 1)))
+    w = [None] + [s // (d[j] * d[j - 1]) for j in range(1, n + 1)]
+    floor = min(w[j] * d[j] * d[j] for j in range(1, n + 1))
+    min_bound = min(dot(times_g(i), i) for i in range(1, n + 1))
+    if n == 3:
+        h = [None] + [row + [0] for row in h[1:]] + [[0, 0, 0, 0]]
+        lam = [row + [0] for row in lam] + [[0] * 5]
+        d.append(1)
+        w.append(1)
+    return SimpleNamespace(n=n, t=h, d=d, lam=lam, w=w, s=s, floor=floor, min_bound=min_bound)

@@ -20,6 +20,12 @@ here, unchanged apart from their imports:
   short-vector search of conj(I_m) I_k for each direction of a class pair,
   and each step's ideal built as a lattice (one HNF), the oracle for the
   one search per unordered pair and the steps read by their image mod ell;
+* ``steps_by_quats`` and ``step_witness_by_quats`` -- ``VertexSet._steps``
+  and ``VertexSet.step_witness`` as they were before they ran on integer
+  4-vectors: the unit orbits marked by ``Quat`` products (x and -x
+  included), z, z / n_k and the witness's x, y and u built as ``Quat``
+  objects, and R_t y by ``Lattice.mul_elem``; the oracle for the steps and
+  the edge witnesses, which the graph cache stores;
 * ``wq_by_full_scan`` -- w_q on vertices by one ``locate`` per class with
   no class tried first, the oracle for ``ssgraph._attach_wq``;
 * ``vertex_classes_by_equivalence`` -- the class search with one reduced
@@ -70,7 +76,7 @@ from shimura_pq.gross import (graph_eichler_units, gross_tower_modular, optimal_
                               tower_class_number)
 from shimura_pq.linalg import det_bareiss
 from shimura_pq.ntheory import is_prime, kronecker
-from shimura_pq.quat import (equiv_witness, ideal_norm, make_algebra, maximal_order,
+from shimura_pq.quat import (Quat, equiv_witness, ideal_norm, make_algebra, maximal_order,
                              norm_ideals, reduce_ideal)
 from shimura_pq.ssgraph import VertexSet, _attach_wq, _fingerprint, _image_mod, _rref_mod
 
@@ -212,6 +218,35 @@ def steps_per_direction(vset, k, m, ell):
         z = x / target.norm
         out.append((vset.connector(k, m).mul_elem(z / rec.norm), m, z))
     return out
+
+
+def steps_by_quats(vset, k, m, ell):
+    """``VertexSet._steps(k, m, ell)`` as it was: (image, m, z) per orbit of
+    the units of R_m on the connector vectors, all in ``Quat`` objects."""
+    rec, target = vset.classes[k], vset.classes[m]
+    order, mul4 = rec.right_order, vset.alg.mul4
+    lat = vset.connector(k, m)
+    out = []
+    seen = set()
+    for x in vset._connector_vectors(m, k, ell * rec.norm * target.norm):
+        if x in seen:
+            continue
+        seen.update(u * x for u in vset.units_of(m))
+        z = x / target.norm
+        w = z / rec.norm
+        coords = [order._coords(mul4(r, w.num), lat.den * w.den) for r in lat.rows]
+        out.append((_image_mod(coords, ell), m, z))
+    return out
+
+
+def step_witness_by_quats(vset, t, z):
+    """``VertexSet.step_witness(t, z)`` as it was, in ``Quat`` objects."""
+    rec = vset.classes[t]
+    x = min((v * z for v in rec.ideal.min_vectors()[1]), key=Quat.key)
+    y = z * (x.conj() / z.nrd())  # n_t z z0
+    lat = rec.right_order.mul_elem(y)
+    u = min(vset.units_of(t), key=lambda u: lat.coords_of(u * y)[::-1])
+    return u * z
 
 
 def wq_by_full_scan(vset):

@@ -299,7 +299,8 @@ class TestCache:
                                         "orbit", "p_times_ideal",
                                         "foreign_ideal", "two_sided", "wq_witness", "order",
                                         "rational", "algebra", "json_list", "json_number",
-                                        "json_string"])
+                                        "json_string", "float_entry", "float_witness",
+                                        "float_length", "bool_entry", "flag_moved"])
     def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
         # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
         # edge 11, and edge 5 is the other edge from 0 to 1; edge 6 starts at
@@ -329,7 +330,15 @@ class TestCache:
                             "records",
                  "json_list": "cache is not a JSON object",
                  "json_number": "cache is not a JSON object",
-                 "json_string": "cache is not a JSON object"}[damage]
+                 "json_string": "cache is not a JSON object",
+                 # 1.0 and false compare equal to 1 and 0, which every check
+                 # on values used to accept
+                 "float_entry": "1.0 in the cache is not an integer",
+                 "float_witness": "-3.0 in the cache is not an integer",
+                 "float_length": "3.0 in the cache is not an integer",
+                 "bool_entry": "a true or false in the cache is not a vertex's rational flag",
+                 "flag_moved": "a true or false in the cache is not a vertex's rational flag",
+                 }[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
             good = fh.read()
@@ -387,6 +396,22 @@ class TestCache:
             # w_q fixes both classes, so both are rational
             assert [v["rational"] for v in vertices] == [True, True]
             vertices[0]["rational"] = False
+        elif damage == "float_entry":
+            assert vertices[1]["ideal"]["m"][0] == 1
+            vertices[1]["ideal"]["m"][0] = 1.0
+        elif damage == "float_witness":
+            assert payload["edges"][0]["witness"]["n"][1] == -3
+            payload["edges"][0]["witness"]["n"][1] = -3.0
+        elif damage == "float_length":
+            assert payload["edges"][0]["length"] == 3
+            payload["edges"][0]["length"] = 3.0
+        elif damage == "bool_entry":
+            # below the diagonal of vertex 1's ideal
+            assert vertices[1]["ideal"]["m"][4] == 0
+            vertices[1]["ideal"]["m"][4] = False
+        elif damage == "flag_moved":
+            # as many true and false as rational flags, one of them elsewhere
+            vertices[0]["rational"], payload["edges"][4]["length"] = 1, True
         elif damage == "algebra":
             # b = q in every model make_algebra gives, so no derived record
             # differs, only the stored b

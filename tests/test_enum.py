@@ -8,6 +8,10 @@ the same ``min_vectors``.  ``Lattice.norm_vectors`` with a trace searches the
 rank-3 trace-zero lattice; it must give the list the rank-4 search filtered
 on the trace gives.  A form's floor, below which a search returns at once,
 must be S times its least squared Gram-Schmidt length and lose no vector.
+The integral LLL that sets a form up keeps the Gram matrix of its reduced
+basis; ``enum_oracle.reduced_form_reference``, the LLL that recomputed each
+b_k . b_j from the transform, must give the same transform, minors,
+lam, weights, floor and minimum bound on every Gram.
 """
 
 from fractions import Fraction
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 import enum_oracle as oracle
 from shimura_pq.linalg import det_bareiss
 from shimura_pq.quat import Lattice, Quat, QuaternionAlgebra, _ReducedForm
+from shimura_pq.ssgraph import vertex_classes
 
 
 def _as_set(pairs):
@@ -107,6 +112,35 @@ def test_random_rank3_gram_matches_oracle(g, extra):
     assert all(len(c) == 3 for c, _ in got)
     low = min(v for _, v in got)
     assert (low, {c for c, v in got if v == low}) == (best, vecs)
+
+
+def _lll_fields(form):
+    return (form.n, form.t, form.d, form.lam, form.w, form.s, form.floor, form.min_bound)
+
+
+@pytest.mark.parametrize("q", [11, 47, 83, 163])
+def test_lll_matches_reference_on_class_search(q, monkeypatch):
+    """Every form ``vertex_classes(q)`` sets up, against the LLL that read
+    b_k . b_j off the transform."""
+    forms = []
+    init = _ReducedForm.__init__
+
+    def recorded(self, g):
+        init(self, g)
+        forms.append(([list(r) for r in g], self))
+
+    monkeypatch.setattr(_ReducedForm, "__init__", recorded)
+    vertex_classes(q)
+    monkeypatch.undo()
+    assert {form.n for _, form in forms} == {4}
+    for g, form in forms:
+        assert _lll_fields(form) == _lll_fields(oracle.reduced_form_reference(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(pd_grams(), pd_grams(3)))
+def test_lll_matches_reference_on_random_grams(g):
+    assert _lll_fields(_ReducedForm(g)) == _lll_fields(oracle.reduced_form_reference(g))
 
 
 def _gram_schmidt_floor(form, g):

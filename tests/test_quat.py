@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,91 @@ class TestAlgebra:
     def test_definiteness(self, x):
         assert x.nrd() >= 0
         assert (x.nrd() == 0) == (x.num == (0, 0, 0, 0))
+
+
+def _elementwise(entries, den):
+    """entries / den in lowest terms, one gcd per entry."""
+    g = den
+    for x in entries:
+        g = gcd(g, abs(x))
+    return [x // g for x in entries], den // g
+
+
+# zeros, small and large entries of either sign; a common factor makes the
+# gcd nontrivial, and a denominator of 1 or a large one
+entries = st.one_of(st.just(0), st.integers(-30, 30), st.integers(-2 ** 80, 2 ** 80))
+denominators = st.one_of(st.just(1), st.integers(1, 60), st.integers(2 ** 64, 2 ** 90))
+factors = st.one_of(st.just(1), st.integers(1, 10 ** 6))
+
+
+class TestNormalisation:
+    """Quat and Lattice reduce num / den by one gcd of den and every entry,
+    which must agree with reducing entry by entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(entries, min_size=4, max_size=4), denominators, factors)
+    def test_quat_matches_elementwise(self, num, den, c):
+        num, den = [c * x for x in num], c * den
+        x = Quat(B47, num, den)
+        want, wden = _elementwise(num, den)
+        assert (x.num, x.den) == (tuple(want), wden)
+        y = Quat(B47, tuple(num), -den)
+        assert (y.num, y.den) == (tuple(-v for v in want), wden)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(entries, min_size=16, max_size=16), denominators, factors)
+    def test_lattice_matches_elementwise(self, flat, den, c):
+        flat, den = [c * x for x in flat], c * den
+        lat = Lattice(B47, [flat[4 * r: 4 * r + 4] for r in range(4)], den)
+        want, wden = _elementwise(flat, den)
+        assert lat.rows == tuple(tuple(want[4 * r: 4 * r + 4]) for r in range(4))
+        assert lat.den == wden
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-8, 8), min_size=4, max_size=4),
+           st.integers(1, 12), st.integers(1, 12))
+    def test_scalar_products_match_fractions(self, num, den, a):
+        x = Quat(B47, num, den)
+        coords = [Fraction(v, den) for v in num]
+        for f in (a, -a, Fraction(a, 7), Fraction(-7, a)):
+            assert [Fraction(v, (x * f).den) for v in (x * f).num] == [v * f for v in coords]
+            assert [Fraction(v, (x / f).den) for v in (x / f).num] == [v / f for v in coords]
+            assert f * x == x * f
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=4, max_size=4),
+           st.lists(st.integers(0, 8), min_size=6, max_size=6),
+           st.integers(1, 12), st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+           st.integers(1, 12))
+    def test_add_elem_matches_rescaling(self, piv, above, den, num, xden):
+        """add_elem keeps the rows when x.den divides den; the old path
+        rescaled both to the lcm of the denominators every time."""
+        upper = iter(above)
+        rows = [[0] * c + [piv[c]] + [next(upper) for _ in range(c + 1, 4)] for c in range(4)]
+        lat, x = Lattice.from_int_rows(B47, rows, den), Quat(B47, num, xden)
+        d = lcm(lat.den, x.den)
+        old = [tuple(d // lat.den * v for v in r) for r in lat.rows]
+        old.append(tuple(d // x.den * v for v in x.num))
+        assert lat.add_elem(x) == Lattice.from_int_rows(B47, old, d)
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 1.5, 2.0, Fraction(4, 2)])
+    def test_non_int_entry_raises(self, bad):
+        # the entries used to go through int(), so 1/2 became 0 and 1.5 became 1
+        with pytest.raises(TypeError):
+            Quat(B47, (bad, 0, 0, 0))
+        with pytest.raises(TypeError):
+            Quat(B47, (0, 0, 0, bad), 3)
+        with pytest.raises(TypeError):
+            Lattice(B47, [(1, 0, 0, 0), (0, bad, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 1)
+
+    def test_negative_denominator_flips_signs(self):
+        x = Quat(B47, (1, -2, 3, 0), -2)
+        assert (x.num, x.den) == ((-1, 2, -3, 0), 2)
+        assert Quat(B47, (2, 4, 0, -6), -4) == Quat(B47, (-1, -2, 0, 3), 2)
+        with pytest.raises(ZeroDivisionError):
+            Quat(B47, (1, 0, 0, 0), 0)
+        with pytest.raises(ZeroDivisionError):
+            Quat(B47, (1, 0, 0, 0)) / 0
 
 
 class TestMaximalOrder:
