@@ -7,6 +7,10 @@ values, and flags the Gross vectors whose support meets an exceptional
 edge (those break the cycle construction at small p).  Exits 1 if any
 row is flagged TRACE MISMATCH.
 
+Rows with (D|q) = +1 read zero without a search: the local test at q in
+``Lattice.norm_vectors`` returns no candidate.  The closed-form values
+vanish there too, so such a row checks that test, not an enumeration.
+
     python scripts/disc_battery.py --p 13 --q 47 --bound 120
 """
 

@@ -67,6 +67,11 @@ def optimal_embeddings(order, D, unit_list=None):
     An embedding is a lattice element x with trd(x) = t0 and
     nrd(x) = (t0^2 - D)/4 (t0 = D mod 2); it is optimal unless the induced
     generator of some conductor-divided order also lies in the lattice.
+
+    When (D|q) = 1 the count is 0 with no enumeration: the candidate
+    search (``Lattice.norm_vectors`` with a trace) returns [] on the local
+    test at q, as t0^2 - 4n = D, and an order of discriminant D embeds in
+    B only if q does not split in Q(sqrt D) (Eichler, LNM 320).
     """
     return _count_optimal(order, D, _embedding_candidates(order, D), unit_list)
 

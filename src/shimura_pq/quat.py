@@ -13,7 +13,9 @@ integers, with a floor below which a search returns before any loop.  A
 search with a fixed trace t runs in rank 3 on the same enumerator, in
 S0 = {2x - trd x}, as nrd(2x - t) = 4 nrd(x) - t^2 when trd(x) = t
 (Gross's ternary lattice, Heights and the special values of L-series,
-1987, section 12); int norms and traces keep it in int arithmetic.
+1987, section 12); int norms and traces keep it in int arithmetic, and a
+target whose field splits at q is refused before any search (the local
+embedding test, ``Lattice.norm_vectors``).
 
 Orders and ideals are integer products too.  Every ideal whose right
 order the program needs is a left ideal I of a maximal order, so
@@ -33,6 +35,10 @@ from .ntheory import check_primes, is_prime, ramified_primes
 
 class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "q a b")):
     """Definite algebra with i^2 = -a, j^2 = -b, k = ij, ramified at {q, oo}.
+
+    q = 0 means no designated ramified prime, and so no local gate in
+    ``Lattice.norm_vectors`` with a trace: the tests build such algebras
+    from an arbitrary norm form.  ``make_algebra`` always sets q.
 
     Equal and hashed by value: Quat and Lattice equality go through it."""
 
@@ -560,7 +566,17 @@ class Lattice:
         """All x in the lattice with nrd(x) = n (and trd(x) = trace if
         given), sorted by key.  With a trace the search runs in S0, at the
         target (4n - t^2) den^2, which an int norm and trace (the embedding
-        searches) give in int arithmetic, with no Fraction."""
+        searches) give in int arithmetic, with no Fraction.
+
+        With a trace, and alg.q set, the search first makes the local test
+        at q (Vigneras, LNM 800, ch. III 5): it returns [] at once when
+        (-target | q) = 1, by Euler's criterion.  Such an x would generate
+        Q(sqrt(t^2 - 4n)), and -target is t^2 - 4n times a square; a
+        nonzero square mod the odd prime q is a square in Q_q, so Q(x) would
+        split at q and Q(x) (x) Q_q = Q_q x Q_q would lie in the division
+        algebra B_q, which is impossible.  q | target (target = 0 among
+        them) gives symbol 0 and searches.  An algebra with q = 0 is never
+        gated."""
         if not isinstance(n, int):
             n = Fraction(n)
         if trace is not None:
@@ -568,6 +584,10 @@ class Lattice:
                 trace = Fraction(trace)
             target = (4 * n - trace * trace) * self.den ** 2
             if target.denominator != 1:
+                return []
+            q = self.alg.q
+            # (-target | q) = 1 by Euler's criterion; q | target gives 0
+            if q and pow(-target.numerator, (q - 1) // 2, q) == 1:
                 return []
             return self._trace_vectors(target.numerator, trace.numerator, trace.denominator)
         if n < 0:

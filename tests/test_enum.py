@@ -6,7 +6,8 @@ as a function of the Gram matrix.  The fast one must give the same
 pick (it decides the equivalence witnesses stored in the graph cache) and
 the same ``min_vectors``.  ``Lattice.norm_vectors`` with a trace searches the
 rank-3 trace-zero lattice; it must give the list the rank-4 search filtered
-on the trace gives.  A form's floor, below which a search returns at once,
+on the trace gives, and with q = 0 in the algebra it is never cut short by
+the local gate at q.  A form's floor, below which a search returns at once,
 must be S times its least squared Gram-Schmidt length and lose no vector.
 The integral LLL that sets a form up keeps the Gram matrix of its reduced
 basis; ``enum_oracle.reduced_form_reference``, the LLL that recomputed each
@@ -318,6 +319,18 @@ def test_trace_search_edge_cases(vset47):
     assert _check_trace(order, 12, Fraction(1, 3)) == []
     # trace 1 on a lattice with denominator 2: x = (1 + y)/2, as (1 + j)/2
     assert Quat(alg, (1, 0, 1, 0), 2) in _check_trace(order, 12, Fraction(1))
+
+
+def test_trace_search_ungated_without_q():
+    """The local gate reads alg.q alone.  In Hamilton's quaternions (a = b = 1,
+    ramified at 2, split at 5) the Lipschitz order holds the six units
+    +-i, +-j, +-k of trace 0 and norm 1, although (-4|5) = 1: with q = 0 the
+    search finds them; with the algebra mislabelled q = 5 the gate drops them."""
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    found = _check_trace(Lattice(QuaternionAlgebra(q=0, a=1, b=1), rows, 1), 1, 0)
+    assert sorted(v.num for v in found) == sorted(
+        tuple(s * x for x in e) for s in (1, -1) for e in rows[1:])
+    assert Lattice(QuaternionAlgebra(q=5, a=1, b=1), rows, 1).norm_vectors(1, trace=0) == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -37,7 +37,7 @@ from shimura_pq.gross import (
     unit_count,
 )
 from shimura_pq.ntheory import kronecker
-from shimura_pq.quat import Quat, reduced_discriminant
+from shimura_pq.quat import Lattice, Quat, reduced_discriminant
 from shimura_pq.ssgraph import build_graph
 
 
@@ -81,12 +81,27 @@ class TestOptimalEmbeddings:
         rec = vset47.classes[k]
         assert optimal_embeddings(rec.right_order, -4, vset47.units_of(k)) == 2
 
-    def test_split_q_gives_zero_everywhere(self, vset47):
-        # (D|47) = 1 means no embeddings into any maximal order
-        split_d = next(d for d in range(-3, -200, -1)
-                       if d % 4 in (0, 1) and kronecker(d, 47) == 1)
-        for k, rec in enumerate(vset47.classes):
-            assert optimal_embeddings(rec.right_order, split_d, vset47.units_of(k)) == 0
+    def test_split_q_gives_zero_everywhere(self, vset47, graph_13_47, monkeypatch):
+        """(D|47) = 1: no order of discriminant D embeds in B.  On every
+        vertex and Eichler order of (13,47), for every such D in the window,
+        the ungated rank-4 search finds no candidate, and the gated count is
+        0 with no trace-zero search run."""
+        split = [d for d in range(-3, -200, -1) if d % 4 in (0, 1) and kronecker(d, 47) == 1]
+        pairs = [(rec.right_order, vset47.units_of(k)) for k, rec in enumerate(vset47.classes)]
+        pairs += [(e.eichler, graph_eichler_units(graph_13_47, i))
+                  for i, e in enumerate(graph_13_47.edges)]
+        for d in split:
+            t0 = d % 2
+            for order, _ in pairs:
+                assert enum_oracle.norm_vectors_with_trace(order, (t0 - d) // 4, t0) == [], d
+
+        def no_search(*_):
+            raise AssertionError("trace-zero search run on a split D")
+
+        monkeypatch.setattr(Lattice, "_trace_vectors", no_search)
+        for d in split:
+            for order, unit_list in pairs:
+                assert optimal_embeddings(order, d, unit_list) == 0, d
 
     def test_trace_identity_d_minus_8(self, vset47):
         total = sum(
@@ -112,6 +127,52 @@ class TestOptimalEmbeddings:
                 for i, e in enumerate(g.edges)
             )
             assert edge_total == (1 - kronecker(d, 47)) * (1 + kronecker(d, 13)) * h
+
+
+@pytest.mark.parametrize("p,q", [(5, 23), (13, 47), (13, 83)])
+def test_local_gate_matches_rank4_search(p, q, request):
+    """The gate at q in ``Lattice.norm_vectors`` changes no count: on every
+    vertex and Eichler order, for -200 <= D <= -3, ``optimal_embeddings``
+    equals the orbit count of the ungated rank-4 search, and that search
+    is empty whenever (D|q) = 1."""
+    graph = request.getfixturevalue(f"graph_{p}_{q}")
+    vset = graph.vset
+    pairs = [(rec.right_order, vset.units_of(k)) for k, rec in enumerate(vset.classes)]
+    pairs += [(e.eichler, graph_eichler_units(graph, i)) for i, e in enumerate(graph.edges)]
+    split = 0
+    for d in range(-3, -201, -1):
+        if d % 4 > 1:
+            continue
+        t0 = d % 2
+        n = (t0 - d) // 4
+        for order, unit_list in pairs:
+            cands = enum_oracle.norm_vectors_with_trace(order, n, t0)
+            if kronecker(d, q) == 1:
+                assert cands == [], d
+                split += 1
+            assert (optimal_embeddings(order, d, unit_list)
+                    == enum_oracle.count_optimal(order, d, cands, unit_list)), d
+    assert split > 0
+
+
+def test_local_gate_on_fractional_norm_and_trace(vset47):
+    """On O / 2 (O the base order of B_47, with den 2), x = y / 2 for y in O
+    has norm n / 4 and trace t / 2: fractional values whose target is an
+    integer, gated on the same D as the searches in O."""
+    order = vset47.order
+    half = Lattice(order.alg, order.rows, 2 * order.den)
+    gated = 0
+    for d in range(-3, -201, -1):
+        if d % 4 > 1:
+            continue
+        t0 = d % 2
+        n, t = Fraction((t0 - d) // 4, 4), Fraction(t0, 2)
+        got = half.norm_vectors(n, trace=t)
+        assert got == enum_oracle.norm_vectors_with_trace(half, n, t), d
+        assert got == sorted((x / 2 for x in order.norm_vectors((t0 - d) // 4, trace=t0)),
+                             key=Quat.key), d
+        gated += kronecker(d, 47) == 1
+    assert gated > 0
 
 
 EDGE_GRAPHS = [(5, 23), (13, 11), (13, 47), (29, 47), (5, 37), (5, 163), (7, 23)]
