@@ -5,7 +5,8 @@ For each negative discriminant D coprime to pq, tabulates the total
 optimal-embedding counts on both graphs against the closed-form trace
 values, and flags the Gross vectors whose support meets an exceptional
 edge (those break the cycle construction at small p).  Exits 1 if any
-row is flagged TRACE MISMATCH.
+row is flagged TRACE MISMATCH, and 3 with an ``error:`` line on stderr
+on bad input, such as a p that is not a prime >= 5.
 
 Rows with (D|q) = +1 read zero without a search: the local test at q in
 ``Lattice.norm_vectors`` returns no candidate.  The closed-form values
@@ -36,7 +37,11 @@ def main():
     ap.add_argument("--cache", default=None)
     args = ap.parse_args()
     p, q = args.p, args.q
-    graph, _ = load_or_build_graph(p, q, args.cache)
+    try:
+        graph, _ = load_or_build_graph(p, q, args.cache)
+    except ValueError as exc:  # bad input, reported as cli.main reports it
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     vset = graph.vset
     exceptional = {i for i, e in enumerate(graph.edges) if e.length > 1}
     mismatch = False

@@ -3,12 +3,14 @@
 
 Builds (or loads from cache) the dual graph, prints vertex/edge censuses,
 the quotient and regular-model pictures, component group data, and the
-exact degree comparison.  Example:
+exact degree comparison.  Bad input, such as a p that is not a prime
+>= 5, exits 3 with an ``error:`` line on stderr.  Example:
 
     python scripts/pair_report.py --p 13 --q 47
 """
 
 import argparse
+import sys
 import time
 
 from shimura_pq.certify import genus, load_or_build_graph
@@ -29,7 +31,11 @@ def main():
     args = ap.parse_args()
 
     t0 = time.time()
-    graph, cached = load_or_build_graph(args.p, args.q, args.cache)
+    try:
+        graph, cached = load_or_build_graph(args.p, args.q, args.cache)
+    except ValueError as exc:  # bad input, reported as cli.main reports it
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     vset = graph.vset
     print(f"pair ({args.p}, {args.q}); genus(X0({args.q})) = {genus(args.q)}; "
           f"build {'cache' if cached else f'{time.time()-t0:.1f}s'}")
@@ -59,4 +65,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

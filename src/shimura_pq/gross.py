@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .ntheory import kronecker, prime_factors
-from .quat import Quat, units
+from .quat import units
 
 
 # -- imaginary quadratic orders -------------------------------------------------
@@ -68,54 +68,63 @@ def optimal_embeddings(order, D, unit_list=None):
     nrd(x) = (t0^2 - D)/4 (t0 = D mod 2); it is optimal unless the induced
     generator of some conductor-divided order also lies in the lattice.
 
-    When (D|q) = 1 the count is 0 with no enumeration: the candidate
-    search (``Lattice.norm_vectors`` with a trace) returns [] on the local
-    test at q, as t0^2 - 4n = D, and an order of discriminant D embeds in
-    B only if q does not split in Q(sqrt D) (Eichler, LNM 320).
+    D is checked once, here, and the candidates come from one call of
+    ``Lattice.norm_vectors`` with the trace, which tests the gate at q and
+    the floor of its trace-zero form in its own frame before any search.
+    When (D|q) = 1 the count is 0 with no enumeration: t0^2 - 4n = D, and
+    an order of discriminant D embeds in B only if q does not split in
+    Q(sqrt D) (Eichler, LNM 320).  With no candidate ``_count_optimal`` is
+    not called.
     """
-    return _count_optimal(order, D, _embedding_candidates(order, D), unit_list)
-
-
-def _embedding_candidates(order, D):
-    """The x in order with trd(x) = t0 and nrd(x) = (t0^2 - D)/4, by key."""
-    validate_discriminant(D)
+    if D >= 0 or D % 4 > 1:  # inline, so a valid D costs no call
+        validate_discriminant(D)
     t0 = D % 2
-    return order.norm_vectors((t0 - D) // 4, trace=t0)
+    cands = order.norm_vectors((t0 - D) // 4, t0)
+    return _count_optimal(order, D, cands, unit_list) if cands else 0
 
 
 def _count_optimal(order, D, cands, unit_list):
-    """Unit-conjugation orbits of the candidates that are optimal in order."""
-    if not cands:
-        return 0
+    """Unit-conjugation orbits of the candidates that are optimal in order.
+
+    Both steps run on the (den, num) pairs of the candidates, in integers:
+    x is not optimal if (2x + shift) / (2 ell) lies in the order for a
+    prime ell of the conductor (``order._coords`` on its numerator), and
+    x -> u x conj(u) (nrd u = 1) is one product of integer 4-vectors,
+    brought to lowest terms by one gcd.  u and -u act alike and +-1
+    trivially, so one u of each pair with a nonzero pure part conjugates;
+    with none the orbits are the optimal candidates themselves."""
     t0 = D % 2
+    xs = [(x.den, x.num) for x in cands]
+    coords = order._coords
     # the primes of the conductor: the ell with D / ell^2 a discriminant
     for ell in prime_factors(-D):
         d1, r = divmod(D, ell * ell)
         if r or d1 % 4 > 1:
             continue
         shift = ell * (d1 % 2) - t0
-        # x is not optimal if (2x + shift) / (2 ell) lies in the order
-        cands = [x for x in cands
-                 if order._coords((2 * x.num[0] + shift * x.den, 2 * x.num[1], 2 * x.num[2],
-                                   2 * x.num[3]), 2 * ell * x.den) is None]
-    if not cands:
+        ell2 = 2 * ell
+        xs = [(den, num) for den, num in xs
+              if coords((2 * num[0] + shift * den, 2 * num[1], 2 * num[2], 2 * num[3]),
+                        ell2 * den) is None]
+    if not xs:
         return 0
     if unit_list is None:
         unit_list = units(order)
-    # x -> u x conj(u) (nrd u = 1): u and -u act alike and +-1 trivially, so
-    # one u of each pair with a nonzero pure part, as integer 4-vectors
     conjugators = [(u.num, (u.num[0], -u.num[1], -u.num[2], -u.num[3]), u.den * u.den)
                    for u in unit_list if u.num[1:] > (0, 0, 0)]
-    alg = order.alg
-    mul4 = alg.mul4
-    remaining = {x.key(): x for x in cands}
+    if not conjugators:
+        return len(xs)
+    mul4 = order.alg.mul4
+    remaining = set(xs)
     orbits = 0
     while remaining:
-        seed = remaining.pop(min(remaining))
+        den, num = remaining.pop()
         orbits += 1
         for u, ubar, uden in conjugators:
-            y = Quat(alg, mul4(mul4(u, seed.num), ubar), uden * seed.den)
-            remaining.pop(y.key(), None)
+            y0, y1, y2, y3 = mul4(mul4(u, num), ubar)
+            yden = uden * den
+            g = gcd(yden, y0, y1, y2, y3)
+            remaining.discard((yden // g, (y0 // g, y1 // g, y2 // g, y3 // g)))
     return orbits
 
 
@@ -139,12 +148,14 @@ def gross_shimura(graph, D):
     Z + P.  One search per vertex serves all its p+1 edges; optimality and
     the orbits under the units are then counted in the Eichler order, as
     ``optimal_embeddings`` counts them."""
+    validate_discriminant(D)
+    t0 = D % 2
     by_vertex = {}
     out = []
     for i, e in enumerate(graph.edges):
         k = e.source
         if k not in by_vertex:
-            by_vertex[k] = _embedding_candidates(graph.vset.classes[k].right_order, D)
+            by_vertex[k] = graph.vset.classes[k].right_order.norm_vectors((t0 - D) // 4, t0)
         cands = [x for x in by_vertex[k] if x in e.eichler]
         count = _count_optimal(e.eichler, D, cands, graph_eichler_units(graph, i)) if cands else 0
         out.append(Fraction(count, e.length))

@@ -2,11 +2,18 @@
 Hilbert symbols over Q."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all the bases above (Sorenson-Webster,
+# Math. Comp. 86, 2017): below it ``is_prime`` is proven.
+MR_PROVEN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond desk scale."""
+    """Miller-Rabin to the thirteen prime bases 2..41, deterministic for
+    n < MR_PROVEN_BOUND (about 3.3e24); the twelve bases 2..37 alone pass
+    318665857834031151167461 = 399165290221 * 798330580441.  At or above
+    the bound it is only a strong probable-prime test: ``check_primes``
+    refuses such input."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -31,9 +38,13 @@ def is_prime(n: int) -> bool:
 
 
 def check_primes(**named):
-    """Raise ValueError unless the named values are distinct primes >= 5,
-    naming the value at fault: check_primes(p=p, q=q) or check_primes(q=q)."""
+    """Raise ValueError unless the named values are distinct primes >= 5
+    below MR_PROVEN_BOUND, where ``is_prime`` is proven, naming the value at
+    fault: check_primes(p=p, q=q) or check_primes(q=q)."""
     for name, v in named.items():
+        if v >= MR_PROVEN_BOUND:
+            raise ValueError(f"{name} = {v} is too large: primality is proven only "
+                             f"below {MR_PROVEN_BOUND}")
         if not is_prime(v) or v < 5:
             raise ValueError(f"{name} must be a prime >= 5, got {v}")
     if len(set(named.values())) < len(named):

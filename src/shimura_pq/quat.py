@@ -531,27 +531,28 @@ class Lattice:
             self._cache["s0"] = (basis, _ReducedForm(g))
         return self._cache["s0"]
 
-    def _trace_vectors(self, target, tnum, tden):
+    def _trace_vectors(self, target, tnum, tden, s0):
         """The x with trd(x) = t = tnum / tden and (4 nrd(x) - t^2) den^2 =
         target, sorted by key: x = (y / den + t) / 2 over the y in den S0
-        with nrd(y) = target, kept if x lies in the lattice."""
-        if target == 0:
-            ys = [(0, 0, 0)]
-        else:
-            basis, form = self._trace_zero_form()
-            cs = form.vectors(target)
-            if not cs:
-                return []
-            (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = basis
-            ys = [(c1 * b11 + c2 * b21 + c3 * b31, c1 * b12 + c2 * b22 + c3 * b32,
-                   c1 * b13 + c2 * b23 + c3 * b33)
-                  for (c1, c2, c3), _ in cs]
+        with nrd(y) = target, kept if x lies in the lattice; s0 is
+        ``_trace_zero_form()`` (None when target = 0, where x = t / 2).
+        Only the kept x become Quats."""
         # x = (y / den + t) / 2 over the common denominator 2 den tden
         xden, x0 = 2 * self.den * tden, tnum * self.den
+        coords = self._coords
+        if not target:
+            num = (x0, 0, 0, 0)
+            return [Quat(self.alg, num, xden)] if coords(num, xden) is not None else []
+        cs = s0[1].vectors(target)
+        if not cs:
+            return []
+        (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = s0[0]
         found = []
-        for y1, y2, y3 in ys:
-            num = (x0, y1 * tden, y2 * tden, y3 * tden)
-            if self._coords(num, xden) is not None:
+        for (c1, c2, c3), _ in cs:
+            num = (x0, (c1 * b11 + c2 * b21 + c3 * b31) * tden,
+                   (c1 * b12 + c2 * b22 + c3 * b32) * tden,
+                   (c1 * b13 + c2 * b23 + c3 * b33) * tden)
+            if coords(num, xden) is not None:
                 found.append(Quat(self.alg, num, xden))
         found.sort(key=Quat.key)
         return found
@@ -576,20 +577,36 @@ class Lattice:
         split at q and Q(x) (x) Q_q = Q_q x Q_q would lie in the division
         algebra B_q, which is impossible.  q | target (target = 0 among
         them) gives symbol 0 and searches.  An algebra with q = 0 is never
-        gated."""
-        if not isinstance(n, int):
-            n = Fraction(n)
+        gated.
+
+        Int and Fraction inputs are first brought to one integer triple
+        (target, tnum, tden).  The gate at q and then the floor of the
+        cached S0 form (s target < floor has no vector, see
+        ``_ReducedForm``) are tested in this frame, before
+        ``_trace_vectors`` or any search is called."""
         if trace is not None:
-            if not isinstance(trace, int):
-                trace = Fraction(trace)
-            target = (4 * n - trace * trace) * self.den ** 2
-            if target.denominator != 1:
-                return []
+            den = self.den
+            if isinstance(n, int) and isinstance(trace, int):
+                target, tnum, tden = (4 * n - trace * trace) * den * den, trace, 1
+            else:
+                t = Fraction(trace)
+                target = (4 * Fraction(n) - t * t) * den * den
+                if target.denominator != 1:
+                    return []
+                target, tnum, tden = target.numerator, t.numerator, t.denominator
             q = self.alg.q
             # (-target | q) = 1 by Euler's criterion; q | target gives 0
-            if q and pow(-target.numerator, (q - 1) // 2, q) == 1:
+            if q and pow(-target, (q - 1) // 2, q) == 1:
                 return []
-            return self._trace_vectors(target.numerator, trace.numerator, trace.denominator)
+            s0 = None
+            if target:
+                s0 = self._cache.get("s0") or self._trace_zero_form()
+                form = s0[1]
+                if form.s * target < form.floor:
+                    return []
+            return self._trace_vectors(target, tnum, tden, s0)
+        if not isinstance(n, int):
+            n = Fraction(n)
         if n < 0:
             return []
         if n == 0:

@@ -22,7 +22,6 @@ from lattice_oracle import from_elements
 from shimura_pq.certify import build_cycle, decompose_eisenstein, genus
 from shimura_pq.gross import (
     _count_optimal,
-    _embedding_candidates,
     class_number,
     gross_modular,
     gross_shimura,
@@ -52,10 +51,16 @@ class TestClassNumbers:
         assert class_number(-100) == 2
         assert class_number(-324) == 6
 
-    def test_rejects_bad_discriminants(self):
+    def test_rejects_bad_discriminants(self, vset47):
+        """``optimal_embeddings`` checks D itself, with class_number's
+        message, before any search."""
         for bad in (4, 0, -5, -6, -1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as exc:
                 class_number(bad)
+            with pytest.raises(ValueError) as emb:
+                optimal_embeddings(vset47.order, bad)
+            assert str(emb.value) == str(exc.value)
+            assert str(exc.value) == f"{bad} is not a negative quadratic discriminant"
 
     def test_units(self):
         assert unit_count(-3) == 3
@@ -129,12 +134,14 @@ class TestOptimalEmbeddings:
             assert edge_total == (1 - kronecker(d, 47)) * (1 + kronecker(d, 13)) * h
 
 
-@pytest.mark.parametrize("p,q", [(5, 23), (13, 47), (13, 83)])
+@pytest.mark.parametrize("p,q", [(5, 23), (13, 47), (13, 83), (29, 47), (5, 163)])
 def test_local_gate_matches_rank4_search(p, q, request):
-    """The gate at q in ``Lattice.norm_vectors`` changes no count: on every
-    vertex and Eichler order, for -200 <= D <= -3, ``optimal_embeddings``
-    equals the orbit count of the ungated rank-4 search, and that search
-    is empty whenever (D|q) = 1."""
+    """The gate at q and the floor in ``Lattice.norm_vectors``, and the
+    integer orbits of ``_count_optimal``, change no count: on every vertex
+    and Eichler order, for -200 <= D <= -3, ``optimal_embeddings`` equals
+    the Fraction orbit count of the ungated rank-4 search, and that search
+    is empty whenever (D|q) = 1.  (29,47) has vertices with 4 and 6 units;
+    (5,163) has 14 classes."""
     graph = request.getfixturevalue(f"graph_{p}_{q}")
     vset = graph.vset
     pairs = [(rec.right_order, vset.units_of(k)) for k, rec in enumerate(vset.classes)]
@@ -193,15 +200,16 @@ def test_edge_vectors_match_per_edge_search(p, q, request):
 def test_integer_optimality_matches_fraction_count(d, graph_13_47, graph_5_37):
     """Conductor > 1, so some candidates are not optimal (on (13,47) for
     each of these D but -99): the integer test on the numerator and the
-    conjugation by u.conj() count the orbits the Fraction version counts.
-    At -108 and -144 the conductor is 6, two primes; -20 is fundamental
-    although 4 | 20, as -5 is not a discriminant."""
+    orbits on integer (den, num) pairs count what the Fraction version
+    counts.  At -108 and -144 the conductor is 6, two primes; -20 is
+    fundamental although 4 | 20, as -5 is not a discriminant."""
     for graph in (graph_13_47, graph_5_37):
         vset = graph.vset
         pairs = [(rec.right_order, vset.units_of(k)) for k, rec in enumerate(vset.classes)]
         pairs += [(e.eichler, graph_eichler_units(graph, i)) for i, e in enumerate(graph.edges)]
+        t0 = d % 2
         for order, unit_list in pairs:
-            cands = _embedding_candidates(order, d)
+            cands = order.norm_vectors((t0 - d) // 4, t0)
             assert (_count_optimal(order, d, cands, unit_list)
                     == enum_oracle.count_optimal(order, d, cands, unit_list))
 
@@ -428,7 +436,7 @@ class TestKanekoBound:
         pairs = 0
         for i in overlap[key]:
             E = graph.edges[i].eichler
-            ys = enum_oracle.optimal_candidates(E, D, _embedding_candidates(E, D))
+            ys = enum_oracle.optimal_candidates(E, D, E.norm_vectors((D % 2 - D) // 4, D % 2))
             for x in graph_eichler_units(graph, i):
                 if x.num[1:] == (0, 0, 0):
                     continue

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from shimura_pq.certify import check_ogg, genus, run_criterion
 from shimura_pq.ntheory import (
+    MR_PROVEN_BOUND,
     hilbert_symbol,
     is_prime,
     kronecker,
@@ -16,10 +17,21 @@ from shimura_pq.quat import make_algebra
 from shimura_pq.ssgraph import build_graph, ss_oracle, vertex_classes
 
 
+# The least strong pseudoprimes to the prime bases 2..37 and to 2..41
+# (Sorenson-Webster, 2017).
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
+
+
 def test_is_prime():
-    primes = [2, 3, 5, 7, 11, 13, 47, 251, 1009]
+    """Base 41 catches PSI_12, which every base 2..37 passes.  PSI_13
+    passes all thirteen bases: it is MR_PROVEN_BOUND, at which
+    ``check_primes`` stops."""
+    primes = [2, 3, 5, 7, 11, 13, 47, 251, 1009, 399165290221, 2 ** 89 - 1]
     assert all(is_prime(p) for p in primes)
-    assert not any(is_prime(n) for n in (0, 1, 4, 9, 15, 91, 561, 1001))
+    assert not any(is_prime(n) for n in (0, 1, 4, 9, 15, 91, 561, 1001, PSI_12))
+    assert PSI_12 == 318665857834031151167461
+    assert is_prime(PSI_13) and PSI_13 == MR_PROVEN_BOUND
 
 
 @given(st.integers(1, 5000))
@@ -38,6 +50,12 @@ def test_prime_factors(n):
     (lambda: build_graph(13, 13), "p and q must be distinct primes, got p = 13, q = 13"),
     (lambda: check_ogg(13, 13), "p and q must be distinct primes, got p = 13, q = 13"),
     (lambda: run_criterion(21, 47), "p must be a prime >= 5, got 21"),
+    # the ogg command read (PSI_12, 47) as nonramified before base 41
+    (lambda: check_ogg(PSI_12, 47), f"p must be a prime >= 5, got {PSI_12}"),
+    (lambda: check_ogg(13, PSI_13),
+     f"q = {PSI_13} is too large: primality is proven only below {PSI_13}"),
+    (lambda: make_algebra(2 ** 89 - 1),
+     f"q = {2 ** 89 - 1} is too large: primality is proven only below {PSI_13}"),
 ])
 def test_one_input_check_names_the_value(call, message):
     # every entry point goes through check_primes, before any work

@@ -31,6 +31,20 @@ def test_script_runs(script, args, header, cli_env):
     assert "TRACE MISMATCH" not in res.stdout
 
 
+@pytest.mark.parametrize("script,args,message", [
+    ("disc_battery.py", ["--p", "12", "--q", "47"], "p must be a prime >= 5, got 12"),
+    ("pair_report.py", ["--p", "13", "--q", "49"], "q must be a prime >= 5, got 49"),
+])
+def test_script_reports_bad_input_with_exit_3(script, args, message, cli_env):
+    """A bad pair exits 3 with one error line, as the CLI does, not 1 (the
+    TRACE MISMATCH code of disc_battery) with a traceback."""
+    res = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args],
+                         capture_output=True, text=True, env=cli_env, timeout=120)
+    assert res.returncode == 3
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
+
+
 def test_disc_battery_exits_1_on_a_trace_mismatch(monkeypatch, capsys):
     """Counts off by one break the trace identities: the rows are flagged and
     the script exits 1."""
