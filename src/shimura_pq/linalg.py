@@ -1,14 +1,13 @@
 """Exact dense linear algebra over the integers.
 
 Matrices are lists (or tuples) of integer rows: the Hermite and Smith
-normal forms, fraction-free (Bareiss) determinants and solves, and the
-exact square root of a rational, with no ``Fraction`` elimination.  Sizes
-are tiny (4x4 lattices, Laplacians of a few hundred rows), so the classical
-algorithms are used without any fancy pivoting.
+normal forms and fraction-free (Bareiss) determinants and solves, with
+no ``Fraction`` elimination.  Sizes are tiny (4x4 lattices, Laplacians of a
+few hundred rows), so the classical algorithms are used without any fancy
+pivoting.
 """
 
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 
 def xgcd(a: int, b: int):
@@ -227,14 +226,3 @@ def solve_bareiss(mat, rhs):
             s = d * a[i][n + c] - sum(a[i][j] * y[j][c] for j in range(i + 1, n))
             y[i][c] = s // a[i][i]
     return d, y
-
-
-def frac_sqrt(x: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    pn, pd = x.numerator, x.denominator
-    rn, rd = isqrt(pn), isqrt(pd)
-    if rn * rn != pn or rd * rd != pd:
-        return None
-    return Fraction(rn, rd)

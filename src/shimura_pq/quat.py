@@ -13,9 +13,10 @@ integers, with a floor below which a search returns before any loop.  A
 search with a fixed trace t runs in rank 3 on the same enumerator, in
 S0 = {2x - trd x}, as nrd(2x - t) = 4 nrd(x) - t^2 when trd(x) = t
 (Gross's ternary lattice, Heights and the special values of L-series,
-1987, section 12); int norms and traces keep it in int arithmetic, and a
-target whose field splits at q is refused before any search (the local
-embedding test, ``Lattice.norm_vectors``).
+1987, section 12), and a target whose field splits at q is refused before
+any search (the local embedding test, ``Lattice.norm_vectors``).  Norms
+and traces are ints: every ideal whose norm the program takes is integral
+(``ideal_norm``), so each search runs at an integer target.
 
 Orders and ideals are integer products too.  Every ideal whose right
 order the program needs is a left ideal I of a maximal order, so
@@ -29,7 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .linalg import det_bareiss, frac_sqrt, hnf_rows
+from .linalg import det_bareiss, hnf_rows
 from .ntheory import check_primes, is_prime, ramified_primes
 
 
@@ -110,22 +111,16 @@ class Quat:
     def __mul__(self, other):
         if isinstance(other, int):
             return Quat(self.alg, tuple(other * x for x in self.num), self.den)
-        if isinstance(other, Fraction):
-            a = other.numerator
-            return Quat(self.alg, tuple(a * x for x in self.num), self.den * other.denominator)
         return Quat(self.alg, self.alg.mul4(self.num, other.num), self.den * other.den)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self * other
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, int):
             return Quat(self.alg, self.num, self.den * other)
-        if isinstance(other, Fraction):
-            b = other.denominator
-            return Quat(self.alg, tuple(b * x for x in self.num), self.den * other.numerator)
         return NotImplemented
 
     def _coerce(self, other):
@@ -145,10 +140,12 @@ class Quat:
         return Fraction(self.alg.nrd4(self.num), self.den * self.den)
 
     def inv(self):
-        n = self.nrd()
+        """conj(x) / nrd(x) = conj(num) den / nrd4(num), in integers."""
+        n = self.alg.nrd4(self.num)
         if n == 0:
             raise ZeroDivisionError("inverting zero quaternion")
-        return self.conj() / n
+        (x0, x1, x2, x3), d = self.num, self.den
+        return Quat(self.alg, (d * x0, -d * x1, -d * x2, -d * x3), n)
 
     def key(self):
         return (self.den, self.num)
@@ -531,14 +528,14 @@ class Lattice:
             self._cache["s0"] = (basis, _ReducedForm(g))
         return self._cache["s0"]
 
-    def _trace_vectors(self, target, tnum, tden, s0):
-        """The x with trd(x) = t = tnum / tden and (4 nrd(x) - t^2) den^2 =
-        target, sorted by key: x = (y / den + t) / 2 over the y in den S0
-        with nrd(y) = target, kept if x lies in the lattice; s0 is
+    def _trace_vectors(self, target, t, s0):
+        """The x with trd(x) = t and (4 nrd(x) - t^2) den^2 = target, sorted
+        by key: x = (y / den + t) / 2 over the y in den S0 with
+        nrd(y) = target, kept if x lies in the lattice; s0 is
         ``_trace_zero_form()`` (None when target = 0, where x = t / 2).
         Only the kept x become Quats."""
-        # x = (y / den + t) / 2 over the common denominator 2 den tden
-        xden, x0 = 2 * self.den * tden, tnum * self.den
+        # x = (y / den + t) / 2 over the common denominator 2 den
+        xden, x0 = 2 * self.den, t * self.den
         coords = self._coords
         if not target:
             num = (x0, 0, 0, 0)
@@ -549,25 +546,19 @@ class Lattice:
         (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = s0[0]
         found = []
         for (c1, c2, c3), _ in cs:
-            num = (x0, (c1 * b11 + c2 * b21 + c3 * b31) * tden,
-                   (c1 * b12 + c2 * b22 + c3 * b32) * tden,
-                   (c1 * b13 + c2 * b23 + c3 * b33) * tden)
+            num = (x0, c1 * b11 + c2 * b21 + c3 * b31, c1 * b12 + c2 * b22 + c3 * b32,
+                   c1 * b13 + c2 * b23 + c3 * b33)
             if coords(num, xden) is not None:
                 found.append(Quat(self.alg, num, xden))
         found.sort(key=Quat.key)
         return found
 
-    def _norm_target(self, n):
-        """n den^2, the value of c^T G c for the vectors of norm n, or None if
-        it is not an integer."""
-        target, rem = divmod(n.numerator * self.den ** 2, n.denominator)
-        return None if rem else target
-
     def norm_vectors(self, n, trace=None):
         """All x in the lattice with nrd(x) = n (and trd(x) = trace if
-        given), sorted by key.  With a trace the search runs in S0, at the
-        target (4n - t^2) den^2, which an int norm and trace (the embedding
-        searches) give in int arithmetic, with no Fraction.
+        given), sorted by key.  n and trace are ints: the norms asked for
+        are those of integral ideals (see ``ideal_norm``) and of embedded
+        orders.  The search runs at the integer target n den^2 of the Gram
+        form, or with a trace in S0 at (4n - t^2) den^2.
 
         With a trace, and alg.q set, the search first makes the local test
         at q (Vigneras, LNM 800, ch. III 5): it returns [] at once when
@@ -579,21 +570,12 @@ class Lattice:
         them) gives symbol 0 and searches.  An algebra with q = 0 is never
         gated.
 
-        Int and Fraction inputs are first brought to one integer triple
-        (target, tnum, tden).  The gate at q and then the floor of the
-        cached S0 form (s target < floor has no vector, see
-        ``_ReducedForm``) are tested in this frame, before
-        ``_trace_vectors`` or any search is called."""
+        The gate at q and then the floor of the cached S0 form
+        (s target < floor has no vector, see ``_ReducedForm``) are tested
+        in this frame, before ``_trace_vectors`` or any search is called."""
+        den = self.den
         if trace is not None:
-            den = self.den
-            if isinstance(n, int) and isinstance(trace, int):
-                target, tnum, tden = (4 * n - trace * trace) * den * den, trace, 1
-            else:
-                t = Fraction(trace)
-                target = (4 * Fraction(n) - t * t) * den * den
-                if target.denominator != 1:
-                    return []
-                target, tnum, tden = target.numerator, t.numerator, t.denominator
+            target = (4 * n - trace * trace) * den * den
             q = self.alg.q
             # (-target | q) = 1 by Euler's criterion; q | target gives 0
             if q and pow(-target, (q - 1) // 2, q) == 1:
@@ -604,17 +586,10 @@ class Lattice:
                 form = s0[1]
                 if form.s * target < form.floor:
                     return []
-            return self._trace_vectors(target, tnum, tden, s0)
-        if not isinstance(n, int):
-            n = Fraction(n)
-        if n < 0:
-            return []
+            return self._trace_vectors(target, trace, s0)
         if n == 0:
             return [Quat(self.alg, (0, 0, 0, 0))]
-        target = self._norm_target(n)
-        if target is None:
-            return []
-        found = [self._vector(c) for c, _ in self._enum_form(target)]
+        found = [self._vector(c) for c, _ in self._enum_form(n * den * den)]
         found.sort(key=Quat.key)
         return found
 
@@ -624,32 +599,22 @@ class Lattice:
         witness, stored in the graph cache, so the rule must not change;
         ``ssgraph.VertexSet.step_witness`` applies it to the edge witnesses
         without calling this method, so the two must change together."""
-        n = Fraction(n)
-        if n <= 0:
-            return None
-        target = self._norm_target(n)
-        if target is None:
-            return None
-        sols = self._enum_form(target)
+        sols = self._enum_form(n * self.den ** 2)
         if not sols:
             return None
         return self._vector(min((c for c, _ in sols), key=lambda c: c[::-1]))
 
     def min_vectors(self):
-        """(minimal nonzero nrd, all attaining vectors), deterministic order."""
-        if "min" in self._cache:
-            return self._cache["min"]
-        best = None
-        vecs = []
-        for c, val in self._enum_form(self._form().min_bound, upto=True):
-            if best is None or val < best:
-                best, vecs = val, [c]
-            elif val == best:
-                vecs.append(c)
-        out = sorted((self._vector(c) for c in vecs), key=lambda v: v.key())
-        res = (Fraction(best, self.den ** 2), out)
-        self._cache["min"] = res
-        return res
+        """The nonzero vectors of least nrd, sorted by key."""
+        if "min" not in self._cache:
+            best, vecs = None, []
+            for c, val in self._enum_form(self._form().min_bound, upto=True):
+                if best is None or val < best:
+                    best, vecs = val, [c]
+                elif val == best:
+                    vecs.append(c)
+            self._cache["min"] = sorted((self._vector(c) for c in vecs), key=Quat.key)
+        return self._cache["min"]
 
 # -- orders ------------------------------------------------------------------
 
@@ -783,19 +748,26 @@ def maximal_order(alg):
 # -- ideals -------------------------------------------------------------------
 
 def ideal_norm(ideal, order):
-    """Reduced norm via nrd(I)^2 = [O : I] (generalized index)."""
-    n = frac_sqrt(ideal.index_in(order))
-    if n is None:
-        raise ArithmeticError("ideal index is not a perfect square")
+    """The reduced norm of I, an int, via nrd(I)^2 = [O : I].
+
+    Every ideal the program takes the norm of is integral, I <= O, so the
+    index is a positive integer: O itself, the reduced J = I conj(x) / nrd(I)
+    with x in I, which lie in I conj(I) / nrd(I) = O (Voight, Quaternion
+    Algebras, GTM 288, 2021, ch. 16), the I_k L <= I_k of the class search
+    and I_k T_k = j I_k <= O (``two_sided_ideal``).  Raises ArithmeticError
+    if the index is not the square of an integer, as for a fractional ideal."""
+    index = ideal.index_in(order)
+    n = isqrt(index.numerator)
+    if index.denominator != 1 or n * n != index:
+        raise ArithmeticError(f"ideal norm is not an integer: [O : I] = {index} is not "
+                              "the square of one, so the ideal is not integral")
     return n
 
 
 def reduce_ideal(ideal, order):
     """(J, z) with J = I*z in the same left class and small reduced norm."""
     n = ideal_norm(ideal, order)
-    _, vecs = ideal.min_vectors()
-    x = vecs[0]
-    z = x.conj() / n
+    z = ideal.min_vectors()[0].conj() / n
     return ideal.mul_elem(z), z
 
 
@@ -815,15 +787,14 @@ def equiv_witness(i1, i2, order, n1=None, n2=None):
 def _conjugated(ideal, norm, x):
     """I^-1 x I = conj(I) x I / n, for a left ideal I of reduced norm n of a
     maximal order and x an integer 4-vector: the products conj(r) x s over
-    the rows r, s of I, over den^2 n, with n's denominator folded into x.
+    the rows r, s of I, over den^2 n.
 
     Such an I is invertible, with I^-1 = conj(I) / n, as conj(I) I = n O_R(I)
     (Voight, Quaternion Algebras, GTM 288, 2021, ch. 16)."""
-    alg, n = ideal.alg, Fraction(norm)
-    x = tuple(n.denominator * v for v in x)
+    alg = ideal.alg
     left = [alg.mul4((r[0], -r[1], -r[2], -r[3]), x) for r in ideal.rows]
     return Lattice.from_int_rows(alg, [alg.mul4(y, s) for y in left for s in ideal.rows],
-                                 ideal.den ** 2 * n.numerator)
+                                 ideal.den ** 2 * norm)
 
 
 def right_order(ideal, norm):
@@ -846,8 +817,7 @@ def two_sided_ideal(ideal, norm):
     I T = P I = j I, and T = I^-1 j I.  The index check reads
     [R : T] = q^2 as det(T) n^2 = q^2 det(I), since [R : I] = n^2."""
     ts = _conjugated(ideal, norm, (0, 0, 1, 0))
-    n = Fraction(norm)
-    if ts.det() * n * n != ideal.alg.q ** 2 * ideal.det():
+    if ts.det() * norm * norm != ideal.alg.q ** 2 * ideal.det():
         raise ArithmeticError("two-sided ideal has wrong index")
     return ts
 

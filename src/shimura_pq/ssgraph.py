@@ -43,13 +43,13 @@ def _fingerprint(ideal, norm):
     """Counts of lattice vectors of reduced norm k*nrd(I), k = 1, 2, 3: the
     normalized norm form is a left-class invariant, so this is a cheap
     pre-filter before the short-vector equivalence test."""
-    target = 3 * norm * ideal.den ** 2
-    counts = [0, 0, 0]
     unit = norm * ideal.den ** 2
-    for _, val in ideal._enum_form(int(target), upto=True):
-        r = val / unit
-        if r.denominator == 1 and 1 <= r <= 3:
-            counts[int(r) - 1] += 1
+    counts = [0, 0, 0]
+    # 0 < val <= 3 unit, so an exact quotient is 1, 2 or 3
+    for _, val in ideal._enum_form(3 * unit, upto=True):
+        r, rem = divmod(val, unit)
+        if not rem:
+            counts[r - 1] += 1
     return tuple(counts)
 
 
@@ -126,9 +126,8 @@ class VertexSet:
             if ideal == self.order != rec.ideal:
                 self.connector(k, m)  # conj(I_m) O is the conjugate of O I_m
                 return self._connectors[(m, k)]
-            n, ro = Fraction(rec.norm), rec.right_order
-            lat = (Lattice(self.alg, [tuple(n.numerator * x for x in r) for r in ro.rows],
-                           ro.den * n.denominator) if m == k
+            n, ro = rec.norm, rec.right_order
+            lat = (Lattice(self.alg, [tuple(n * x for x in r) for r in ro.rows], ro.den) if m == k
                    else ideal if rec.ideal == self.order
                    else rec.ideal.conj_lattice().mul(ideal))
             self._connectors[(m, k)] = lat
@@ -150,8 +149,8 @@ class VertexSet:
         key = (k, m, n) if flip else (m, k, n)
         vecs = self._vectors.pop(key, None)
         if vecs is None and m == k:
-            nk, ro = Fraction(self.classes[k].norm), self.classes[k].right_order
-            vecs = sorted((x * nk for x in ro.norm_vectors(n / nk ** 2)), key=Quat.key)
+            nk, ro = self.classes[k].norm, self.classes[k].right_order
+            vecs = sorted((x * nk for x in ro.norm_vectors(n // nk ** 2)), key=Quat.key)
         elif vecs is None:
             vecs = self._connectors[key[:2]].norm_vectors(n)
             if m != k:
@@ -168,10 +167,10 @@ class VertexSet:
         conj(I_k) I_k = n_k R_k; its image is read off the coordinates in R_k
         of the rows of conj(I_k) I_m times z / n_k, with no lattice built.
 
-        The orbits are marked on the integer 4-vectors v of the x over their
-        common denominator: -v with no product, and +-u v / den(u) for one
-        unit u of each pair other than +-1 of R_m, an exact division, as
-        u x is again one of the x."""
+        The orbits are marked on the integer 4-vectors v = den x, den the
+        lcm of the dens of the x: -v with no product, and +-u v / den(u) for
+        one unit u of each pair other than +-1 of R_m, an exact division,
+        as u x is again one of the x."""
         rec, target = self.classes[k], self.classes[m]
         vecs = self._connector_vectors(m, k, ell * rec.norm * target.norm)
         if not vecs:
@@ -181,9 +180,7 @@ class VertexSet:
         den = lcm(*(x.den for x in vecs))
         moves = [(u.num, u.den) for u in self.units_of(m)
                  if any(u.num[1:]) and u.num > tuple(-c for c in u.num)]
-        nm, n = target.norm, rec.norm * target.norm
-        zs, zd = nm.denominator, nm.numerator  # z = x / n_m
-        ws, wd = n.denominator, lat.den * n.numerator  # x / (n_m n_k) over lat's rows
+        nm, wd = target.norm, lat.den * rec.norm * target.norm
         out, seen = [], set()
         for x in vecs:
             s = den // x.den
@@ -198,9 +195,9 @@ class VertexSet:
                 y = (y0 // ud, y1 // ud, y2 // ud, y3 // ud)
                 seen.add(y)
                 seen.add((-y[0], -y[1], -y[2], -y[3]))
-            w = (ws * x0, ws * x1, ws * x2, ws * x3)
-            coords = [order._coords(mul4(r, w), wd * x.den) for r in lat.rows]
-            z = Quat(alg, (zs * x0, zs * x1, zs * x2, zs * x3), zd * x.den)
+            # z = x / n_m, and the rows of lat times z / n_k = x / (n_m n_k)
+            coords = [order._coords(mul4(r, x.num), wd * x.den) for r in lat.rows]
+            z = Quat(alg, x.num, nm * x.den)
             out.append((_image_mod(coords, ell), m, z))
         return out
 
@@ -241,7 +238,7 @@ class VertexSet:
         zn, zd = z.num, z.den
         # x = v z of least key (den, num), each in lowest terms
         xd, xn = min(_norm4(mul4(v.num, zn), v.den * zd)[::-1]
-                     for v in rec.ideal.min_vectors()[1])
+                     for v in rec.ideal.min_vectors())
         # y = z conj(x) / nrd(z) = yn / yd, as nrd(z) = nrd4(zn) / zd^2
         yn = tuple(zd * c for c in mul4(zn, (xn[0], -xn[1], -xn[2], -xn[3])))
         yd = xd * self.alg.nrd4(zn)

@@ -242,8 +242,8 @@ def steps_by_quats(vset, k, m, ell):
 def step_witness_by_quats(vset, t, z):
     """``VertexSet.step_witness(t, z)`` as it was, in ``Quat`` objects."""
     rec = vset.classes[t]
-    x = min((v * z for v in rec.ideal.min_vectors()[1]), key=Quat.key)
-    y = z * (x.conj() / z.nrd())  # n_t z z0
+    x = min((v * z for v in rec.ideal.min_vectors()), key=Quat.key)
+    y = z * x.conj() * (z.conj() * z).inv()  # n_t z z0 = z conj(x) / nrd(z)
     lat = rec.right_order.mul_elem(y)
     u = min(vset.units_of(t), key=lambda u: lat.coords_of(u * y)[::-1])
     return u * z

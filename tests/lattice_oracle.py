@@ -43,18 +43,19 @@ one per 2-dimensional subspace of O / ell O that is a left ideal);
 the trace form mod q, with ``kernel_mod_p`` and ``_as_int`` (moved unchanged
 from ``quat`` and ``linalg``), the oracle for ``quat.two_sided_ideal``;
 and the ``Fraction`` helpers all of these stand on, which the package no
-longer uses: ``mat_inv_frac``, ``mat_mul_frac`` and ``_int_vec`` (moved
-unchanged from ``linalg`` and ``quat``), ``frac_rows`` (the basis as
-``Fraction`` rows) and ``scale`` (a lattice times a positive rational).
+longer uses: ``mat_inv_frac``, ``mat_mul_frac``, ``frac_sqrt`` and
+``_int_vec`` (moved unchanged from ``linalg`` and ``quat``), ``frac_rows``
+(the basis as ``Fraction`` rows) and ``scale`` (a lattice times a positive
+rational).
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import graph_oracle
 from shimura_pq.gross import class_number, gross_modular, gross_shimura
-from shimura_pq.linalg import det_bareiss, frac_sqrt, hnf_rows, xgcd
+from shimura_pq.linalg import det_bareiss, hnf_rows, xgcd
 from shimura_pq.quat import Lattice, Quat, ideal_norm
 
 
@@ -132,6 +133,17 @@ def mat_mul_frac(a, b):
         [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
         for row in a
     ]
+
+
+def frac_sqrt(x: Fraction):
+    """Exact square root of a nonnegative rational, or None."""
+    if x < 0:
+        return None
+    pn, pd = x.numerator, x.denominator
+    rn, rd = isqrt(pn), isqrt(pd)
+    if rn * rn != pn or rd * rd != pd:
+        return None
+    return Fraction(rn, rd)
 
 
 def _int_vec(frac_row):

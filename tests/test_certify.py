@@ -300,7 +300,8 @@ class TestCache:
                                         "foreign_ideal", "two_sided", "wq_witness", "order",
                                         "rational", "algebra", "json_list", "json_number",
                                         "json_string", "float_entry", "float_witness",
-                                        "float_length", "bool_entry", "flag_moved"])
+                                        "float_length", "bool_entry", "flag_moved",
+                                        "half_scale_ideal"])
     def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
         # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
         # edge 11, and edge 5 is the other edge from 0 to 1; edge 6 starts at
@@ -338,6 +339,7 @@ class TestCache:
                  "float_length": "3.0 in the cache is not an integer",
                  "bool_entry": "a true or false in the cache is not a vertex's rational flag",
                  "flag_moved": "a true or false in the cache is not a vertex's rational flag",
+                 "half_scale_ideal": "ideal norm is not an integer",
                  }[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
@@ -416,6 +418,10 @@ class TestCache:
             # b = q in every model make_algebra gives, so no derived record
             # differs, only the stored b
             payload["algebra"]["b"] += 1
+        elif damage == "half_scale_ideal":
+            # O / 2 in place of O: a lattice in HNF whose norm 1/4 is no int
+            assert vertices[1]["ideal"] == payload["order"]
+            vertices[1]["ideal"]["d"] *= 2
         else:
             payload["wq_perm"][0] = 1
         with open(path, "w", encoding="utf-8") as fh:
@@ -423,9 +429,11 @@ class TestCache:
         assert cache_load(str(tmp_path), 13, 11) is None
         err = capsys.readouterr().err
         assert "corrupt" in err and check in err
-        graph, from_cache = load_or_build_graph(13, 11, str(tmp_path))
-        assert not from_cache
-        assert graph_payload(graph) == graph_payload(graph_13_11)
+        # the check over the damaged cache warns again, rebuilds, and gives
+        # the cold run's certificate and cache bytes
+        cert = run_criterion(13, 11, cache_dir=str(tmp_path), override=True)
+        assert "corrupt" in capsys.readouterr().err
+        assert certificate_json(cert) == certificate_json(run_criterion(13, 11, override=True))
         with open(path, "rb") as fh:
             assert fh.read() == good
 

@@ -16,6 +16,7 @@ lam, weights, floor and minimum bound on every Gram.
 """
 
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -46,25 +47,21 @@ def _check_gram(g, targets):
 
 
 def _check_lattice(lat, norms, upto_norm):
-    """Compare every Lattice entry point with the oracle on lat.gram()."""
+    """Compare every Lattice entry point with the oracle on lat.gram(), at
+    the int norms asked for."""
     g = lat.gram()
     den2 = lat.den ** 2
     for n in norms:
-        t = Fraction(n) * den2
-        if t.denominator != 1:
-            assert lat.norm_vectors(n) == [] and lat.find_norm_vector(n) is None
-            continue
-        t = int(t)
+        t = n * den2
         assert _as_set(lat._enum_form(t)) == _as_set(oracle.enum_form(g, t))
         expected = sorted((lat._vector(c) for c, _ in oracle.enum_form(g, t)), key=lambda v: v.key())
-        assert lat.norm_vectors(Fraction(n)) == expected
+        assert lat.norm_vectors(n) == expected
         c = oracle.find_norm_vector(g, t)
-        assert lat.find_norm_vector(Fraction(n)) == (None if c is None else lat._vector(c))
-    t = int(upto_norm * den2)
+        assert lat.find_norm_vector(n) == (None if c is None else lat._vector(c))
+    t = upto_norm * den2
     assert _as_set(lat._enum_form(t, upto=True)) == _as_set(oracle.enum_form(g, t, upto=True))
-    best, vecs = oracle.min_vectors(g)
-    assert lat.min_vectors() == (
-        Fraction(best, den2), sorted((lat._vector(c) for c in vecs), key=lambda v: v.key()))
+    _, vecs = oracle.min_vectors(g)
+    assert lat.min_vectors() == sorted((lat._vector(c) for c in vecs), key=lambda v: v.key())
 
 
 @st.composite
@@ -210,9 +207,9 @@ def test_rank_outside_3_and_4_raises():
 
 def test_integer_norm_and_trace_build_no_fraction(vset47, monkeypatch):
     """An int norm and trace, as the embedding searches pass them, stay in
-    int arithmetic; the same search with Fractions gives the same list."""
+    int arithmetic and give the rank-4 search filtered on the trace."""
     order = vset47.classes[1].right_order
-    expected = [order.norm_vectors(Fraction(n), trace=Fraction(t)) for n, t in ((5, 1), (9, 0))]
+    expected = [oracle.norm_vectors_with_trace(order, n, t) for n, t in ((5, 1), (9, 0))]
 
     class NoFraction(Fraction):
         def __new__(cls, *args):
@@ -227,8 +224,10 @@ def test_integer_norm_and_trace_build_no_fraction(vset47, monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(skewed_lattices())
 def test_skewed_lattice_matches_oracle(lat):
-    best = lat.min_vectors()[0]
-    _check_lattice(lat, sorted({best, best + Fraction(1, lat.den ** 2), 2 * best}), 2 * best)
+    # the least int norm at or above the minimum, which den > 1 can make
+    # fractional
+    best = ceil(lat.min_vectors()[0].nrd())
+    _check_lattice(lat, sorted({best, best + 1, 2 * best}), 2 * best)
 
 
 def test_graph_13_47_matches_oracle(graph_13_47):
@@ -284,41 +283,20 @@ def test_embedding_candidates_match_rank4_search(pair, request):
     assert found > 0
 
 
-def test_int_and_fraction_trace_searches_agree(graph_13_47):
-    """An int norm and trace, the embedding searches, stay in int arithmetic;
-    Fractions of the same values give the same list on every vertex and
-    Eichler order of (13,47), for -100 <= D <= -3."""
-    orders = [c.right_order for c in graph_13_47.vset.classes] + \
-        [e.eichler for e in graph_13_47.edges]
-    found = 0
-    for d in range(-3, -101, -1):
-        if d % 4 in (0, 1):
-            t0 = d % 2
-            n = (t0 - d) // 4
-            for order in orders:
-                got = order.norm_vectors(n, trace=t0)
-                assert got == order.norm_vectors(Fraction(n), trace=Fraction(t0)), (d, order)
-                found += len(got)
-    assert found > 0
-
-
 def test_trace_search_edge_cases(vset47):
     order = vset47.order
     alg = order.alg
     assert order.den == 2
     # n = 0: the zero vector alone, of trace 0
-    assert [v.num for v in _check_trace(order, 0, Fraction(0))] == [(0, 0, 0, 0)]
-    assert _check_trace(order, 0, Fraction(1)) == []
+    assert [v.num for v in _check_trace(order, 0, 0)] == [(0, 0, 0, 0)]
+    assert _check_trace(order, 0, 1) == []
     # 4n - t^2 < 0: nothing
-    assert _check_trace(order, 1, Fraction(3)) == []
+    assert _check_trace(order, 1, 3) == []
     # 4n - t^2 = 0: y = 0, so x = t/2 alone
-    assert _check_trace(order, 1, Fraction(2)) == [Quat.one(alg)]
-    assert _check_trace(order, 1, Fraction(-2)) == [-Quat.one(alg)]
-    # (4n - t^2) den^2 is not an integer
-    assert _check_trace(order, Fraction(1, 3), Fraction(0)) == []
-    assert _check_trace(order, 12, Fraction(1, 3)) == []
+    assert _check_trace(order, 1, 2) == [Quat.one(alg)]
+    assert _check_trace(order, 1, -2) == [-Quat.one(alg)]
     # trace 1 on a lattice with denominator 2: x = (1 + y)/2, as (1 + j)/2
-    assert Quat(alg, (1, 0, 1, 0), 2) in _check_trace(order, 12, Fraction(1))
+    assert Quat(alg, (1, 0, 1, 0), 2) in _check_trace(order, 12, 1)
 
 
 def test_trace_search_ungated_without_q():
@@ -336,12 +314,15 @@ def test_trace_search_ungated_without_q():
 @settings(max_examples=40, deadline=None)
 @given(skewed_lattices(), st.integers(-3, 3))
 def test_trace_search_matches_oracle_on_skewed_lattices(lat, shift):
-    """Norms and traces, fractional ones included, of short lattice vectors,
-    and the same norms with the trace moved by shift / den."""
+    """The integral norms and traces of short lattice vectors and of den
+    times them (c . rows, of integral norm and trace), and the same norms
+    with the trace moved by shift."""
     den2 = lat.den ** 2
-    best = lat.min_vectors()[0]
+    best = lat.min_vectors()[0].nrd()
     short = sorted((lat._vector(c) for c, _ in lat._enum_form(int(2 * best * den2), upto=True)),
                    key=Quat.key)
-    for x in short[:6]:
-        for t in {x.trd(), x.trd() + Fraction(shift, lat.den)}:
-            _check_trace(lat, x.nrd(), t)
+    for x in short[:6] + [lat.den * x for x in short[:2]]:
+        n, t = x.nrd(), x.trd()
+        if n.denominator == 1 and t.denominator == 1:
+            for s in {0, shift}:
+                _check_trace(lat, int(n), int(t) + s)

@@ -162,26 +162,6 @@ def test_local_gate_matches_rank4_search(p, q, request):
     assert split > 0
 
 
-def test_local_gate_on_fractional_norm_and_trace(vset47):
-    """On O / 2 (O the base order of B_47, with den 2), x = y / 2 for y in O
-    has norm n / 4 and trace t / 2: fractional values whose target is an
-    integer, gated on the same D as the searches in O."""
-    order = vset47.order
-    half = Lattice(order.alg, order.rows, 2 * order.den)
-    gated = 0
-    for d in range(-3, -201, -1):
-        if d % 4 > 1:
-            continue
-        t0 = d % 2
-        n, t = Fraction((t0 - d) // 4, 4), Fraction(t0, 2)
-        got = half.norm_vectors(n, trace=t)
-        assert got == enum_oracle.norm_vectors_with_trace(half, n, t), d
-        assert got == sorted((x / 2 for x in order.norm_vectors((t0 - d) // 4, trace=t0)),
-                             key=Quat.key), d
-        gated += kronecker(d, 47) == 1
-    assert gated > 0
-
-
 EDGE_GRAPHS = [(5, 23), (13, 11), (13, 47), (29, 47), (5, 37), (5, 163), (7, 23)]
 
 

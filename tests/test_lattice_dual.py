@@ -40,15 +40,18 @@ def lattices(draw):
 vectors = st.tuples(*[st.integers(-30, 30)] * 4)
 
 
-@given(st.integers(0, 2), vectors, vectors, st.integers(1, 12))
+@given(st.integers(0, 2), vectors, vectors)
 @settings(max_examples=60, deadline=None)
-def test_orders_match_oracle(vset47, k, x, y, m):
-    # I = (O x + O y) / m, a left ideal of O, the right order of one of the
-    # first three classes (the base order among them): a maximal order
+def test_orders_match_oracle(vset47, k, x, y):
+    # I = O x + O y, an integral left ideal of O, the right order of one of
+    # the first three classes (the base order among them): a maximal order.
+    # x and y are coordinates in O's basis, so I <= O.  A scaled I has the
+    # same right order.
     assume(any(x))
     order = vset47.classes[k].right_order
-    ideal = Lattice.from_int_rows(ALG, [ALG.mul4(r, v) for v in (x, y) for r in order.rows],
-                                  order.den * m)
+    gens = [tuple(sum(c * r[i] for c, r in zip(v, order.rows)) for i in range(4)) for v in (x, y)]
+    ideal = Lattice.from_int_rows(ALG, [ALG.mul4(r, v) for v in gens for r in order.rows],
+                                  order.den ** 2)
     n = ideal_norm(ideal, order)
     assert quat.right_order(ideal, n) == oracle.right_order(ideal)
     assert quat.right_order(ideal.conj_lattice(), n).conj_lattice() == \

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import solve_frac
-from lattice_oracle import hnf_rows_pairwise, kernel_mod_p, mat_inv_frac, mat_mul_frac
+from lattice_oracle import frac_sqrt, hnf_rows_pairwise, kernel_mod_p, mat_inv_frac, mat_mul_frac
 from shimura_pq.linalg import (
     det_bareiss,
-    frac_sqrt,
     hnf_rows,
     smith_normal_form,
     solve_bareiss,

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import brandt_matrix, dense, rref_mod_fresh, ss_oracle_reference
-from shimura_pq.certify import SS_ORACLE_MAX_Q, genus
+from shimura_pq import quat, ssgraph
+from shimura_pq.certify import SS_ORACLE_MAX_Q, cache_load, cache_store, genus
 from shimura_pq.ntheory import is_prime
-from shimura_pq.quat import equiv_witness, make_algebra, maximal_order
+from shimura_pq.quat import equiv_witness, ideal_norm, make_algebra, maximal_order, norm_ideals
 from shimura_pq.ssgraph import (ShimuraGraph, _rref_mod, build_graph, ss_oracle,
                               validate_graph, vertex_classes)
 
@@ -32,6 +33,35 @@ class TestVertexClasses:
         for i, a in enumerate(vset47.classes):
             for b in vset47.classes[i + 1:]:
                 assert equiv_witness(a.ideal, b.ideal, vset47.order) is None
+
+    @pytest.mark.parametrize("p, q", [(13, 11), (5, 37), (13, 47), (5, 163)])
+    def test_ideal_norms_are_ints(self, p, q, request, tmp_path, monkeypatch):
+        """Every norm the class search takes is an int (the ideals are
+        integral), every I_k L and I_k T_k has norm 2 n_k and q n_k as an
+        int, and the class norms stay ints through a cache."""
+        taken = []
+
+        def recorded(ideal, order):
+            n = ideal_norm(ideal, order)
+            taken.append(type(n))
+            return n
+
+        monkeypatch.setattr(quat, "ideal_norm", recorded)
+        monkeypatch.setattr(ssgraph, "ideal_norm", recorded)
+        vset = vertex_classes(q)
+        monkeypatch.undo()
+        assert len(taken) > len(vset) and set(taken) == {int}
+        for k, rec in enumerate(vset.classes):
+            assert type(rec.norm) is int
+            for lam in norm_ideals(rec.right_order, 2):
+                n = ideal_norm(rec.ideal.mul(lam), vset.order)
+                assert type(n) is int and n == 2 * rec.norm
+            n = ideal_norm(rec.ideal.mul(vset.two_sided[k]), vset.order)
+            assert type(n) is int and n == q * rec.norm
+        cache_store(str(tmp_path), request.getfixturevalue(f"graph_{p}_{q}"))
+        loaded = cache_load(str(tmp_path), p, q).vset
+        assert [rec.norm for rec in loaded.classes] == [rec.norm for rec in vset.classes]
+        assert all(type(rec.norm) is int for rec in loaded.classes)
 
     def test_wq_involution(self, vset47, vset11):
         for vset in (vset47, vset11):
