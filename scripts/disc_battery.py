@@ -21,7 +21,6 @@ import sys
 from shimura_pq.certify import load_or_build_graph
 from shimura_pq.gross import (
     class_number,
-    graph_eichler_units,
     gross_shimura,
     optimal_embeddings,
     support,
@@ -56,9 +55,7 @@ def main():
             for k, rec in enumerate(vset.classes)
         )
         gam = gross_shimura(graph, d)
-        edge_total = sum(
-            int(gam[i] * graph.edges[i].length) for i in range(len(graph.edges))
-        )
+        edge_total = sum(gam)
         expect_v = (1 - kronecker(d, q)) * h
         expect_e = (1 - kronecker(d, q)) * (1 + kronecker(d, p)) * h
         hits = sorted(set(support(gam)) & exceptional)

@@ -86,12 +86,13 @@ def decompose_eisenstein(graph, ell, n_max):
     rational solution scaled to primitive integers, then by 12.
 
     One incremental fraction-free elimination serves every depth.  With the
-    tower as numerators t_n over den, A_E times den lcm(w) is the integer
-    vector e.  Each row carries, after the vertex entries, its integer
-    combination of e and the t_n.  The tower vector t_n is reduced against
-    the earlier pivot rows: if it vanishes it is dependent, the span and so
-    the answer do not change at this depth; otherwise it is a new pivot and
-    the running residual of e is reduced against it.  A zero residual is a
+    tower as counts t_n over den (``gross_tower_modular``), A_E times
+    den lcm(w) is the integer vector e.  Each row carries, after the vertex
+    entries, its integer combination of e and the t_n.  The tower vector
+    t_n is reduced against the earlier pivot rows: if it vanishes it is
+    dependent, the span and so the answer do not change at this depth;
+    otherwise it is a new pivot and the running residual of e is reduced
+    against it.  A zero residual is a
     relation c_e e + sum c_n t_n = 0 supported on the pivot columns, the
     leftmost independent ones.  The solution on those columns is unique, so
     it is the one a dense solve with the free variables set to 0 gives.
@@ -146,15 +147,15 @@ def decompose_eisenstein(graph, ell, n_max):
 def build_cycle(graph, ell, lam0, lams):
     """C = sum lambda_n gamma_n, C0 = (p+1) C - 4 lambda0 a_E, plus checks.
 
-    With the edge tower as numerators t_n over den (``hecke_tower``), the
-    integers m_i = (p+1) sum lambda_n t_n[i] - 4 lambda0 den give
-    C0[i] = m_i / (den length_i); only the printed ``c0`` strings leave
-    the integers.  Checks, reported in this order and never raised:
-    intersection (no Gross vector meets an exceptional edge, the
-    per-instance surrogate for the non-effective disjointness bound); C0
-    is closed (both boundary maps vanish); C0 is the degree-zero projection
-    of (p+1)C; every length-2 edge carries -2 lambda0; 2 lambda0 is coprime
-    to p.
+    With the edge tower as counts t_n (``gross_tower_shimura``,
+    gamma_n[i] = t_n[i] / length_i), the integers
+    m_i = (p+1) sum lambda_n t_n[i] - 4 lambda0 give C0[i] = m_i / length_i;
+    only the printed ``c0`` strings leave the integers.  Checks, reported
+    in this order and never raised: intersection (no Gross vector meets an
+    exceptional edge, the per-instance surrogate for the non-effective
+    disjointness bound); C0 is closed (both boundary maps vanish); C0 is
+    the degree-zero projection of (p+1)C; every length-2 edge carries
+    -2 lambda0; 2 lambda0 is coprime to p.
 
     The projection check is deg C0 = 0.  The monodromy pairing is diagonal
     with the lengths and a_E[i] = 1/length_i, so <v, a_E> = sum v_i and the
@@ -162,18 +163,18 @@ def build_cycle(graph, ell, lam0, lams):
     C0 = v - 4 lambda0 a_E and a_E has no zero entry, C0 equals that
     projection exactly when sum v = 4 lambda0 sum a_E, that is when
     sum C0_i = 0.  Both it and the boundaries are read on
-    m_i lcm(lengths) / length_i = den lcm(lengths) C0[i].
+    m_i lcm(lengths) / length_i = lcm(lengths) C0[i].
     """
     p = graph.p
     lengths = graph.lengths
-    den, towers = gross_tower_shimura(graph, ell, len(lams))
+    towers = gross_tower_shimura(graph, ell, len(lams))
     acc = [0] * len(lengths)
     for lam, t in zip(lams, towers):
         if lam:
             for i, x in enumerate(t):
                 if x:
                     acc[i] += lam * x
-    m = [(p + 1) * x - 4 * lam0 * den for x in acc]
+    m = [(p + 1) * x - 4 * lam0 for x in acc]
     scale = lcm(*lengths)
     flat = [x * (scale // ln) for x, ln in zip(m, lengths)]
     exceptional = [i for i, ln in enumerate(lengths) if ln > 1]
@@ -188,11 +189,11 @@ def build_cycle(graph, ell, lam0, lams):
         "closed": not any(s_star(graph, flat)) and not any(t_star(graph, flat)),
         "in_gross_span": sum(flat) == 0,
         "exceptional_multiplicity": bool(length2)
-        and all(m[i] == -4 * lam0 * den for i in length2),
+        and all(m[i] == -4 * lam0 for i in length2),
         "multiplicity_coprime_to_p": gcd(2 * lam0, p) == 1,
     }
     return {
-        "c0": [str(Fraction(x, den * ln)) for x, ln in zip(m, lengths)],
+        "c0": [str(Fraction(x, ln)) for x, ln in zip(m, lengths)],
         "exceptional_edges": exceptional,
         "length2_edges": length2,
         "support_overlap": overlap,
@@ -469,16 +470,19 @@ def run_criterion(p, q, l=None, n_max=None, cache_dir=None, override=False):
     if n_max is not None and n_max < 1:
         raise ValueError(f"--max-n must be a positive tower depth, got {n_max}")
     ogg = check_ogg(p, q)
-    hard_unmet = []
-    if q <= 245:
-        hard_unmet.append("q_gt_245")
-    if q % 4 != 3:
-        hard_unmet.append("q_3_mod_4")
-    if p % 4 != 1:
-        hard_unmet.append("p_1_mod_4")
-    if kronecker(q, p) != -1:
+    hypotheses = {
+        "ogg_case": ogg,
+        "q_gt_245": q > 245,
+        "q_3_mod_4": q % 4 == 3,
+        "p_1_mod_4": p % 4 == 1,
+        "legendre_q_p": kronecker(q, p),
+        "p_gt_q_heuristic": p > q,
+    }
+    hard_unmet = [name for name in ("q_gt_245", "q_3_mod_4", "p_1_mod_4")
+                  if not hypotheses[name]]
+    if hypotheses["legendre_q_p"] != -1:
         hard_unmet.append("legendre_q_p_is_minus_1")
-    soft_unmet = [] if p > q else ["p_not_much_greater_than_q"]
+    soft_unmet = [] if hypotheses["p_gt_q_heuristic"] else ["p_not_much_greater_than_q"]
 
     graph, _ = load_or_build_graph(p, q, cache_dir)
     stats, _, _ = graph_statistics(graph)
@@ -489,14 +493,7 @@ def run_criterion(p, q, l=None, n_max=None, cache_dir=None, override=False):
         "q": q,
         "ogg_case": ogg,
         "genus": genus(q),
-        "hypotheses": {
-            "ogg_case": ogg,
-            "q_gt_245": q > 245,
-            "q_3_mod_4": q % 4 == 3,
-            "p_1_mod_4": p % 4 == 1,
-            "legendre_q_p": kronecker(q, p),
-            "p_gt_q_heuristic": p > q,
-        },
+        "hypotheses": hypotheses,
         "hypotheses_unmet": hard_unmet + soft_unmet,
         "override_used": override,
         "note": NON_EFFECTIVITY_NOTE,

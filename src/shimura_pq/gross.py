@@ -1,15 +1,16 @@
 """Class numbers, optimal embeddings and Gross vectors.
 
-A Gross vector over the vertices (divisors) or the edges (paths) is a
-tuple of Fractions.  A conductor tower is integer: one common denominator
-and one list of numerators per level, the CM-reduction counts, which over
-the denominator and each entry's weight give the vector.  The monodromy
+A Gross vector over the vertices (divisors) or the edges (paths) is held
+as its integer counts of optimal embeddings, that is of CM reductions
+(Gross, Heights and the special values of L-series, 1987, section 12):
+the vector of discriminant D is the count over 2u(D) at a vertex,
+u(D) = #(O_D^* / {+-1}), and the count over the length at an edge.  A
+conductor tower is the list of those counts per level.  The monodromy
 pairing is diagonal with the weights, so a vector's degree, its pairing
 with the Eisenstein vector, is its coefficient sum.
 """
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .ntheory import kronecker, prime_factors
 from .quat import units
@@ -40,11 +41,6 @@ def class_number(D):
                 a += 1
         b += 2
     return h
-
-
-def unit_count(D):
-    """#(O_D^* / {+-1})."""
-    return 3 if D == -3 else 2 if D == -4 else 1
 
 
 def tower_class_number(ell, n):
@@ -131,16 +127,13 @@ def _count_optimal(order, D, cands, unit_list):
 # -- Gross vectors ----------------------------------------------------------------
 
 def gross_modular(vset, D):
-    """Vertex vector with coefficient (embeddings into End(E_k)) / 2u(D)."""
-    u2 = 2 * unit_count(D)
-    return tuple(
-        Fraction(optimal_embeddings(rec.right_order, D, vset.units_of(k)), u2)
-        for k, rec in enumerate(vset.classes)
-    )
+    """Vertex counts: the optimal embeddings into each End(E_k)."""
+    return tuple(optimal_embeddings(rec.right_order, D, vset.units_of(k))
+                 for k, rec in enumerate(vset.classes))
 
 
 def gross_shimura(graph, D):
-    """Edge vector with coefficient (embeddings into End(e)) / length(e).
+    """Edge counts: the optimal embeddings into each End(e).
 
     The Eichler order of an edge (k, P) is Z + P, which lies in R_k, so its
     embedding candidates (the x with the trace and norm of a generator of
@@ -157,8 +150,8 @@ def gross_shimura(graph, D):
         if k not in by_vertex:
             by_vertex[k] = graph.vset.classes[k].right_order.norm_vectors((t0 - D) // 4, t0)
         cands = [x for x in by_vertex[k] if x in e.eichler]
-        count = _count_optimal(e.eichler, D, cands, graph_eichler_units(graph, i)) if cands else 0
-        out.append(Fraction(count, e.length))
+        out.append(_count_optimal(e.eichler, D, cands, graph_eichler_units(graph, i))
+                   if cands else 0)
     return tuple(out)
 
 
@@ -191,21 +184,15 @@ def support(v):
 
 # -- conductor towers over Z[i] ---------------------------------------------------
 
-def hecke_tower(g0, g1, rows, weights, c1, ell, N):
-    """(den, [n_1, ..., n_N]) from the three-term Hecke recursion
+def hecke_tower(a0, a1, rows, c1, ell, N):
+    """[a_1, ..., a_N] from the three-term Hecke recursion on the counts
 
-        w_j g_{n+1}[j] = sum_i w_i g_n[i] B[i][j] - c_n w_j g_{n-1}[j],
+        a_{n+1}[j] = sum_i a_n[i] B[i][j] - c_n a_{n-1}[j],
 
-    with c_1 = c1 and c_n = ell after, and g_n[j] = n_n[j] / (den w_j).
-    ``rows[i]`` lists the nonzero (j, B[i][j]) of the Brandt matrix, so one
-    step touches about (ell+1) n entries.  The weights conjugate the
-    operator: the recursion lives on the CM-reduction counts w_i g[i], run
-    in integers over one common denominator.  Needs N >= 1."""
-    # den is the least common denominator of the counts w_j g[j]
-    den = lcm(*(x.denominator // gcd(x.denominator, w)
-                for g in (g0, g1) for x, w in zip(g, weights)))
-    prev, cur = ([x.numerator * w * den // x.denominator for x, w in zip(g, weights)]
-                 for g in (g0, g1))
+    with c_1 = c1 and c_n = ell after.  ``rows[i]`` lists the nonzero
+    (j, B[i][j]) of the Brandt matrix, so one step touches about (ell+1) n
+    entries."""
+    prev, cur = a0, list(a1)
     out = [cur]
     for n in range(1, N):
         push = [0] * len(cur)
@@ -216,29 +203,30 @@ def hecke_tower(g0, g1, rows, weights, c1, ell, N):
         c = c1 if n == 1 else ell
         prev, cur = cur, [p - c * pr for p, pr in zip(push, prev)]
         out.append(cur)
-    return den, out
+    return out
 
 
 def gross_tower_modular(graph, ell, N):
-    """Vertex Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N), as
-    ``hecke_tower`` returns them (the vertex weights are all 1 here): the
-    embeddings are counted for n = 1, and higher conductors follow the Hecke
-    three-term recursion on sums of CM reductions (a conductor-ell^n class
-    has one ell-isogeny neighbour of conductor ell^(n-1), ell of ell^(n+1))."""
+    """(2, [a_1, ..., a_N]): the vertex counts for discriminants
+    -4 ell^2, ..., -4 ell^(2N), and their denominator 2u(D) = 2.
+
+    The embeddings are counted for n = 1, and higher conductors follow the
+    Hecke three-term recursion on sums of CM reductions (a conductor-ell^n
+    class has one ell-isogeny neighbour of conductor ell^(n-1), ell of
+    ell^(n+1)).  On the vectors, count / 2u(D), the first step subtracts
+    2h(-4 ell^2) times Gamma_{-4} = a_0 / 4; on the counts that is
+    h(-4 ell^2) times a_0."""
     if N < 1:
-        return 1, []
+        return 2, []
     vset = graph.vset
-    return hecke_tower(gross_modular(vset, -4), gross_modular(vset, -4 * ell * ell),
-                       graph.brandt_vertices(ell), [1] * len(vset),
-                       2 * class_number(-4 * ell * ell), ell, N)
+    return 2, hecke_tower(gross_modular(vset, -4), gross_modular(vset, -4 * ell * ell),
+                          graph.brandt_vertices(ell), class_number(-4 * ell * ell), ell, N)
 
 
 def gross_tower_shimura(graph, ell, N):
-    """Edge Gross vectors for discriminants -4 ell^2, ..., -4 ell^(2N), as
-    ``hecke_tower`` returns them: the vertex tower's recursion, with the
-    edge lengths as the weights."""
+    """[a_1, ..., a_N]: the edge counts for discriminants -4 ell^2, ...,
+    -4 ell^(2N), by the vertex tower's recursion on the edges."""
     if N < 1:
-        return 1, []
+        return []
     return hecke_tower(gross_shimura(graph, -4), gross_shimura(graph, -4 * ell * ell),
-                       graph.brandt_edges(ell), graph.lengths,
-                       class_number(-4 * ell * ell), ell, N)
+                       graph.brandt_edges(ell), class_number(-4 * ell * ell), ell, N)

@@ -61,15 +61,6 @@ def primes_from(start: int):
         n += 1
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p: one of -1, 0, 1."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n)."""
     if n == 0:
@@ -122,9 +113,9 @@ def hilbert_symbol(a: int, b: int, p: int) -> int:
     e = alpha * beta * ((p - 1) // 2)
     s = (-1) ** (e % 2)
     if beta % 2:
-        s *= legendre(u, p)
+        s *= kronecker(u, p)
     if alpha % 2:
-        s *= legendre(w, p)
+        s *= kronecker(w, p)
     return s
 
 

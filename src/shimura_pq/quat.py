@@ -96,18 +96,6 @@ class Quat:
     def one(cls, alg):
         return cls(alg, (1, 0, 0, 0))
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        d = self.den * other.den // gcd(self.den, other.den)
-        s, o = d // self.den, d // other.den
-        return Quat(self.alg, tuple(s * x + o * y for x, y in zip(self.num, other.num)), d)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __neg__(self):
-        return Quat(self.alg, tuple(-x for x in self.num), self.den)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return Quat(self.alg, tuple(other * x for x in self.num), self.den)
@@ -123,21 +111,9 @@ class Quat:
             return Quat(self.alg, self.num, self.den * other)
         return NotImplemented
 
-    def _coerce(self, other):
-        if isinstance(other, Quat):
-            return other
-        f = Fraction(other)
-        return Quat(self.alg, (f.numerator, 0, 0, 0), f.denominator)
-
     def conj(self):
         n = self.num
         return Quat(self.alg, (n[0], -n[1], -n[2], -n[3]), self.den)
-
-    def trd(self):
-        return Fraction(2 * self.num[0], self.den)
-
-    def nrd(self):
-        return Fraction(self.alg.nrd4(self.num), self.den * self.den)
 
     def inv(self):
         """conj(x) / nrd(x) = conj(num) den / nrd4(num), in integers."""
@@ -376,9 +352,6 @@ class Lattice:
         return cls(alg, h, den)
 
     # -- basic data --------------------------------------------------------
-    def basis(self):
-        return [Quat(self.alg, r, self.den) for r in self.rows]
-
     def det(self):
         d = 1
         for idx in range(4):
@@ -633,18 +606,20 @@ def reduced_discriminant(order):
     return root // scale
 
 
+def _integral(alg, num, den):
+    """Whether num / den has integral reduced trace and norm:
+    trd = 2 num_0 / den and nrd = nrd4(num) / den^2."""
+    return 2 * num[0] % den == 0 and alg.nrd4(num) % (den * den) == 0
+
+
 def is_order(lat):
-    one = Quat.one(lat.alg)
-    if one not in lat:
-        return False
-    basis = lat.basis()
-    for x in basis:
-        if x.trd().denominator != 1 or x.nrd().denominator != 1:
-            return False
-        for y in basis:
-            if x * y not in lat:
-                return False
-    return True
+    """Whether the lattice holds 1, has integral basis elements r / den and
+    holds their products, r s / den^2."""
+    alg, rows, den = lat.alg, lat.rows, lat.den
+    return (lat._coords((1, 0, 0, 0), 1) is not None
+            and all(_integral(alg, r, den) for r in rows)
+            and all(lat._coords(alg.mul4(r, s), den * den) is not None
+                    for r in rows for s in rows))
 
 
 def units(order):
@@ -676,9 +651,8 @@ def _ring_closure(lat):
     trace/norm integrality breaks along the way."""
     cur = lat
     for _ in range(16):
-        for x in cur.basis():
-            if x.trd().denominator != 1 or x.nrd().denominator != 1:
-                return None
+        if not all(_integral(cur.alg, r, cur.den) for r in cur.rows):
+            return None
         nxt = cur.add(cur.mul(cur))
         if nxt == cur:
             return cur
@@ -686,21 +660,18 @@ def _ring_closure(lat):
     return None
 
 
-def _line_reps(ell):
-    """Canonical representatives of lines in F_ell^4 (first nonzero entry 1)."""
-    reps = []
+def _residues(order, ell):
+    """O / ell O read through the lines of F_ell^4: for each c with first
+    nonzero entry 1, in a fixed order, the integer numerator over den of
+    x = sum_r c_r b_r, b_r = R_r / den the basis."""
+    rows = order.rows
     for lead in range(4):
-        tail = 4 - lead - 1
-        count = ell ** tail
-        for n in range(count):
-            v = [0] * 4
-            v[lead] = 1
-            m = n
-            for t in range(tail):
-                v[lead + 1 + t] = m % ell
-                m //= ell
-            reps.append(tuple(v))
-    return reps
+        for n in range(ell ** (3 - lead)):
+            c = [0] * lead + [1]
+            for _ in range(3 - lead):
+                n, digit = divmod(n, ell)
+                c.append(digit)
+            yield tuple(sum(cr * r[m] for cr, r in zip(c, rows)) for m in range(4))
 
 
 def maximal_order(alg):
@@ -726,13 +697,12 @@ def maximal_order(alg):
         m = d // q
         ell = next(p for p in range(2, m + 1) if m % p == 0 and is_prime(p))
         enlarged = None
-        basis = order.basis()
-        for c in _line_reps(ell):
-            x = sum((cr * br for cr, br in zip(c, basis) if cr),
-                    Quat(alg, (0, 0, 0, 0))) / ell
-            if x.trd().denominator != 1 or x.nrd().denominator != 1:
+        xden = ell * order.den
+        for num in _residues(order, ell):
+            # x / ell over the common denominator
+            if not _integral(alg, num, xden):
                 continue
-            cand = _ring_closure(order.add_elem(x))
+            cand = _ring_closure(order.add_elem(Quat(alg, num, xden)))
             if cand is None or cand == order:
                 continue
             if is_order(cand):
@@ -843,9 +813,8 @@ def norm_ideals(order, ell):
         raise ValueError("ell must be prime")
     rows, den = order.rows, order.den
     ideals = {}
-    for c in _line_reps(ell):
-        # the numerator over den of x = sum_r c_r b_r; nrd(x) = nrd4(x) / den^2
-        x = tuple(sum(cr * r[m] for cr, r in zip(c, rows)) for m in range(4))
+    for x in _residues(order, ell):
+        # nrd(x) = nrd4(x) / den^2
         if alg.nrd4(x) % (ell * den * den):
             continue
         lat_rows = [alg.mul4(r, x) for r in rows]

@@ -33,9 +33,10 @@ from .quat import (
 
 
 # One left ideal class I: its right order, weight (half the unit count),
-# reduced norm, ``_fingerprint`` (all set by ``VertexSet._add_class``) and
-# whether w_q fixes it (set by ``_attach_wq``).
-VertexClass = namedtuple("VertexClass", "ideal right_order weight norm fingerprint rational",
+# reduced norm, ``_fingerprint``, the units of its right order (all set by
+# ``VertexSet._add_class``) and whether w_q fixes it (set by ``_attach_wq``).
+VertexClass = namedtuple("VertexClass",
+                         "ideal right_order weight norm fingerprint units rational",
                          defaults=(False,))
 
 
@@ -59,7 +60,7 @@ class VertexSet:
     def __init__(self, alg, order):
         self.q, self.alg, self.order = alg.q, alg, order
         self.classes = []  # ``_add_class`` appends; ``_attach_wq`` sets the w_q records
-        self._units, self._connectors = {}, {}
+        self._connectors = {}
         self._conjugates = set()  # the (m, k) whose connector is the conjugate of a product
         self._vectors = {}  # (m, k, n) of a product -> its vectors of norm n, until both are taken
 
@@ -74,19 +75,17 @@ class VertexSet:
         return sum(Fraction(1, c.weight) for c in self.classes)
 
     def units_of(self, k):
-        if k not in self._units:
-            self._units[k] = units(self.classes[k].right_order)
-        return self._units[k]
+        return self.classes[k].units
 
     def _add_class(self, ideal):
         """Append the class of ideal, a left ideal of the base order, with
-        its weight read off the unit list that ``units_of`` then returns."""
+        its weight read off the units of its right order."""
         n = ideal_norm(ideal, self.order)
         ro = right_order(ideal, n)
         unit_list = units(ro)
-        self._units[len(self.classes)] = unit_list
         self.classes.append(VertexClass(ideal=ideal, right_order=ro, weight=len(unit_list) // 2,
-                                        norm=n, fingerprint=_fingerprint(ideal, n)))
+                                        norm=n, fingerprint=_fingerprint(ideal, n),
+                                        units=unit_list))
 
     def rational_count(self):
         return sum(1 for c in self.classes if c.rational)
@@ -258,7 +257,7 @@ def vertex_classes(q, alg=None):
     in ``norm_ideals`` order, gives a new class, I_k L reduced, whose steps
     from k are read at once, so the next L left over is in no known class
     either; the steps from k must then be its three norm-2 ideals.  The
-    sorted set keeps the connectors and unit lists found on the way.
+    sorted set keeps the connectors found on the way.
     Strong approximation makes the norm-2 graph connected; the Eichler mass
     formula, closing exactly, certifies completeness."""
     check_primes(q=q)
@@ -291,7 +290,6 @@ def vertex_classes(q, alg=None):
     pos = {old: new for new, old in enumerate(perm)}
     vset = VertexSet(alg, order)
     vset.classes = [found.classes[i] for i in perm]
-    vset._units = {pos[i]: u for i, u in found._units.items()}
     vset._connectors = {(pos[m], pos[k]): lat for (m, k), lat in found._connectors.items()}
     vset._conjugates = {(pos[m], pos[k]) for m, k in found._conjugates}
     vset._vectors = {(pos[m], pos[k], n): v for (m, k, n), v in found._vectors.items()}

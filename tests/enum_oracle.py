@@ -45,6 +45,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from types import SimpleNamespace
 
+from lattice_oracle import add
 from shimura_pq.gross import validate_discriminant
 from shimura_pq.linalg import det_bareiss
 from shimura_pq.ntheory import prime_factors
@@ -193,7 +194,7 @@ def min_vectors(g):
 
 def norm_vectors_with_trace(lat, n, trace):
     """The x in lat with nrd(x) = n and trd(x) = trace, sorted by key."""
-    return [x for x in lat.norm_vectors(n) if x.trd() == trace]
+    return [x for x in lat.norm_vectors(n) if 2 * x.num[0] == trace * x.den]
 
 
 def optimal_candidates(order, D, cands):
@@ -203,7 +204,7 @@ def optimal_candidates(order, D, cands):
     _, f = conductor_split(D)
     for ell in prime_factors(f):
         shift = ell * ((D // (ell * ell)) % 2) - t0
-        cands = [x for x in cands if (x * 2 + shift) / (2 * ell) not in order]
+        cands = [x for x in cands if add(x * 2, shift) / (2 * ell) not in order]
     return cands
 
 

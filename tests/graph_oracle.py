@@ -46,8 +46,13 @@ here, unchanged apart from their imports:
   oracle for ``ShimuraGraph.brandt_edges``, ``_attach_wp`` and
   ``_attach_wq_edges``; ``residue_image`` (moved from ``ssgraph``) is
   that key, and keys the norm-ell ideals of the vertex tests;
-* ``gross_shimura_per_edge`` -- the edge Gross vector by one embedding
+* ``gross_shimura_per_edge`` -- the edge counts by one embedding
   search in each Eichler order, the oracle for ``gross.gross_shimura``;
+* ``unit_count``, ``gross_modular_frac`` and ``gross_shimura_frac`` --
+  u(D) = #(O_D^* / {+-1}), moved from ``gross``, and the Gross vectors as
+  the ``Fraction`` tuples ``gross.gross_modular`` and
+  ``gross.gross_shimura`` returned before they returned the counts:
+  count / 2u(D) at a vertex, count / length at an edge;
 * ``rref_mod_fresh`` -- ``ssgraph._rref_mod`` as it was before it
   eliminated in place: a fresh list per row operation, over all columns;
 * ``ss_oracle_reference`` -- the supersingular count by a sweep of the
@@ -61,7 +66,7 @@ here, unchanged apart from their imports:
   ``vec_scale``, ``is_zero``, ``monodromy_pairing``,
   ``project_degree_zero``, ``eisenstein_modular`` and
   ``eisenstein_shimura``; and ``tower_vectors``, which turns an integer
-  tower of ``gross.hecke_tower`` back into ``Fraction`` tuples.
+  tower (den, counts) back into ``Fraction`` tuples.
 """
 
 from collections import Counter
@@ -72,8 +77,8 @@ from math import comb, gcd
 
 import lattice_oracle
 from shimura_pq.compgroup import MGVertex, MultiGraph
-from shimura_pq.gross import (graph_eichler_units, gross_tower_modular, optimal_embeddings,
-                              tower_class_number)
+from shimura_pq.gross import (graph_eichler_units, gross_modular, gross_shimura,
+                              gross_tower_modular, optimal_embeddings, tower_class_number)
 from shimura_pq.linalg import det_bareiss
 from shimura_pq.ntheory import is_prime, kronecker
 from shimura_pq.quat import (Quat, equiv_witness, ideal_norm, make_algebra, maximal_order,
@@ -380,12 +385,25 @@ def wq_edge_perm_rref(graph):
 
 
 def gross_shimura_per_edge(graph, D):
-    """Edge vector with coefficient (embeddings into End(e)) / length(e),
-    one ``optimal_embeddings`` search in each Eichler order."""
-    return tuple(
-        Fraction(optimal_embeddings(e.eichler, D, graph_eichler_units(graph, i)), e.length)
-        for i, e in enumerate(graph.edges)
-    )
+    """Edge counts, the embeddings into each End(e), by one
+    ``optimal_embeddings`` search in each Eichler order."""
+    return tuple(optimal_embeddings(e.eichler, D, graph_eichler_units(graph, i))
+                 for i, e in enumerate(graph.edges))
+
+
+def unit_count(D):
+    """#(O_D^* / {+-1})."""
+    return 3 if D == -3 else 2 if D == -4 else 1
+
+
+def gross_modular_frac(vset, D):
+    """Vertex vector with coefficient (embeddings into End(E_k)) / 2u(D)."""
+    return tuple(Fraction(c, 2 * unit_count(D)) for c in gross_modular(vset, D))
+
+
+def gross_shimura_frac(graph, D):
+    """Edge vector with coefficient (embeddings into End(e)) / length(e)."""
+    return tuple(Fraction(c, e.length) for c, e in zip(gross_shimura(graph, D), graph.edges))
 
 
 def ss_oracle_reference(q):
@@ -537,7 +555,8 @@ def project_degree_zero(graph, v):
 
 def tower_vectors(tower, weights):
     """The Gross vectors g_n[j] = n_n[j] / (den w_j) of an integer tower
-    (den, [n_1, ..., n_N]), as tuples of Fractions."""
+    (den, [n_1, ..., n_N]), as tuples of Fractions: (2, the vertex counts)
+    with weights 1, or (1, the edge counts) with the edge lengths."""
     den, nums = tower
     return [tuple(Fraction(x, den * w) for x, w in zip(v, weights)) for v in nums]
 

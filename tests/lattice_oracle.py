@@ -29,7 +29,12 @@ compare the fast code against them:
   ``quat`` from before they moved to integers (``conj_by`` through a
   ``Fraction`` inverse of y, ``coords_of`` with a second verification pass,
   the discriminant from the ``Fraction`` trace form of the ``Quat`` basis),
-  as functions of the lattice.
+  as functions of the lattice;
+* ``basis``, ``trd``, ``nrd``, ``add`` and ``sub`` -- the rational API
+  that ``Quat`` and ``Lattice`` carried while the saturation of
+  ``quat.maximal_order`` read it (``Lattice.basis``, ``Quat.trd`` and
+  ``Quat.nrd`` as ``Fraction``s, ``+`` and ``-`` with a rational read as a
+  multiple of 1), as functions.
 
 ``hnf_rows_pairwise`` is ``linalg.hnf_rows`` as it was before rows were
 inserted one at a time: for any number of columns, it folds the rows with a
@@ -54,7 +59,7 @@ from itertools import combinations, product
 from math import gcd, isqrt, lcm
 
 import graph_oracle
-from shimura_pq.gross import class_number, gross_modular, gross_shimura
+from shimura_pq.gross import class_number
 from shimura_pq.linalg import det_bareiss, hnf_rows, xgcd
 from shimura_pq.quat import Lattice, Quat, ideal_norm
 
@@ -210,7 +215,7 @@ def _mult_matrix(b, side):
 def _order_of(lat, side):
     minv = mat_inv_frac(frac_rows(lat))
     functionals = []
-    for b in lat.basis():
+    for b in basis(lat):
         k = mat_mul_frac(_mult_matrix(b, side), minv)
         for col in range(4):
             functionals.append([k[r][col] for r in range(4)])
@@ -232,6 +237,41 @@ def lattice_intersection(l1, l2):
     m2 = mat_inv_frac(frac_rows(l2))
     functionals = [[m[r][col] for r in range(4)] for m in (m1, m2) for col in range(4)]
     return dual_of_constraints(l1.alg, functionals)
+
+
+# -- the rational Quat API ------------------------------------------------------
+
+def basis(lat):
+    """The basis elements r / den, as Quats."""
+    return [Quat(lat.alg, r, lat.den) for r in lat.rows]
+
+
+def trd(x):
+    return Fraction(2 * x.num[0], x.den)
+
+
+def nrd(x):
+    return Fraction(x.alg.nrd4(x.num), x.den * x.den)
+
+
+def _as_quat(alg, y):
+    if isinstance(y, Quat):
+        return y
+    y = Fraction(y)
+    return Quat(alg, (y.numerator, 0, 0, 0), y.denominator)
+
+
+def add(x, y):
+    """x + y; a rational y is read as y times 1."""
+    y = _as_quat(x.alg, y)
+    return Quat(x.alg, tuple(a * y.den + b * x.den for a, b in zip(x.num, y.num)),
+                x.den * y.den)
+
+
+def sub(x, y):
+    """x - y; a rational y is read as y times 1."""
+    y = _as_quat(x.alg, y)
+    return add(x, Quat(x.alg, tuple(-b for b in y.num), y.den))
 
 
 # -- Fraction lattice primitives ----------------------------------------------
@@ -278,8 +318,8 @@ def coords_of(lat, x):
 
 
 def reduced_discriminant(order):
-    basis = order.basis()
-    t = [[(x * y).trd() for y in basis] for x in basis]
+    elems = basis(order)
+    t = [[trd(x * y) for y in elems] for x in elems]
     den = lcm(*(v.denominator for r in t for v in r))
     det = Fraction(det_bareiss([[int(v * den) for v in r] for r in t]), den ** 4)
     d = frac_sqrt(abs(det))
@@ -296,8 +336,8 @@ def gross_tower_modular(graph, ell, N):
         return []
     vset = graph.vset
     nvert = len(vset)
-    g0 = gross_modular(vset, -4)
-    g1 = gross_modular(vset, -4 * ell * ell)
+    g0 = graph_oracle.gross_modular_frac(vset, -4)
+    g1 = graph_oracle.gross_modular_frac(vset, -4 * ell * ell)
     bm = graph_oracle.dense(graph.brandt_vertices(ell))
     h1 = class_number(-4 * ell * ell)
     out = [g1]
@@ -319,8 +359,8 @@ def gross_tower_shimura(graph, ell, N):
     if N < 1:
         return []
     nedge = len(graph.edges)
-    g0 = gross_shimura(graph, -4)
-    g1 = gross_shimura(graph, -4 * ell * ell)
+    g0 = graph_oracle.gross_shimura_frac(graph, -4)
+    g1 = graph_oracle.gross_shimura_frac(graph, -4 * ell * ell)
     bme = graph_oracle.dense(graph.brandt_edges(ell))
     h1 = class_number(-4 * ell * ell)
     w = graph.lengths
@@ -371,10 +411,10 @@ def norm_ideals_exhaustive(order, ell):
     P >= ell*O, of reduced norm ell.  Cost O(ell^4); test use only."""
     alg = order.alg
     minv = mat_inv_frac(frac_rows(order))
-    basis = order.basis()
+    elems = basis(order)
     gamma = [[_int_vec(mat_mul_frac([[Fraction(x, b1.den * b2.den) for x in
                                       alg.mul4(b1.num, b2.num)]], minv)[0])
-              for b2 in basis] for b1 in basis]
+              for b2 in elems] for b1 in elems]
 
     def mul_mod(c1, c2):
         out = [0, 0, 0, 0]
@@ -433,8 +473,8 @@ def two_sided_prime(order, q):
     Taken as the radical of the trace pairing mod q lifted back to the
     lattice, plus q*O; its index in O is q^2.
     """
-    basis = order.basis()
-    t = [[_as_int((x * y).trd()) for y in basis] for x in basis]
+    elems = basis(order)
+    t = [[_as_int(trd(x * y)) for y in elems] for x in elems]
     ker = kernel_mod_p(t, q)
     if len(ker) != 2:
         raise ArithmeticError("radical mod q does not have dimension 2")

@@ -20,6 +20,8 @@ from graph_oracle import (
     eisenstein_modular,
     eisenstein_shimura,
     element_order,
+    gross_modular_frac,
+    gross_shimura_frac,
     k_law_solve,
     make_multigraph,
     vec_scale,
@@ -29,8 +31,6 @@ from shimura_pq.compgroup import blow_up, component_group, degree_report, quotie
 from shimura_pq.gross import (
     class_number,
     graph_eichler_units,
-    gross_modular,
-    gross_shimura,
     optimal_embeddings,
     s_star,
     support,
@@ -199,13 +199,13 @@ def test_criterion_07_gross_functoriality(vset47, graph_13_47):
             and kronecker(d, 13) == 1
         )
         if ok:
-            gam = gross_shimura(g, d)
+            gam = gross_shimura_frac(g, d)
             if not any(g.edges[i].length > 1 for i in support(gam)):
                 battery.append((d, gam))
         d -= 1
     assert len(battery) >= 10
     for d, gam in battery:
-        target = vec_scale(gross_modular(vset47, d), 4)
+        target = vec_scale(gross_modular_frac(vset47, d), 4)
         assert s_star(g, gam) == target
         assert t_star(g, gam) == target
         assert apply_wq_edges(g, gam) == gam

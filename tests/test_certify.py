@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import decompose_by_solve_frac
+from graph_oracle import decompose_by_solve_frac, unit_count
 from lattice_oracle import scale
 from shimura_pq import certify
 from shimura_pq.certify import (
@@ -28,7 +28,7 @@ from shimura_pq.certify import (
     load_or_build_graph,
     run_criterion,
 )
-from shimura_pq.gross import gross_tower_modular, tower_class_number, unit_count
+from shimura_pq.gross import gross_tower_modular, tower_class_number
 from shimura_pq.linalg import hnf_rows
 from shimura_pq.quat import Quat, make_algebra
 from shimura_pq.ssgraph import ShimuraGraph, build_graph, vertex_classes

@@ -30,8 +30,8 @@ from graph_oracle import (
     wq_by_full_scan,
     wq_edge_perm_by_conjugation,
 )
-from lattice_oracle import conj_by_integer
-from shimura_pq.quat import Lattice, Quat
+from lattice_oracle import add, conj_by_integer, nrd
+from shimura_pq.quat import Lattice, Quat, units
 from shimura_pq.ssgraph import (VertexSet, _attach_wp, _attach_wq_edges,
                                 build_graph, vertex_classes)
 
@@ -113,14 +113,17 @@ def test_wq_scan_after_a_wrong_guess_skips_earlier_classes(monkeypatch):
 
 
 def test_kept_connectors_follow_the_sort(vset47):
-    # the connectors and unit lists of the search are re-keyed to the
-    # sorted classes: each must be the product of the sorted ideals
+    # the connectors of the search are re-keyed to the sorted classes: each
+    # must be the product of the sorted ideals; each class record carries
+    # the unit list of its own right order
     assert vset47._connectors
     for (m, k), lat in vset47._connectors.items():
         assert lat == vset47.classes[m].ideal.conj_lattice().mul(vset47.classes[k].ideal)
-    for k, unit_list in vset47._units.items():
-        assert all(u in vset47.classes[k].right_order and u.nrd() == 1 for u in unit_list)
-        assert len(unit_list) == 2 * vset47.classes[k].weight
+    for k, rec in enumerate(vset47.classes):
+        unit_list = vset47.units_of(k)
+        assert unit_list is rec.units and unit_list == units(rec.right_order)
+        assert all(u in rec.right_order and nrd(u) == 1 for u in unit_list)
+        assert len(unit_list) == 2 * rec.weight
 
 
 @pytest.mark.parametrize("drop", [True, False])
@@ -163,7 +166,7 @@ def test_missing_wq_conjugate_is_named(vset11):
 def test_non_integral_conjugate_is_named(vset11):
     graph = build_graph(13, 11, vset=vset11)
     e = graph.edges[0]
-    e = graph.edges[0] = e._replace(witness=e.witness + Quat(graph.vset.alg, (0, 0, 0, 1), 3))
+    e = graph.edges[0] = e._replace(witness=add(e.witness, Quat(graph.vset.alg, (0, 0, 0, 1), 3)))
     order = graph.vset.classes[e.target].right_order
     assert conj_by_integer(e.ideal.conj_lattice(), e.witness).coords_in(order) is None
     with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):

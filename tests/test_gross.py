@@ -11,19 +11,21 @@ from graph_oracle import (
     apply_wq_edges,
     eisenstein_modular,
     eisenstein_shimura,
+    gross_modular_frac,
+    gross_shimura_frac,
     gross_shimura_per_edge,
     is_zero,
     monodromy_pairing,
     project_degree_zero,
     tower_vectors,
+    unit_count,
     vec_scale,
 )
-from lattice_oracle import from_elements
+from lattice_oracle import from_elements, nrd, sub, trd
 from shimura_pq.certify import build_cycle, decompose_eisenstein, genus
 from shimura_pq.gross import (
     _count_optimal,
     class_number,
-    gross_modular,
     gross_shimura,
     gross_tower_modular,
     gross_tower_shimura,
@@ -33,7 +35,6 @@ from shimura_pq.gross import (
     support,
     t_star,
     tower_class_number,
-    unit_count,
 )
 from shimura_pq.ntheory import kronecker
 from shimura_pq.quat import Lattice, Quat, reduced_discriminant
@@ -196,7 +197,7 @@ def test_integer_optimality_matches_fraction_count(d, graph_13_47, graph_5_37):
 
 class TestGrossVectors:
     def test_gamma_minus_4(self, vset47):
-        gm = gross_modular(vset47, -4)
+        gm = gross_modular_frac(vset47, -4)
         k = next(k for k, c in enumerate(vset47.classes) if c.weight == 2)
         assert gm[k] == Fraction(1, 2)
         assert all(x == 0 for i, x in enumerate(gm) if i != k)
@@ -204,17 +205,17 @@ class TestGrossVectors:
     def test_zero_when_q_split(self, vset47):
         split_d = next(d for d in range(-3, -200, -1)
                        if d % 4 in (0, 1) and kronecker(d, 47) == 1)
-        assert is_zero(gross_modular(vset47, split_d))
+        assert is_zero(gross_modular_frac(vset47, split_d))
 
     def test_degree_inert(self, vset47):
         inert = [d for d in range(-4, -60, -1)
                  if d % 4 in (0, 1) and kronecker(d, 47) == -1][:4]
         for d in inert:
-            gm = gross_modular(vset47, d)
+            gm = gross_modular_frac(vset47, d)
             assert sum(gm) == Fraction(class_number(d), unit_count(d))
 
     def test_shimura_gamma_minus_4_is_the_exceptional_pair(self, graph_13_47):
-        gs = gross_shimura(graph_13_47, -4)
+        gs = gross_shimura_frac(graph_13_47, -4)
         sup = support(gs)
         assert [graph_13_47.edges[i].length for i in sup] == [2, 2]
         assert all(gs[i] == 1 for i in sup)
@@ -227,10 +228,10 @@ class TestGrossVectors:
                 continue
             if kronecker(d, 47) != -1 or kronecker(d, 13) != 1:
                 continue
-            gam = gross_shimura(g, d)
+            gam = gross_shimura_frac(g, d)
             if any(g.edges[i].length > 1 for i in support(gam)):
                 continue
-            target = vec_scale(gross_modular(vset47, d), 4)
+            target = vec_scale(gross_modular_frac(vset47, d), 4)
             assert s_star(g, gam) == target
             assert t_star(g, gam) == target
             assert apply_wq_edges(g, gam) == gam
@@ -241,7 +242,7 @@ class TestGrossVectors:
     def test_total_embedding_count_identity(self, graph_13_47):
         g = graph_13_47
         for d in (-8, -20):
-            gam = gross_shimura(g, d)
+            gam = gross_shimura_frac(g, d)
             weighted = sum(gam[i] * g.edges[i].length for i in range(len(g.edges)))
             expected = (1 - kronecker(d, 47)) * (1 + kronecker(d, 13)) * class_number(d)
             assert weighted == expected
@@ -316,18 +317,18 @@ class TestTowers:
     def test_vertex_tower_matches_direct(self, graph_13_11, graph_13_47):
         for g, n in ((graph_13_11, 3), (graph_13_47, 2)):
             tower = tower_vectors(gross_tower_modular(g, 3, n), [1] * len(g.vset))
-            direct = [gross_modular(g.vset, -4 * 9 ** k) for k in range(1, n + 1)]
+            direct = [gross_modular_frac(g.vset, -4 * 9 ** k) for k in range(1, n + 1)]
             assert tower == direct
 
     def test_vertex_tower_other_prime(self, graph_13_47):
         tower = tower_vectors(gross_tower_modular(graph_13_47, 5, 2), [1] * len(graph_13_47.vset))
-        direct = [gross_modular(graph_13_47.vset, -100),
-                  gross_modular(graph_13_47.vset, -2500)]
+        direct = [gross_modular_frac(graph_13_47.vset, -100),
+                  gross_modular_frac(graph_13_47.vset, -2500)]
         assert tower == direct
 
     def test_edge_tower_matches_direct(self, graph_13_47):
-        tower = tower_vectors(gross_tower_shimura(graph_13_47, 3, 2), graph_13_47.lengths)
-        direct = [gross_shimura(graph_13_47, -36), gross_shimura(graph_13_47, -324)]
+        tower = tower_vectors((1, gross_tower_shimura(graph_13_47, 3, 2)), graph_13_47.lengths)
+        direct = [gross_shimura_frac(graph_13_47, -36), gross_shimura_frac(graph_13_47, -324)]
         assert tower == direct
 
 
@@ -358,7 +359,7 @@ class TestBoundaryIdentity:
         g = graph_29_23
         unweighted_fails = residues = 0
         for D in self.DISCS:
-            gam, gamma = gross_shimura(g, D), gross_modular(g.vset, D)
+            gam, gamma = gross_shimura_frac(g, D), gross_modular_frac(g.vset, D)
             target = _boundary_target(g, D, gamma)
             assert _weighted_boundaries(g, gam) == (target, target), D
             unweighted_fails += s_star(g, gam) != target
@@ -369,7 +370,7 @@ class TestBoundaryIdentity:
     def test_tower_13_47(self, graph_13_47):
         g, ell, depth = graph_13_47, 3, 6
         vertex = tower_vectors(gross_tower_modular(g, ell, depth), [1] * len(g.vset))
-        edge = tower_vectors(gross_tower_shimura(g, ell, depth), g.lengths)
+        edge = tower_vectors((1, gross_tower_shimura(g, ell, depth)), g.lengths)
         for n in range(1, depth + 1):
             D = -4 * ell ** (2 * n)
             target = _boundary_target(g, D, vertex[n - 1])
@@ -377,14 +378,13 @@ class TestBoundaryIdentity:
             assert _weighted_boundaries(g, edge[n - 1]) == (target, target), n
 
     def test_tower_29_251_in_integers(self):
-        # L gamma_n is n_n / den_e, the edge counts over the edge tower's
-        # denominator, and Gamma_n is m_n / den_v, so the identity reads
-        # den_v s_*(n_n) = 2 (1 + (D/p)) den_e m_n with no Fraction
+        # L gamma_n is n_n, the edge counts, and Gamma_n is m_n / den_v, so
+        # the identity reads den_v s_*(n_n) = 2 (1 + (D/p)) m_n with no Fraction
         g, ell, depth = build_graph(29, 251), 3, 18
         den_v, vertex = gross_tower_modular(g, ell, depth)
-        den_e, edge = gross_tower_shimura(g, ell, depth)
+        edge = gross_tower_shimura(g, ell, depth)
         for n in range(1, depth + 1):
-            c = 2 * (1 + kronecker(-4 * ell ** (2 * n), g.p)) * den_e
+            c = 2 * (1 + kronecker(-4 * ell ** (2 * n), g.p))
             target = tuple(c * x for x in vertex[n - 1])
             assert any(target)
             for star in (s_star, t_star):
@@ -420,11 +420,11 @@ class TestKanekoBound:
             for x in graph_eichler_units(graph, i):
                 if x.num[1:] == (0, 0, 0):
                     continue
-                d_x = x.trd() ** 2 - 4 * x.nrd()
+                d_x = trd(x) ** 2 - 4 * nrd(x)
                 assert d_x in (-4, -3)
-                x0 = 2 * x - x.trd()
+                x0 = sub(2 * x, trd(x))
                 for y in ys:
-                    s = (x0 * (2 * y - y.trd())).trd() / 2
+                    s = trd(x0 * sub(2 * y, trd(y))) / 2
                     disc = reduced_discriminant(from_elements(graph.vset.alg, [one, x, y, x * y]))
                     assert disc == (d_x * D - s * s) / 4
                     assert disc % (p * q) == 0

@@ -114,22 +114,27 @@ def test_vertex_and_edge_orders_13_47(graph_13_47):
 
 @pytest.mark.parametrize("ell", [3, 5])
 def test_towers_13_47(graph_13_47, ell):
-    weights = {"gross_tower_modular": [1] * len(graph_13_47.vset),
-               "gross_tower_shimura": graph_13_47.lengths}
-    for name in ("gross_tower_modular", "gross_tower_shimura"):
-        den, nums = getattr(gross, name)(graph_13_47, ell, 5)
+    # the vertex counts over den 2, the edge counts over the lengths
+    towers = {"gross_tower_modular": (gross.gross_tower_modular(graph_13_47, ell, 5),
+                                      [1] * len(graph_13_47.vset)),
+              "gross_tower_shimura": ((1, gross.gross_tower_shimura(graph_13_47, ell, 5)),
+                                      graph_13_47.lengths)}
+    for name, ((den, nums), weights) in towers.items():
         slow = getattr(oracle, name)(graph_13_47, ell, 5)
-        assert tower_vectors((den, nums), weights[name]) == slow, name
+        assert tower_vectors((den, nums), weights) == slow, name
         assert all(type(x) is int for v in nums for x in v)
-        assert getattr(gross, name)(graph_13_47, ell, 0) == (1, [])
+    assert gross.gross_tower_modular(graph_13_47, ell, 0) == (2, [])
+    assert gross.gross_tower_shimura(graph_13_47, ell, 0) == []
 
 
 def test_hecke_tower_is_weight_conjugate():
     # B = [[1, 2], [3, 0]], weights (1, 2): w_j g'[j] = sum_i w_i g[i] B[i][j] - c w_j g0[j]
+    # is the recursion on the counts w_j g[j]
     rows = [[(0, 1), (1, 2)], [(0, 3)]]
     g0 = (Fraction(1), Fraction(1, 2))
     g1 = (Fraction(2), Fraction(3, 2))
-    out = tower_vectors(gross.hecke_tower(g0, g1, rows, [1, 2], 5, 7, 3), [1, 2])
+    counts = [tuple(int(x * w) for x, w in zip(g, (1, 2))) for g in (g0, g1)]
+    out = tower_vectors((1, gross.hecke_tower(*counts, rows, 5, 7, 3)), [1, 2])
     assert out[0] == g1
     assert out[1] == (2 + 3 * 3 - 5 * 1, Fraction(2 * 2, 2) - Fraction(5, 2))
     g2 = out[1]

@@ -8,12 +8,15 @@ not its tests).  A reference is a ``Name``, an ``Attribute`` or an imported
 name, outside the definition itself, so recursion does not keep a function
 alive.  Code that only the tests call belongs under ``tests/``.
 
-Names are matched by spelling alone, so a clash (a dead method that shares
-its name with a live function or variable) hides dead code: the guard is
-lenient, not strict.  Only a name reached through strings alone (``getattr``
-or a class ``__dict__``, as the benchmark's tracer does) would be flagged
-although used; each such name is also called directly.  Dunder methods
-(``__version__`` among them) and ``cli.main``, the entry point, are exempt.
+A method is reached through an object, so only an ``Attribute`` or a string
+equal to its name (``getattr`` or a class ``__dict__``, as the benchmark's
+tracer reaches methods) references it: a local variable or a function of
+the same spelling does not.  Names are still matched by spelling alone, so
+a clash (a dead method that shares its name with a live attribute of
+another class) hides dead code: the guard is lenient, not strict.  A
+top-level name reached through strings alone would be flagged although
+used.  Dunder methods (``__version__`` among them) and ``cli.main``, the
+entry point, are exempt.
 """
 
 import ast
@@ -38,33 +41,41 @@ def _is_dunder(name):
 
 
 def _definitions(module, tree):
-    """(qualified name, bare name, node) for each definition but the dunders."""
+    """(qualified name, bare name, node, kinds) for each definition but the
+    dunders; kinds are the reference kinds that keep it alive."""
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name) and not _is_dunder(target.id):
-                    yield f"{module}.{target.id}", target.id, node
+                    yield f"{module}.{target.id}", target.id, node, TOP_LEVEL
             continue
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        yield f"{module}.{node.name}", node.name, node
+        yield f"{module}.{node.name}", node.name, node, TOP_LEVEL
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
-                    yield f"{module}.{node.name}.{item.name}", item.name, item
+                    yield f"{module}.{node.name}.{item.name}", item.name, item, METHOD
+
+
+TOP_LEVEL = {"name", "attribute", "import"}
+METHOD = {"attribute", "string"}
 
 
 def _references(tree):
-    """(name, line) for every Name, Attribute and imported name."""
+    """(name, line, kind) for every Name, Attribute, imported name and
+    string constant."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, "name"
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, "attribute"
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, "import"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno, "string"
 
 
 def unreferenced():
@@ -72,15 +83,33 @@ def unreferenced():
     dead = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         module = os.path.splitext(os.path.basename(path))[0]
-        for qualname, name, node in _definitions(module, _parse(path)):
+        for qualname, name, node, kinds in _definitions(module, _parse(path)):
             if (module, name) in EXEMPT:
                 continue
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(ref == name and not (where == path and line in own)
-                       for where, found in refs.items() for ref, line in found):
+            if not any(ref == name and kind in kinds and not (where == path and line in own)
+                       for where, found in refs.items() for ref, line, kind in found):
                 dead.append(qualname)
     return dead
 
 
 def test_every_public_name_is_used_by_the_program():
     assert unreferenced() == []
+
+
+def test_a_local_variable_does_not_keep_a_method_alive():
+    # the clash the rule guards against: a dead Lattice.basis kept "used"
+    # by a local variable basis in a function of the program
+    tree = ast.parse("class Lattice:\n"
+                     "    def basis(self):\n"
+                     "        return self.rows\n"
+                     "\n"
+                     "def splitting(order):\n"
+                     "    basis = order.rows\n"
+                     "    return getattr(order, 'det'), order.key(), basis\n")
+    kinds = {name: kinds for _, name, _, kinds in _definitions("m", tree)}
+    refs = {(name, kind) for name, _, kind in _references(tree)}
+    assert ("basis", "name") in refs
+    assert not any(name == "basis" and kind in kinds["basis"] for name, kind in refs)
+    assert ("det", "string") in refs and ("key", "attribute") in refs
+    assert {"string", "attribute"} == kinds["basis"] and "name" in kinds["splitting"]

@@ -8,7 +8,6 @@ from shimura_pq.ntheory import (
     hilbert_symbol,
     is_prime,
     kronecker,
-    legendre,
     prime_factors,
     primes_from,
     ramified_primes,
@@ -71,9 +70,17 @@ def test_primes_from():
 
 @given(st.integers(0, 10**4))
 def test_legendre_squares(a):
+    # at an odd prime the Kronecker symbol is the Legendre symbol
     p = 47
     if a % p:
-        assert legendre(a * a, p) == 1
+        assert kronecker(a * a, p) == 1
+
+
+@given(st.integers(-10**4, 10**4), st.sampled_from([3, 5, 7, 11, 13, 47, 251]))
+def test_kronecker_is_euler_criterion_at_odd_primes(a, p):
+    # the Legendre symbol hilbert_symbol reads, by Euler's criterion
+    r = pow(a, (p - 1) // 2, p)
+    assert kronecker(a, p) == (0 if a % p == 0 else 1 if r == 1 else -1)
 
 
 def test_kronecker_fixtures():

@@ -6,7 +6,7 @@ embedding factors: 1 - {D_f / q} for the ramified prime q, and, on edges,
 1 + {D_f / p} for the level p of the Eichler orders; plus the mass
 (q - 1)/12 on vertices, or (q - 1)(p + 1)/12 on edges, when n is a square.
 Here h is ``gross.class_number``, w(D) = |O_D^x| (twice
-``gross.unit_count``) and {D / r} the Eichler symbol: 1 if r divides the
+``graph_oracle.unit_count``) and {D / r} the Eichler symbol: 1 if r divides the
 conductor of D, else the Kronecker symbol.
 Then tr B(ell) = t(ell) and tr B(ell)^2 = t(ell^2) + ell N, N the number
 of vertices or edges (B(ell)^2 = B(ell^2) + ell), for the Brandt matrices
@@ -24,7 +24,8 @@ from math import isqrt
 
 import pytest
 
-from shimura_pq.gross import class_number, unit_count
+from graph_oracle import unit_count
+from shimura_pq.gross import class_number
 from shimura_pq.ntheory import kronecker
 
 GRAPHS = ["graph_13_47", "graph_5_163", "graph_29_251", "cold_257_251"]
