@@ -19,12 +19,7 @@ import argparse
 import sys
 
 from shimura_pq.certify import load_or_build_graph
-from shimura_pq.gross import (
-    class_number,
-    gross_shimura,
-    optimal_embeddings,
-    support,
-)
+from shimura_pq.gross import class_number, gross_modular, gross_shimura, support
 from shimura_pq.ntheory import kronecker
 
 
@@ -50,10 +45,7 @@ def main():
         if d % 4 not in (0, 1) or d % p == 0 or d % q == 0:
             continue
         h = class_number(d)
-        vertex_total = sum(
-            optimal_embeddings(rec.right_order, d, vset.units_of(k))
-            for k, rec in enumerate(vset.classes)
-        )
+        vertex_total = sum(gross_modular(vset, d))
         gam = gross_shimura(graph, d)
         edge_total = sum(gam)
         expect_v = (1 - kronecker(d, q)) * h

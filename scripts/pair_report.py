@@ -3,7 +3,8 @@
 
 Builds (or loads from cache) the dual graph, prints vertex/edge censuses,
 the quotient and regular-model pictures, component group data, and the
-exact degree comparison.  Bad input, such as a p that is not a prime
+exact degree comparison; the last two come from ``graph_statistics``, as
+in the ``graph`` subcommand.  Bad input, such as a p that is not a prime
 >= 5, exits 3 with an ``error:`` line on stderr.  Example:
 
     python scripts/pair_report.py --p 13 --q 47
@@ -13,14 +14,7 @@ import argparse
 import sys
 import time
 
-from shimura_pq.certify import genus, load_or_build_graph
-from shimura_pq.compgroup import (
-    blow_up,
-    component_group,
-    degree_report,
-    lemma_general_check,
-    quotient_by_wq,
-)
+from shimura_pq.certify import genus, graph_statistics, load_or_build_graph
 
 
 def main():
@@ -45,19 +39,18 @@ def main():
     census = {ln: lengths.count(ln) for ln in sorted(set(lengths))}
     print(f"edges: {len(graph.edges)}  mass {graph.edge_mass()}  lengths {census}")
 
-    mg = quotient_by_wq(graph)
-    blown = blow_up(mg)
+    stats, mg, blown = graph_statistics(graph)
+    model = stats["regular_model"]
     print(f"quotient: {len(mg)} vertices, {len(mg.edges)} edge orbits")
     print(f"regular model: {blown.labels()}")
-    rep = degree_report(blown, args.p, args.q)
+    rep = model["degree_report"]
     for row in rep["vertex_degrees"]:
         mark = "" if row["match"] else "  <- MISMATCH"
         print(f"  deg {row['vertex']:>6} = {row['degree']:>4}  expected {row['expected']}{mark}")
     print(f"all degrees match: {rep['all_degrees_match']}; "
           f"all pairs adjacent: {rep['all_pairwise_positive']}")
-    inv = component_group(blown)
-    print(f"component group invariants: {inv}")
-    lg = lemma_general_check(blown, args.p)
+    print(f"component group invariants: {model['component_group']}")
+    lg = model["exceptional_nonzero"]
     if lg["applicable"]:
         print(f"(p+1)(exceptional - J) nonzero for every J: {lg['holds_for_all']}")
     else:

@@ -143,7 +143,8 @@ def component_group(mg):
 
     The reduced Laplacian L is nonsingular with |det L| = the group order D,
     and D Z^n lies inside L Z^n, so the Smith form may be computed with all
-    entries reduced mod D (plain Smith form on a few dozen rows explodes)."""
+    entries reduced mod D (plain Smith form on a few dozen rows explodes).
+    A tree or a single vertex has D = 1: every factor mod 1 is 1, so []."""
     if any(ln != 1 for _, _, ln in mg.edges):
         raise ValueError("component_group expects a blown-up (unit-length) graph")
     if not mg.is_connected():
@@ -152,8 +153,6 @@ def component_group(mg):
     n = len(mg)
     reduced = [row[: n - 1] for row in lap[: n - 1]]
     order = abs(det_bareiss(reduced))
-    if order == 1:
-        return []
     diag = smith_normal_form(reduced, modulus=order)
     factors = [gcd(d, order) for d in diag]
     prod = 1

@@ -139,27 +139,25 @@ def gross_shimura(graph, D):
     embedding candidates (the x with the trace and norm of a generator of
     the order of discriminant D) are the candidates of R_k that lie in
     Z + P.  One search per vertex serves all its p+1 edges; optimality and
-    the orbits under the units are then counted in the Eichler order, as
-    ``optimal_embeddings`` counts them."""
+    the orbits under its units (``Edge.units``) are then counted in the
+    Eichler order, as ``optimal_embeddings`` counts them."""
     validate_discriminant(D)
     t0 = D % 2
     by_vertex = {}
     out = []
-    for i, e in enumerate(graph.edges):
+    for e in graph.edges:
         k = e.source
         if k not in by_vertex:
             by_vertex[k] = graph.vset.classes[k].right_order.norm_vectors((t0 - D) // 4, t0)
         cands = [x for x in by_vertex[k] if x in e.eichler]
-        out.append(_count_optimal(e.eichler, D, cands, graph_eichler_units(graph, i))
-                   if cands else 0)
+        out.append(_count_optimal(e.eichler, D, cands, e.units) if cands else 0)
     return tuple(out)
 
 
 def graph_eichler_units(graph, i):
     """``units`` of the Eichler order of edge i, in the same order: the
-    units of its source's right order that lie in it."""
-    e = graph.edges[i]
-    return [u for u in graph.vset.units_of(e.source) if u in e.eichler]
+    units of its source's right order that lie in it (``Edge.units``)."""
+    return graph.edges[i].units
 
 
 def s_star(graph, v):

@@ -612,43 +612,32 @@ def _integral(alg, num, den):
     return 2 * num[0] % den == 0 and alg.nrd4(num) % (den * den) == 0
 
 
-def is_order(lat):
-    """Whether the lattice holds 1, has integral basis elements r / den and
-    holds their products, r s / den^2."""
-    alg, rows, den = lat.alg, lat.rows, lat.den
-    return (lat._coords((1, 0, 0, 0), 1) is not None
-            and all(_integral(alg, r, den) for r in rows)
-            and all(lat._coords(alg.mul4(r, s), den * den) is not None
-                    for r in rows for s in rows))
-
-
 def units(order):
     """All elements of reduced norm 1 (comes in +/- pairs)."""
     return order.norm_vectors(1)
 
 
 def make_algebra(q, a=None):
-    """Quaternion algebra ramified exactly at {q, infinity}.
-
-    For q = 3 mod 4 the model is (a, b) = (1, q); other residues get the
-    smallest a with the right ramification.  Passing ``a`` forces a specific
-    model (used to exercise model independence).
+    """Quaternion algebra ramified exactly at {q, infinity}: the model
+    (a, b) = (a, q) with the least a > 0 of that ramification, which is
+    a = 1 when q = 3 mod 4, as (-1, -q) is then ramified exactly at
+    {q, oo}.  Passing ``a`` forces a specific model (used to exercise
+    model independence); one of another ramification raises ValueError.
     """
     check_primes(q=q)
     if a is None:
-        if q % 4 == 3:
-            a = 1
-        else:
-            a = next(c for c in range(1, 500) if ramified_primes(-c, -q) == [q])
-    alg = QuaternionAlgebra(q=q, a=a, b=q)
-    if ramified_primes(-a, -q) != [q]:
+        a = next(c for c in range(1, 500) if ramified_primes(-c, -q) == [q])
+    elif ramified_primes(-a, -q) != [q]:
         raise ValueError(f"(-{a}, -{q}) is not ramified exactly at {{{q}, oo}}")
-    return alg
+    return QuaternionAlgebra(q=q, a=a, b=q)
 
 
 def _ring_closure(lat):
     """Smallest multiplicatively closed lattice containing lat, or None if
-    trace/norm integrality breaks along the way."""
+    trace/norm integrality breaks along the way.  A lattice it returns is
+    an order when lat holds 1: it holds lat, its basis is integral (checked
+    in the round that returns it) and it is closed under products (it is a
+    fixed point of L -> L + L L)."""
     cur = lat
     for _ in range(16):
         if not all(_integral(cur.alg, r, cur.den) for r in cur.rows):
@@ -675,19 +664,23 @@ def _residues(order, ell):
 
 
 def maximal_order(alg):
-    """A maximal order (reduced discriminant q) in the algebra.
+    """A maximal order (reduced discriminant q) in the algebra, for every
+    model, by saturation of Z<1, i, j, k> (reduced discriminant 4ab).
 
-    For the main model (1, q) with q = 3 mod 4 this is the classical order
-    with basis 1, i, (1+j)/2, (i+k)/2; any other model is maximalized by
-    saturation from the obvious order Z<1,i,j,k>.
+    While the discriminant d of the order O is not q, the least prime ell
+    of d / q is taken, and O becomes the ring closure (``_ring_closure``)
+    of O + Z x / ell for the first residue x of O / ell O (``_residues``)
+    with x / ell integral whose closure is a larger order.  Every order
+    built so holds j, which ``two_sided_ideal`` needs.
+
+    For the model (1, q) with q = 3 mod 4, d = 4q and ell = 2.  The scan
+    skips 1/2 and (1+i)/2, of norms 1/4 and 1/2, and its first integral
+    residue is (1+j)/2, of trace 1 and norm (1+q)/4.  The ring it generates
+    with Z<1, i, j, k> holds i (1+j)/2 = (i+k)/2, so it is the classical
+    order with basis 1, i, (1+j)/2, (i+k)/2 (Voight, Quaternion Algebras,
+    GTM 288, 2021, ch. 11), of discriminant q: one step.
     """
     q = alg.q
-    if alg.a == 1 and alg.b == q and q % 4 == 3:
-        rows = [(2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)]
-        order = Lattice.from_int_rows(alg, rows, 2)
-        if reduced_discriminant(order) != q:
-            raise ArithmeticError("classical maximal order has wrong discriminant")
-        return order
     order = Lattice.from_int_rows(
         alg, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 1)
     d = reduced_discriminant(order)
@@ -703,9 +696,7 @@ def maximal_order(alg):
             if not _integral(alg, num, xden):
                 continue
             cand = _ring_closure(order.add_elem(Quat(alg, num, xden)))
-            if cand is None or cand == order:
-                continue
-            if is_order(cand):
+            if cand is not None and cand != order:
                 enlarged = cand
                 break
         if enlarged is None:
@@ -777,15 +768,15 @@ def right_order(ideal, norm):
 def two_sided_ideal(ideal, norm):
     """T = I^-1 j I = conj(I) j I / n, the two-sided ideal of reduced norm q
     of the right order R of I, a left ideal of reduced norm n of the base
-    order O.  It needs j in O, true of every ``maximal_order`` (the
-    classical order holds j = 2 (1+j)/2 - 1; saturation starts from
-    Z<1, i, j, k>).  Then P = O j = j O is the two-sided ideal of norm q of
-    O: nrd j = q, so j is a unit at every prime l != q, and at q there is
-    one ideal of norm q.  Locally I = O a and R = a^-1 O a.  At l != q, T
-    and P are the orders, so I T = I = P I; at q, T is the maximal ideal P
-    of R = O, stable under conjugation, so I T = O a P = P a = P I.  Hence
-    I T = P I = j I, and T = I^-1 j I.  The index check reads
-    [R : T] = q^2 as det(T) n^2 = q^2 det(I), since [R : I] = n^2."""
+    order O.  It needs j in O, true of every ``maximal_order``, as its
+    saturation starts from Z<1, i, j, k>.  Then P = O j = j O is the
+    two-sided ideal of norm q of O: nrd j = q, so j is a unit at every
+    prime l != q, and at q there is one ideal of norm q.  Locally I = O a
+    and R = a^-1 O a.  At l != q, T and P are the orders, so I T = I = P I;
+    at q, T is the maximal ideal P of R = O, stable under conjugation, so
+    I T = O a P = P a = P I.  Hence I T = P I = j I, and T = I^-1 j I.  The
+    index check reads [R : T] = q^2 as det(T) n^2 = q^2 det(I), since
+    [R : I] = n^2."""
     ts = _conjugated(ideal, norm, (0, 0, 1, 0))
     if ts.det() * norm * norm != ideal.alg.q ** 2 * ideal.det():
         raise ArithmeticError("two-sided ideal has wrong index")

@@ -316,9 +316,9 @@ def _attach_wq(vset, perm=None, witnesses=None):
 
 
 # An edge: a unit orbit of norm-p left ideals P of R_source, its Eichler
-# order Z + P, length (half its unit count), target class and the witness
-# y with I_source P = I_target y.
-Edge = namedtuple("Edge", "source ideal orbit eichler length target witness")
+# order Z + P, its units, length (half their count), target class and the
+# witness y with I_source P = I_target y.
+Edge = namedtuple("Edge", "source ideal orbit eichler units length target witness")
 
 
 class ShimuraGraph:
@@ -561,15 +561,17 @@ def _orbit(ideal, unit_list):
 
 def _edge(vset, k, ideal, target, witness):
     """The edge from k with the norm-p left ideal P = ideal of R_k, with
-    the records read off P: its orbit, its Eichler order and its length.
-    The Eichler order R_k meet O_R(P) is Z + P: Z + P lies in both, as
-    P P <= R_k P = P, and both have index p in R_k (``build_graph`` checks
-    the discriminant).  Its units are the units of R_k in it, and the
-    length is half their number."""
+    the records read off P: its orbit, its Eichler order, its units and
+    its length.  The Eichler order R_k meet O_R(P) is Z + P: Z + P lies in
+    both, as P P <= R_k P = P, and both have index p in R_k
+    (``build_graph`` checks the discriminant).  Its units are the units of
+    R_k in it, in the order of ``units``, and the length is half their
+    number."""
     unit_list = vset.units_of(k)
     eich = ideal.add_elem(Quat.one(vset.alg))
+    eich_units = [u for u in unit_list if u in eich]
     return Edge(source=k, ideal=ideal, orbit=_orbit(ideal, unit_list), eichler=eich,
-                length=sum(u in eich for u in unit_list) // 2, target=target, witness=witness)
+                units=eich_units, length=len(eich_units) // 2, target=target, witness=witness)
 
 
 def build_graph(p, q, vset=None):

@@ -30,6 +30,9 @@ compare the fast code against them:
   ``Fraction`` inverse of y, ``coords_of`` with a second verification pass,
   the discriminant from the ``Fraction`` trace form of the ``Quat`` basis),
   as functions of the lattice;
+* ``is_order`` -- the order test that ``quat.maximal_order`` ran on each
+  saturation step (moved unchanged from ``quat``; ``_ring_closure``
+  returns only orders);
 * ``basis``, ``trd``, ``nrd``, ``add`` and ``sub`` -- the rational API
   that ``Quat`` and ``Lattice`` carried while the saturation of
   ``quat.maximal_order`` read it (``Lattice.basis``, ``Quat.trd`` and
@@ -61,7 +64,7 @@ from math import gcd, isqrt, lcm
 import graph_oracle
 from shimura_pq.gross import class_number
 from shimura_pq.linalg import det_bareiss, hnf_rows, xgcd
-from shimura_pq.quat import Lattice, Quat, ideal_norm
+from shimura_pq.quat import Lattice, Quat, _integral, ideal_norm
 
 
 # -- the pairwise HNF ---------------------------------------------------------
@@ -326,6 +329,16 @@ def reduced_discriminant(order):
     if d is None or d.denominator != 1:
         raise ArithmeticError("trace form determinant is not a perfect square")
     return int(d)
+
+
+def is_order(lat):
+    """Whether the lattice holds 1, has integral basis elements r / den and
+    holds their products, r s / den^2."""
+    alg, rows, den = lat.alg, lat.rows, lat.den
+    return (lat._coords((1, 0, 0, 0), 1) is not None
+            and all(_integral(alg, r, den) for r in rows)
+            and all(lat._coords(alg.mul4(r, s), den * den) is not None
+                    for r in rows for s in rows))
 
 
 # -- conductor towers over Z[i] ---------------------------------------------------

@@ -1,7 +1,8 @@
 """Edges read off their source vertex, against the per-edge constructions.
 
 ``build_graph`` takes the Eichler order of an edge (k, P) as Z + P, its
-units as the units of R_k that lie in it, and its orbit as the P u over the
+units (``Edge.units``, on a built graph and on one loaded from its cache)
+as the units of R_k that lie in it, and its orbit as the P u over the
 units u of R_k.  Before, each edge order was R_k meet O_R(P), its units came
 from an enumeration of its own, and the orbit from conjugating P by every
 unit.  Those constructions, built on the ``Fraction`` oracles of
@@ -11,6 +12,7 @@ unit.  Those constructions, built on the ``Fraction`` oracles of
 import pytest
 
 import lattice_oracle as oracle
+from shimura_pq.certify import cache_load, cache_store
 from shimura_pq.gross import graph_eichler_units
 from shimura_pq.quat import reduced_discriminant, units
 
@@ -51,11 +53,15 @@ def test_eichler_order_is_the_intersection(graph):
             oracle.reduced_discriminant(rec.right_order) == graph.q
 
 
-def test_eichler_units_are_the_unit_group(graph):
-    for i, e in enumerate(graph.edges):
-        found = graph_eichler_units(graph, i)
-        assert found == units(e.eichler)
-        assert len(found) == 2 * e.length
+def test_eichler_units_are_the_unit_group(graph, tmp_path):
+    # the records of a built graph and of the same graph loaded from its cache
+    cache_store(str(tmp_path), graph)
+    loaded = cache_load(str(tmp_path), graph.p, graph.q)
+    for g in (graph, loaded):
+        for i, e in enumerate(g.edges):
+            assert e.units == units(e.eichler)
+            assert e.length == len(e.units) // 2
+            assert graph_eichler_units(g, i) is e.units
 
 
 def test_orbits_match_conjugation(graph):

@@ -17,6 +17,13 @@ another class) hides dead code: the guard is lenient, not strict.  A
 top-level name reached through strings alone would be flagged although
 used.  Dunder methods (``__version__`` among them) and ``cli.main``, the
 entry point, are exempt.
+
+The fields of the namedtuple records of ``src/`` (``X = namedtuple("X",
+...)`` or ``class X(namedtuple("X", ...))``) must each be read through an
+attribute (``e.units``) by the program: a field that is only ever set, by
+keyword or by ``_replace``, is dead data.  A read is matched by spelling
+too, so a field that shares its name with a field read on another record
+passes.
 """
 
 import ast
@@ -93,8 +100,57 @@ def unreferenced():
     return dead
 
 
+def _record_fields(tree):
+    """(record, field) for each field of each top-level namedtuple record."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            calls = [node.value]
+        elif isinstance(node, ast.ClassDef):
+            calls = node.bases
+        else:
+            continue
+        for call in calls:
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "namedtuple"):
+                record, fields = (arg.value for arg in call.args[:2])
+                for field in fields.replace(",", " ").split():
+                    yield record, field
+
+
+def _attribute_reads(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields():
+    reads = set().union(*(_attribute_reads(_parse(path)) for path in PROGRAM))
+    return [f"{os.path.splitext(os.path.basename(path))[0]}.{record}.{field}"
+            for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+            for record, field in _record_fields(_parse(path)) if field not in reads]
+
+
 def test_every_public_name_is_used_by_the_program():
     assert unreferenced() == []
+
+
+def test_every_record_field_is_read_by_the_program():
+    assert unread_fields() == []
+    records = {record for path in glob.glob(os.path.join(PACKAGE, "*.py"))
+               for record, _ in _record_fields(_parse(path))}
+    assert {"VertexClass", "Edge", "MGVertex", "QuaternionAlgebra"} <= records
+
+
+def test_a_field_that_is_only_set_is_unread():
+    tree = ast.parse("Edge = namedtuple('Edge', 'source units')\n"
+                     "class Alg(namedtuple('Alg', 'q, a')):\n"
+                     "    pass\n"
+                     "\n"
+                     "def build(alg, units):\n"
+                     "    e = Edge(source=alg.q, units=units)\n"
+                     "    return e._replace(units=[]).source\n")
+    fields = set(_record_fields(tree))
+    assert fields == {("Edge", "source"), ("Edge", "units"), ("Alg", "q"), ("Alg", "a")}
+    assert {f for _, f in fields} - _attribute_reads(tree) == {"units", "a"}
 
 
 def test_a_local_variable_does_not_keep_a_method_alive():

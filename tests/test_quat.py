@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_oracle
-from lattice_oracle import (basis, conj_by_integer, from_elements, lattice_intersection, nrd,
-                            norm_ideals_exhaustive, scale, sub, trd, two_sided_prime)
-from shimura_pq.ntheory import ramified_primes
+from lattice_oracle import (basis, conj_by_integer, from_elements, is_order, lattice_intersection,
+                            nrd, norm_ideals_exhaustive, scale, sub, trd, two_sided_prime)
+from shimura_pq.ntheory import is_prime, ramified_primes
 from shimura_pq.ssgraph import vertex_classes
 from shimura_pq.quat import (
     Lattice,
     Quat,
     equiv_witness,
     ideal_norm,
-    is_order,
     make_algebra,
     maximal_order,
     norm_ideals,
@@ -171,6 +170,14 @@ class TestMaximalOrder:
         half_ik = Quat(B47, (0, 1, 0, 1), 2)
         expected = from_elements(B47, [Quat.one(B47), i, half_1j, half_ik])
         assert O47 == expected
+        # saturation of Z<1, i, j, k> builds the classical order for every
+        # q = 3 mod 4, in the model (1, q) that make_algebra picks
+        classical = [(2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)]
+        for q in range(7, 5000, 4):
+            if is_prime(q):
+                alg = make_algebra(q)
+                assert alg.a == 1
+                assert maximal_order(alg) == Lattice.from_int_rows(alg, classical, 2), q
 
     def test_integrality_of_all_products(self):
         elems = basis(O47)
@@ -179,6 +186,11 @@ class TestMaximalOrder:
                 z = x * y
                 assert trd(z).denominator == 1
                 assert nrd(z).denominator == 1
+
+    def test_model_of_another_ramification_is_refused(self):
+        # (-5, -47) is ramified at {5, oo}
+        with pytest.raises(ValueError, match="not ramified exactly"):
+            make_algebra(47, a=5)
 
     def test_fallback_residue_classes(self):
         for q in (101, 17):
@@ -236,7 +248,7 @@ class TestLatticeOps:
                                       (163, None)])
     def test_right_orders_of_classes_match_oracle(self, q, a):
         # I^-1 I against the Fraction dual of the constraint lattice, on every
-        # class; q = 37 and 41 (1 mod 4) and a = 3 use saturated orders
+        # class, for q of both residues mod 4 and the model a = 3
         vset = vertex_classes(q, alg=make_algebra(q, a=a))
         for rec in vset.classes:
             assert rec.right_order == right_order(rec.ideal, rec.norm) == \
