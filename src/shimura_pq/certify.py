@@ -26,7 +26,7 @@ from .compgroup import (
 )
 from .gross import (gross_tower_modular, gross_tower_shimura, s_star, support, t_star,
                     tower_class_number)
-from .ntheory import check_primes, is_prime, kronecker, primes_from
+from .ntheory import check_ogg, check_primes, is_prime, kronecker, primes_from
 from .quat import Lattice, Quat, make_algebra, maximal_order
 from .ssgraph import (ShimuraGraph, VertexSet, _attach_wq, _edge, build_graph, ss_oracle,
                       validate_graph, validate_records)
@@ -42,18 +42,6 @@ NON_EFFECTIVITY_NOTE = (
     "underlying theorem additionally requires p larger than a non-effective "
     "bound depending on q, which cannot be checked here"
 )
-
-
-def check_ogg(p, q):
-    """Congruence case classifier: 'ramified', 'nonramified', or 'none'."""
-    check_primes(p=p, q=q)
-    if kronecker(p, q) != -1:
-        return "none"
-    if p % 4 == 3:
-        return "ramified"
-    if q % 4 == 3:
-        return "nonramified"
-    return "none"
 
 
 def genus(q):

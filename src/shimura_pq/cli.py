@@ -5,6 +5,11 @@ Subcommands: ``check`` runs the full criterion and emits a JSON certificate,
 of the blown-up quotient), ``ogg`` classifies the congruence case.  Exit
 codes for ``check``: 0 satisfied, 1 a verification check failed, 2 the
 congruence hypotheses are unmet, 3 invalid input or internal error.
+
+``ogg`` needs only ``ntheory.check_ogg``: ``main`` imports ``certify`` (the
+quaternion and graph code) after the ``ogg`` branch, so ``ogg``, ``--help``
+and argument errors start without it.  The names once bound here from
+``certify`` and ``compgroup`` resolve through the PEP 562 ``__getattr__``.
 """
 
 import argparse
@@ -12,17 +17,18 @@ import json
 import os
 import sys
 
-from .certify import (
-    CACHE_ENV,
-    certificate_json,
-    check_ogg,
-    exit_code,
-    genus,
-    graph_statistics,
-    load_or_build_graph,
-    run_criterion,
-)
-from .compgroup import to_dot
+from .ntheory import check_ogg
+
+_REEXPORTS = ("CACHE_ENV", "certificate_json", "exit_code", "genus", "graph_statistics",
+              "load_or_build_graph", "run_criterion", "to_dot")
+
+
+def __getattr__(name):
+    if name not in _REEXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import certify, compgroup
+
+    return getattr(compgroup if name == "to_dot" else certify, name)
 
 
 def _build_parser():
@@ -79,20 +85,22 @@ def main(argv=None):
             print(json.dumps(out, sort_keys=True, indent=2))
             return 0
 
-        cache_dir = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
-        for flag, path, directory in (("--cache" if args.cache else CACHE_ENV, cache_dir, True),
+        from . import certify, compgroup  # only check and graph run them
+
+        cache_dir = getattr(args, "cache", None) or os.environ.get(certify.CACHE_ENV)
+        for flag, path, directory in (("--cache" if args.cache else certify.CACHE_ENV, cache_dir, True),
                                       ("--json", args.json_file, False),
                                       ("--dot", getattr(args, "dot", None), False)):
             if path and not _writable(path, directory):  # before any work is done
                 raise ValueError(f"cannot write {flag} {path}")
 
         if args.command == "graph":
-            graph, from_cache = load_or_build_graph(args.p, args.q, cache_dir)
-            stats, mg, blown = graph_statistics(graph)
+            graph, from_cache = certify.load_or_build_graph(args.p, args.q, cache_dir)
+            stats, mg, blown = certify.graph_statistics(graph)
             out = {
                 "p": args.p,
                 "q": args.q,
-                "genus": genus(args.q),
+                "genus": certify.genus(args.q),
                 "graph": stats,
                 "graph_from_cache": from_cache,
             }
@@ -103,10 +111,10 @@ def main(argv=None):
                     fh.write(blob + "\n")
             if args.dot:
                 with open(args.dot, "w", encoding="utf-8") as fh:
-                    fh.write(to_dot(blown))
+                    fh.write(compgroup.to_dot(blown))
             return 0
 
-        cert = run_criterion(
+        cert = certify.run_criterion(
             args.p,
             args.q,
             l=args.l,
@@ -114,12 +122,12 @@ def main(argv=None):
             cache_dir=cache_dir,
             override=args.override_hypotheses,
         )
-        blob = certificate_json(cert)
+        blob = certify.certificate_json(cert)
         sys.stdout.write(blob)
         if args.json_file:
             with open(args.json_file, "w", encoding="utf-8") as fh:
                 fh.write(blob)
-        return exit_code(cert)
+        return certify.exit_code(cert)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

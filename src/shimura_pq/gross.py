@@ -201,7 +201,7 @@ def hecke_tower(a0, a1, rows, c1, ell, N):
         c = c1 if n == 1 else ell
         prev, cur = cur, [p - c * pr for p, pr in zip(push, prev)]
         out.append(cur)
-    return out
+    return out[:N]
 
 
 def gross_tower_modular(graph, ell, N):
@@ -214,8 +214,6 @@ def gross_tower_modular(graph, ell, N):
     ell^(n+1)).  On the vectors, count / 2u(D), the first step subtracts
     2h(-4 ell^2) times Gamma_{-4} = a_0 / 4; on the counts that is
     h(-4 ell^2) times a_0."""
-    if N < 1:
-        return 2, []
     vset = graph.vset
     return 2, hecke_tower(gross_modular(vset, -4), gross_modular(vset, -4 * ell * ell),
                           graph.brandt_vertices(ell), class_number(-4 * ell * ell), ell, N)
@@ -224,7 +222,5 @@ def gross_tower_modular(graph, ell, N):
 def gross_tower_shimura(graph, ell, N):
     """[a_1, ..., a_N]: the edge counts for discriminants -4 ell^2, ...,
     -4 ell^(2N), by the vertex tower's recursion on the edges."""
-    if N < 1:
-        return []
     return hecke_tower(gross_shimura(graph, -4), gross_shimura(graph, -4 * ell * ell),
                        graph.brandt_edges(ell), class_number(-4 * ell * ell), ell, N)

@@ -1,5 +1,5 @@
 """Small exact number-theory helpers: primality, Legendre/Kronecker symbols,
-Hilbert symbols over Q."""
+Hilbert symbols over Q, and Ogg's congruence case of a pair (p, q)."""
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -87,6 +87,18 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def check_ogg(p, q):
+    """Congruence case classifier: 'ramified', 'nonramified', or 'none'."""
+    check_primes(p=p, q=q)
+    if kronecker(p, q) != -1:
+        return "none"
+    if p % 4 == 3:
+        return "ramified"
+    if q % 4 == 3:
+        return "nonramified"
+    return "none"
 
 
 def _split_power(x: int, p: int):

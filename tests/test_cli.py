@@ -76,7 +76,7 @@ def test_internal_error_prints_traceback(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise ArithmeticError("enumeration failed")
 
-    monkeypatch.setattr("shimura_pq.cli.run_criterion", fail)
+    monkeypatch.setattr("shimura_pq.certify.run_criterion", fail)
     assert main(["check", "--p", "13", "--q", "47"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -103,6 +103,34 @@ def test_start_up_imports(cli_env, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_ogg_starts_without_the_quaternion_stack(cli_env, tmp_path):
+    """An ``ogg`` run imports no package module but cli and ntheory, and
+    neither fractions nor decimal: the quaternion code is compiled on every
+    start when bytecode is not written."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from shimura_pq import cli; "
+         "code = cli.main(['ogg', '--p', '13', '--q', '47']); "
+         "print(code, sorted(m for m in sys.modules if m.startswith('shimura_pq.') "
+         "or m in ('fractions', 'decimal')))"],
+        capture_output=True, text=True, env=cli_env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout[:proc.stdout.rindex("}") + 1])["ogg_case"] == "nonramified"
+    assert proc.stdout.splitlines()[-1] == "0 ['shimura_pq.cli', 'shimura_pq.ntheory']"
+
+
+def test_reexported_names_are_the_defining_modules_objects():
+    from shimura_pq import certify, cli, compgroup
+
+    for name in ("CACHE_ENV", "certificate_json", "exit_code", "genus", "graph_statistics",
+                 "load_or_build_graph", "run_criterion"):
+        assert getattr(cli, name) is getattr(certify, name)
+    assert cli.to_dot is compgroup.to_dot
+    assert cli.check_ogg is certify.check_ogg
+    with pytest.raises(AttributeError, match="has no attribute 'build_graph'"):
+        cli.build_graph
 
 
 def test_module_entry_point(run_cli):

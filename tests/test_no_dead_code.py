@@ -15,8 +15,10 @@ the same spelling does not.  Names are still matched by spelling alone, so
 a clash (a dead method that shares its name with a live attribute of
 another class) hides dead code: the guard is lenient, not strict.  A
 top-level name reached through strings alone would be flagged although
-used.  Dunder methods (``__version__`` among them) and ``cli.main``, the
-entry point, are exempt.
+used.  Dunder names (``__version__`` among them), dunder methods, top-level
+dunder functions (module hooks such as the PEP 562 ``__getattr__`` and
+``__dir__``, which the interpreter calls) and ``cli.main``, the entry
+point, are exempt.
 
 The fields of the namedtuple records of ``src/`` (``X = namedtuple("X",
 ...)`` or ``class X(namedtuple("X", ...))``) must each be read through an
@@ -57,7 +59,7 @@ def _definitions(module, tree):
                 if isinstance(target, ast.Name) and not _is_dunder(target.id):
                     yield f"{module}.{target.id}", target.id, node, TOP_LEVEL
             continue
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_dunder(node.name):
             continue
         yield f"{module}.{node.name}", node.name, node, TOP_LEVEL
         if isinstance(node, ast.ClassDef):
@@ -85,19 +87,23 @@ def _references(tree):
             yield node.value, node.lineno, "string"
 
 
+def _dead(module, path, tree, refs):
+    """Qualified names of the definitions of tree, the module at path, that
+    no reference of refs ({path: [(name, line, kind)]}) keeps alive."""
+    for qualname, name, node, kinds in _definitions(module, tree):
+        if (module, name) in EXEMPT:
+            continue
+        own = range(node.lineno, node.end_lineno + 1)
+        if not any(ref == name and kind in kinds and not (where == path and line in own)
+                   for where, found in refs.items() for ref, line, kind in found):
+            yield qualname
+
+
 def unreferenced():
     refs = {path: list(_references(_parse(path))) for path in PROGRAM}
-    dead = []
-    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
-        module = os.path.splitext(os.path.basename(path))[0]
-        for qualname, name, node, kinds in _definitions(module, _parse(path)):
-            if (module, name) in EXEMPT:
-                continue
-            own = range(node.lineno, node.end_lineno + 1)
-            if not any(ref == name and kind in kinds and not (where == path and line in own)
-                       for where, found in refs.items() for ref, line, kind in found):
-                dead.append(qualname)
-    return dead
+    return [qualname for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+            for qualname in _dead(os.path.splitext(os.path.basename(path))[0], path,
+                                  _parse(path), refs)]
 
 
 def _record_fields(tree):
@@ -169,3 +175,21 @@ def test_a_local_variable_does_not_keep_a_method_alive():
     assert not any(name == "basis" and kind in kinds["basis"] for name, kind in refs)
     assert ("det", "string") in refs and ("key", "attribute") in refs
     assert {"string", "attribute"} == kinds["basis"] and "name" in kinds["splitting"]
+
+
+def test_a_module_hook_is_not_flagged():
+    # the interpreter calls a module's __getattr__ (PEP 562) on a missing
+    # attribute: nothing in the program names it
+    tree = ast.parse("_NAMES = ('genus',)\n"
+                     "\n"
+                     "def __getattr__(name):\n"
+                     "    if name not in _NAMES:\n"
+                     "        raise AttributeError(name)\n"
+                     "    return _load(name)\n"
+                     "\n"
+                     "def _load(name):\n"
+                     "    return name\n"
+                     "\n"
+                     "def orphan():\n"
+                     "    return _load('x')\n")
+    assert list(_dead("m", "m.py", tree, {"m.py": list(_references(tree))})) == ["m.orphan"]
