@@ -28,8 +28,7 @@ from .gross import (gross_tower_modular, gross_tower_shimura, s_star, support, t
                     tower_class_number)
 from .ntheory import check_ogg, check_primes, is_prime, kronecker, primes_from
 from .quat import Lattice, Quat, make_algebra, maximal_order
-from .ssgraph import (ShimuraGraph, VertexSet, _attach_wq, _edge, build_graph, ss_oracle,
-                      validate_graph, validate_records)
+from .ssgraph import ShimuraGraph, VertexSet, _attach_wq, _edge, build_graph, ss_oracle
 
 CACHE_VERSION = 1
 CACHE_ENV = "CRITERION_CACHE_DIR"
@@ -335,21 +334,35 @@ def _mismatch(stored, derived):
         for field, msg in _EDGE_FIELDS.items():
             if got[field] != want[field]:
                 return f"edge {i}: " + msg.format(got[field])
+    if stored["wq_edge_perm"] != derived["wq_edge_perm"]:
+        return "wq_edge_perm is not w_q on the edges"
     return "cache is not the payload of the graph rebuilt from its primary records"
 
 
 def graph_from_payload(payload):
-    """The graph a cache payload describes, rebuilt from its primary
-    records (lattices parsed by ``_lat_from``): the base order, the class
-    ideals, w_q on vertices and its witnesses, each edge's source, ideal,
-    target and witness, and w_p and w_q on edges.  Every other record is
-    derived with the build's code (``_add_class``, ``_attach_wq``,
-    ``_edge``).  The checks, in order: each edge ideal is a norm-p ideal of
-    R_k (``ShimuraGraph``), ``validate_graph``, the rebuilt graph's payload
-    equals the stored one (a stored derived record that differs is named),
-    and ``validate_records``.  Any failure raises.  The comparison is by
-    value, where 1.0 == True == 1: ``cache_load`` refuses a float, and a
-    true or false other than a rational flag, before it calls this."""
+    """The graph a cache payload describes, rebuilt with the build's code.
+
+    A payload holds three kinds of record:
+
+    * primary, the build's input, checked through the graph they give
+      (lattices parsed by ``_lat_from``): the algebra's a, the base order
+      (which must be ``maximal_order``), the class ideals, w_q on vertices
+      and its witnesses, and each edge's source, ideal and target;
+    * derived with the build's code (``_add_class``, ``_attach_wq``,
+      ``_edge``, ``ShimuraGraph``) and compared: the algebra's b, each
+      class's norm, right order, weight, fingerprint and rational flag, the
+      two-sided ideals, each edge's orbit, Eichler order and length, and
+      w_q on edges;
+    * only stored: w_p, checked for structure by ``ShimuraGraph``, as no
+      output reads it and deriving it is a large share of a load at large
+      q; and the edge witnesses, which feed only w_p at a build and are
+      not checked.
+
+    ``ShimuraGraph`` runs the graph's checks, then the rebuilt payload must
+    equal the stored one (a stored derived record that differs is named).
+    Any failure raises.  The comparison is by value, where 1.0 == True ==
+    1: ``cache_load`` refuses a float, and a true or false other than a
+    rational flag, before it calls this."""
     alg = make_algebra(payload["q"], a=payload["algebra"]["a"])
     order = _lat_from(alg, payload["order"])
     # another maximal order has the same covolume, so no record check below
@@ -364,14 +377,10 @@ def graph_from_payload(payload):
     edges = [_edge(vset, e["source"], _lat_from(alg, e["ideal"]), e["target"],
                    _quat_from(alg, e["witness"]))
              for e in payload["edges"]]
-    graph = ShimuraGraph(payload["p"], payload["q"], vset, edges)
-    graph.wp_perm = list(payload["wp_perm"])
-    graph.wq_edge_perm = list(payload["wq_edge_perm"])
-    validate_graph(graph)
+    graph = ShimuraGraph(payload["p"], payload["q"], vset, edges, wp_perm=payload["wp_perm"])
     derived = graph_payload(graph)
     if derived != payload:
         raise ArithmeticError(_mismatch(payload, derived))
-    validate_records(graph)
     return graph
 
 

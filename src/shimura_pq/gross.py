@@ -13,7 +13,7 @@ with the Eisenstein vector, is its coefficient sum.
 from math import gcd
 
 from .ntheory import kronecker, prime_factors
-from .quat import units
+from .quat import _pair_units, units
 
 
 # -- imaginary quadratic orders -------------------------------------------------
@@ -86,8 +86,7 @@ def _count_optimal(order, D, cands, unit_list):
     x is not optimal if (2x + shift) / (2 ell) lies in the order for a
     prime ell of the conductor (``order._coords`` on its numerator), and
     x -> u x conj(u) (nrd u = 1) is one product of integer 4-vectors,
-    brought to lowest terms by one gcd.  u and -u act alike and +-1
-    trivially, so one u of each pair with a nonzero pure part conjugates;
+    brought to lowest terms by one gcd, over the units of ``_pair_units``;
     with none the orbits are the optimal candidates themselves."""
     t0 = D % 2
     xs = [(x.den, x.num) for x in cands]
@@ -107,7 +106,7 @@ def _count_optimal(order, D, cands, unit_list):
     if unit_list is None:
         unit_list = units(order)
     conjugators = [(u.num, (u.num[0], -u.num[1], -u.num[2], -u.num[3]), u.den * u.den)
-                   for u in unit_list if u.num[1:] > (0, 0, 0)]
+                   for u in _pair_units(unit_list)]
     if not conjugators:
         return len(xs)
     mul4 = order.alg.mul4

@@ -27,7 +27,6 @@ singular elements.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .linalg import det_bareiss, hnf_rows
@@ -352,12 +351,6 @@ class Lattice:
         return cls(alg, h, den)
 
     # -- basic data --------------------------------------------------------
-    def det(self):
-        d = 1
-        for idx in range(4):
-            d *= self.rows[idx][idx]
-        return Fraction(abs(d), self.den ** 4)
-
     def key(self):
         return (self.den, self.rows)
 
@@ -454,8 +447,11 @@ class Lattice:
         return Lattice.from_int_rows(self.alg, rows, den)
 
     def index_in(self, other):
-        """Generalized index [other : self] as a Fraction."""
-        return self.det() / other.det()
+        """The index [other : self], an int: the product of the diagonal of
+        the triangular ``coords_in``; None if this lattice is not inside
+        other."""
+        c = self.coords_in(other)
+        return None if c is None else c[0][0] * c[1][1] * c[2][2] * c[3][3]
 
     # -- quadratic form machinery ---------------------------------------------
     def gram(self):
@@ -617,6 +613,14 @@ def units(order):
     return order.norm_vectors(1)
 
 
+def _pair_units(unit_list):
+    """One unit of each +-pair in unit_list other than +-1: the one whose
+    pure part is lexicographically positive (that of -u is negative).  For
+    an action in which u and -u agree and +-1 is the identity, these are
+    the units to apply, each once."""
+    return [u for u in unit_list if u.num[1:] > (0, 0, 0)]
+
+
 def make_algebra(q, a=None):
     """Quaternion algebra ramified exactly at {q, infinity}: the model
     (a, b) = (a, q) with the least a > 0 of that ramification, which is
@@ -709,19 +713,20 @@ def maximal_order(alg):
 # -- ideals -------------------------------------------------------------------
 
 def ideal_norm(ideal, order):
-    """The reduced norm of I, an int, via nrd(I)^2 = [O : I].
+    """The reduced norm of I, an int, via nrd(I)^2 = [O : I] (``index_in``).
 
     Every ideal the program takes the norm of is integral, I <= O, so the
     index is a positive integer: O itself, the reduced J = I conj(x) / nrd(I)
     with x in I, which lie in I conj(I) / nrd(I) = O (Voight, Quaternion
     Algebras, GTM 288, 2021, ch. 16), the I_k L <= I_k of the class search
     and I_k T_k = j I_k <= O (``two_sided_ideal``).  Raises ArithmeticError
-    if the index is not the square of an integer, as for a fractional ideal."""
+    if I does not lie in O, as for a fractional ideal, or its index is no
+    square."""
     index = ideal.index_in(order)
-    n = isqrt(index.numerator)
-    if index.denominator != 1 or n * n != index:
-        raise ArithmeticError(f"ideal norm is not an integer: [O : I] = {index} is not "
-                              "the square of one, so the ideal is not integral")
+    n = isqrt(index or 0)
+    if index is None or n * n != index:
+        raise ArithmeticError("ideal norm is not an integer: the ideal is not integral, "
+                              "or not of square index in O")
     return n
 
 
@@ -765,20 +770,19 @@ def right_order(ideal, norm):
     return _conjugated(ideal, norm, (1, 0, 0, 0))
 
 
-def two_sided_ideal(ideal, norm):
+def two_sided_ideal(ideal, norm, order):
     """T = I^-1 j I = conj(I) j I / n, the two-sided ideal of reduced norm q
-    of the right order R of I, a left ideal of reduced norm n of the base
-    order O.  It needs j in O, true of every ``maximal_order``, as its
-    saturation starts from Z<1, i, j, k>.  Then P = O j = j O is the
+    of the right order R (``order``) of I, a left ideal of reduced norm n
+    of the base order O.  It needs j in O, true of every ``maximal_order``,
+    as its saturation starts from Z<1, i, j, k>.  Then P = O j = j O is the
     two-sided ideal of norm q of O: nrd j = q, so j is a unit at every
     prime l != q, and at q there is one ideal of norm q.  Locally I = O a
     and R = a^-1 O a.  At l != q, T and P are the orders, so I T = I = P I;
     at q, T is the maximal ideal P of R = O, stable under conjugation, so
     I T = O a P = P a = P I.  Hence I T = P I = j I, and T = I^-1 j I.  The
-    index check reads [R : T] = q^2 as det(T) n^2 = q^2 det(I), since
-    [R : I] = n^2."""
+    check is T <= R with [R : T] = q^2."""
     ts = _conjugated(ideal, norm, (0, 0, 1, 0))
-    if ts.det() * norm * norm != ideal.alg.q ** 2 * ideal.det():
+    if ts.index_in(order) != ideal.alg.q ** 2:
         raise ArithmeticError("two-sided ideal has wrong index")
     return ts
 

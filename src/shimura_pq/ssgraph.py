@@ -19,6 +19,7 @@ from .quat import (
     Lattice,
     Quat,
     _norm4,
+    _pair_units,
     equiv_witness,
     ideal_norm,
     make_algebra,
@@ -168,8 +169,8 @@ class VertexSet:
 
         The orbits are marked on the integer 4-vectors v = den x, den the
         lcm of the dens of the x: -v with no product, and +-u v / den(u) for
-        one unit u of each pair other than +-1 of R_m, an exact division,
-        as u x is again one of the x."""
+        the units u of R_m of ``_pair_units``, an exact division, as u x is
+        again one of the x."""
         rec, target = self.classes[k], self.classes[m]
         vecs = self._connector_vectors(m, k, ell * rec.norm * target.norm)
         if not vecs:
@@ -177,8 +178,7 @@ class VertexSet:
         order, alg, mul4 = rec.right_order, self.alg, self.alg.mul4
         lat = self.connector(k, m)
         den = lcm(*(x.den for x in vecs))
-        moves = [(u.num, u.den) for u in self.units_of(m)
-                 if any(u.num[1:]) and u.num > tuple(-c for c in u.num)]
+        moves = [(u.num, u.den) for u in _pair_units(self.units_of(m))]
         nm, wd = target.norm, lat.den * rec.norm * target.norm
         out, seen = [], set()
         for x in vecs:
@@ -302,7 +302,7 @@ def _attach_wq(vset, perm=None, witnesses=None):
     t = perm[k] of I_k T_k and the witness y with I_k T_k = I_t y, and
     whether w_q fixes each class.  A build finds perm and the witnesses by
     ``locate``; a cache load passes the stored ones."""
-    vset.two_sided = [two_sided_ideal(rec.ideal, rec.norm) for rec in vset.classes]
+    vset.two_sided = [two_sided_ideal(c.ideal, c.norm, c.right_order) for c in vset.classes]
     if perm is None:
         perm, witnesses = [None] * len(vset.classes), [None] * len(vset.classes)
         for k, rec in enumerate(vset.classes):
@@ -342,9 +342,13 @@ class ShimuraGraph:
       conj(P), a left ideal of O_R(P), are conjugated per edge and their
       line read off (``_line``).  rho_k takes conj x = trd x - x to the
       adjugate (trd and nrd to trace and determinant), so
-      conj(P) / p R_k = {adj A : A v = 0} = {B : B F_p^2 <= F_p v}."""
+      conj(P) / p R_k = {adj A : A v = 0} = {B : B F_p^2 <= F_p v}.
 
-    def __init__(self, p, q, vset, edges):
+    The build and a cache load both construct the whole graph here: w_p is
+    derived unless passed (a load passes the stored map), w_q on edges
+    always, then every check runs, raising ArithmeticError naming it."""
+
+    def __init__(self, p, q, vset, edges, wp_perm=None):
         self.p, self.q, self.vset, self.edges = p, q, vset, edges
         # An ideal of index p^2 in R_k whose rows kill a line v is the ideal
         # of v, of index p^2 too; any other edge ideal is rejected.
@@ -356,17 +360,19 @@ class ShimuraGraph:
             if ok and k not in self._rho:
                 self._rho[k] = _splitting(order, c, p)
                 unit_moves[k] = self._rho[k] and [(1, 0, 0, 1)] + [
-                    self._rho_of(k, order.coords_of(u))
-                    for u in vset.units_of(k) if any(u.num[1:])]
+                    self._rho_of(k, order.coords_of(u)) for u in _pair_units(vset.units_of(k))]
             line = self._line(k, c) if ok and self._rho[k] else None
             if line is None:
                 raise ArithmeticError(f"edge {i}: ideal does not lie between {p} "
                                       f"R_{k} and R_{k} with index {p}^2")
             self._lines.append(line)
-            for g in unit_moves[k]:  # the identity, then the units but +-1
+            for g in unit_moves[k]:  # the identity, then the units of _pair_units
                 self._edge_lookup[(k, self._move(g, line))] = i
-        self.wp_perm = self.wq_edge_perm = None
-        self._neighbors, self._brandt_v, self._brandt_e = {}, {}, {}
+        self._neighbors = {}
+        self._check_vertices()
+        self.wp_perm = self._wp_perm() if wp_perm is None else list(wp_perm)
+        self.wq_edge_perm = self._wq_edge_perm()
+        self._check_edges()
 
     def __len__(self):
         return len(self.edges)
@@ -377,6 +383,82 @@ class ShimuraGraph:
 
     def edge_mass(self):
         return sum(Fraction(1, e.length) for e in self.edges)
+
+    def _wp_perm(self):
+        """Dual-isogeny involution: e = (k, P) goes to the edge at t(e) with
+        ideal y conj(P) y^{-1}; as a path operator it carries a global -1 sign.
+        The rows of conj(P), the conjugates of P's, are conjugated by y; an
+        integral conjugate has P's covolume, so it is the ideal of its line."""
+        perm = [self._edge_lookup.get((e.target, self._line(e.target, self._conjugate(
+                    e.target, [(r[0], -r[1], -r[2], -r[3]) for r in e.ideal.rows], e.ideal.den,
+                    e.witness))))
+                for e in self.edges]
+        if None in perm:
+            raise ArithmeticError("edge lattice not found at vertex")
+        return perm
+
+    def _wq_edge_perm(self):
+        """Frobenius on edges: conjugate the edge ideals at k by the witness y
+        with I_k T_k = I_sigma(k) y, one g per vertex.  As y lies in the
+        two-sided norm-q ideal, this is the Frobenius transport; at a fixed
+        vertex it swaps the eigen-ideals of the extra automorphisms."""
+        vset, gs, perm = self.vset, {}, []
+        for e, line in zip(self.edges, self._lines):
+            k, t = e.source, vset.wq_perm[e.source]
+            if k not in gs:
+                gs[k] = self._intertwiner(k, t, vset.wq_witnesses[k], 1, "w_q witness")
+            perm.append(self._edge_lookup.get((t, self._move(gs[k], line))))
+        if None in perm:
+            raise ArithmeticError("edge lattice not found at vertex")
+        return perm
+
+    def _check_vertices(self):
+        """The vertex mass (q-1)/12 and w_q an involution on vertices."""
+        q, vset = self.q, self.vset
+        mass = vset.mass()
+        if mass != Fraction(q - 1, 12):
+            raise ArithmeticError(f"mass formula violated: {mass} != ({q}-1)/12")
+        sigma = vset.wq_perm
+        if any(sigma[t] != k for k, t in enumerate(sigma)):
+            raise ArithmeticError("w_q is not an involution on vertices")
+
+    def _check_edges(self):
+        """The edge mass (p+1)(q-1)/12; w_p and w_q involutions on edges
+        that keep lengths, w_p swapping source and target and w_q moving
+        both by w_q; the w_q witness y_k of each class k gives
+        I_k T_k = I_t y_k with t = wq_perm[k]; and the edges hold the p+1
+        norm-p ideals of each R_k, each once: the orbits at k have p+1
+        members, with p+1 distinct lines, all of P^1(F_p)."""
+        p, q, edges, vset = self.p, self.q, self.edges, self.vset
+        mass = self.edge_mass()
+        if mass != Fraction((p + 1) * (q - 1), 12):
+            raise ArithmeticError(f"edge mass formula violated: {mass} != ({p}+1)({q}-1)/12")
+        sigma, wp, wq = vset.wq_perm, self.wp_perm, self.wq_edge_perm
+        for i, e in enumerate(edges):
+            dual, moved = edges[wp[i]], edges[wq[i]]
+            for broken, msg in ((wp[wp[i]] != i, "w_p is not an involution on edges"),
+                                (dual.source != e.target, "w_p does not swap source and target"),
+                                (dual.length != e.length, "w_p does not preserve lengths"),
+                                (wq[wq[i]] != i, "w_q is not an involution on edges"),
+                                (moved.length != e.length, "w_q does not preserve lengths"),
+                                ((moved.source, moved.target) != (sigma[e.source], sigma[e.target]),
+                                 "w_q does not commute with the source and target maps")):
+                if broken:
+                    raise ArithmeticError(msg)
+        for k, rec in enumerate(vset.classes):
+            t, y = sigma[k], vset.wq_witnesses[k]
+            if rec.ideal.mul(vset.two_sided[k]) != vset.classes[t].ideal.mul_elem(y):
+                raise ArithmeticError(
+                    f"vertex {k}: its w_q witness y does not give I_{k} T_{k} = I_{t} y")
+        members = Counter()
+        for e in edges:
+            members[e.source] += len(e.orbit)
+        images = Counter(k for k, _ in self._edge_lookup)
+        for k in range(len(vset)):
+            if members[k] != p + 1 or images[k] != p + 1:
+                raise ArithmeticError(
+                    f"vertex {k}: its edge orbits have {members[k]} members with {images[k]} "
+                    f"distinct lines in P^1(F_{p}), not {p + 1}")
 
     def _rho_of(self, k, coords):
         """rho_k of the element of R_k with these coordinates, (a, b, c, d)."""
@@ -453,36 +535,30 @@ class ShimuraGraph:
         """Sparse rows of T_ell on vertices: row k lists the sorted pairs
         (m, count), count > 0 being the number of ell-steps from k landing
         at m.  Row sums are ell+1."""
-        if ell not in self._brandt_v:
-            self._brandt_v[ell] = [
-                sorted(Counter(m for _, m, _ in self.vertex_neighbors(k, ell)).items())
+        return [sorted(Counter(m for _, m, _ in self.vertex_neighbors(k, ell)).items())
                 for k in range(len(self.vset))]
-        return self._brandt_v[ell]
 
     def brandt_edges(self, ell):
         """Sparse rows of T_ell on edges, as ``brandt_vertices``: row i
         counts the ell-steps from edge i landing on each edge.  The step of
         e = (k, P) through a step (L, m, z) of k lands on the edge at m with
         ideal z (L^-1 (L meet P)) z^-1, of line g v for the step's g."""
-        if ell not in self._brandt_e:
-            moves, out = {}, []
-            for i, e in enumerate(self.edges):
-                k = e.source
-                if k not in moves:
-                    moves[k] = [(m, self._intertwiner(k, m, z, ell,
-                                                      f"ell={ell} step to vertex {m}"))
-                                for _, m, z in self.vertex_neighbors(k, ell)]
-                row = Counter()
-                for m, g in moves[k]:
-                    j = self._edge_lookup.get((m, self._move(g, self._lines[i])))
-                    if j is None:
-                        raise ArithmeticError(
-                            f"edge {i}: its ell={ell} step lands on no edge ideal at "
-                            f"vertex {m} (damaged graph cache?)")
-                    row[j] += 1
-                out.append(sorted(row.items()))
-            self._brandt_e[ell] = out
-        return self._brandt_e[ell]
+        moves, out = {}, []
+        for i, e in enumerate(self.edges):
+            k = e.source
+            if k not in moves:
+                moves[k] = [(m, self._intertwiner(k, m, z, ell, f"ell={ell} step to vertex {m}"))
+                            for _, m, z in self.vertex_neighbors(k, ell)]
+            row = Counter()
+            for m, g in moves[k]:
+                j = self._edge_lookup.get((m, self._move(g, self._lines[i])))
+                if j is None:
+                    raise ArithmeticError(
+                        f"edge {i}: its ell={ell} step lands on no edge ideal at "
+                        f"vertex {m} (damaged graph cache?)")
+                row[j] += 1
+            out.append(sorted(row.items()))
+        return out
 
 
 def _rref_mod(rows, p):
@@ -550,12 +626,11 @@ def _splitting(order, coords, p):
 
 def _orbit(ideal, unit_list):
     """The u P u^-1 = P u^-1 over the units u of R_k, sorted by key; u and
-    -u give the same ideal, so one unit of each pair is used."""
+    -u give the same ideal, so the units of ``_pair_units`` are used."""
     members = {ideal.key(): ideal}  # u = +-1
-    for u in unit_list:
-        if u.num[1:] != (0, 0, 0) and u.num > tuple(-x for x in u.num):
-            lat = ideal.mul_elem(u)
-            members.setdefault(lat.key(), lat)
+    for u in _pair_units(unit_list):
+        lat = ideal.mul_elem(u)
+        members.setdefault(lat.key(), lat)
     return tuple(members[key] for key in sorted(members))
 
 
@@ -601,96 +676,7 @@ def build_graph(p, q, vset=None):
             edges.append(edge)
         if covered != steps.keys():
             raise ArithmeticError("orbits do not cover the p+1 ideals")
-    graph = ShimuraGraph(p, q, vset, edges)
-    _attach_wp(graph)
-    _attach_wq_edges(graph)
-    validate_graph(graph)
-    return graph
-
-
-def validate_graph(graph):
-    """Raise ArithmeticError naming the first graph invariant it breaks.
-
-    Run on every built graph and every graph loaded from the cache: the
-    vertex mass (q-1)/12, w_q an involution on vertices, the edge mass
-    (p+1)(q-1)/12, w_p and w_q involutions on edges that keep lengths,
-    w_p swapping source and target and w_q moving both by w_q.
-    """
-    p, q, edges, vset = graph.p, graph.q, graph.edges, graph.vset
-    mass = vset.mass()
-    if mass != Fraction(q - 1, 12):
-        raise ArithmeticError(f"mass formula violated: {mass} != ({q}-1)/12")
-    sigma = vset.wq_perm
-    if any(sigma[t] != k for k, t in enumerate(sigma)):
-        raise ArithmeticError("w_q is not an involution on vertices")
-    mass = graph.edge_mass()
-    if mass != Fraction((p + 1) * (q - 1), 12):
-        raise ArithmeticError(f"edge mass formula violated: {mass} != ({p}+1)({q}-1)/12")
-    wp, wq = graph.wp_perm, graph.wq_edge_perm
-    for i, e in enumerate(edges):
-        dual, moved = edges[wp[i]], edges[wq[i]]
-        for broken, msg in ((wp[wp[i]] != i, "w_p is not an involution on edges"),
-                            (dual.source != e.target, "w_p does not swap source and target"),
-                            (dual.length != e.length, "w_p does not preserve lengths"),
-                            (wq[wq[i]] != i, "w_q is not an involution on edges"),
-                            (moved.length != e.length, "w_q does not preserve lengths"),
-                            ((moved.source, moved.target) != (sigma[e.source], sigma[e.target]),
-                             "w_q does not commute with the source and target maps")):
-            if broken:
-                raise ArithmeticError(msg)
-
-
-def validate_records(graph):
-    """Raise ArithmeticError naming the first relation between the records
-    of a loaded graph that fails, of those no derivation gives (the loader
-    derives every other record with the build's code, and ``ShimuraGraph``
-    rejects an edge ideal that is no norm-p ideal of R_k): the w_q witness
-    y_k of each class k gives I_k T_k = I_t y_k with t = wq_perm[k]; and
-    the edges hold the p+1 norm-p ideals of each R_k, each once: the orbits
-    at k have p+1 members, with p+1 distinct lines, all of P^1(F_p)."""
-    p, vset = graph.p, graph.vset
-    for k, rec in enumerate(vset.classes):
-        t, y = vset.wq_perm[k], vset.wq_witnesses[k]
-        if rec.ideal.mul(vset.two_sided[k]) != vset.classes[t].ideal.mul_elem(y):
-            raise ArithmeticError(f"vertex {k}: its w_q witness y does not give I_{k} T_{k} = I_{t} y")
-    members = Counter()
-    for e in graph.edges:
-        members[e.source] += len(e.orbit)
-    images = Counter(k for k, _ in graph._edge_lookup)
-    for k in range(len(vset)):
-        if members[k] != p + 1 or images[k] != p + 1:
-            raise ArithmeticError(
-                f"vertex {k}: its edge orbits have {members[k]} members with {images[k]} "
-                f"distinct lines in P^1(F_{p}), not {p + 1}")
-
-
-def _attach_wp(graph):
-    """Dual-isogeny involution: e = (k, P) goes to the edge at t(e) with
-    ideal y conj(P) y^{-1}; as a path operator it carries a global -1 sign.
-    The rows of conj(P), the conjugates of P's, are conjugated by y; an
-    integral conjugate has P's covolume, so it is the ideal of its line."""
-    graph.wp_perm = [
-        graph._edge_lookup.get((e.target, graph._line(e.target, graph._conjugate(
-            e.target, [(r[0], -r[1], -r[2], -r[3]) for r in e.ideal.rows], e.ideal.den,
-            e.witness))))
-        for e in graph.edges]
-    if None in graph.wp_perm:
-        raise ArithmeticError("edge lattice not found at vertex")
-
-
-def _attach_wq_edges(graph):
-    """Frobenius on edges: conjugate the edge ideals at k by the witness y
-    with I_k T_k = I_sigma(k) y, one g per vertex.  As y lies in the
-    two-sided norm-q ideal, this is the Frobenius transport; at a fixed
-    vertex it swaps the eigen-ideals of the extra automorphisms."""
-    vset, gs, graph.wq_edge_perm = graph.vset, {}, []
-    for e, line in zip(graph.edges, graph._lines):
-        k, t = e.source, vset.wq_perm[e.source]
-        if k not in gs:
-            gs[k] = graph._intertwiner(k, t, vset.wq_witnesses[k], 1, "w_q witness")
-        graph.wq_edge_perm.append(graph._edge_lookup.get((t, graph._move(gs[k], line))))
-    if None in graph.wq_edge_perm:
-        raise ArithmeticError("edge lattice not found at vertex")
+    return ShimuraGraph(p, q, vset, edges)
 
 
 # -- independent supersingular count -------------------------------------------

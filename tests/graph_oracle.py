@@ -43,8 +43,8 @@ here, unchanged apart from their imports:
   member's image in R_k / p R_k (``residue_image``), and each
   push (T_ell, w_p, w_q) one conjugation of the ideal's rows by the
   step's or the edge's witness, read off by ``ssgraph._rref_mod``; the
-  oracle for ``ShimuraGraph.brandt_edges``, ``_attach_wp`` and
-  ``_attach_wq_edges``; ``residue_image`` (moved from ``ssgraph``) is
+  oracle for ``ShimuraGraph.brandt_edges``, ``_wp_perm`` and
+  ``_wq_edge_perm``; ``residue_image`` (moved from ``ssgraph``) is
   that key, and keys the norm-ell ideals of the vertex tests;
 * ``gross_shimura_per_edge`` -- the edge counts by one embedding
   search in each Eichler order, the oracle for ``gross.gross_shimura``;

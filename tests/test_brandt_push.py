@@ -19,7 +19,7 @@ import pytest
 from graph_oracle import (brandt_edges_rref, dense, wp_perm_rref, wq_edge_perm_rref)
 from lattice_oracle import brandt_edges, scale
 from shimura_pq.quat import Quat
-from shimura_pq.ssgraph import ShimuraGraph, _attach_wp, _attach_wq_edges, build_graph
+from shimura_pq.ssgraph import ShimuraGraph, build_graph
 
 CASES = [("graph_13_47", ell) for ell in (2, 3, 5, 7)]
 CASES += [("graph_5_23", ell) for ell in (2, 3, 7)]
@@ -53,12 +53,10 @@ def test_edge_matrix_matches_echelon_push(fixture, ell, request):
 
 @pytest.mark.parametrize("fixture", GRAPHS + ["cold_257_251"])
 def test_edge_involutions_match_echelon_push(fixture, request):
-    # a loaded graph holds the stored permutations: recompute them on a
-    # graph made from its records
+    # a loaded graph holds the stored w_p: derive it again on a graph
+    # made from its records
     graph = _graph(fixture, request)
     fresh = ShimuraGraph(graph.p, graph.q, graph.vset, graph.edges)
-    _attach_wp(fresh)
-    _attach_wq_edges(fresh)
     assert fresh.wp_perm == graph.wp_perm == wp_perm_rref(graph)
     assert fresh.wq_edge_perm == graph.wq_edge_perm == wq_edge_perm_rref(graph)
 
@@ -127,6 +125,6 @@ def test_wq_witness_without_g_is_named(vset11):
         with pytest.raises(ArithmeticError,
                            match=rf"^vertex 0: its w_q witness does not conjugate R_0 onto "
                                  rf"R_{t} at 13 "):
-            _attach_wq_edges(graph)
+            ShimuraGraph(13, 11, vset, graph.edges, wp_perm=graph.wp_perm)
     finally:
         vset.wq_witnesses[0] = y

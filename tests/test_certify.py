@@ -31,7 +31,7 @@ from shimura_pq.certify import (
 from shimura_pq.gross import gross_tower_modular, tower_class_number
 from shimura_pq.linalg import hnf_rows
 from shimura_pq.quat import Quat, make_algebra
-from shimura_pq.ssgraph import ShimuraGraph, build_graph, vertex_classes
+from shimura_pq.ssgraph import build_graph
 
 
 class TestOgg:
@@ -132,9 +132,8 @@ def test_rank_2_system_13_11_depth_3(graph_13_11):
 
 @pytest.mark.parametrize("q", [251, 307])
 def test_vertex_only_decomposition_matches_solve_frac(q):
-    # the decomposition reads the vertices alone, so a graph with no edges
-    # serves; depth 18 at q = 251 and 14 at q = 307
-    graph = ShimuraGraph(29, q, vertex_classes(q), [])
+    # depth 18 at q = 251 and 14 at q = 307
+    graph = build_graph(29, q)
     n_max = genus(q) + 2
     dec = decompose_eisenstein(graph, 3, n_max)
     assert dec["depth"] == {251: 18, 307: 14}[q] and dec["degree_identity"]
@@ -207,6 +206,31 @@ class TestRunCriterion:
         assert exit_code({"verdict": "criterion_satisfied"}) == 0
         assert exit_code({"verdict": "check_failed"}) == 1
         assert exit_code({"verdict": "hypotheses_not_met"}) == 2
+
+
+# The record whose value each damage case of
+# ``TestCache.test_damaged_graph_treated_as_corrupt`` changes: a top-level
+# key of the cache payload, or a (list, field) pair of its vertices or
+# edges; None where the case breaks the JSON encoding, not a value.
+DAMAGED_RECORD = {
+    "length": ("edges", "length"), "target": ("edges", "target"), "wp_perm": "wp_perm",
+    "wq_perm": "wq_perm", "norm": ("vertices", "norm"),
+    "right_order": ("vertices", "right_order"), "fingerprint": ("vertices", "fingerprint"),
+    "weight": ("vertices", "weight"), "eichler": ("edges", "eichler"),
+    "eichler_is_order": ("edges", "eichler"), "eichler_swapped": ("edges", "eichler"),
+    "orbit": ("edges", "orbit"), "p_times_ideal": ("edges", "ideal"),
+    "foreign_ideal": ("edges", "ideal"), "two_sided": "two_sided",
+    "wq_witness": "wq_witnesses", "order": "order", "rational": ("vertices", "rational"),
+    "algebra": "algebra", "json_list": None, "json_number": None, "json_string": None,
+    "float_entry": None, "float_witness": None, "float_length": None, "bool_entry": None,
+    "flag_moved": None, "half_scale_ideal": ("vertices", "ideal"),
+    "wq_edge_perm": "wq_edge_perm", "source": ("edges", "source"),
+}
+# The records no damage case changes, each with its reason.
+UNDAMAGED_RECORDS = (
+    (("version", "p", "q"), "a wrong value is a cache miss, not corruption"),
+    ((("edges", "witness"),), "it feeds only w_p at a build, so a changed value still loads"),
+)
 
 
 class TestCache:
@@ -293,15 +317,18 @@ class TestCache:
         with open(path, "rb") as fh:
             assert fh.read() == good
 
-    @pytest.mark.parametrize("damage", ["length", "target", "wp_perm", "wq_perm",
-                                        "norm", "right_order", "fingerprint", "weight",
-                                        "eichler", "eichler_is_order", "eichler_swapped",
-                                        "orbit", "p_times_ideal",
-                                        "foreign_ideal", "two_sided", "wq_witness", "order",
-                                        "rational", "algebra", "json_list", "json_number",
-                                        "json_string", "float_entry", "float_witness",
-                                        "float_length", "bool_entry", "flag_moved",
-                                        "half_scale_ideal"])
+    def test_every_record_is_damaged_or_exempt(self, graph_13_11):
+        # each top-level record of a cache payload and each field of its
+        # vertices and edges is changed by a damage case below, or exempt
+        payload = graph_payload(graph_13_11)
+        records = {key for key in payload if key not in ("vertices", "edges")}
+        records |= {(key, field) for key in ("vertices", "edges") for field in payload[key][0]}
+        damaged = {record for record in DAMAGED_RECORD.values() if record}
+        exempt = {record for names, _ in UNDAMAGED_RECORDS for record in names}
+        assert records - damaged - exempt == set()
+        assert damaged | exempt <= records and not damaged & exempt
+
+    @pytest.mark.parametrize("damage", list(DAMAGED_RECORD))
     def test_damaged_graph_treated_as_corrupt(self, graph_13_11, tmp_path, capsys, damage):
         # edge 4 runs from vertex 0 to vertex 1 with length 1; w_p sends it to
         # edge 11, and edge 5 is the other edge from 0 to 1; edge 6 starts at
@@ -309,6 +336,8 @@ class TestCache:
         # norm 1: swapping the weights keeps the mass.  13 P, with its orbit
         # and Eichler order Z + 13 P, is consistent in every other record,
         # so only the check that P lies between 13 R_0 and R_0 rejects it.
+        # Two edges with the same source, target and length whose w_q images
+        # are swapped keep w_q an involution that commutes with both maps.
         check = {"length": "edge 4: length 2 is not half the unit count of its Eichler order",
                  "target": "w_p does not swap source and target",
                  "wp_perm": "w_p is not an involution on edges",
@@ -340,6 +369,8 @@ class TestCache:
                  "bool_entry": "a true or false in the cache is not a vertex's rational flag",
                  "flag_moved": "a true or false in the cache is not a vertex's rational flag",
                  "half_scale_ideal": "ideal norm is not an integer",
+                 "wq_edge_perm": "wq_edge_perm is not w_q on the edges",
+                 "source": "edge 4: ideal does not lie between 13 R_1 and R_1",
                  }[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
@@ -418,6 +449,16 @@ class TestCache:
             # b = q in every model make_algebra gives, so no derived record
             # differs, only the stored b
             payload["algebra"]["b"] += 1
+        elif damage == "wq_edge_perm":
+            wq, edges = payload["wq_edge_perm"], payload["edges"]
+            i, j = next((i, j) for j, b in enumerate(edges) for i, a in enumerate(edges[:j])
+                        if j != wq[i] and all(a[k] == b[k] for k in ("source", "target", "length")))
+            (a, b), perm = (wq[i], wq[j]), list(wq)
+            perm[i], perm[b], perm[j], perm[a] = b, i, a, j
+            assert perm != wq and all(perm[perm[x]] == x for x in range(len(perm)))
+            payload["wq_edge_perm"] = perm
+        elif damage == "source":
+            payload["edges"][4]["source"] = 1
         elif damage == "half_scale_ideal":
             # O / 2 in place of O: a lattice in HNF whose norm 1/4 is no int
             assert vertices[1]["ideal"] == payload["order"]

@@ -32,8 +32,7 @@ from graph_oracle import (
 )
 from lattice_oracle import add, conj_by_integer, nrd
 from shimura_pq.quat import Lattice, Quat, units
-from shimura_pq.ssgraph import (VertexSet, _attach_wp, _attach_wq_edges,
-                                build_graph, vertex_classes)
+from shimura_pq.ssgraph import ShimuraGraph, VertexSet, build_graph, vertex_classes
 
 VSETS = {11: "vset11", 23: "vset23", 37: "vset37", 47: "vset47", 83: None, 163: "vset163"}
 GRAPHS = ["graph_13_47", "graph_5_23", "graph_7_23", "graph_13_11", "graph_29_47",
@@ -146,31 +145,31 @@ def test_wrong_step_count_is_named(drop, vset23, monkeypatch):
 
 def test_missing_conjugate_is_named(vset11):
     graph = build_graph(13, 11, vset=vset11)
-    # every orbit member of the dual of edge 0 loses its entry
+    # with the dual of edge 0 left out, w_p finds no edge for edge 0
     dual = graph.wp_perm[0]
-    for key in [key for key, i in graph._edge_lookup.items() if i == dual]:
-        del graph._edge_lookup[key]
+    edges = [e for i, e in enumerate(graph.edges) if i != dual]
     with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):
-        _attach_wp(graph)
+        ShimuraGraph(13, 11, vset11, edges)
 
 
 def test_missing_wq_conjugate_is_named(vset11):
     graph = build_graph(13, 11, vset=vset11)
+    # w_p is passed, so w_q is the first map to miss the edge left out
     moved = graph.wq_edge_perm[0]
-    for key in [key for key, i in graph._edge_lookup.items() if i == moved]:
-        del graph._edge_lookup[key]
+    edges = [e for i, e in enumerate(graph.edges) if i != moved]
     with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):
-        _attach_wq_edges(graph)
+        ShimuraGraph(13, 11, vset11, edges, wp_perm=graph.wp_perm)
 
 
 def test_non_integral_conjugate_is_named(vset11):
     graph = build_graph(13, 11, vset=vset11)
-    e = graph.edges[0]
-    e = graph.edges[0] = e._replace(witness=add(e.witness, Quat(graph.vset.alg, (0, 0, 0, 1), 3)))
+    edges = list(graph.edges)
+    e = edges[0] = edges[0]._replace(
+        witness=add(edges[0].witness, Quat(graph.vset.alg, (0, 0, 0, 1), 3)))
     order = graph.vset.classes[e.target].right_order
     assert conj_by_integer(e.ideal.conj_lattice(), e.witness).coords_in(order) is None
     with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):
-        _attach_wp(graph)
+        ShimuraGraph(13, 11, vset11, edges)
 
 
 def _count(monkeypatch):

@@ -212,11 +212,10 @@ def test_integer_norm_and_trace_build_no_fraction(vset47, monkeypatch):
     order = vset47.classes[1].right_order
     expected = [oracle.norm_vectors_with_trace(order, n, t) for n, t in ((5, 1), (9, 0))]
 
-    class NoFraction(Fraction):
-        def __new__(cls, *args):
-            raise AssertionError("Fraction built on the int path")
+    def no_fraction(cls, *args, **kwargs):
+        raise AssertionError("Fraction built on the int path")
 
-    monkeypatch.setattr("shimura_pq.quat.Fraction", NoFraction)
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
     fresh = Lattice(order.alg, order.rows, order.den)  # no cached S0 form
     assert [fresh.norm_vectors(5, trace=1), fresh.norm_vectors(9, trace=0)] == expected
     assert any(expected)

@@ -374,7 +374,7 @@ class TestNormIdeals:
             norm_ideals(O47, 47)
 
     def test_norm_of_fractional_ideal_raises(self):
-        # O / 2 has index 1/16 in O: its norm 1/4 is no integer
+        # O / 2 does not lie in O: its norm 1/4 is no integer
         with pytest.raises(ArithmeticError, match="not an integer.*not integral"):
             ideal_norm(Lattice(B47, O47.rows, 2 * O47.den), O47)
         assert type(ideal_norm(O47, O47)) is int
@@ -383,14 +383,23 @@ class TestNormIdeals:
 class TestTwoSided:
     # the base order is the ideal of norm 1 of itself: T = O j O = O j
     def test_norm_q(self):
-        ts = two_sided_ideal(O47, 1)
+        ts = two_sided_ideal(O47, 1, O47)
         assert ideal_norm(ts, O47) == 47
         # two-sided: x * Q * x^-1 = Q for units and basis elements of O
         for u in units(O47):
             assert conj_by_integer(ts, u) == ts
 
+    def test_index_is_checked_in_the_right_order(self, vset11):
+        # T_k lies in R_k with index q^2; some T_k does not lie in O
+        rec = next(rec for rec in vset11.classes
+                   if two_sided_ideal(rec.ideal, rec.norm, rec.right_order).index_in(O11) is None)
+        assert two_sided_ideal(rec.ideal, rec.norm, rec.right_order).index_in(
+            rec.right_order) == 11 * 11
+        with pytest.raises(ArithmeticError, match="^two-sided ideal has wrong index$"):
+            two_sided_ideal(rec.ideal, rec.norm, O11)
+
     def test_square_is_q_times_order(self):
-        ts = two_sided_ideal(O11, 1)
+        ts = two_sided_ideal(O11, 1, O11)
         assert ts.mul(ts) == scale(O11, 11)
 
     @pytest.mark.parametrize("q", [11, 13, 37, 41, 73, 97, 251])
@@ -402,7 +411,7 @@ class TestTwoSided:
         j = Quat(vset.alg, (0, 0, 1, 0))
         assert j in vset.order
         for rec in vset.classes:
-            ts = two_sided_ideal(rec.ideal, rec.norm)
+            ts = two_sided_ideal(rec.ideal, rec.norm, rec.right_order)
             assert ts == two_sided_prime(rec.right_order, q)
             assert rec.ideal.mul(ts) == Lattice.from_int_rows(
                 vset.alg, [vset.alg.mul4(j.num, r) for r in rec.ideal.rows], rec.ideal.den)

@@ -9,8 +9,7 @@ from shimura_pq import quat, ssgraph
 from shimura_pq.certify import SS_ORACLE_MAX_Q, cache_load, cache_store, genus
 from shimura_pq.ntheory import is_prime
 from shimura_pq.quat import equiv_witness, ideal_norm, make_algebra, maximal_order, norm_ideals
-from shimura_pq.ssgraph import (ShimuraGraph, _rref_mod, build_graph, ss_oracle,
-                              validate_graph, vertex_classes)
+from shimura_pq.ssgraph import ShimuraGraph, _rref_mod, build_graph, ss_oracle, vertex_classes
 
 
 class TestVertexClasses:
@@ -123,13 +122,12 @@ class TestEdges:
         # a cache load derives every length, so only a graph put together
         # by hand can break the edge mass formula alone
         edges = list(graph_13_11.edges)
-        validate_graph(graph_13_11)
+        assert ShimuraGraph(13, 11, graph_13_11.vset, edges).wq_edge_perm == \
+            graph_13_11.wq_edge_perm
         assert edges[4].length == 1
         edges[4] = edges[4]._replace(length=2)
-        graph = ShimuraGraph(13, 11, graph_13_11.vset, edges)
-        graph.wp_perm, graph.wq_edge_perm = graph_13_11.wp_perm, graph_13_11.wq_edge_perm
         with pytest.raises(ArithmeticError, match="^edge mass formula violated"):
-            validate_graph(graph)
+            ShimuraGraph(13, 11, graph_13_11.vset, edges)
 
     def test_wq_vertex_fixed_points_match_oracle(self, vset47, vset11):
         for vset, q in ((vset47, 47), (vset11, 11)):
