@@ -28,7 +28,7 @@ from .gross import (gross_tower_modular, gross_tower_shimura, s_star, support, t
                     tower_class_number)
 from .ntheory import check_ogg, check_primes, is_prime, kronecker, primes_from
 from .quat import Lattice, Quat, make_algebra, maximal_order
-from .ssgraph import ShimuraGraph, VertexSet, _attach_wq, _edge, build_graph, ss_oracle
+from .ssgraph import ShimuraGraph, VertexSet, _edge, build_graph, ss_oracle
 
 CACHE_VERSION = 1
 CACHE_ENV = "CRITERION_CACHE_DIR"
@@ -280,9 +280,9 @@ def graph_payload(graph):
                 "weight": c.weight,
                 "norm": str(c.norm),
                 "fingerprint": list(c.fingerprint),
-                "rational": c.rational,
+                "rational": vset.wq_perm[k] == k,
             }
-            for c in vset.classes
+            for k, c in enumerate(vset.classes)
         ],
         "wq_perm": vset.wq_perm,
         "wq_witnesses": [_quat_payload(x) for x in vset.wq_witnesses],
@@ -348,18 +348,18 @@ def graph_from_payload(payload):
       (lattices parsed by ``_lat_from``): the algebra's a, the base order
       (which must be ``maximal_order``), the class ideals, w_q on vertices
       and its witnesses, and each edge's source, ideal and target;
-    * derived with the build's code (``_add_class``, ``_attach_wq``,
+    * derived with the build's code (the ``VertexSet`` constructor,
       ``_edge``, ``ShimuraGraph``) and compared: the algebra's b, each
-      class's norm, right order, weight, fingerprint and rational flag, the
-      two-sided ideals, each edge's orbit, Eichler order and length, and
-      w_q on edges;
+      class's norm, right order, weight, fingerprint and rational flag
+      (``wq_perm[k] == k``), the two-sided ideals, each edge's orbit,
+      Eichler order and length, and w_q on edges;
     * only stored: w_p, checked for structure by ``ShimuraGraph``, as no
       output reads it and deriving it is a large share of a load at large
       q; and the edge witnesses, which feed only w_p at a build and are
       not checked.
 
-    ``ShimuraGraph`` runs the graph's checks, then the rebuilt payload must
-    equal the stored one (a stored derived record that differs is named).
+    ``VertexSet`` and ``ShimuraGraph`` run their checks, then the rebuilt
+    payload must equal the stored one (a differing derived record is named).
     Any failure raises.  The comparison is by value, where 1.0 == True ==
     1: ``cache_load`` refuses a float, and a true or false other than a
     rational flag, before it calls this."""
@@ -369,11 +369,8 @@ def graph_from_payload(payload):
     # would see one in place of the order the build starts from
     if order != maximal_order(alg):
         raise ValueError("order is not the maximal order of the algebra")
-    vset = VertexSet(alg, order)
-    for v in payload["vertices"]:
-        vset._add_class(_lat_from(alg, v["ideal"]))
-    _attach_wq(vset, list(payload["wq_perm"]),
-               [_quat_from(alg, x) for x in payload["wq_witnesses"]])
+    vset = VertexSet(alg, order, [_lat_from(alg, v["ideal"]) for v in payload["vertices"]],
+                     (payload["wq_perm"], [_quat_from(alg, x) for x in payload["wq_witnesses"]]))
     edges = [_edge(vset, e["source"], _lat_from(alg, e["ideal"]), e["target"],
                    _quat_from(alg, e["witness"]))
              for e in payload["edges"]]

@@ -34,11 +34,9 @@ from .quat import (
 
 
 # One left ideal class I: its right order, weight (half the unit count),
-# reduced norm, ``_fingerprint``, the units of its right order (all set by
-# ``VertexSet._add_class``) and whether w_q fixes it (set by ``_attach_wq``).
-VertexClass = namedtuple("VertexClass",
-                         "ideal right_order weight norm fingerprint units rational",
-                         defaults=(False,))
+# reduced norm, ``_fingerprint`` and the units of its right order (set by
+# ``VertexSet._add_class``); whether w_q fixes it is read off ``wq_perm``.
+VertexClass = namedtuple("VertexClass", "ideal right_order weight norm fingerprint units")
 
 
 def _fingerprint(ideal, norm):
@@ -56,14 +54,29 @@ def _fingerprint(ideal, norm):
 
 
 class VertexSet:
-    """Ideal classes of the fixed maximal order, canonically ordered."""
+    """Ideal classes of the fixed maximal order, canonically ordered, and
+    w_q on them.  The class search (``_discover``, with no ideals) and a
+    cache load (the class ideals and wq = (perm, witnesses)) both construct
+    the whole set here: the mass check, the T_k, w_q by ``locate`` unless
+    passed (``_wq``), then ``_check_wq``, each failure an ArithmeticError."""
 
-    def __init__(self, alg, order):
+    def __init__(self, alg, order, ideals=None, wq=None):
         self.q, self.alg, self.order = alg.q, alg, order
-        self.classes = []  # ``_add_class`` appends; ``_attach_wq`` sets the w_q records
+        self.classes = []  # ``_add_class`` appends
         self._connectors = {}
         self._conjugates = set()  # the (m, k) whose connector is the conjugate of a product
         self._vectors = {}  # (m, k, n) of a product -> its vectors of norm n, until both are taken
+        if ideals is None:
+            self._discover()
+        else:
+            for ideal in ideals:
+                self._add_class(ideal)
+        mass = self.mass()
+        if mass != Fraction(self.q - 1, 12):
+            raise ArithmeticError(f"mass formula violated: {mass} != ({self.q}-1)/12")
+        self.two_sided = [two_sided_ideal(c.ideal, c.norm, c.right_order) for c in self.classes]
+        self.wq_perm, self.wq_witnesses = self._wq() if wq is None else wq
+        self._check_wq()
 
     def __len__(self):
         return len(self.classes)
@@ -89,7 +102,71 @@ class VertexSet:
                                         units=unit_list))
 
     def rational_count(self):
-        return sum(1 for c in self.classes if c.rational)
+        return sum(1 for k, t in enumerate(self.wq_perm) if t == k)
+
+    def _discover(self):
+        """All left ideal classes of the base order, by 2-neighbour search.
+
+        Breadth first from the order itself, with no equivalence test: the
+        norm-2 ideals L of R_k with I_k L in a known class m are the
+        ``_steps`` from k to m, matched by their images in R_k / 2 R_k.
+        Each L left over, in ``norm_ideals`` order, gives a new class, I_k L
+        reduced, whose steps from k are read at once, so the next L left
+        over is in no known class either; the steps from k must then be its
+        three norm-2 ideals.  The classes are sorted, and the connectors
+        found on the way re-keyed.  Strong approximation makes the norm-2
+        graph connected; the mass formula certifies completeness."""
+        self._add_class(self.order)
+        k = 0
+        while k < len(self):  # classes are appended in discovery order: the queue
+            rec = self.classes[k]
+            ideals = norm_ideals(rec.right_order, 2)
+            steps = [step for m in range(len(self)) for step in self._steps(k, m, 2)]
+            known = {image for image, _, _ in steps}
+            images = [_image_mod(lam.coords_in(rec.right_order), 2) for lam in ideals]
+            for lam, image in zip(ideals, images):
+                if image in known:
+                    continue
+                self._add_class(reduce_ideal(rec.ideal.mul(lam), self.order)[0])
+                new = self._steps(k, len(self) - 1, 2)
+                steps += new
+                known.update(image for image, _, _ in new)
+            if Counter(image for image, _, _ in steps) != Counter(images):
+                raise ArithmeticError(f"class {k}: its norm-2 steps are not its 3 norm-2 ideals")
+            k += 1
+        perm = sorted(range(len(self)),
+                      key=lambda i: (-self.classes[i].weight, self.classes[i].ideal.key()))
+        pos = {old: new for new, old in enumerate(perm)}
+        self.classes = [self.classes[i] for i in perm]
+        self._connectors = {(pos[m], pos[k]): lat for (m, k), lat in self._connectors.items()}
+        self._conjugates = {(pos[m], pos[k]) for m, k in self._conjugates}
+        self._vectors = {(pos[m], pos[k], n): v for (m, k, n), v in self._vectors.items()}
+
+    def _wq(self):
+        """w_q on vertices by ``locate``: the class t = perm[k] of I_k T_k
+        and the witness y with I_k T_k = I_t y, for each class k."""
+        perm, witnesses = [None] * len(self), [None] * len(self)
+        for k, rec in enumerate(self.classes):
+            # w_q is an involution: the class it sends k to is the j with
+            # wq_perm[j] == k if one is known, else most likely k itself, and
+            # if not k then a later class, as every earlier one has its image
+            first = perm.index(k) if k in perm else k
+            perm[k], witnesses[k] = self.locate(rec.ideal.mul(self.two_sided[k]), first)
+        return perm, witnesses
+
+    def _check_wq(self):
+        """h images and h witnesses, w_q an involution on range(h), and each
+        witness y_k gives I_k T_k = I_t y_k with t = wq_perm[k]."""
+        h, sigma, witnesses = len(self), self.wq_perm, self.wq_witnesses
+        if len(sigma) != h or len(witnesses) != h:
+            raise ArithmeticError(f"w_q has {len(sigma)} images and {len(witnesses)} "
+                                  f"witnesses for {h} classes")
+        if any(t not in range(h) or sigma[t] != k for k, t in enumerate(sigma)):
+            raise ArithmeticError("w_q is not an involution on vertices")
+        for k, (rec, t, y) in enumerate(zip(self.classes, sigma, witnesses)):
+            if rec.ideal.mul(self.two_sided[k]) != self.classes[t].ideal.mul_elem(y):
+                raise ArithmeticError(
+                    f"vertex {k}: its w_q witness y does not give I_{k} T_{k} = I_{t} y")
 
     def locate(self, ideal, first=None):
         """Class index and witness y with ideal = I_k * y (ideal must be a
@@ -249,70 +326,11 @@ class VertexSet:
 
 
 def vertex_classes(q, alg=None):
-    """All left ideal classes of a maximal order, by 2-neighbour search.
-
-    Breadth first from the order itself, with no equivalence test: the
-    norm-2 ideals L of R_k with I_k L in a known class m are the ``_steps``
-    from k to m, matched by their images in R_k / 2 R_k.  Each L left over,
-    in ``norm_ideals`` order, gives a new class, I_k L reduced, whose steps
-    from k are read at once, so the next L left over is in no known class
-    either; the steps from k must then be its three norm-2 ideals.  The
-    sorted set keeps the connectors found on the way.
-    Strong approximation makes the norm-2 graph connected; the Eichler mass
-    formula, closing exactly, certifies completeness."""
+    """All left ideal classes of a maximal order, with w_q on them
+    (``VertexSet._discover``)."""
     check_primes(q=q)
     alg = alg or make_algebra(q)
-    order = maximal_order(alg)
-    found = VertexSet(alg, order)
-    found._add_class(order)
-    k = 0
-    while k < len(found):  # classes are appended in discovery order: the queue
-        rec = found.classes[k]
-        ideals = norm_ideals(rec.right_order, 2)
-        steps = [step for m in range(len(found)) for step in found._steps(k, m, 2)]
-        known = {image for image, _, _ in steps}
-        images = [_image_mod(lam.coords_in(rec.right_order), 2) for lam in ideals]
-        for lam, image in zip(ideals, images):
-            if image in known:
-                continue
-            found._add_class(reduce_ideal(rec.ideal.mul(lam), order)[0])
-            new = found._steps(k, len(found) - 1, 2)
-            steps += new
-            known.update(image for image, _, _ in new)
-        if Counter(image for image, _, _ in steps) != Counter(images):
-            raise ArithmeticError(f"class {k}: its norm-2 steps are not its 3 norm-2 ideals")
-        k += 1
-    mass = found.mass()
-    if mass != Fraction(q - 1, 12):
-        raise ArithmeticError(f"mass formula violated: {mass} != ({q}-1)/12")
-    perm = sorted(range(len(found)),
-                  key=lambda i: (-found.classes[i].weight, found.classes[i].ideal.key()))
-    pos = {old: new for new, old in enumerate(perm)}
-    vset = VertexSet(alg, order)
-    vset.classes = [found.classes[i] for i in perm]
-    vset._connectors = {(pos[m], pos[k]): lat for (m, k), lat in found._connectors.items()}
-    vset._conjugates = {(pos[m], pos[k]) for m, k in found._conjugates}
-    vset._vectors = {(pos[m], pos[k], n): v for (m, k, n), v in found._vectors.items()}
-    _attach_wq(vset)
-    return vset
-
-
-def _attach_wq(vset, perm=None, witnesses=None):
-    """w_q on vertices: T_k = ``two_sided_ideal`` of I_k, the class
-    t = perm[k] of I_k T_k and the witness y with I_k T_k = I_t y, and
-    whether w_q fixes each class.  A build finds perm and the witnesses by
-    ``locate``; a cache load passes the stored ones."""
-    vset.two_sided = [two_sided_ideal(c.ideal, c.norm, c.right_order) for c in vset.classes]
-    if perm is None:
-        perm, witnesses = [None] * len(vset.classes), [None] * len(vset.classes)
-        for k, rec in enumerate(vset.classes):
-            # w_q is an involution: the class it sends k to is the j with
-            # wq_perm[j] == k if one is known, else most likely k itself, and
-            # if not k then a later class, as every earlier one has its image
-            first = perm.index(k) if k in perm else k
-            perm[k], witnesses[k] = vset.locate(rec.ideal.mul(vset.two_sided[k]), first)
-    vset.wq_perm, vset.wq_witnesses = perm, witnesses
-    vset.classes = [rec._replace(rational=perm[k] == k) for k, rec in enumerate(vset.classes)]
+    return VertexSet(alg, maximal_order(alg))
 
 
 # An edge: a unit orbit of norm-p left ideals P of R_source, its Eichler
@@ -346,7 +364,7 @@ class ShimuraGraph:
 
     The build and a cache load both construct the whole graph here: w_p is
     derived unless passed (a load passes the stored map), w_q on edges
-    always, then every check runs, raising ArithmeticError naming it."""
+    always, then every edge check runs, raising ArithmeticError naming it."""
 
     def __init__(self, p, q, vset, edges, wp_perm=None):
         self.p, self.q, self.vset, self.edges = p, q, vset, edges
@@ -369,7 +387,6 @@ class ShimuraGraph:
             for g in unit_moves[k]:  # the identity, then the units of _pair_units
                 self._edge_lookup[(k, self._move(g, line))] = i
         self._neighbors = {}
-        self._check_vertices()
         self.wp_perm = self._wp_perm() if wp_perm is None else list(wp_perm)
         self.wq_edge_perm = self._wq_edge_perm()
         self._check_edges()
@@ -412,23 +429,12 @@ class ShimuraGraph:
             raise ArithmeticError("edge lattice not found at vertex")
         return perm
 
-    def _check_vertices(self):
-        """The vertex mass (q-1)/12 and w_q an involution on vertices."""
-        q, vset = self.q, self.vset
-        mass = vset.mass()
-        if mass != Fraction(q - 1, 12):
-            raise ArithmeticError(f"mass formula violated: {mass} != ({q}-1)/12")
-        sigma = vset.wq_perm
-        if any(sigma[t] != k for k, t in enumerate(sigma)):
-            raise ArithmeticError("w_q is not an involution on vertices")
-
     def _check_edges(self):
         """The edge mass (p+1)(q-1)/12; w_p and w_q involutions on edges
         that keep lengths, w_p swapping source and target and w_q moving
-        both by w_q; the w_q witness y_k of each class k gives
-        I_k T_k = I_t y_k with t = wq_perm[k]; and the edges hold the p+1
-        norm-p ideals of each R_k, each once: the orbits at k have p+1
-        members, with p+1 distinct lines, all of P^1(F_p)."""
+        both by w_q; and the edges hold the p+1 norm-p ideals of each R_k,
+        each once: the orbits at k have p+1 members, with p+1 distinct
+        lines, all of P^1(F_p)."""
         p, q, edges, vset = self.p, self.q, self.edges, self.vset
         mass = self.edge_mass()
         if mass != Fraction((p + 1) * (q - 1), 12):
@@ -445,11 +451,6 @@ class ShimuraGraph:
                                  "w_q does not commute with the source and target maps")):
                 if broken:
                     raise ArithmeticError(msg)
-        for k, rec in enumerate(vset.classes):
-            t, y = sigma[k], vset.wq_witnesses[k]
-            if rec.ideal.mul(vset.two_sided[k]) != vset.classes[t].ideal.mul_elem(y):
-                raise ArithmeticError(
-                    f"vertex {k}: its w_q witness y does not give I_{k} T_{k} = I_{t} y")
         members = Counter()
         for e in edges:
             members[e.source] += len(e.orbit)

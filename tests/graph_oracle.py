@@ -27,7 +27,7 @@ here, unchanged apart from their imports:
   objects, and R_t y by ``Lattice.mul_elem``; the oracle for the steps and
   the edge witnesses, which the graph cache stores;
 * ``wq_by_full_scan`` -- w_q on vertices by one ``locate`` per class with
-  no class tried first, the oracle for ``ssgraph._attach_wq``;
+  no class tried first, the oracle for ``VertexSet._wq``;
 * ``vertex_classes_by_equivalence`` -- the class search with one reduced
   product, fingerprint and equivalence test per 2-neighbour, the oracle for
   ``ssgraph.vertex_classes``;
@@ -82,8 +82,8 @@ from shimura_pq.gross import (graph_eichler_units, gross_modular, gross_shimura,
 from shimura_pq.linalg import det_bareiss
 from shimura_pq.ntheory import is_prime, kronecker
 from shimura_pq.quat import (Quat, equiv_witness, ideal_norm, make_algebra, maximal_order,
-                             norm_ideals, reduce_ideal)
-from shimura_pq.ssgraph import VertexSet, _attach_wq, _fingerprint, _image_mod, _rref_mod
+                             norm_ideals, reduce_ideal, right_order, units)
+from shimura_pq.ssgraph import VertexClass, VertexSet, _fingerprint, _image_mod, _rref_mod
 
 
 def make_multigraph(nvertices, edges):
@@ -266,17 +266,26 @@ def wq_by_full_scan(vset):
     return perm, witnesses
 
 
+def _vertex_class(ideal, order):
+    """The ``VertexClass`` record of ideal, a left ideal of order."""
+    n = ideal_norm(ideal, order)
+    ro = right_order(ideal, n)
+    unit_list = units(ro)
+    return VertexClass(ideal=ideal, right_order=ro, weight=len(unit_list) // 2, norm=n,
+                       fingerprint=_fingerprint(ideal, n), units=unit_list)
+
+
 def vertex_classes_by_equivalence(q, alg=None):
     """``ssgraph.vertex_classes`` as it was: for every 2-neighbour I_k L of
     every class k, reduce it, take its fingerprint and run an equivalence
-    test against each known class with that fingerprint."""
+    test against each known class with that fingerprint.  The sorted class
+    ideals then make the ``VertexSet``, which checks the mass and derives
+    w_q by ``locate``."""
     if not is_prime(q) or q < 5:
         raise ValueError(f"q must be a prime >= 5, got {q}")
     alg = alg or make_algebra(q)
     order = maximal_order(alg)
-    found = VertexSet(alg, order)
-    found._add_class(order)
-    recs = found.classes
+    recs = [_vertex_class(order, order)]
     queue = [0]
     while queue:
         k = queue.pop(0)
@@ -292,16 +301,10 @@ def vertex_classes_by_equivalence(q, alg=None):
                     hit = True
                     break
             if not hit:
-                found._add_class(jr)
+                recs.append(_vertex_class(jr, order))
                 queue.append(len(recs) - 1)
-    mass = sum(Fraction(1, r.weight) for r in recs)
-    if mass != Fraction(q - 1, 12):
-        raise ArithmeticError(f"mass formula violated: {mass} != ({q}-1)/12")
     recs.sort(key=lambda r: (-r.weight, r.ideal.key()))
-    vset = VertexSet(alg, order)
-    vset.classes = recs
-    _attach_wq(vset)
-    return vset
+    return VertexSet(alg, order, [r.ideal for r in recs])
 
 
 def wp_perm_by_conjugation(graph):

@@ -225,6 +225,7 @@ DAMAGED_RECORD = {
     "float_entry": None, "float_witness": None, "float_length": None, "bool_entry": None,
     "flag_moved": None, "half_scale_ideal": ("vertices", "ideal"),
     "wq_edge_perm": "wq_edge_perm", "source": ("edges", "source"),
+    "wq_perm_long": "wq_perm", "vertices_empty": ("vertices", "ideal"),
 }
 # The records no damage case changes, each with its reason.
 UNDAMAGED_RECORDS = (
@@ -371,6 +372,8 @@ class TestCache:
                  "half_scale_ideal": "ideal norm is not an integer",
                  "wq_edge_perm": "wq_edge_perm is not w_q on the edges",
                  "source": "edge 4: ideal does not lie between 13 R_1 and R_1",
+                 "wq_perm_long": "w_q has 3 images and 3 witnesses for 2 classes",
+                 "vertices_empty": "mass formula violated: 0 != (11-1)/12",
                  }[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
@@ -459,6 +462,14 @@ class TestCache:
             payload["wq_edge_perm"] = perm
         elif damage == "source":
             payload["edges"][4]["source"] = 1
+        elif damage == "wq_perm_long":
+            # a third image and witness for two classes: w_q on [0, 1] is
+            # still an involution, and each stored witness still gives I_k T_k
+            payload["wq_perm"].append(2)
+            payload["wq_witnesses"].append(payload["wq_witnesses"][0])
+        elif damage == "vertices_empty":
+            # no class ideals is a set of classes of mass 0, not a search
+            payload["vertices"], payload["wq_perm"], payload["wq_witnesses"] = [], [], []
         elif damage == "half_scale_ideal":
             # O / 2 in place of O: a lattice in HNF whose norm 1/4 is no int
             assert vertices[1]["ideal"] == payload["order"]

@@ -40,7 +40,7 @@ GRAPHS = ["graph_13_47", "graph_5_23", "graph_7_23", "graph_13_11", "graph_29_47
 
 
 def _records(vset):
-    return [(c.ideal, c.right_order, c.weight, c.norm, c.fingerprint, c.rational)
+    return [(c.ideal, c.right_order, c.weight, c.norm, c.fingerprint)
             for c in vset.classes]
 
 

@@ -424,4 +424,4 @@ class TestModelIndependence:
         assert len(v1) == len(v2)
         assert sorted(v1.weights) == sorted(v2.weights)
         assert v1.mass() == v2.mass()
-        assert [c.rational for c in v1.classes] == [c.rational for c in v2.classes]
+        assert v1.wq_perm == v2.wq_perm

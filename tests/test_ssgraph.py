@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from graph_oracle import brandt_matrix, dense, rref_mod_fresh, ss_oracle_reference
 from shimura_pq import quat, ssgraph
 from shimura_pq.certify import SS_ORACLE_MAX_Q, cache_load, cache_store, genus
-from shimura_pq.ntheory import is_prime
+from shimura_pq.ntheory import is_prime, kronecker
 from shimura_pq.quat import equiv_witness, ideal_norm, make_algebra, maximal_order, norm_ideals
 from shimura_pq.ssgraph import ShimuraGraph, _rref_mod, build_graph, ss_oracle, vertex_classes
+
+# The pairs with a session fixture graph_{p}_{q} in conftest.py.
+GRAPH_FIXTURES = {(13, 11), (5, 23), (13, 47), (29, 47), (5, 163), (29, 251), (13, 83)}
 
 
 class TestVertexClasses:
@@ -17,7 +20,7 @@ class TestVertexClasses:
         assert len(vset47) == 5
         assert vset47.weights == [3, 2, 1, 1, 1]
         assert vset47.mass() == Fraction(46, 12)
-        assert all(c.rational for c in vset47.classes)
+        assert vset47.wq_perm == list(range(5))
 
     def test_q11(self, vset11):
         assert len(vset11) == 2
@@ -128,6 +131,22 @@ class TestEdges:
         edges[4] = edges[4]._replace(length=2)
         with pytest.raises(ArithmeticError, match="^edge mass formula violated"):
             ShimuraGraph(13, 11, graph_13_11.vset, edges)
+
+    @pytest.mark.parametrize("p, q", [(13, 11), (5, 23), (13, 47), (29, 47), (5, 163),
+                                      (17, 59), (29, 251), (41, 47), (13, 83), (37, 5),
+                                      (53, 7)])
+    def test_genus_identity(self, p, q, request):
+        """The dual graph has 2h vertices and E edges, and X^{pq} is a
+        Mumford curve at p (Cerednik-Drinfeld), so E - 2h + 1 is the genus
+        1 + (p-1)(q-1)/12 - (1-(-4/p))(1-(-4/q))/4 - (1-(-3/p))(1-(-3/q))/3,
+        here times 12.  Only ``kronecker`` is read, no quaternion code."""
+        fixture = f"graph_{p}_{q}"
+        graph = (request.getfixturevalue(fixture) if (p, q) in GRAPH_FIXTURES
+                 else build_graph(p, q))
+        twelve_g = (12 + (p - 1) * (q - 1)
+                    - 3 * (1 - kronecker(-4, p)) * (1 - kronecker(-4, q))
+                    - 4 * (1 - kronecker(-3, p)) * (1 - kronecker(-3, q)))
+        assert 12 * (len(graph) - 2 * len(graph.vset) + 1) == twelve_g
 
     def test_wq_vertex_fixed_points_match_oracle(self, vset47, vset11):
         for vset, q in ((vset47, 47), (vset11, 11)):
