@@ -36,6 +36,15 @@ CACHE_ENV = "CRITERION_CACHE_DIR"
 # that certificates with q > 150 keep their bytes ("skipped (q above oracle
 # threshold)").  Lifting it changes those certificates.
 SS_ORACLE_MAX_Q = 150
+# ``check`` and ``graph`` refuse a larger pair before any work (exit 3).
+# Measured on a 2-core machine, Python 3.11.7: ``build_graph`` takes about
+# 0.25 ms and 5 KiB of RSS per edge, so 100,000 edges is about 25 s and
+# 500 MiB; the class search took 16.7 s and 334 MiB at q = 4003 (h = 334),
+# growing about as h^2, so 1,000 classes is some minutes and GiB.  Both sit
+# well above every pair tested or planned: (2003,251) has 41,750 edges, the
+# q = 47 sweep to p = 5025 about 19,300, and q = 4003 has 334 classes.
+MAX_CLASSES = 1000
+MAX_EDGES = 100_000
 NON_EFFECTIVITY_NOTE = (
     "a satisfied verdict certifies every instance-decidable hypothesis; the "
     "underlying theorem additionally requires p larger than a non-effective "
@@ -345,14 +354,14 @@ def graph_from_payload(payload):
     A payload holds three kinds of record:
 
     * primary, the build's input, checked through the graph they give
-      (lattices parsed by ``_lat_from``): the algebra's a, the base order
-      (which must be ``maximal_order``), the class ideals, w_q on vertices
-      and its witnesses, and each edge's source, ideal and target;
-    * derived with the build's code (the ``VertexSet`` constructor,
-      ``_edge``, ``ShimuraGraph``) and compared: the algebra's b, each
-      class's norm, right order, weight, fingerprint and rational flag
-      (``wq_perm[k] == k``), the two-sided ideals, each edge's orbit,
-      Eichler order and length, and w_q on edges;
+      (lattices parsed by ``_lat_from``): the base order (which must be
+      ``maximal_order``), the class ideals, w_q on vertices and its
+      witnesses, and each edge's source, ideal and target, in build order;
+    * derived with the build's code (``make_algebra``, the ``VertexSet``
+      constructor, ``_edge``, ``ShimuraGraph``) and compared: the algebra,
+      from q; each class's norm, right order, weight, fingerprint and
+      rational flag (``wq_perm[k] == k``); the two-sided ideals; each
+      edge's orbit, Eichler order and length; and w_q on edges;
     * only stored: w_p, checked for structure by ``ShimuraGraph``, as no
       output reads it and deriving it is a large share of a load at large
       q; and the edge witnesses, which feed only w_p at a build and are
@@ -363,7 +372,7 @@ def graph_from_payload(payload):
     Any failure raises.  The comparison is by value, where 1.0 == True ==
     1: ``cache_load`` refuses a float, and a true or false other than a
     rational flag, before it calls this."""
-    alg = make_algebra(payload["q"], a=payload["algebra"]["a"])
+    alg = make_algebra(payload["q"])
     order = _lat_from(alg, payload["order"])
     # another maximal order has the same covolume, so no record check below
     # would see one in place of the order the build starts from
@@ -431,7 +440,28 @@ def cache_load(cache_dir, p, q):
         return None
 
 
+def check_size(p, q):
+    """Raise ValueError, naming the number and the limit, if the graph of
+    (p, q) has more than MAX_CLASSES classes or MAX_EDGES edges.  Both
+    numbers are exact, in integers, from p and q alone: h = genus(q) + 1 is
+    Eichler's class number (the closed form of ``ss_oracle``), and
+    E = g + 2h - 1, as the dual graph's first Betti number E - 2h + 1 is the
+    genus g of X^{pq} (Cerednik-Drinfeld), with
+    12 g = 12 + (p-1)(q-1) - 3 (1-(-4/p))(1-(-4/q)) - 4 (1-(-3/p))(1-(-3/q))."""
+    check_primes(p=p, q=q)
+    h = genus(q) + 1
+    if h > MAX_CLASSES:
+        raise ValueError(f"q = {q} gives {h} ideal classes, above the limit of {MAX_CLASSES}")
+    twelve_g = (12 + (p - 1) * (q - 1) - 3 * (1 - kronecker(-4, p)) * (1 - kronecker(-4, q))
+                - 4 * (1 - kronecker(-3, p)) * (1 - kronecker(-3, q)))
+    edges = twelve_g // 12 + 2 * h - 1
+    if edges > MAX_EDGES:
+        raise ValueError(f"(p, q) = ({p}, {q}) gives {edges} edges, above the limit of "
+                         f"{MAX_EDGES}")
+
+
 def load_or_build_graph(p, q, cache_dir=None):
+    check_size(p, q)  # before the cache is read or any work is done
     if cache_dir:
         cached = cache_load(cache_dir, p, q)
         if cached is not None:

@@ -621,18 +621,13 @@ def _pair_units(unit_list):
     return [u for u in unit_list if u.num[1:] > (0, 0, 0)]
 
 
-def make_algebra(q, a=None):
-    """Quaternion algebra ramified exactly at {q, infinity}: the model
-    (a, b) = (a, q) with the least a > 0 of that ramification, which is
-    a = 1 when q = 3 mod 4, as (-1, -q) is then ramified exactly at
-    {q, oo}.  Passing ``a`` forces a specific model (used to exercise
-    model independence); one of another ramification raises ValueError.
-    """
+def make_algebra(q):
+    """The algebra ramified exactly at {q, oo} in the program's one model
+    (a, q), a > 0 least: a = 1 when q = 3 mod 4, as (-1, -q) is then.  A
+    cache load derives it from q too, so a graph of another model fails
+    the load's check of the base order."""
     check_primes(q=q)
-    if a is None:
-        a = next(c for c in range(1, 500) if ramified_primes(-c, -q) == [q])
-    elif ramified_primes(-a, -q) != [q]:
-        raise ValueError(f"(-{a}, -{q}) is not ramified exactly at {{{q}, oo}}")
+    a = next(c for c in range(1, 500) if ramified_primes(-c, -q) == [q])
     return QuaternionAlgebra(q=q, a=a, b=q)
 
 

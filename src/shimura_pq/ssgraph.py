@@ -53,12 +53,22 @@ def _fingerprint(ideal, norm):
     return tuple(counts)
 
 
+def _class_key(c):  # the build's order of the classes: weight down, then ideal
+    return -c.weight, c.ideal.key()
+
+
+def _check_sorted(what, keys):  # the first index not in the build's order raises
+    for i in range(1, len(keys)):
+        if keys[i] <= keys[i - 1]:
+            raise ArithmeticError(f"{what} {i} is out of place in the build's order")
+
+
 class VertexSet:
-    """Ideal classes of the fixed maximal order, canonically ordered, and
+    """Ideal classes of the fixed maximal order, in ``_class_key`` order, and
     w_q on them.  The class search (``_discover``, with no ideals) and a
     cache load (the class ideals and wq = (perm, witnesses)) both construct
     the whole set here: the mass check, the T_k, w_q by ``locate`` unless
-    passed (``_wq``), then ``_check_wq``, each failure an ArithmeticError."""
+    passed (``_wq``), ``_check_wq``, then that order; each an ArithmeticError."""
 
     def __init__(self, alg, order, ideals=None, wq=None):
         self.q, self.alg, self.order = alg.q, alg, order
@@ -77,6 +87,7 @@ class VertexSet:
         self.two_sided = [two_sided_ideal(c.ideal, c.norm, c.right_order) for c in self.classes]
         self.wq_perm, self.wq_witnesses = self._wq() if wq is None else wq
         self._check_wq()
+        _check_sorted("class", [_class_key(c) for c in self.classes])
 
     def __len__(self):
         return len(self.classes)
@@ -134,8 +145,7 @@ class VertexSet:
             if Counter(image for image, _, _ in steps) != Counter(images):
                 raise ArithmeticError(f"class {k}: its norm-2 steps are not its 3 norm-2 ideals")
             k += 1
-        perm = sorted(range(len(self)),
-                      key=lambda i: (-self.classes[i].weight, self.classes[i].ideal.key()))
+        perm = sorted(range(len(self)), key=lambda i: _class_key(self.classes[i]))
         pos = {old: new for new, old in enumerate(perm)}
         self.classes = [self.classes[i] for i in perm]
         self._connectors = {(pos[m], pos[k]): lat for (m, k), lat in self._connectors.items()}
@@ -325,11 +335,9 @@ class VertexSet:
         return Quat(self.alg, mul4(un, zn), ud * zd)
 
 
-def vertex_classes(q, alg=None):
-    """All left ideal classes of a maximal order, with w_q on them
-    (``VertexSet._discover``)."""
-    check_primes(q=q)
-    alg = alg or make_algebra(q)
+def vertex_classes(q):
+    """The left ideal classes of ``maximal_order(make_algebra(q))``, w_q on them."""
+    alg = make_algebra(q)
     return VertexSet(alg, maximal_order(alg))
 
 
@@ -364,7 +372,8 @@ class ShimuraGraph:
 
     The build and a cache load both construct the whole graph here: w_p is
     derived unless passed (a load passes the stored map), w_q on edges
-    always, then every edge check runs, raising ArithmeticError naming it."""
+    always, then every edge check, the build's edge order last (by source,
+    then ideal), each raising ArithmeticError naming it."""
 
     def __init__(self, p, q, vset, edges, wp_perm=None):
         self.p, self.q, self.vset, self.edges = p, q, vset, edges
@@ -390,6 +399,7 @@ class ShimuraGraph:
         self.wp_perm = self._wp_perm() if wp_perm is None else list(wp_perm)
         self.wq_edge_perm = self._wq_edge_perm()
         self._check_edges()
+        _check_sorted("edge", [(e.source, e.ideal.key()) for e in edges])
 
     def __len__(self):
         return len(self.edges)

@@ -275,7 +275,7 @@ def _vertex_class(ideal, order):
                        fingerprint=_fingerprint(ideal, n), units=unit_list)
 
 
-def vertex_classes_by_equivalence(q, alg=None):
+def vertex_classes_by_equivalence(q):
     """``ssgraph.vertex_classes`` as it was: for every 2-neighbour I_k L of
     every class k, reduce it, take its fingerprint and run an equivalence
     test against each known class with that fingerprint.  The sorted class
@@ -283,7 +283,7 @@ def vertex_classes_by_equivalence(q, alg=None):
     w_q by ``locate``."""
     if not is_prime(q) or q < 5:
         raise ValueError(f"q must be a prime >= 5, got {q}")
-    alg = alg or make_algebra(q)
+    alg = make_algebra(q)
     order = maximal_order(alg)
     recs = [_vertex_class(order, order)]
     queue = [0]

@@ -50,6 +50,8 @@ one per 2-dimensional subspace of O / ell O that is a left ideal);
 ``two_sided_prime(order, q)``, the two-sided norm-q ideal as the radical of
 the trace form mod q, with ``kernel_mod_p`` and ``_as_int`` (moved unchanged
 from ``quat`` and ``linalg``), the oracle for ``quat.two_sided_ideal``;
+``model(q, a)``, the algebra (-a, -q) for any a > 0 of the ramification
+{q, oo}, where ``quat.make_algebra`` gives the one model the package uses;
 and the ``Fraction`` helpers all of these stand on, which the package no
 longer uses: ``mat_inv_frac``, ``mat_mul_frac``, ``frac_sqrt`` and
 ``_int_vec`` (moved unchanged from ``linalg`` and ``quat``), ``frac_rows``
@@ -64,7 +66,18 @@ from math import gcd, isqrt, lcm
 import graph_oracle
 from shimura_pq.gross import class_number
 from shimura_pq.linalg import det_bareiss, hnf_rows, xgcd
-from shimura_pq.quat import Lattice, Quat, _integral, ideal_norm
+from shimura_pq.ntheory import ramified_primes
+from shimura_pq.quat import Lattice, Quat, QuaternionAlgebra, _integral, ideal_norm
+
+
+def model(q, a):
+    """The quaternion algebra (-a, -q), which must be ramified exactly at
+    {q, oo}: a model of the program's algebra for q, in which the tests
+    build ``VertexSet(alg, maximal_order(alg))`` to check that what the
+    program computes does not depend on the model."""
+    if ramified_primes(-a, -q) != [q]:
+        raise ValueError(f"(-{a}, -{q}) is not ramified exactly at {{{q}, oo}}")
+    return QuaternionAlgebra(q=q, a=a, b=q)
 
 
 # -- the pairwise HNF ---------------------------------------------------------

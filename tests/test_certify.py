@@ -1,6 +1,7 @@
 import builtins
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import decompose_by_solve_frac, unit_count
-from lattice_oracle import scale
+from lattice_oracle import model, scale
 from shimura_pq import certify
 from shimura_pq.certify import (
     CACHE_VERSION,
@@ -30,8 +31,8 @@ from shimura_pq.certify import (
 )
 from shimura_pq.gross import gross_tower_modular, tower_class_number
 from shimura_pq.linalg import hnf_rows
-from shimura_pq.quat import Quat, make_algebra
-from shimura_pq.ssgraph import build_graph
+from shimura_pq.quat import Quat, make_algebra, maximal_order
+from shimura_pq.ssgraph import VertexSet, build_graph
 
 
 class TestOgg:
@@ -226,12 +227,63 @@ DAMAGED_RECORD = {
     "flag_moved": None, "half_scale_ideal": ("vertices", "ideal"),
     "wq_edge_perm": "wq_edge_perm", "source": ("edges", "source"),
     "wq_perm_long": "wq_perm", "vertices_empty": ("vertices", "ideal"),
+    "algebra_model": "algebra", "classes_swapped": ("vertices", "ideal"),
+    "edges_swapped": ("edges", "ideal"),
 }
 # The records no damage case changes, each with its reason.
 UNDAMAGED_RECORDS = (
     (("version", "p", "q"), "a wrong value is a cache miss, not corruption"),
     ((("edges", "witness"),), "it feeds only w_p at a build, so a changed value still loads"),
 )
+
+
+def reindexed(payload, perm, lists, maps):
+    """The payload with entry i of each list named in lists moved to
+    perm[i], and each index map named in maps (of the same kind of index)
+    re-mapped to match: a consistent renumbering of classes or edges."""
+    old = sorted(range(len(perm)), key=perm.__getitem__)
+    for key in lists:
+        payload[key] = [payload[key][i] for i in old]
+    for key in maps:
+        payload[key] = [perm[payload[key][i]] for i in old]
+    return payload
+
+
+def classes_permuted(payload, perm):
+    """Class k moved to perm[k]: the class records, w_q on vertices and
+    every edge's source and target renumbered with it."""
+    for e in payload["edges"]:
+        e["source"], e["target"] = perm[e["source"]], perm[e["target"]]
+    return reindexed(payload, perm, ("vertices", "two_sided", "wq_witnesses"), ("wq_perm",))
+
+
+def edges_permuted(payload, perm):
+    """Edge i moved to perm[i], with w_p and w_q on edges renumbered."""
+    return reindexed(payload, perm, ("edges",), ("wp_perm", "wq_edge_perm"))
+
+
+# The damage cases whose every record is consistent with the others, but
+# whose model or order is not the build's, with the message that refuses
+# each.  They loaded before the model and both orders were the build's.
+FOREIGN = {"algebra_model": "order is not the maximal order of the algebra",
+           "classes_swapped": "class 1 is out of place in the build's order",
+           "edges_swapped": "edge 5 is out of place in the build's order"}
+
+
+def damaged_13_11_payload(good, damage):
+    """The payload of a ``FOREIGN`` case made from good, the cache text of
+    the (13,11) build: the graph built in the model a = 3; classes 0 and 1
+    swapped; or edges 4 and 6 (sources 0 and 1) swapped.  A swap renumbers
+    every record that holds a class or an edge index."""
+    if damage == "algebra_model":
+        alg = model(11, 3)
+        return graph_payload(build_graph(13, 11, vset=VertexSet(alg, maximal_order(alg))))
+    payload = json.loads(good)
+    if damage == "classes_swapped":
+        return classes_permuted(payload, [1, 0])
+    perm = list(range(len(payload["edges"])))
+    perm[4], perm[6] = 6, 4
+    return edges_permuted(payload, perm)
 
 
 class TestCache:
@@ -374,6 +426,7 @@ class TestCache:
                  "source": "edge 4: ideal does not lie between 13 R_1 and R_1",
                  "wq_perm_long": "w_q has 3 images and 3 witnesses for 2 classes",
                  "vertices_empty": "mass formula violated: 0 != (11-1)/12",
+                 **FOREIGN,
                  }[damage]
         path = cache_store(str(tmp_path), graph_13_11)
         with open(path, "rb") as fh:
@@ -470,6 +523,9 @@ class TestCache:
         elif damage == "vertices_empty":
             # no class ideals is a set of classes of mass 0, not a search
             payload["vertices"], payload["wq_perm"], payload["wq_witnesses"] = [], [], []
+        elif damage in FOREIGN:
+            assert [payload["edges"][i]["source"] for i in (4, 6)] == [0, 1]
+            payload = damaged_13_11_payload(good, damage)
         elif damage == "half_scale_ideal":
             # O / 2 in place of O: a lattice in HNF whose norm 1/4 is no int
             assert vertices[1]["ideal"] == payload["order"]
@@ -488,6 +544,24 @@ class TestCache:
         assert certificate_json(cert) == certificate_json(run_criterion(13, 11, override=True))
         with open(path, "rb") as fh:
             assert fh.read() == good
+
+    @pytest.mark.parametrize("damage", list(FOREIGN))
+    def test_check_over_a_foreign_cache_gives_the_cold_bytes(self, run_cli, tmp_path, damage):
+        # through the CLI: the warning names the check, and the certificate
+        # and the rewritten cache are the cold run's bytes
+        cold, damaged = tmp_path / "cold", tmp_path / "damaged"
+        name = os.path.basename(cache_path("", 13, 11))
+        check = ["check", "--p", "13", "--q", "11", "--override-hypotheses", "--cache"]
+        first = run_cli(check + [str(cold)], timeout=120)
+        damaged.mkdir()
+        payload = damaged_13_11_payload((cold / name).read_text(), damage)
+        (damaged / name).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        proc = run_cli(check + [str(damaged)], timeout=120)
+        assert proc.returncode == first.returncode == 1, proc.stderr
+        assert "warning: ignoring corrupt cache file" in proc.stderr
+        assert FOREIGN[damage] in proc.stderr
+        assert proc.stdout == first.stdout
+        assert (damaged / name).read_bytes() == (cold / name).read_bytes()
 
     def test_load_parses_only_primary_lattices(self, graph_13_11, tmp_path, monkeypatch):
         # the base order, the h class ideals and the E edge ideals; every
@@ -545,6 +619,28 @@ class TestCache:
         g2, from_cache2 = load_or_build_graph(13, 11, None)
         assert not from_cache2
         assert graph_payload(g) == graph_payload(g2)
+
+
+@pytest.mark.parametrize("kind", ["classes", "edges"])
+@pytest.mark.parametrize("fixture", ["graph_13_11", "graph_13_47"])
+def test_renumbered_cache_is_refused(fixture, kind, request):
+    """Seeded random renumberings of the classes, or of the edges, each
+    consistent in every record, are refused, and the message names the
+    first index out of place; the identity loads."""
+    graph = request.getfixturevalue(fixture)
+    good = json.dumps(graph_payload(graph))
+    what, n, permuted = (("class", len(graph.vset), classes_permuted) if kind == "classes"
+                         else ("edge", len(graph.edges), edges_permuted))
+    assert graph_payload(graph_from_payload(permuted(json.loads(good), list(range(n))))) == \
+        graph_payload(graph)
+    rng = random.Random(2007)
+    perms = sorted({tuple(rng.sample(range(n), n)) for _ in range(8)} - {tuple(range(n))})
+    assert perms
+    for perm in perms:
+        old = sorted(range(n), key=perm.__getitem__)
+        first = next(i for i in range(1, n) if old[i] < old[i - 1])
+        with pytest.raises(ArithmeticError, match=f"^{what} {first} is out of place"):
+            graph_from_payload(permuted(json.loads(good), list(perm)))
 
 
 @st.composite

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -185,3 +186,37 @@ def test_unwritable_output_fails_before_any_work(command, flag, tmp_path, monkey
     assert code == 3
     assert out == ""
     assert err == f"error: cannot write {flag} {path}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "graph"])
+@pytest.mark.parametrize("p,q,err", [
+    (1000033, 251, "error: (p, q) = (1000033, 251) gives 20834044 edges, above the limit of "
+                   "100000\n"),
+    (5, 1000003, "error: q = 1000003 gives 83334 ideal classes, above the limit of 1000\n"),
+])
+def test_oversized_input_fails_before_any_work(command, p, q, err, tmp_path, monkeypatch,
+                                               capsys):
+    # about 21 million edges, and about 83,000 classes: each would run for
+    # hours; the sizes are exact and read off p and q alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cache was read or the graph built before the size check")
+
+    monkeypatch.delenv("CRITERION_CACHE_DIR", raising=False)
+    monkeypatch.setattr("shimura_pq.certify.build_graph", refuse)
+    monkeypatch.setattr("shimura_pq.certify.cache_load", refuse)
+    start = time.perf_counter()
+    code = main([command, "--p", str(p), "--q", str(q), "--cache", str(tmp_path)])
+    assert time.perf_counter() - start < 1
+    out, got = capsys.readouterr()
+    assert (code, out, got) == (3, "", err)
+
+
+def test_size_limits_hold_every_planned_pair():
+    # the largest pairs of the plans: (2003,251), with 41,750 edges; the
+    # q = 47 sweep up to its bound 5025, near which p = 5021 has 19,252
+    # edges; and q = 4003, with 334 classes.  Each limit is over twice these.
+    from shimura_pq.certify import MAX_CLASSES, MAX_EDGES, check_size
+
+    for p, q in ((2003, 251), (5021, 47), (5, 4003), (257, 251)):
+        check_size(p, q)
+    assert MAX_EDGES >= 2 * 41750 and MAX_CLASSES >= 2 * 334

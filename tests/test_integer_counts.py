@@ -21,6 +21,7 @@ from graph_oracle import gross_modular_frac, gross_shimura_frac
 from shimura_pq.gross import (gross_modular, gross_shimura, gross_tower_modular,
                               gross_tower_shimura)
 from shimura_pq.ntheory import is_prime
+from lattice_oracle import model
 from shimura_pq.quat import make_algebra, maximal_order
 
 # (p, q, ell): the hashes of [den, towers] of the vertex and the edge tower,
@@ -52,7 +53,7 @@ TOWER_HASHES = {
 # [[q, den, rows], ...] of maximal_order(make_algebra(q)) over every prime
 # 5 <= q < 400: the q = 1 mod 4 are saturated, the q = 3 mod 4 classical
 MAXIMAL_ORDERS_HASH = "0dc86396b8b4eca9ebfc890c618972c82a8d446c44f7ab0b460035233192afee"
-# [[q, a, den, rows], ...] of maximal_order(make_algebra(q, a)), each saturated
+# [[q, a, den, rows], ...] of maximal_order(model(q, a)), each saturated
 MODELS = [(11, 3), (11, 4), (19, 4), (19, 5), (23, 2), (23, 3), (43, 4), (43, 9),
           (47, 2), (47, 3), (13, 2), (13, 7), (37, 2), (37, 8)]
 MODELS_HASH = "a752a3a3a368365125671e8dd2a745bf589b9ac23e77202c27454ae9eff41431"
@@ -86,7 +87,7 @@ def test_towers_are_the_fraction_towers(p, q, ell, request):
 def test_maximal_orders_are_the_saturated_ones():
     keys = [[q, *maximal_order(make_algebra(q)).key()] for q in range(5, 400) if is_prime(q)]
     assert _sha(keys) == MAXIMAL_ORDERS_HASH
-    keys = [[q, a, *maximal_order(make_algebra(q, a=a)).key()] for q, a in MODELS]
+    keys = [[q, a, *maximal_order(model(q, a)).key()] for q, a in MODELS]
     assert _sha(keys) == MODELS_HASH
 
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import lattice_oracle
 from lattice_oracle import (basis, conj_by_integer, from_elements, is_order, lattice_intersection,
-                            nrd, norm_ideals_exhaustive, scale, sub, trd, two_sided_prime)
+                            model, nrd, norm_ideals_exhaustive, scale, sub, trd,
+                            two_sided_prime)
 from shimura_pq.ntheory import is_prime, ramified_primes
-from shimura_pq.ssgraph import vertex_classes
+from shimura_pq.ssgraph import VertexSet, vertex_classes
 from shimura_pq.quat import (
     Lattice,
     Quat,
@@ -190,7 +191,7 @@ class TestMaximalOrder:
     def test_model_of_another_ramification_is_refused(self):
         # (-5, -47) is ramified at {5, oo}
         with pytest.raises(ValueError, match="not ramified exactly"):
-            make_algebra(47, a=5)
+            model(47, 5)
 
     def test_fallback_residue_classes(self):
         for q in (101, 17):
@@ -249,7 +250,8 @@ class TestLatticeOps:
     def test_right_orders_of_classes_match_oracle(self, q, a):
         # I^-1 I against the Fraction dual of the constraint lattice, on every
         # class, for q of both residues mod 4 and the model a = 3
-        vset = vertex_classes(q, alg=make_algebra(q, a=a))
+        alg = make_algebra(q) if a is None else model(q, a)
+        vset = VertexSet(alg, maximal_order(alg))
         for rec in vset.classes:
             assert rec.right_order == right_order(rec.ideal, rec.norm) == \
                 lattice_oracle.right_order(rec.ideal)
@@ -420,7 +422,8 @@ class TestTwoSided:
 class TestModelIndependence:
     def test_two_models_for_q_11(self):
         v1 = vertex_classes(11)
-        v2 = vertex_classes(11, alg=make_algebra(11, a=3))
+        alg = model(11, 3)
+        v2 = VertexSet(alg, maximal_order(alg))
         assert len(v1) == len(v2)
         assert sorted(v1.weights) == sorted(v2.weights)
         assert v1.mass() == v2.mass()

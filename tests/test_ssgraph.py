@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import brandt_matrix, dense, rref_mod_fresh, ss_oracle_reference
+from lattice_oracle import model
 from shimura_pq import quat, ssgraph
 from shimura_pq.certify import SS_ORACLE_MAX_Q, cache_load, cache_store, genus
 from shimura_pq.ntheory import is_prime, kronecker
-from shimura_pq.quat import equiv_witness, ideal_norm, make_algebra, maximal_order, norm_ideals
-from shimura_pq.ssgraph import ShimuraGraph, _rref_mod, build_graph, ss_oracle, vertex_classes
+from shimura_pq.quat import equiv_witness, ideal_norm, maximal_order, norm_ideals
+from shimura_pq.ssgraph import (ShimuraGraph, VertexSet, _rref_mod, build_graph, ss_oracle,
+                                vertex_classes)
 
 # The pairs with a session fixture graph_{p}_{q} in conftest.py.
 GRAPH_FIXTURES = {(13, 11), (5, 23), (13, 47), (29, 47), (5, 163), (29, 251), (13, 83)}
@@ -310,9 +312,8 @@ class TestSsOracle:
 
 class TestModelIndependence:
     def test_alternative_model_gives_same_graph_shape(self):
-        alt = make_algebra(11, a=3)
-        assert maximal_order(alt) is not None
-        v_alt = vertex_classes(11, alg=alt)
+        alt = model(11, 3)
+        v_alt = VertexSet(alt, maximal_order(alt))
         g_alt = build_graph(13, 11, vset=v_alt)
         v_std = vertex_classes(11)
         g_std = build_graph(13, 11, vset=v_std)
