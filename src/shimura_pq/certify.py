@@ -28,7 +28,7 @@ from .gross import (gross_tower_modular, gross_tower_shimura, s_star, support, t
                     tower_class_number)
 from .ntheory import check_ogg, check_primes, is_prime, kronecker, primes_from
 from .quat import Lattice, Quat, make_algebra, maximal_order
-from .ssgraph import ShimuraGraph, VertexSet, _edge, build_graph, ss_oracle
+from .ssgraph import ShimuraGraph, VertexSet, build_graph, ss_oracle
 
 CACHE_VERSION = 1
 CACHE_ENV = "CRITERION_CACHE_DIR"
@@ -45,6 +45,17 @@ SS_ORACLE_MAX_Q = 150
 # q = 47 sweep to p = 5025 about 19,300, and q = 4003 has 334 classes.
 MAX_CLASSES = 1000
 MAX_EDGES = 100_000
+# ``check`` refuses a larger --l or --max-n before any work (exit 3).  Each
+# tower searches the optimal embeddings of discriminant -4 l^2 among the
+# vectors of norm l^2 of every vertex and edge order, so a check's time grows
+# about as l^2: at (13,11), 2.3 s for l = 1009 and 8.5 s for l = 2003 (the
+# machine above); the default candidates, the first 12 odd primes but p
+# and q, stop at 47.  The tower is built to its depth N before the
+# elimination starts, in memory growing about as N^2: at (29,251), 22.5 MiB
+# of peak RSS for N = 1001 and 57.9 MiB for N = 4000.  The default depth
+# genus(q) + 2 = h + 1 is at most MAX_CLASSES + 1.
+MAX_L = 1000
+MAX_DEPTH = MAX_CLASSES + 1
 NON_EFFECTIVITY_NOTE = (
     "a satisfied verdict certifies every instance-decidable hypothesis; the "
     "underlying theorem additionally requires p larger than a non-effective "
@@ -357,8 +368,8 @@ def graph_from_payload(payload):
       (lattices parsed by ``_lat_from``): the base order (which must be
       ``maximal_order``), the class ideals, w_q on vertices and its
       witnesses, and each edge's source, ideal and target, in build order;
-    * derived with the build's code (``make_algebra``, the ``VertexSet``
-      constructor, ``_edge``, ``ShimuraGraph``) and compared: the algebra,
+    * derived with the build's code (``make_algebra`` and the ``VertexSet``
+      and ``ShimuraGraph`` constructors) and compared: the algebra,
       from q; each class's norm, right order, weight, fingerprint and
       rational flag (``wq_perm[k] == k``); the two-sided ideals; each
       edge's orbit, Eichler order and length; and w_q on edges;
@@ -380,8 +391,7 @@ def graph_from_payload(payload):
         raise ValueError("order is not the maximal order of the algebra")
     vset = VertexSet(alg, order, [_lat_from(alg, v["ideal"]) for v in payload["vertices"]],
                      (payload["wq_perm"], [_quat_from(alg, x) for x in payload["wq_witnesses"]]))
-    edges = [_edge(vset, e["source"], _lat_from(alg, e["ideal"]), e["target"],
-                   _quat_from(alg, e["witness"]))
+    edges = [(e["source"], _lat_from(alg, e["ideal"]), e["target"], _quat_from(alg, e["witness"]))
              for e in payload["edges"]]
     graph = ShimuraGraph(payload["p"], payload["q"], vset, edges, wp_perm=payload["wp_perm"])
     derived = graph_payload(graph)
@@ -487,12 +497,17 @@ def run_criterion(p, q, l=None, n_max=None, cache_dir=None, override=False):
     """Execute the whole pipeline for (p, q) and return the certificate dict.
 
     The pair, the auxiliary prime l and the depth n_max are checked before
-    the graph is built, so bad input fails at once, naming its flag."""
+    the graph is built, l and n_max against MAX_L and MAX_DEPTH too, so bad
+    or oversized input fails at once, naming its flag."""
     check_primes(p=p, q=q)
     if l is not None and (l in (p, q) or not is_prime(l)):
         raise ValueError(f"--l must be a prime distinct from p and q, got {l}")
+    if l is not None and l > MAX_L:
+        raise ValueError(f"--l must be at most {MAX_L}, got {l}")
     if n_max is not None and n_max < 1:
         raise ValueError(f"--max-n must be a positive tower depth, got {n_max}")
+    if n_max is not None and n_max > MAX_DEPTH:
+        raise ValueError(f"--max-n must be at most {MAX_DEPTH}, got {n_max}")
     ogg = check_ogg(p, q)
     hypotheses = {
         "ogg_case": ogg,

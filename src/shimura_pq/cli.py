@@ -131,6 +131,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:  # no import on this path: it could raise MemoryError again
+        print("internal error: out of memory", file=sys.stderr)
+        return 3
     except Exception as exc:  # resource/internal failures
         import traceback  # only on this path: it costs every start otherwise
 

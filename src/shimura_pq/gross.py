@@ -215,11 +215,11 @@ def gross_tower_modular(graph, ell, N):
     h(-4 ell^2) times a_0."""
     vset = graph.vset
     return 2, hecke_tower(gross_modular(vset, -4), gross_modular(vset, -4 * ell * ell),
-                          graph.brandt_vertices(ell), class_number(-4 * ell * ell), ell, N)
+                          graph.brandt_vertices(ell), tower_class_number(ell, 1), ell, N)
 
 
 def gross_tower_shimura(graph, ell, N):
     """[a_1, ..., a_N]: the edge counts for discriminants -4 ell^2, ...,
     -4 ell^(2N), by the vertex tower's recursion on the edges."""
     return hecke_tower(gross_shimura(graph, -4), gross_shimura(graph, -4 * ell * ell),
-                       graph.brandt_edges(ell), class_number(-4 * ell * ell), ell, N)
+                       graph.brandt_edges(ell), tower_class_number(ell, 1), ell, N)

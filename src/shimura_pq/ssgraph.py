@@ -26,7 +26,6 @@ from .quat import (
     maximal_order,
     norm_ideals,
     reduce_ideal,
-    reduced_discriminant,
     right_order,
     two_sided_ideal,
     units,
@@ -370,19 +369,20 @@ class ShimuraGraph:
       adjugate (trd and nrd to trace and determinant), so
       conj(P) / p R_k = {adj A : A v = 0} = {B : B F_p^2 <= F_p v}.
 
-    The build and a cache load both construct the whole graph here: w_p is
-    derived unless passed (a load passes the stored map), w_q on edges
-    always, then every edge check, the build's edge order last (by source,
-    then ideal), each raising ArithmeticError naming it."""
+    The build and a cache load both construct the whole graph here from
+    each edge's (source, ideal, target, witness): its ``_edge`` record, w_p
+    unless passed (a load passes the stored map), w_q on edges always, then
+    every edge check, the build's edge order last (by source, then ideal),
+    each raising ArithmeticError naming it."""
 
     def __init__(self, p, q, vset, edges, wp_perm=None):
-        self.p, self.q, self.vset, self.edges = p, q, vset, edges
+        self.p, self.q, self.vset, self.edges = p, q, vset, []
         # An ideal of index p^2 in R_k whose rows kill a line v is the ideal
         # of v, of index p^2 too; any other edge ideal is rejected.
         self._rho, self._lines, self._edge_lookup, unit_moves = {}, [], {}, {}
-        for i, e in enumerate(edges):
-            k, order = e.source, vset.classes[e.source].right_order
-            c = e.ideal.coords_in(order)
+        for i, (k, ideal, target, witness) in enumerate(edges):
+            order = vset.classes[k].right_order
+            c = ideal.coords_in(order)
             ok = c and abs(c[0][0] * c[1][1] * c[2][2] * c[3][3]) == p * p
             if ok and k not in self._rho:
                 self._rho[k] = _splitting(order, c, p)
@@ -392,6 +392,11 @@ class ShimuraGraph:
             if line is None:
                 raise ArithmeticError(f"edge {i}: ideal does not lie between {p} "
                                       f"R_{k} and R_{k} with index {p}^2")
+            e = _edge(vset, k, ideal, target, witness)
+            if e.length * len(e.orbit) != vset.classes[k].weight:  # orbit-stabilizer
+                raise ArithmeticError(f"edge {i}: length {e.length} times {len(e.orbit)} orbit "
+                                      f"members is not the weight of vertex {k}")
+            self.edges.append(e)
             self._lines.append(line)
             for g in unit_moves[k]:  # the identity, then the units of _pair_units
                 self._edge_lookup[(k, self._move(g, line))] = i
@@ -399,7 +404,7 @@ class ShimuraGraph:
         self.wp_perm = self._wp_perm() if wp_perm is None else list(wp_perm)
         self.wq_edge_perm = self._wq_edge_perm()
         self._check_edges()
-        _check_sorted("edge", [(e.source, e.ideal.key()) for e in edges])
+        _check_sorted("edge", [(e.source, e.ideal.key()) for e in self.edges])
 
     def __len__(self):
         return len(self.edges)
@@ -421,7 +426,9 @@ class ShimuraGraph:
                     e.witness))))
                 for e in self.edges]
         if None in perm:
-            raise ArithmeticError("edge lattice not found at vertex")
+            i = perm.index(None)
+            raise ArithmeticError(f"edge {i}: the lattice of its w_p conjugate is not found "
+                                  f"at vertex {self.edges[i].target}")
         return perm
 
     def _wq_edge_perm(self):
@@ -436,7 +443,9 @@ class ShimuraGraph:
                 gs[k] = self._intertwiner(k, t, vset.wq_witnesses[k], 1, "w_q witness")
             perm.append(self._edge_lookup.get((t, self._move(gs[k], line))))
         if None in perm:
-            raise ArithmeticError("edge lattice not found at vertex")
+            i = perm.index(None)
+            raise ArithmeticError(f"edge {i}: the lattice of its w_q conjugate is not found "
+                                  f"at vertex {vset.wq_perm[self.edges[i].source]}")
         return perm
 
     def _check_edges(self):
@@ -646,13 +655,14 @@ def _orbit(ideal, unit_list):
 
 
 def _edge(vset, k, ideal, target, witness):
-    """The edge from k with the norm-p left ideal P = ideal of R_k, with
-    the records read off P: its orbit, its Eichler order, its units and
-    its length.  The Eichler order R_k meet O_R(P) is Z + P: Z + P lies in
-    both, as P P <= R_k P = P, and both have index p in R_k
-    (``build_graph`` checks the discriminant).  Its units are the units of
-    R_k in it, in the order of ``units``, and the length is half their
-    number."""
+    """The ``Edge`` from k with the norm-p left ideal P = ideal of R_k: its
+    orbit, Eichler order, units and length, read off P.  Its one caller,
+    ``ShimuraGraph.__init__``, has found P's line v: under rho_k, Z + P mod p
+    is the scalars plus the matrices killing v, the Borel subalgebra fixing
+    v, so Z + P has index p in R_k and discriminant pq.  It is the Eichler
+    order R_k meet O_R(P), which holds it (P P <= P) and is proper in R_k
+    (P is not two-sided, as p != q).  Its units are those of R_k in it, in
+    the order of ``units``; the length is half their number."""
     unit_list = vset.units_of(k)
     eich = ideal.add_elem(Quat.one(vset.alg))
     eich_units = [u for u in unit_list if u in eich]
@@ -661,32 +671,23 @@ def _edge(vset, k, ideal, target, witness):
 
 
 def build_graph(p, q, vset=None):
-    """The full dual graph for the pair (p, q), edges oriented S1 -> S2."""
+    """The full dual graph for the pair (p, q), edges oriented S1 -> S2: per
+    unit orbit of the norm-p steps from k, its least ideal, target and witness."""
     check_primes(p=p, q=q)
     if vset is None:
         vset = vertex_classes(q)
     edges = []
-    for k, rec in enumerate(vset.classes):
+    for k in range(len(vset)):
         steps = {}
         for _, m, z in vset.neighbors(k, p):
             lam = vset.step_ideal(k, m, z)
             steps[lam.key()] = (lam, m, z)
         covered = set()
         for key in sorted(steps):
-            if key in covered:
-                continue
-            rep, t, z = steps[key]
-            edge = _edge(vset, k, rep, t, vset.step_witness(t, z))
-            covered.update(member.key() for member in edge.orbit)
-            # the discriminant pq shows that Z + P has index p in R_k, and
-            # length |orbit| = w_k checks the orbits
-            if edge.length * len(edge.orbit) != rec.weight:
-                raise ArithmeticError("orbit-stabilizer mismatch at a vertex")
-            if reduced_discriminant(edge.eichler) != p * q:
-                raise ArithmeticError("edge order does not have discriminant pq")
-            edges.append(edge)
-        if covered != steps.keys():
-            raise ArithmeticError("orbits do not cover the p+1 ideals")
+            if key not in covered:
+                rep, t, z = steps[key]
+                covered.update(member.key() for member in _orbit(rep, vset.units_of(k)))
+                edges.append((k, rep, t, vset.step_witness(t, z)))
     return ShimuraGraph(p, q, vset, edges)
 
 

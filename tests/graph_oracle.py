@@ -67,6 +67,9 @@ here, unchanged apart from their imports:
   ``project_degree_zero``, ``eisenstein_modular`` and
   ``eisenstein_shimura``; and ``tower_vectors``, which turns an integer
   tower (den, counts) back into ``Fraction`` tuples.
+
+``primary`` gives each edge's (source, ideal, target, witness), the records
+``ShimuraGraph`` takes, for the graphs the tests put together by hand.
 """
 
 from collections import Counter
@@ -156,6 +159,10 @@ def element_order(mg, va, vb):
         d = x.denominator
         order = order * d // gcd(order, d)
     return order
+
+
+def primary(edges):
+    return [(e.source, e.ideal, e.target, e.witness) for e in edges]
 
 
 def apply_wp(graph, v):

@@ -16,7 +16,7 @@ the edge or the step, ell and the vertex.
 
 import pytest
 
-from graph_oracle import (brandt_edges_rref, dense, wp_perm_rref, wq_edge_perm_rref)
+from graph_oracle import brandt_edges_rref, dense, primary, wp_perm_rref, wq_edge_perm_rref
 from lattice_oracle import brandt_edges, scale
 from shimura_pq.quat import Quat
 from shimura_pq.ssgraph import ShimuraGraph, build_graph
@@ -56,7 +56,7 @@ def test_edge_involutions_match_echelon_push(fixture, request):
     # a loaded graph holds the stored w_p: derive it again on a graph
     # made from its records
     graph = _graph(fixture, request)
-    fresh = ShimuraGraph(graph.p, graph.q, graph.vset, graph.edges)
+    fresh = ShimuraGraph(graph.p, graph.q, graph.vset, primary(graph.edges))
     assert fresh.wp_perm == graph.wp_perm == wp_perm_rref(graph)
     assert fresh.wq_edge_perm == graph.wq_edge_perm == wq_edge_perm_rref(graph)
 
@@ -99,7 +99,7 @@ def test_edge_ideal_inside_p_order_is_named(vset11):
     with pytest.raises(ArithmeticError,
                        match=rf"^edge 3: ideal does not lie between 13 R_{k} and R_{k} "
                              rf"with index 13\^2$"):
-        ShimuraGraph(13, 11, graph.vset, edges)
+        ShimuraGraph(13, 11, graph.vset, primary(edges))
 
 
 def test_step_without_g_is_named(vset11):
@@ -125,6 +125,6 @@ def test_wq_witness_without_g_is_named(vset11):
         with pytest.raises(ArithmeticError,
                            match=rf"^vertex 0: its w_q witness does not conjugate R_0 onto "
                                  rf"R_{t} at 13 "):
-            ShimuraGraph(13, 11, vset, graph.edges, wp_perm=graph.wp_perm)
+            ShimuraGraph(13, 11, vset, primary(graph.edges), wp_perm=graph.wp_perm)
     finally:
         vset.wq_witnesses[0] = y

@@ -1,8 +1,10 @@
+import builtins
 import json
 import os
 import subprocess
 import sys
 import time
+from itertools import islice
 
 import pytest
 
@@ -83,6 +85,25 @@ def test_internal_error_prints_traceback(monkeypatch, capsys):
     assert out == ""
     assert "Traceback" in err
     assert "ArithmeticError: enumeration failed" in err
+
+
+def test_out_of_memory_exits_3_without_an_import(monkeypatch, capsys):
+    # out of memory, an import raises MemoryError too: that path imports
+    # nothing, so it still exits 3, not 1 (a failed check)
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    real_import = builtins.__import__
+
+    def no_traceback(name, *args, **kwargs):
+        if name == "traceback":
+            raise MemoryError
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr("shimura_pq.certify.run_criterion", fail)
+    monkeypatch.setattr(builtins, "__import__", no_traceback)
+    assert main(["check", "--p", "13", "--q", "47"]) == 3
+    assert capsys.readouterr() == ("", "internal error: out of memory\n")
 
 
 def test_child_process_imports_package_under_test(cli_env, tmp_path):
@@ -209,6 +230,39 @@ def test_oversized_input_fails_before_any_work(command, p, q, err, tmp_path, mon
     assert time.perf_counter() - start < 1
     out, got = capsys.readouterr()
     assert (code, out, got) == (3, "", err)
+
+
+@pytest.mark.parametrize("flag,value,limit", [("--l", 1009, 1000), ("--l", 10007, 1000),
+                                              ("--max-n", 1002, 1001),
+                                              ("--max-n", 100000, 1001)])
+def test_oversized_flag_fails_before_any_work(flag, value, limit, monkeypatch, capsys):
+    # --l 10007 ran past 30 s with no output, and --max-n 100000 out of 2 GiB
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cache was read or the graph built before the flag check")
+
+    monkeypatch.delenv("CRITERION_CACHE_DIR", raising=False)
+    monkeypatch.setattr("shimura_pq.certify.build_graph", refuse)
+    monkeypatch.setattr("shimura_pq.certify.cache_load", refuse)
+    start = time.perf_counter()
+    code = main(["check", "--p", "13", "--q", "11", "--override-hypotheses", flag, str(value)])
+    assert time.perf_counter() - start < 1
+    err = f"error: {flag} must be at most {limit}, got {value}\n"
+    assert (code, *capsys.readouterr()) == (3, "", err)
+
+
+def test_flag_limits_hold_every_use():
+    # the tests, goldens and benchmark use l <= 13, and the default
+    # candidates, the first 12 odd primes but p and q, lie among the first
+    # 14; the default depth genus(q) + 2 passes for every q within
+    # MAX_CLASSES, the largest of them included
+    from shimura_pq.certify import MAX_CLASSES, MAX_DEPTH, MAX_L, check_size, genus
+    from shimura_pq.ntheory import is_prime, primes_from
+
+    assert max(islice(primes_from(3), 14)) == 47 < MAX_L
+    q = max(q for q in range(5, 12 * MAX_CLASSES + 24)
+            if is_prime(q) and genus(q) + 1 <= MAX_CLASSES)
+    check_size(5, q)
+    assert genus(q) + 2 <= MAX_DEPTH
 
 
 def test_size_limits_hold_every_planned_pair():

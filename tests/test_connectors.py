@@ -23,6 +23,7 @@ import pytest
 
 import shimura_pq.ssgraph as ssgraph
 from graph_oracle import (
+    primary,
     residue_image,
     steps_per_direction,
     vertex_classes_by_equivalence,
@@ -147,18 +148,24 @@ def test_missing_conjugate_is_named(vset11):
     graph = build_graph(13, 11, vset=vset11)
     # with the dual of edge 0 left out, w_p finds no edge for edge 0
     dual = graph.wp_perm[0]
+    assert dual != 0
     edges = [e for i, e in enumerate(graph.edges) if i != dual]
-    with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):
-        ShimuraGraph(13, 11, vset11, edges)
+    with pytest.raises(ArithmeticError,
+                       match=rf"^edge 0: the lattice of its w_p conjugate is not found at "
+                             rf"vertex {edges[0].target}$"):
+        ShimuraGraph(13, 11, vset11, primary(edges))
 
 
 def test_missing_wq_conjugate_is_named(vset11):
     graph = build_graph(13, 11, vset=vset11)
     # w_p is passed, so w_q is the first map to miss the edge left out
     moved = graph.wq_edge_perm[0]
+    assert moved != 0
     edges = [e for i, e in enumerate(graph.edges) if i != moved]
-    with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):
-        ShimuraGraph(13, 11, vset11, edges, wp_perm=graph.wp_perm)
+    with pytest.raises(ArithmeticError,
+                       match=rf"^edge 0: the lattice of its w_q conjugate is not found at "
+                             rf"vertex {vset11.wq_perm[edges[0].source]}$"):
+        ShimuraGraph(13, 11, vset11, primary(edges), wp_perm=graph.wp_perm)
 
 
 def test_non_integral_conjugate_is_named(vset11):
@@ -168,8 +175,10 @@ def test_non_integral_conjugate_is_named(vset11):
         witness=add(edges[0].witness, Quat(graph.vset.alg, (0, 0, 0, 1), 3)))
     order = graph.vset.classes[e.target].right_order
     assert conj_by_integer(e.ideal.conj_lattice(), e.witness).coords_in(order) is None
-    with pytest.raises(ArithmeticError, match="^edge lattice not found at vertex$"):
-        ShimuraGraph(13, 11, vset11, edges)
+    with pytest.raises(ArithmeticError,
+                       match=rf"^edge 0: the lattice of its w_p conjugate is not found at "
+                             rf"vertex {e.target}$"):
+        ShimuraGraph(13, 11, vset11, primary(edges))
 
 
 def _count(monkeypatch):

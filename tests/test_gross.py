@@ -36,7 +36,7 @@ from shimura_pq.gross import (
     t_star,
     tower_class_number,
 )
-from shimura_pq.ntheory import kronecker
+from shimura_pq.ntheory import is_prime, kronecker
 from shimura_pq.quat import Lattice, Quat, reduced_discriminant
 from shimura_pq.ssgraph import build_graph
 
@@ -79,6 +79,11 @@ class TestClassNumbers:
         for ell in (3, 5):
             if ell ** n < 60:
                 assert tower_class_number(ell, n) == class_number(-4 * ell ** (2 * n))
+
+    def test_tower_class_number_matches_enumeration_at_n_1(self):
+        # both towers take h(-4 ell^2) from the closed form
+        for ell in filter(is_prime, range(200)):
+            assert tower_class_number(ell, 1) == class_number(-4 * ell * ell), ell
 
 
 class TestOptimalEmbeddings:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import brandt_matrix, dense, rref_mod_fresh, ss_oracle_reference
+from graph_oracle import brandt_matrix, dense, primary, rref_mod_fresh, ss_oracle_reference
 from lattice_oracle import model
 from shimura_pq import quat, ssgraph
 from shimura_pq.certify import SS_ORACLE_MAX_Q, cache_load, cache_store, genus
@@ -123,16 +123,36 @@ class TestEdges:
         assert g.wq_edge_perm[exc2[0]] == exc2[1]
         assert g.wq_edge_perm[exc3[0]] == exc3[1]
 
-    def test_validate_graph_rejects_an_edge_length(self, graph_13_11):
-        # a cache load derives every length, so only a graph put together
-        # by hand can break the edge mass formula alone
-        edges = list(graph_13_11.edges)
-        assert ShimuraGraph(13, 11, graph_13_11.vset, edges).wq_edge_perm == \
-            graph_13_11.wq_edge_perm
-        assert edges[4].length == 1
-        edges[4] = edges[4]._replace(length=2)
+    def test_orbit_stabilizer_is_checked_on_a_build_and_a_load(self, vset11, graph_13_11,
+                                                               tmp_path, monkeypatch, capsys):
+        # with each orbit of more than one member one short, the first such
+        # edge breaks length * |orbit| = w_source, on a build and on a load
+        cache_store(str(tmp_path), graph_13_11)
+        i, e = next((i, e) for i, e in enumerate(graph_13_11.edges) if len(e.orbit) > 1)
+        orbit = ssgraph._orbit
+
+        def short(ideal, unit_list):
+            members = orbit(ideal, unit_list)
+            return members[:-1] if len(members) > 1 else members
+
+        monkeypatch.setattr(ssgraph, "_orbit", short)
+        msg = (f"edge {i}: length {e.length} times {len(e.orbit) - 1} orbit members is not "
+               f"the weight of vertex {e.source}")
+        with pytest.raises(ArithmeticError, match=f"^{msg}$"):
+            build_graph(13, 11, vset=vset11)
+        capsys.readouterr()
+        assert cache_load(str(tmp_path), 13, 11) is None
+        assert capsys.readouterr().err.endswith(f": {msg}\n")
+
+    def test_an_edge_list_short_of_orbits_is_refused(self, graph_13_11):
+        # one orbit left out alone is refused by w_p (test_connectors); with
+        # the orbits of its class under w_p and w_q, both maps close on the
+        # rest and the edge checks find what is missing
+        wp, wq = graph_13_11.wp_perm, graph_13_11.wq_edge_perm
+        gone = {0, wp[0], wq[0], wp[wq[0]]}
+        edges = [e for i, e in enumerate(graph_13_11.edges) if i not in gone]
         with pytest.raises(ArithmeticError, match="^edge mass formula violated"):
-            ShimuraGraph(13, 11, graph_13_11.vset, edges)
+            ShimuraGraph(13, 11, graph_13_11.vset, primary(edges))
 
     @pytest.mark.parametrize("p, q", [(13, 11), (5, 23), (13, 47), (29, 47), (5, 163),
                                       (17, 59), (29, 251), (41, 47), (13, 83), (37, 5),

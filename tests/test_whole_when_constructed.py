@@ -9,6 +9,11 @@ from outside, past its checks.  An assignment is an attribute store or
 delete (``x.wq_perm = ...``, also in a tuple target or as ``+=``) or a
 store into an item of one (``x.wq_perm[k] = ...``).  Names are matched by
 spelling, on any object.
+
+Likewise an ``Edge`` record is made only by ``ssgraph._edge``, and
+``_edge`` is called only by ``ShimuraGraph.__init__`` and imported
+nowhere: the build and a cache load pass each edge's source, ideal,
+target and witness, and the constructor derives and checks the rest.
 """
 
 import ast
@@ -72,3 +77,41 @@ def test_an_assignment_from_outside_is_found():
     assert sorted(assignments(tree)) == [
         ("classes", 3, "VertexSet"), ("two_sided", 6, None), ("wp_perm", 9, None),
         ("wq_perm", 3, "VertexSet"), ("wq_witnesses", 7, None)]
+
+
+def calls(tree, names):
+    """(name, enclosing function path) for each call of one of names, by a
+    bare name, and (name, "import") for each import of one."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                yield from walk(child, where + (child.name,))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in names):
+                yield child.func.id, ".".join(where)
+            if isinstance(child, ast.ImportFrom):
+                yield from ((a.name, "import") for a in child.names if a.name in names)
+            yield from walk(child, where)
+
+    return sorted(walk(tree, ()))
+
+
+def test_edges_are_made_only_by_the_graph_constructor():
+    found = {os.path.relpath(path, ROOT): calls(_parse(path), {"_edge", "Edge"})
+             for path in SOURCES}
+    assert {path: hits for path, hits in found.items() if hits} == {
+        os.path.join("src", "shimura_pq", "ssgraph.py"): [
+            ("Edge", "_edge"), ("_edge", "ShimuraGraph.__init__")]}
+
+
+def test_a_call_from_outside_is_found():
+    tree = ast.parse("from .ssgraph import _edge\n"
+                     "class ShimuraGraph:\n"
+                     "    def __init__(self, edges):\n"
+                     "        self.edges = [_edge(*e) for e in edges]\n"
+                     "\n"
+                     "def build_graph(vset):\n"
+                     "    return [Edge(k) for k in vset]\n")
+    assert calls(tree, {"_edge", "Edge"}) == [
+        ("Edge", "build_graph"), ("_edge", "ShimuraGraph.__init__"), ("_edge", "import")]
